@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import PipelineConfig, parse_config
 from .errors import PipelineError
@@ -23,7 +21,7 @@ from .io import (
     read_ground_truth,
     read_proposal_file,
     read_submission,
-    write_submission,
+    serialize_submission,
 )
 from .pipeline import (
     evaluate_files,
@@ -31,10 +29,10 @@ from .pipeline import (
     format_metrics_table,
     fuse_candidate_boundary,
     run_pipeline,
+    suppress_submission,
 )
-from .reliability import apply_gate, attention_weights, cross_window_attention, uncertainty_gate
-from .simulation import ScenarioConfig, compare_fusion, generate_scenario
-from .suppression import NMS_PRESETS, suppress_video
+from .simulation import compare_fusion, generate_scenario
+from .suppression import NMS_PRESETS
 from .timeline import generate_windows
 
 
@@ -61,12 +59,7 @@ def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
     records = read_proposal_file(args.proposals, cfg.vocab())
     doc = run_pipeline(records, cfg)
-    if args.output:
-        write_submission(args.output, doc)
-    else:
-        from .io import serialize_submission
-
-        sys.stdout.write(serialize_submission(doc))
+    _emit(serialize_submission(doc), args.output)
     return 0
 
 
@@ -75,14 +68,7 @@ def cmd_fuse(args) -> int:
     records = read_proposal_file(args.proposals, cfg.vocab())
     lines = ["# video_id fused_start fused_end"]
     for record in records:
-        fused = fuse_candidate_boundary(
-            record.noun_boundary,
-            record.verb_boundary,
-            record.noun_scores,
-            record.verb_scores,
-            cfg.fusion_mode,
-            cfg.epsilon,
-        )
+        fused = fuse_candidate_boundary(record, cfg)
         lines.append(f"{record.video_id} {fused[0]:.4f} {fused[1]:.4f}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -91,20 +77,8 @@ def cmd_fuse(args) -> int:
 def cmd_nms(args) -> int:
     cfg = _load_config(args)
     doc = read_submission(args.input, cfg.vocab())
-    nms_cfg = cfg.nms_config()
-    doc.results = {
-        video_id: suppress_video(dets, nms_cfg, class_key="action")
-        for video_id, dets in sorted(doc.results.items())
-    }
-    from .io import build_submission
-
-    doc = build_submission(doc.results, version=doc.version)
-    if args.output:
-        write_submission(args.output, doc)
-    else:
-        from .io import serialize_submission
-
-        sys.stdout.write(serialize_submission(doc))
+    doc = suppress_submission(doc.results, cfg.nms_config(), doc.version)
+    _emit(serialize_submission(doc), args.output)
     return 0
 
 
@@ -118,39 +92,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _dual_stream_diagnostics(seed: int) -> list[tuple[str, float]]:
-    # exercises the gate-then-attend arithmetic on a synthetic sequence
-    rng = np.random.default_rng(seed)
-    main = rng.normal(size=(16, 8))
-    auxiliary = rng.normal(size=(16, 8))
-    uncertainties = rng.uniform(size=16)
-    gated = apply_gate(auxiliary, uncertainty_gate(uncertainties))
-    weights = attention_weights(main, gated, scale=1.0 / np.sqrt(8))
-    updated = cross_window_attention(main, gated, scale=1.0 / np.sqrt(8))
-    return [
-        ("gate_mean_weight", float(gated.weights.mean())),
-        ("attention_rowsum_max_dev", float(np.abs(weights.sum(axis=1) - 1.0).max())),
-        ("attention_update_norm", float(np.linalg.norm(updated - main))),
-    ]
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    scenario_cfg = ScenarioConfig(
-        num_segments=cfg.sim_segments,
-        video_length_s=cfg.sim_video_length,
-        confidence_lo=cfg.sim_confidence_lo,
-        confidence_hi=cfg.sim_confidence_hi,
-        sigma_min=cfg.sim_sigma_min,
-        sigma_max=cfg.sim_sigma_max,
-        seed=cfg.sim_seed,
-        vocab=cfg.vocab(),
-    )
-    scenario = generate_scenario(scenario_cfg)
+    scenario = generate_scenario(cfg.scenario())
     report = compare_fusion(scenario, cfg.epsilon)
-    pairs = [("seed", scenario_cfg.seed)] + report.key_values()
-    if args.dual_stream:
-        pairs.extend(_dual_stream_diagnostics(scenario_cfg.seed))
+    pairs = [("seed", cfg.sim_seed)] + report.key_values()
     lines = [f"{key} = {value:.6g}" if isinstance(value, float) else f"{key} = {value}"
              for key, value in pairs]
     _emit("\n".join(lines) + "\n", args.output)
@@ -214,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded fusion error comparison")
     add_common(p, seed=True)
     p.add_argument("--table", help="write per-segment errors to this file")
-    p.add_argument(
-        "--dual-stream",
-        action="store_true",
-        dest="dual_stream",
-        help="also report uncertainty-gate and cross-attention diagnostics",
-    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("windows", help="print sliding-window placements")
@@ -237,10 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PipelineError as exc:
+    except (OSError, PipelineError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal invariant violation

@@ -96,8 +96,9 @@ def compose_actions(
     """Cross the top noun and verb classes of one aligned proposal pair.
 
     Emits ``min(k_n, nouns) * min(k_v, verbs)`` candidates sorted by
-    score descending (ties by ascending action id), each scored as
-    ``sqrt(P_noun * P_verb)`` and carrying both stream boundaries.
+    ``P_noun * P_verb`` descending (ties by ascending action id), each
+    scored as ``sqrt(P_noun * P_verb)`` and carrying both stream
+    boundaries.
     """
     if len(noun.scores) != vocab.noun_count:
         raise InvalidConfig(
@@ -107,19 +108,20 @@ def compose_actions(
         raise InvalidConfig(
             f"verb scores have {len(verb.scores)} entries, vocabulary expects {vocab.verb_count}"
         )
-    candidates = []
+    # rank on the product: two products one ulp apart can share a sqrt
+    ranked = []
     verb_top = top_k(verb.scores, k_v)
     for p, noun_score in top_k(noun.scores, k_n):
         for q, verb_score in verb_top:
-            candidates.append(
-                ActionCandidate(
-                    noun_index=p,
-                    verb_index=q,
-                    action_id=encode_action_id(p, q, vocab),
-                    score=math.sqrt(noun_score * verb_score),
-                    noun_boundary=noun.boundary,
-                    verb_boundary=verb.boundary,
-                )
+            product = noun_score * verb_score
+            candidate = ActionCandidate(
+                noun_index=p,
+                verb_index=q,
+                action_id=encode_action_id(p, q, vocab),
+                score=math.sqrt(product),
+                noun_boundary=noun.boundary,
+                verb_boundary=verb.boundary,
             )
-    candidates.sort(key=lambda c: (-c.score, c.action_id))
-    return candidates
+            ranked.append((-product, candidate.action_id, candidate))
+    ranked.sort(key=lambda entry: entry[:2])
+    return [candidate for *_, candidate in ranked]

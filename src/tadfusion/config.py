@@ -18,8 +18,11 @@ from .composition import (
     DEFAULT_VERB_COUNT,
     VocabSpec,
 )
-from .errors import ParseError, UnknownKey
+from .errors import InvalidConfig, ParseError, UnknownKey
+from .evaluation import DEFAULT_TIOU_THRESHOLDS, EvalConfig
 from .fusion import DEFAULT_FUSION_EPSILON, FUSION_MODES
+from .io import SUBMISSION_VERSION, require_finite
+from .simulation import ScenarioConfig
 from .suppression import (
     DEFAULT_MAX_PER_VIDEO,
     DEFAULT_PRE_NMS_CAP,
@@ -34,9 +37,6 @@ from .timeline import (
     DEFAULT_WINDOW_OVERLAP,
     FeatureGrid,
 )
-
-DEFAULT_SUBMISSION_VERSION = "0.1"
-CHALLENGE_NAME = "action_detection"
 
 
 @dataclass
@@ -57,8 +57,8 @@ class PipelineConfig:
     nms_preset: str = "verb_action"
     pre_nms_cap: int = DEFAULT_PRE_NMS_CAP
     max_per_video: int = DEFAULT_MAX_PER_VIDEO
-    eval_thresholds: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
-    submission_version: str = DEFAULT_SUBMISSION_VERSION
+    eval_thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
+    submission_version: str = SUBMISSION_VERSION
     sim_segments: int = 1000
     sim_video_length: float = 600.0
     sim_confidence_lo: float = 0.1
@@ -88,69 +88,53 @@ class PipelineConfig:
             max_per_video=self.max_per_video,
         )
 
+    def scenario(self) -> ScenarioConfig:
+        return ScenarioConfig(
+            num_segments=self.sim_segments,
+            video_length_s=self.sim_video_length,
+            confidence_lo=self.sim_confidence_lo,
+            confidence_hi=self.sim_confidence_hi,
+            sigma_min=self.sim_sigma_min,
+            sigma_max=self.sim_sigma_max,
+            seed=self.sim_seed,
+            vocab=self.vocab(),
+        )
 
-_INT_KEYS = {
-    "stride_frames",
-    "offset_frames",
-    "window_length",
-    "noun_count",
-    "verb_count",
-    "top_k_nouns",
-    "top_k_verbs",
-    "pre_nms_cap",
-    "max_per_video",
-    "sim_segments",
-    "sim_seed",
-}
-_FLOAT_KEYS = {
-    "fps",
-    "window_overlap",
-    "epsilon",
-    "sim_video_length",
-    "sim_confidence_lo",
-    "sim_confidence_hi",
-    "sim_sigma_min",
-    "sim_sigma_max",
-}
-_STR_KEYS = {"fusion_mode", "nms_preset", "submission_version"}
 
-_POSITIVE_KEYS = {
-    "stride_frames",
-    "fps",
-    "window_length",
-    "noun_count",
-    "verb_count",
-    "top_k_nouns",
-    "top_k_verbs",
-    "epsilon",
-    "pre_nms_cap",
-    "max_per_video",
-    "sim_segments",
-    "sim_video_length",
-}
-_NON_NEGATIVE_KEYS = {"offset_frames", "sim_sigma_min", "sim_sigma_max"}
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+# The objects a config builds, each validating itself, and the keys it reads.
+_CHECKED_OBJECTS = (
+    (PipelineConfig.grid, ("stride_frames", "offset_frames", "fps")),
+    (PipelineConfig.vocab, ("noun_count", "verb_count")),
+    (PipelineConfig.nms_config, ("pre_nms_cap", "max_per_video")),
+    (lambda cfg: EvalConfig(thresholds=cfg.eval_thresholds), ("eval_thresholds",)),
+    (PipelineConfig.scenario, tuple(f for f in _FIELD_TYPES if f.startswith("sim_"))),
+)
 
 
 def _parse_value(key: str, raw: str):
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "eval_thresholds":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        return raw
+        if kind == "float":
+            return require_finite(float(raw), key=key)
+        if kind == "str":
+            return raw
+        # tuple[float, ...]: comma-separated values
+        return tuple(
+            require_finite(float(tok), key=key) for tok in raw.split(",") if tok.strip()
+        )
     except ValueError as exc:
         raise ParseError(f"cannot parse value {raw!r}: {exc}", key=key) from None
 
 
-def _validate(cfg: PipelineConfig) -> PipelineConfig:
-    for key in _POSITIVE_KEYS:
+def _validate(cfg: PipelineConfig, given) -> PipelineConfig:
+    """Check ``cfg``; a ParseError names the offending keys among ``given``."""
+    for key in ("window_length", "top_k_nouns", "top_k_verbs", "epsilon"):
         if getattr(cfg, key) <= 0:
             raise ParseError("value must be positive", key=key)
-    for key in _NON_NEGATIVE_KEYS:
-        if getattr(cfg, key) < 0:
-            raise ParseError("value must be non-negative", key=key)
     if not 0.0 <= cfg.window_overlap < 1.0:
         raise ParseError("overlap must lie in [0, 1)", key="window_overlap")
     if cfg.fusion_mode not in FUSION_MODES:
@@ -159,25 +143,16 @@ def _validate(cfg: PipelineConfig) -> PipelineConfig:
         raise ParseError(
             f"nms_preset must be one of {tuple(NMS_PRESETS)}", key="nms_preset"
         )
-    if not 0.0 <= cfg.sim_confidence_lo <= cfg.sim_confidence_hi <= 1.0:
-        raise ParseError(
-            "confidence bounds must satisfy 0 <= lo <= hi <= 1", key="sim_confidence_lo"
-        )
-    if cfg.sim_sigma_max < cfg.sim_sigma_min:
-        raise ParseError("sim_sigma_max must be >= sim_sigma_min", key="sim_sigma_max")
-    prev = 0.0
-    for t in cfg.eval_thresholds:
-        if not 0.0 < t <= 1.0 or t <= prev:
-            raise ParseError(
-                "thresholds must be strictly increasing in (0, 1]", key="eval_thresholds"
-            )
-        prev = t
+    for build, keys in _CHECKED_OBJECTS:
+        try:
+            build(cfg)
+        except InvalidConfig as exc:
+            raise ParseError(str(exc), key=", ".join(k for k in keys if k in given)) from None
     return cfg
 
 
 def parse_config_text(text: str) -> PipelineConfig:
     """Parse ``key = value`` lines into a validated PipelineConfig."""
-    known = {f.name for f in fields(PipelineConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -188,10 +163,10 @@ def parse_config_text(text: str) -> PipelineConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise UnknownKey(f"unknown configuration key {key!r}", line=lineno)
         values[key] = _parse_value(key, raw)
-    return _validate(PipelineConfig(**values))
+    return _validate(PipelineConfig(**values), values)
 
 
 def parse_config(path) -> PipelineConfig:

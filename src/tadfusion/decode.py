@@ -9,14 +9,13 @@ not treated as independent videos.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfig, WindowMismatch
+from .suppression import DEFAULT_PRE_NMS_CAP
 from .timeline import Window
-
-PRE_NMS_TOP_K = 5000
 
 
 @dataclass(eq=False)
@@ -101,7 +100,7 @@ def decode_anchor_free(head: HeadOutput, window: Window | None = None) -> list[S
 def pre_nms_select(
     proposals: list[StreamProposal],
     min_score: float,
-    top_k: int = PRE_NMS_TOP_K,
+    top_k: int = DEFAULT_PRE_NMS_CAP,
 ) -> list[StreamProposal]:
     """Filter by maximum class score and keep at most ``top_k`` proposals.
 

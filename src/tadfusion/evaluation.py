@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import ActionDetection, temporal_iou
+from .suppression import ActionDetection, rank_key, temporal_iou
 
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -81,7 +81,7 @@ def _task_class(obj, task: str):
 
 def sort_detections(dets: list[ActionDetection]) -> list[ActionDetection]:
     """Score-descending order with deterministic tie-breaks."""
-    return sorted(dets, key=lambda d: (-d.score, d.start, d.action_id, d.video_id))
+    return sorted(dets, key=lambda d: (*rank_key(d, d.score), d.video_id))
 
 
 def match_detections(
@@ -165,13 +165,13 @@ def mean_ap(
     for det in dets:
         det_by_class.setdefault(_task_class(det, cfg.task), []).append(det)
 
+    ranked = {cls: sort_detections(det_by_class.get(cls, [])) for cls in gt_by_class}
     per_threshold = {}
     for tau in cfg.thresholds:
         aps = []
         for cls in sorted(gt_by_class):
             class_gts = gt_by_class[cls]
-            class_dets = sort_detections(det_by_class.get(cls, []))
-            flags = match_detections(class_dets, class_gts, tau, cfg.task)
+            flags = match_detections(ranked[cls], class_gts, tau, cfg.task)
             aps.append(average_precision(flags, len(class_gts)))
         per_threshold[tau] = float(np.mean(aps)) if aps else 0.0
 

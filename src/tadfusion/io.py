@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,17 @@ import numpy as np
 from .composition import VocabSpec, encode_action_id
 from .errors import ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GroundTruthInstance
-from .suppression import ActionDetection
+from .suppression import ActionDetection, by_rank
 
+SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
+
+
+def require_finite(value: float, *, line=None, key=None) -> float:
+    """``value`` itself if finite; otherwise a ParseError naming the line or key."""
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {value!r}", line=line, key=key)
+    return value
 
 
 @dataclass(eq=False)
@@ -87,6 +96,8 @@ def parse_proposal_line(line: str, lineno: int, vocab: VocabSpec) -> ProposalRec
         raise ParseError(f"malformed numeric field: {exc}", line=lineno) from None
     if window_start < 0:
         raise ParseError("window start must be >= 0", line=lineno)
+    for value in (*noun_boundary, *verb_boundary):
+        require_finite(value, line=lineno)
     if noun_boundary[0] >= noun_boundary[1]:
         raise ParseError("noun boundary start must precede end", line=lineno)
     if verb_boundary[0] >= verb_boundary[1]:
@@ -139,13 +150,13 @@ def write_proposal_file(path, records: list[ProposalRecord]) -> None:
 class SubmissionDocument:
     """Challenge-style JSON dictionary of per-video detections."""
 
-    version: str = "0.1"
+    version: str = SUBMISSION_VERSION
     challenge: str = SUBMISSION_CHALLENGE
     results: dict[str, list[ActionDetection]] = field(default_factory=dict)
 
 
 def build_submission(
-    detections_by_video: dict[str, list[ActionDetection]], version: str = "0.1"
+    detections_by_video: dict[str, list[ActionDetection]], version: str = SUBMISSION_VERSION
 ) -> SubmissionDocument:
     """Assemble a submission with quantized times/scores and sorted order.
 
@@ -171,8 +182,7 @@ def build_submission(
                     score=round(d.score, 4),
                 )
             )
-        dets.sort(key=lambda d: (-d.score, d.start, d.action_id))
-        results[video_id] = dets
+        results[video_id] = by_rank(dets)
     return SubmissionDocument(version=version, results=results)
 
 
@@ -232,15 +242,18 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
 
     results = {}
     for video_id, entries in payload["results"].items():
+        if not isinstance(entries, list):
+            raise SchemaMismatch(f"detections of video {video_id!r} must be a list")
         dets = []
         for entry in entries:
             try:
                 verb = int(entry["verb"])
                 noun = int(entry["noun"])
-                segment = entry["segment"]
-                score = float(entry["score"])
+                start = require_finite(float(entry["segment"][0]), key="segment")
+                end = require_finite(float(entry["segment"][1]), key="segment")
+                score = require_finite(float(entry["score"]), key="score")
                 action = entry["action"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed detection entry: {exc}") from None
             if action != f"{verb},{noun}":
                 raise SchemaMismatch(
@@ -249,8 +262,8 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
             dets.append(
                 ActionDetection(
                     video_id=video_id,
-                    start=float(segment[0]),
-                    end=float(segment[1]),
+                    start=start,
+                    end=end,
                     verb_index=verb,
                     noun_index=noun,
                     action_id=encode_action_id(noun, verb, vocab),
@@ -305,21 +318,23 @@ def read_ground_truth(path) -> list[GroundTruthInstance]:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
-    if not isinstance(payload, dict) or "annotations" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("annotations"), dict):
         raise SchemaMismatch("ground truth must contain an 'annotations' map")
     instances = []
     for video_id, entries in payload["annotations"].items():
+        if not isinstance(entries, list):
+            raise SchemaMismatch(f"annotations of video {video_id!r} must be a list")
         for entry in entries:
             try:
                 instances.append(
                     GroundTruthInstance(
                         video_id=video_id,
-                        start=float(entry["segment"][0]),
-                        end=float(entry["segment"][1]),
+                        start=require_finite(float(entry["segment"][0]), key="segment"),
+                        end=require_finite(float(entry["segment"][1]), key="segment"),
                         verb_index=int(entry["verb"]),
                         noun_index=int(entry["noun"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed annotation: {exc}") from None
     return instances

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import logging
 
-from .composition import compose_actions
+from .composition import VocabSpec, compose_actions
 from .config import PipelineConfig
 from .decode import StreamProposal
 from .errors import DegenerateInterval
 from .evaluation import (
+    DEFAULT_TIOU_THRESHOLDS,
     EvalConfig,
     GroundTruthInstance,
     MeanApResult,
@@ -29,64 +30,62 @@ from .io import (
     build_submission,
     submission_detections,
 )
-from .suppression import ActionDetection, suppress_video
+from .suppression import ActionDetection, NmsConfig, suppress_video
 from .timeline import boundary_to_seconds
 
 logger = logging.getLogger(__name__)
 
 
-def fuse_candidate_boundary(
-    noun_boundary: tuple[float, float],
-    verb_boundary: tuple[float, float],
-    noun_scores,
-    verb_scores,
-    mode: str,
-    epsilon: float,
-) -> tuple[float, float]:
-    """Fuse one aligned boundary pair under the configured mode."""
-    if mode == "mean":
-        return hard_mean_fusion(noun_boundary, verb_boundary)
-    c_noun, c_verb = stream_confidences(noun_scores, verb_scores)
-    weights = dwf_weights(c_noun, c_verb, epsilon)
-    return fuse_boundaries(noun_boundary, verb_boundary, weights)
+def fuse_candidate_boundary(record: ProposalRecord, cfg: PipelineConfig) -> tuple[float, float]:
+    """Fuse a record's aligned noun and verb boundaries under the configured mode.
+
+    Fusion is proposal-wise: every candidate composed from the record
+    shares this one interval.
+    """
+    if cfg.fusion_mode == "mean":
+        return hard_mean_fusion(record.noun_boundary, record.verb_boundary)
+    c_noun, c_verb = stream_confidences(record.noun_scores, record.verb_scores)
+    weights = dwf_weights(c_noun, c_verb, cfg.epsilon)
+    return fuse_boundaries(record.noun_boundary, record.verb_boundary, weights)
 
 
-def _record_detections(record: ProposalRecord, cfg: PipelineConfig) -> list[ActionDetection]:
-    vocab = cfg.vocab()
-    min_score = cfg.nms_config().min_score
+def _record_detections(
+    record: ProposalRecord, cfg: PipelineConfig, vocab: VocabSpec, min_score: float
+) -> list[ActionDetection]:
     noun = StreamProposal(boundary=record.noun_boundary, scores=record.noun_scores)
     verb = StreamProposal(boundary=record.verb_boundary, scores=record.verb_scores)
     candidates = compose_actions(noun, verb, cfg.top_k_nouns, cfg.top_k_verbs, vocab)
-
     grid = cfg.grid(window_start_frame=record.window_start * cfg.stride_frames)
-    detections = []
-    for cand in candidates:
-        if cand.score < min_score:
-            continue
-        try:
-            fused = fuse_candidate_boundary(
-                cand.noun_boundary,
-                cand.verb_boundary,
-                record.noun_scores,
-                record.verb_scores,
-                cfg.fusion_mode,
-                cfg.epsilon,
-            )
-            start_s, end_s = boundary_to_seconds(fused, grid)
-        except DegenerateInterval:
-            continue  # empty after fusion or clamping; nothing to keep
-        detections.append(
-            ActionDetection(
-                video_id=record.video_id,
-                start=start_s,
-                end=end_s,
-                verb_index=cand.verb_index,
-                noun_index=cand.noun_index,
-                action_id=cand.action_id,
-                score=cand.score,
-            )
+    candidates = [cand for cand in candidates if cand.score >= min_score]
+    if not candidates:
+        return []
+    try:
+        start_s, end_s = boundary_to_seconds(fuse_candidate_boundary(record, cfg), grid)
+    except DegenerateInterval:
+        return []  # empty after fusion or clamping; nothing to keep
+    return [
+        ActionDetection(
+            video_id=record.video_id,
+            start=start_s,
+            end=end_s,
+            verb_index=cand.verb_index,
+            noun_index=cand.noun_index,
+            action_id=cand.action_id,
+            score=cand.score,
         )
-    return detections
+        for cand in candidates
+    ]
+
+
+def suppress_submission(
+    by_video: dict[str, list[ActionDetection]], nms_cfg: NmsConfig, version: str
+) -> SubmissionDocument:
+    """Suppress each video's detections, in video order, into a submission."""
+    suppressed = {
+        video_id: suppress_video(dets, nms_cfg, class_key="action")
+        for video_id, dets in sorted(by_video.items())
+    }
+    return build_submission(suppressed, version=version)
 
 
 def run_pipeline(records: list[ProposalRecord], cfg: PipelineConfig) -> SubmissionDocument:
@@ -98,24 +97,20 @@ def run_pipeline(records: list[ProposalRecord], cfg: PipelineConfig) -> Submissi
     """
     if not records:
         logger.warning("no proposal records; emitting an empty submission")
-        return build_submission({}, version=cfg.submission_version)
-
+    vocab = cfg.vocab()
+    nms_cfg = cfg.nms_config()
     by_video: dict[str, list[ActionDetection]] = {}
     for record in records:
-        by_video.setdefault(record.video_id, []).extend(_record_detections(record, cfg))
-
-    nms_cfg = cfg.nms_config()
-    suppressed = {
-        video_id: suppress_video(dets, nms_cfg, class_key="action")
-        for video_id, dets in sorted(by_video.items())
-    }
-    return build_submission(suppressed, version=cfg.submission_version)
+        by_video.setdefault(record.video_id, []).extend(
+            _record_detections(record, cfg, vocab, nms_cfg.min_score)
+        )
+    return suppress_submission(by_video, nms_cfg, cfg.submission_version)
 
 
 def evaluate_detections(
     dets: list[ActionDetection],
     gts: list[GroundTruthInstance],
-    thresholds: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
+    thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
 ) -> dict[str, MeanApResult]:
     """Score one detection set on all three tasks."""
     return {
@@ -127,7 +122,7 @@ def evaluate_detections(
 def evaluate_files(
     submission: SubmissionDocument,
     gts: list[GroundTruthInstance],
-    thresholds: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5),
+    thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
 ) -> dict[str, MeanApResult]:
     """Score a parsed submission against parsed ground truth."""
     return evaluate_detections(submission_detections(submission), gts, thresholds)

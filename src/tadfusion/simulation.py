@@ -67,6 +67,8 @@ class ScenarioConfig:
             raise InvalidConfig("segment length bounds must satisfy 0 < min <= max")
         if self.max_segment_s > self.video_length_s:
             raise InvalidConfig("max_segment_s exceeds video length")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
     def noise_std(self, confidence: float) -> float:
         return self.sigma_max * (1.0 - confidence) + self.sigma_min

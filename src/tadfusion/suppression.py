@@ -81,6 +81,18 @@ def temporal_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
     return intersection / union
 
 
+def rank_key(det: ActionDetection, score: float) -> tuple:
+    """Rank order of detections: ``score`` descending, then earlier start,
+    then smaller action id. ``score`` is ``det.score`` everywhere except
+    inside Soft-NMS, which ranks by the decayed score."""
+    return (-score, det.start, det.action_id)
+
+
+def by_rank(dets) -> list[ActionDetection]:
+    """``dets`` sorted by ``rank_key`` of their own scores."""
+    return sorted(dets, key=lambda d: rank_key(d, d.score))
+
+
 def class_key_of(det: ActionDetection, class_key: str):
     """Class identity used for grouping under the given task."""
     if class_key == "verb":
@@ -117,18 +129,6 @@ def boundary_vote(
     return replace(kept, start=start_sum / weight, end=end_sum / weight)
 
 
-def _pop_best(pool: list[list]) -> list:
-    # ordering: score desc, then earlier start, then smaller class id
-    best = 0
-    for i in range(1, len(pool)):
-        cand, best_entry = pool[i], pool[best]
-        key_c = (-cand[1], cand[0].start, cand[0].action_id)
-        key_b = (-best_entry[1], best_entry[0].start, best_entry[0].action_id)
-        if key_c < key_b:
-            best = i
-    return pool.pop(best)
-
-
 def soft_nms(
     dets: list[ActionDetection],
     cfg: NmsConfig,
@@ -144,26 +144,28 @@ def soft_nms(
     additionally refined by ``boundary_vote`` over that round's pool
     (original scores, pre-vote overlaps).
     """
-    # pool entries: [detection, current score]; detection.score stays original
-    pool = [[d, d.score] for d in dets]
+    # pool entries: [*rank_key(det, current score), input position, det], so
+    # min(pool) is the next to keep and -entry[0] is the current score
+    pool = [[*rank_key(d, d.score), i, d] for i, d in enumerate(dets)]
     kept: list[ActionDetection] = []
     while pool and len(kept) < cfg.max_per_video:
-        det, current = _pop_best(pool)
+        best = min(pool)
+        pool.remove(best)
+        det = best[-1]
         if vote:
-            refined = boundary_vote(det, [entry[0] for entry in pool], cfg.vote_threshold)
+            refined = boundary_vote(det, [entry[-1] for entry in pool], cfg.vote_threshold)
         else:
             refined = det
-        kept.append(replace(refined, score=current))
+        kept.append(replace(refined, score=-best[0]))
         survivors = []
         for entry in pool:
-            iou = temporal_iou(det.interval, entry[0].interval)
+            iou = temporal_iou(det.interval, entry[-1].interval)
             if iou > 0.0:
-                entry[1] *= math.exp(-(iou * iou) / cfg.sigma)
-            if entry[1] >= cfg.min_score:
+                entry[0] *= math.exp(-(iou * iou) / cfg.sigma)
+            if -entry[0] >= cfg.min_score:
                 survivors.append(entry)
         pool = survivors
-    kept.sort(key=lambda d: (-d.score, d.start, d.action_id))
-    return kept
+    return by_rank(kept)
 
 
 def suppress_video(
@@ -177,15 +179,11 @@ def suppress_video(
     voting within each class group, then merges, sorts by score and
     truncates to ``max_per_video``.
     """
-    ranked = sorted(dets, key=lambda d: (-d.score, d.start, d.action_id))
-    ranked = ranked[: cfg.pre_nms_cap]
-
     groups: dict = {}
-    for det in ranked:
+    for det in by_rank(dets)[: cfg.pre_nms_cap]:
         groups.setdefault(class_key_of(det, class_key), []).append(det)
 
     merged: list[ActionDetection] = []
     for key in sorted(groups):
         merged.extend(soft_nms(groups[key], cfg, vote=True))
-    merged.sort(key=lambda d: (-d.score, d.start, d.action_id))
-    return merged[: cfg.max_per_video]
+    return by_rank(merged)[: cfg.max_per_video]

@@ -102,6 +102,15 @@ class TestComposeActions:
         for cand in compose_actions(noun, verb, k_n=3, k_v=3, vocab=vocab):
             assert cand.action_id == vocab.noun_count * cand.verb_index + cand.noun_index
 
+    def test_products_one_ulp_apart_rank_by_product(self):
+        # 0.5 * 0.4 = 0.2 and 0.6 * (1/3) = 0.19999999999999998 share one
+        # sqrt; the larger product must still rank first
+        vocab = VocabSpec(noun_count=2, verb_count=2)
+        candidates = self.small_pair(np.array([0.5, 0.6]), np.array([1 / 3, 0.4]), vocab)
+        pairs = [(c.noun_index, c.verb_index) for c in candidates]
+        assert pairs == [(1, 1), (0, 1), (1, 0), (0, 0)]
+        assert candidates[1].score == candidates[2].score == math.sqrt(0.2)
+
     @given(st.data())
     def test_ranking_matches_product_ranking(self, data):
         # geometric mean is monotone in the product, so sorting by S must

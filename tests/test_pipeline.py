@@ -217,14 +217,6 @@ class TestCli:
         lines = table.read_text().strip().splitlines()
         assert len(lines) == 51  # header + one row per segment
 
-    def test_simulate_dual_stream_diagnostics(self, tmp_path):
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text("sim_segments = 20\n")
-        result = run_cli("simulate", "--config", str(cfg), "--dual-stream")
-        assert result.returncode == 0
-        assert "gate_mean_weight" in result.stdout
-        assert "attention_rowsum_max_dev" in result.stdout
-
     def test_windows_subcommand(self):
         result = run_cli("windows", "--total-features", "6000")
         assert result.returncode == 0
