@@ -180,8 +180,8 @@ def main(argv=None) -> int:
     except (OSError, PipelineError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - internal invariant violation
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # internal invariant violation
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

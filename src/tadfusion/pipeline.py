@@ -11,11 +11,12 @@ class-wise before serialization.
 from __future__ import annotations
 
 import logging
+import math
 
 from .composition import VocabSpec, compose_actions
 from .config import PipelineConfig
 from .decode import StreamProposal
-from .errors import DegenerateInterval
+from .errors import DegenerateInterval, ParseError
 from .evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     EvalConfig,
@@ -63,6 +64,13 @@ def _record_detections(
         start_s, end_s = boundary_to_seconds(fuse_candidate_boundary(record, cfg), grid)
     except DegenerateInterval:
         return []  # empty after fusion or clamping; nothing to keep
+    except OverflowError:  # a window start too large for a float
+        start_s = end_s = math.inf
+    if not (math.isfinite(start_s) and math.isfinite(end_s)):
+        raise ParseError(
+            f"boundary of video {record.video_id!r} at window start {record.window_start} "
+            "is too large to convert to finite seconds"
+        )
     return [
         ActionDetection(
             video_id=record.video_id,

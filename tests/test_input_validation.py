@@ -180,3 +180,24 @@ class TestNoInputReachesExit2:
             code = run(tmp, ["windows", "--total-features", "50", "--config", "{c}"],
                        c="\n".join(lines) + "\n")
             assert code in (0, 1)
+
+
+class TestSecondsOverflow:
+    def test_huge_finite_boundary_exits_1_naming_the_record(self, tmp_path, capsys):
+        text = "P01 0 1.0 1e308 5:0.9 14.0 1.7e308 3:0.8\n"
+        out = tmp_path / "out.json"
+        code = run(tmp_path, ["pipeline", "--proposals", "{p}", "--output", str(out)], p=text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'P01'" in err and "window start 0" in err
+        assert not out.exists()
+
+
+class TestInternalError:
+    def test_message_names_the_exception_type(self, monkeypatch, capsys):
+        def broken(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr("tadfusion.cli.cmd_windows", broken)
+        assert main(["windows", "--total-features", "10"]) == 2
+        assert capsys.readouterr().err == "internal error: KeyError: 'x'\n"

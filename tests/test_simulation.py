@@ -155,3 +155,14 @@ class TestScenarioToRecords:
             if record.noun_boundary[0] >= 0:  # clamping region excluded
                 back = boundary_to_seconds(record.noun_boundary, grid)
                 assert back == pytest.approx(noun.boundary, abs=1e-9)
+
+
+class TestPairedTTest:
+    @pytest.mark.parametrize("num_segments", [2, 3, 50, 5000])
+    def test_p_value_equals_scipy_ttest_rel_exactly(self, num_segments):
+        for seed in range(10):
+            report = compare_fusion(generate_scenario(config(num_segments=num_segments, seed=seed)))
+            check = stats.ttest_rel(
+                report.per_segment_dwf, report.per_segment_mean, alternative="less"
+            )
+            assert report.p_value == float(check.pvalue), seed
