@@ -97,7 +97,6 @@ from .suppression import (
     NMS_PRESETS,
     NOUN_NMS,
     VERB_ACTION_NMS,
-    boundary_vote,
     soft_nms,
     suppress_video,
     temporal_iou,

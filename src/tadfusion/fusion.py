@@ -93,8 +93,13 @@ def fuse_boundaries(
 def hard_mean_fusion(
     noun_boundary: tuple[float, float], verb_boundary: tuple[float, float]
 ) -> tuple[float, float]:
-    """Equal-weight baseline: coordinate-wise arithmetic mean."""
+    """Equal-weight baseline: coordinate-wise arithmetic mean.
+
+    Halving before adding keeps boundaries near the float maximum
+    finite. Wherever ``a + b`` does not overflow and neither the halves
+    nor the mean are subnormal, it gives the bits of ``0.5 * (a + b)``.
+    """
     return (
-        0.5 * (noun_boundary[0] + verb_boundary[0]),
-        0.5 * (noun_boundary[1] + verb_boundary[1]),
+        0.5 * noun_boundary[0] + 0.5 * verb_boundary[0],
+        0.5 * noun_boundary[1] + 0.5 * verb_boundary[1],
     )

@@ -7,12 +7,17 @@ decayed by a Gaussian of the overlap, and neighbors falling below the
 minimum score are dropped. A kept detection's interval is refined by a
 score-weighted vote over its highly overlapping neighbors. Detections
 of different classes never affect each other.
+
+Two rules tie the vote to the decay within one selection round. The
+vote uses the round's pre-decay tIoU and the neighbors' original
+(never decayed) scores. The decay uses the kept detection's un-voted
+interval, so voting moves only the reported boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidConfig
 
@@ -104,31 +109,6 @@ def class_key_of(det: ActionDetection, class_key: str):
     raise InvalidConfig(f"class_key must be one of {CLASS_KEYS}, got {class_key!r}")
 
 
-def boundary_vote(
-    kept: ActionDetection,
-    neighbors: list[ActionDetection],
-    vote_threshold: float,
-) -> ActionDetection:
-    """Refine a kept detection's interval by a score-weighted average.
-
-    Neighbors are the detections considered during the kept detection's
-    selection round; those overlapping it with tIoU >= vote_threshold
-    vote with their original (pre-decay) scores, the kept detection
-    included. The kept score is unchanged.
-    """
-    weight = kept.score
-    start_sum = kept.score * kept.start
-    end_sum = kept.score * kept.end
-    for n in neighbors:
-        if temporal_iou(kept.interval, n.interval) >= vote_threshold:
-            weight += n.score
-            start_sum += n.score * n.start
-            end_sum += n.score * n.end
-    if weight <= 0.0:
-        return kept
-    return replace(kept, start=start_sum / weight, end=end_sum / weight)
-
-
 def soft_nms(
     dets: list[ActionDetection],
     cfg: NmsConfig,
@@ -140,31 +120,45 @@ def soft_nms(
     Iteratively keeps the highest-scoring detection and decays every
     remaining score by ``exp(-tIoU^2 / sigma)``; detections decayed
     below ``cfg.min_score`` are dropped. Stops once ``max_per_video``
-    detections are kept. With ``vote=True`` each kept interval is
-    additionally refined by ``boundary_vote`` over that round's pool
-    (original scores, pre-vote overlaps).
+    detections are kept. With ``vote=True`` each kept interval becomes
+    the mean of its own and of the round's neighbors with tIoU >=
+    ``cfg.vote_threshold``, weighted by original scores; the kept score
+    is not voted. One pass per round computes each neighbor's tIoU once
+    and uses it for both the vote and the decay.
     """
-    # pool entries: [*rank_key(det, current score), input position, det], so
-    # min(pool) is the next to keep and -entry[0] is the current score
-    pool = [[*rank_key(d, d.score), i, d] for i, d in enumerate(dets)]
+    # pool entries: [*rank_key(det, current score), input position, end, det],
+    # so min(pool) is the next to keep and -entry[0] is its current score
+    pool = [[*rank_key(d, d.score), i, d.end, d] for i, d in enumerate(dets)]
+    sigma, min_score, vote_threshold = cfg.sigma, cfg.min_score, cfg.vote_threshold
     kept: list[ActionDetection] = []
     while pool and len(kept) < cfg.max_per_video:
         best = min(pool)
         pool.remove(best)
-        det = best[-1]
-        if vote:
-            refined = boundary_vote(det, [entry[-1] for entry in pool], cfg.vote_threshold)
-        else:
-            refined = det
-        kept.append(replace(refined, score=-best[0]))
+        neg_score, start, _, _, end, det = best
+        weight = det.score
+        start_sum, end_sum = weight * start, weight * end
         survivors = []
         for entry in pool:
-            iou = temporal_iou(det.interval, entry[-1].interval)
-            if iou > 0.0:
-                entry[0] *= math.exp(-(iou * iou) / cfg.sigma)
-            if -entry[0] >= cfg.min_score:
+            # temporal_iou((start, end), (lo, hi)) with min() and max()
+            # spelled out: each returns its first operand on a tie
+            lo, hi = entry[1], entry[4]
+            inter = (hi if hi < end else end) - (lo if lo > start else start)
+            if inter > 0.0:
+                iou = inter / ((hi if hi > end else end) - (lo if lo < start else start))
+                if vote and iou >= vote_threshold:
+                    score = entry[5].score
+                    weight += score
+                    start_sum += score * lo
+                    end_sum += score * hi
+                if iou > 0.0:  # nan when both starts are -inf: no decay
+                    entry[0] *= math.exp(-(iou * iou) / sigma)
+            if -entry[0] >= min_score:
                 survivors.append(entry)
         pool = survivors
+        if vote and weight > 0.0:
+            start, end = start_sum / weight, end_sum / weight
+        kept.append(ActionDetection(det.video_id, start, end, det.verb_index,
+                                    det.noun_index, det.action_id, -neg_score))
     return by_rank(kept)
 
 

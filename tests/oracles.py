@@ -5,6 +5,9 @@ from the package's evaluation or suppression internals, so agreement
 between module output and these references is a meaningful check.
 """
 
+import math
+from dataclasses import replace
+
 from tadfusion.evaluation import sort_detections
 
 
@@ -91,3 +94,49 @@ def oracle_hard_nms(dets, iou_threshold):
             <= iou_threshold
         ]
     return kept
+
+
+def _rank(det, score):
+    return (-score, det.start, det.action_id)
+
+
+def _oracle_boundary_vote(kept, neighbors, vote_threshold):
+    """Score-weighted mean of the kept interval and every neighbor's with
+    tIoU >= vote_threshold, weighted by original scores."""
+    weight = kept.score
+    start_sum = kept.score * kept.start
+    end_sum = kept.score * kept.end
+    for n in neighbors:
+        if oracle_interval_iou((kept.start, kept.end), (n.start, n.end)) >= vote_threshold:
+            weight += n.score
+            start_sum += n.score * n.start
+            end_sum += n.score * n.end
+    if weight <= 0.0:
+        return kept
+    return replace(kept, start=start_sum / weight, end=end_sum / weight)
+
+
+def oracle_soft_nms(dets, cfg, vote=False):
+    """Object-at-a-time Soft-NMS: keep the best, vote its interval over the
+    round's pool, then decay the pool against the kept un-voted interval."""
+    pool = [[*_rank(d, d.score), i, d] for i, d in enumerate(dets)]
+    kept = []
+    while pool and len(kept) < cfg.max_per_video:
+        best = min(pool)
+        pool.remove(best)
+        det = best[-1]
+        if vote:
+            refined = _oracle_boundary_vote(det, [e[-1] for e in pool], cfg.vote_threshold)
+        else:
+            refined = det
+        kept.append(replace(refined, score=-best[0]))
+        survivors = []
+        for entry in pool:
+            other = entry[-1]
+            iou = oracle_interval_iou((det.start, det.end), (other.start, other.end))
+            if iou > 0.0:
+                entry[0] *= math.exp(-(iou * iou) / cfg.sigma)
+            if -entry[0] >= cfg.min_score:
+                survivors.append(entry)
+        pool = survivors
+    return sorted(kept, key=lambda d: _rank(d, d.score))

@@ -1,6 +1,7 @@
 """Every reader rejects malformed input with exit 1; none reaches exit 2."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -191,6 +192,16 @@ class TestSecondsOverflow:
         err = capsys.readouterr().err
         assert "'P01'" in err and "window start 0" in err
         assert not out.exists()
+
+
+class TestMeanFusionOverflow:
+    def test_boundaries_near_float_max_fuse_to_a_finite_mean(self, tmp_path, capsys):
+        text = "P01 0 1.0 1.7e308 5:0.9 14.0 1.7e308 3:0.8\n"
+        code = run(tmp_path, ["fuse", "--proposals", "{p}", "--fusion-mode", "mean"], p=text)
+        assert code == 0
+        video, start, end = capsys.readouterr().out.splitlines()[1].split()
+        assert (video, start) == ("P01", "7.5000")
+        assert math.isfinite(float(end))
 
 
 class TestInternalError:

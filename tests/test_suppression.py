@@ -1,16 +1,18 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import oracle_soft_nms
 from tadfusion.errors import InvalidConfig
 from tadfusion.suppression import (
     ActionDetection,
     NmsConfig,
     NOUN_NMS,
     VERB_ACTION_NMS,
-    boundary_vote,
     soft_nms,
     suppress_video,
     temporal_iou,
@@ -27,6 +29,9 @@ def det(start, end, score, action_id=0, verb=0, noun=0, video="v"):
         action_id=action_id,
         score=score,
     )
+
+
+VOTE_065 = NmsConfig(sigma=0.6, min_score=0.005, vote_threshold=0.65)
 
 
 class TestTemporalIou:
@@ -123,33 +128,73 @@ class TestSoftNms:
     def test_voting_moves_intervals_only_with_flag(self):
         dets = [det(10, 20, 0.8), det(12, 22, 0.2)]
         assert temporal_iou((10, 20), (12, 22)) >= 0.65
-        plain = soft_nms(dets, NmsConfig(sigma=0.6, min_score=0.005, vote_threshold=0.65))
+        plain = soft_nms(dets, VOTE_065)
         assert plain[0].interval == (10, 20)
-        voted = soft_nms(
-            dets, NmsConfig(sigma=0.6, min_score=0.005, vote_threshold=0.65), vote=True
-        )
+        voted = soft_nms(dets, VOTE_065, vote=True)
         assert voted[0].start == pytest.approx(10.4)
         assert voted[0].end == pytest.approx(20.4)
 
+    def test_vote_without_neighbor_above_threshold_keeps_interval(self):
+        kept = soft_nms([det(10, 20, 0.8), det(100, 110, 0.5)], VOTE_065, vote=True)
+        assert kept[0].interval == (10, 20)
 
-class TestBoundaryVote:
-    def test_no_neighbor_above_threshold(self):
-        kept = det(10, 20, 0.8)
-        out = boundary_vote(kept, [det(100, 110, 0.5)], vote_threshold=0.65)
-        assert out.interval == (10, 20)
+    def test_vote_is_score_weighted_average(self):
+        kept = soft_nms([det(10, 20, 0.8), det(12, 22, 0.2)], VOTE_065, vote=True)
+        assert kept[0].start == pytest.approx(10.4)
+        assert kept[0].end == pytest.approx(20.4)
+        assert kept[0].score == 0.8
 
-    def test_weighted_average(self):
-        kept = det(10, 20, 0.8)
-        out = boundary_vote(kept, [det(12, 22, 0.2)], vote_threshold=0.65)
-        assert out.start == pytest.approx(10.4)
-        assert out.end == pytest.approx(20.4)
-        assert out.score == 0.8
+    def test_vote_over_identical_intervals_keeps_interval(self):
+        dets = [det(5, 9, 0.6), det(5, 9, 0.3), det(5, 9, 0.1)]
+        kept = soft_nms(dets, VERB_ACTION_NMS, vote=True)
+        assert kept[0].start == pytest.approx(5.0)
+        assert kept[0].end == pytest.approx(9.0)
 
-    def test_identical_intervals_unchanged(self):
-        kept = det(5, 9, 0.6)
-        out = boundary_vote(kept, [det(5, 9, 0.3), det(5, 9, 0.1)], vote_threshold=0.75)
-        assert out.start == pytest.approx(5.0)
-        assert out.end == pytest.approx(9.0)
+
+def random_pool(rng):
+    """0-24 detections of one class. Gridded pools give tied starts and
+    touching, nested and identical intervals; score modes give tied
+    scores, scores of exactly 0 and 1, and all-zero pools."""
+    gridded = rng.random() < 0.6
+    draw_score = {
+        "grid": lambda: rng.choice([0.0, 1.0, 0.5, 0.25, 1e-3]),
+        "binary": lambda: rng.choice([0.0, 1.0]),
+        "zero": lambda: 0.0,
+        "uniform": rng.random,
+    }[rng.choice(["grid", "binary", "zero", "uniform"])]
+    dets = []
+    for _ in range(rng.randrange(25)):
+        if gridded:
+            start, length = 0.5 * rng.randrange(21), rng.choice([0.5, 1.0, 2.0, 5.0])
+        else:
+            start, length = rng.uniform(0, 30), rng.uniform(0.1, 10)
+        dets.append(det(start, start + length, draw_score(), action_id=rng.randrange(3)))
+    return dets
+
+
+class TestSoftNmsMatchesOracle:
+    CONFIGS = [
+        cfg
+        for preset in (NOUN_NMS, VERB_ACTION_NMS)
+        for cfg in (preset, replace(preset, max_per_video=3))
+    ]
+
+    def test_bit_identical_on_2400_pools(self):
+        rng = random.Random(6)
+        for _ in range(2400):
+            dets = random_pool(rng)
+            for cfg in self.CONFIGS:
+                for vote in (False, True):
+                    assert soft_nms(dets, cfg, vote=vote) == oracle_soft_nms(dets, cfg, vote)
+
+    def test_empty_pool(self):
+        assert soft_nms([], VERB_ACTION_NMS, vote=True) == []
+
+    def test_nan_overlap_of_two_infinite_starts_does_not_decay(self):
+        dets = [det(-math.inf, 1.0, 0.9), det(-math.inf, 2.0, 0.5)]
+        kept = soft_nms(dets, VERB_ACTION_NMS)
+        assert kept == oracle_soft_nms(dets, VERB_ACTION_NMS)
+        assert [d.score for d in kept] == [0.9, 0.5]
 
 
 class TestSuppressVideo:
