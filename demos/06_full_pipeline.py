@@ -34,18 +34,19 @@ scenario = generate_scenario(
 )
 print(f"scenario: {len(scenario.ground_truth)} ground-truth segments, one video\n")
 
-workdir = Path(tempfile.mkdtemp(prefix="tadfusion_demo_"))
-proposal_path = workdir / "proposals.txt"
-write_proposal_file(proposal_path, scenario_to_records(scenario))
-records = read_proposal_file(proposal_path)
-print(f"wrote and re-read {len(records)} aligned proposal records: {proposal_path}")
+with tempfile.TemporaryDirectory(prefix="tadfusion_demo_") as tmp:
+    workdir = Path(tmp)
+    proposal_path = workdir / "proposals.txt"
+    write_proposal_file(proposal_path, scenario_to_records(scenario))
+    records = read_proposal_file(proposal_path)
+    print(f"wrote and re-read {len(records)} aligned proposal records: {proposal_path}")
 
-for mode in ("mean", "dwf"):
-    cfg = PipelineConfig(fusion_mode=mode)
-    submission = run_pipeline(records, cfg)
-    out_path = workdir / f"submission_{mode}.json"
-    write_submission(out_path, submission)
-    dets = submission_detections(submission)
-    print(f"\n=== fusion mode: {mode} ({len(dets)} detections) -> {out_path}")
-    results = evaluate_detections(dets, scenario.ground_truth)
-    print(format_metrics_table(results))
+    for mode in ("mean", "dwf"):
+        cfg = PipelineConfig(fusion_mode=mode)
+        submission = run_pipeline(records, cfg)
+        out_path = workdir / f"submission_{mode}.json"
+        write_submission(out_path, submission)
+        dets = submission_detections(submission)
+        print(f"\n=== fusion mode: {mode} ({len(dets)} detections) -> {out_path}")
+        results = evaluate_detections(dets, scenario.ground_truth)
+        print(format_metrics_table(results))

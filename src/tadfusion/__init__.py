@@ -1,11 +1,11 @@
 """Two-stream temporal action detection post-processing.
 
 Library for the post-backbone half of a decoupled noun-verb action
-detector: anchor-free boundary decode, sliding-window pooling, top-K
-noun-verb composition, confidence-weighted boundary fusion with a
-hard-mean baseline, class-wise Soft-NMS with boundary voting, and
-tIoU/mAP evaluation. A seeded Monte-Carlo simulator measures the fusion
-rules' boundary-error gap without a trained detector.
+detector: top-K noun-verb composition, confidence-weighted boundary
+fusion with a hard-mean baseline, class-wise Soft-NMS with boundary
+voting, and tIoU/mAP evaluation. A seeded Monte-Carlo simulator
+measures the fusion rules' boundary-error gap without a trained
+detector.
 """
 
 __version__ = "0.1.0"
@@ -19,28 +19,17 @@ from .composition import (
     top_k,
 )
 from .config import PipelineConfig, parse_config, parse_config_text
-from .decode import (
-    HeadOutput,
-    StreamProposal,
-    decode_anchor_free,
-    pool_windows,
-    pre_nms_select,
-)
 from .errors import (
     ActionIdOutOfRange,
     DegenerateInterval,
-    DimensionMismatch,
-    EmptySequence,
     EmptyVector,
     InvalidConfig,
     InvalidOverlap,
-    LengthMismatch,
     ParseError,
     PipelineError,
     SchemaMismatch,
     UnknownKey,
     VocabularyMismatch,
-    WindowMismatch,
 )
 from .evaluation import (
     EvalConfig,
@@ -76,12 +65,6 @@ from .pipeline import (
     format_metrics_keyvalues,
     format_metrics_table,
     run_pipeline,
-)
-from .reliability import (
-    GatedSequence,
-    apply_gate,
-    cross_window_attention,
-    uncertainty_gate,
 )
 from .simulation import (
     FusionReport,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decode import StreamProposal
 from .errors import ActionIdOutOfRange, InvalidConfig
 
 DEFAULT_NOUN_COUNT = 300
@@ -41,18 +40,12 @@ class VocabSpec:
 
 @dataclass(frozen=True)
 class ActionCandidate:
-    """A composed (verb, noun) hypothesis with its score and boundaries.
-
-    Carries both source-stream boundaries so fusion can assign boundary
-    authority later without re-reading the streams.
-    """
+    """A composed (verb, noun) hypothesis with its score."""
 
     noun_index: int
     verb_index: int
     action_id: int
     score: float
-    noun_boundary: tuple[float, float]
-    verb_boundary: tuple[float, float]
 
 
 def encode_action_id(noun_index: int, verb_index: int, vocab: VocabSpec = VocabSpec()) -> int:
@@ -87,8 +80,8 @@ def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
 
 
 def compose_actions(
-    noun: StreamProposal,
-    verb: StreamProposal,
+    noun_scores: np.ndarray,
+    verb_scores: np.ndarray,
     k_n: int = DEFAULT_TOP_K_NOUNS,
     k_v: int = DEFAULT_TOP_K_VERBS,
     vocab: VocabSpec = VocabSpec(),
@@ -97,21 +90,20 @@ def compose_actions(
 
     Emits ``min(k_n, nouns) * min(k_v, verbs)`` candidates sorted by
     ``P_noun * P_verb`` descending (ties by ascending action id), each
-    scored as ``sqrt(P_noun * P_verb)`` and carrying both stream
-    boundaries.
+    scored as ``sqrt(P_noun * P_verb)``.
     """
-    if len(noun.scores) != vocab.noun_count:
+    if len(noun_scores) != vocab.noun_count:
         raise InvalidConfig(
-            f"noun scores have {len(noun.scores)} entries, vocabulary expects {vocab.noun_count}"
+            f"noun scores have {len(noun_scores)} entries, vocabulary expects {vocab.noun_count}"
         )
-    if len(verb.scores) != vocab.verb_count:
+    if len(verb_scores) != vocab.verb_count:
         raise InvalidConfig(
-            f"verb scores have {len(verb.scores)} entries, vocabulary expects {vocab.verb_count}"
+            f"verb scores have {len(verb_scores)} entries, vocabulary expects {vocab.verb_count}"
         )
     # rank on the product: two products one ulp apart can share a sqrt
     ranked = []
-    verb_top = top_k(verb.scores, k_v)
-    for p, noun_score in top_k(noun.scores, k_n):
+    verb_top = top_k(verb_scores, k_v)
+    for p, noun_score in top_k(noun_scores, k_n):
         for q, verb_score in verb_top:
             product = noun_score * verb_score
             candidate = ActionCandidate(
@@ -119,8 +111,6 @@ def compose_actions(
                 verb_index=q,
                 action_id=encode_action_id(p, q, vocab),
                 score=math.sqrt(product),
-                noun_boundary=noun.boundary,
-                verb_boundary=verb.boundary,
             )
             ranked.append((-product, candidate.action_id, candidate))
     ranked.sort(key=lambda entry: entry[:2])

@@ -13,24 +13,8 @@ class InvalidOverlap(PipelineError):
     """Window overlap fraction outside [0, 1)."""
 
 
-class WindowMismatch(PipelineError):
-    """A proposal references a window it was not pooled under."""
-
-
-class EmptySequence(PipelineError):
-    """An operation received a zero-length sequence."""
-
-
 class EmptyVector(PipelineError):
     """An operation received a zero-length score vector."""
-
-
-class LengthMismatch(PipelineError):
-    """Two aligned sequences differ in length."""
-
-
-class DimensionMismatch(PipelineError):
-    """Feature dimensions of two streams do not agree."""
 
 
 class ActionIdOutOfRange(PipelineError):

@@ -35,7 +35,7 @@ class GroundTruthInstance:
     noun_index: int
 
     def __post_init__(self):
-        if self.start >= self.end:
+        if not self.start < self.end:  # also rejects a nan boundary
             raise InvalidConfig(f"ground truth start {self.start} >= end {self.end}")
 
     @property

@@ -15,7 +15,6 @@ import math
 
 from .composition import VocabSpec, compose_actions
 from .config import PipelineConfig
-from .decode import StreamProposal
 from .errors import DegenerateInterval, ParseError
 from .evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
@@ -53,9 +52,9 @@ def fuse_candidate_boundary(record: ProposalRecord, cfg: PipelineConfig) -> tupl
 def _record_detections(
     record: ProposalRecord, cfg: PipelineConfig, vocab: VocabSpec, min_score: float
 ) -> list[ActionDetection]:
-    noun = StreamProposal(boundary=record.noun_boundary, scores=record.noun_scores)
-    verb = StreamProposal(boundary=record.verb_boundary, scores=record.verb_scores)
-    candidates = compose_actions(noun, verb, cfg.top_k_nouns, cfg.top_k_verbs, vocab)
+    candidates = compose_actions(
+        record.noun_scores, record.verb_scores, cfg.top_k_nouns, cfg.top_k_verbs, vocab
+    )
     grid = cfg.grid(window_start_frame=record.window_start * cfg.stride_frames)
     candidates = [cand for cand in candidates if cand.score >= min_score]
     if not candidates:

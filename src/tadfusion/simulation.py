@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import VocabSpec
-from .decode import StreamProposal
 from .errors import InvalidConfig
 from .evaluation import GroundTruthInstance
 from .fusion import (
@@ -71,6 +70,14 @@ class ScenarioConfig:
 
     def noise_std(self, confidence: float) -> float:
         return self.sigma_max * (1.0 - confidence) + self.sigma_min
+
+
+@dataclass(eq=False)
+class StreamProposal:
+    """One stream's noisy boundary (seconds) and its class scores."""
+
+    boundary: tuple[float, float]
+    scores: np.ndarray
 
 
 @dataclass

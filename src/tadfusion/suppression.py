@@ -67,7 +67,7 @@ class ActionDetection:
     score: float
 
     def __post_init__(self):
-        if self.start >= self.end:
+        if not self.start < self.end:  # also rejects a nan boundary
             raise InvalidConfig(f"detection start {self.start} >= end {self.end}")
         if not 0.0 <= self.score <= 1.0:
             raise InvalidConfig(f"detection score {self.score} outside [0, 1]")

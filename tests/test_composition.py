@@ -12,7 +12,6 @@ from tadfusion.composition import (
     encode_action_id,
     top_k,
 )
-from tadfusion.decode import StreamProposal
 from tadfusion.errors import ActionIdOutOfRange
 
 
@@ -50,15 +49,11 @@ class TestActionIds:
 
 class TestComposeActions:
     def small_pair(self, noun_scores, verb_scores, vocab):
-        noun = StreamProposal(boundary=(10.0, 20.0), scores=noun_scores)
-        verb = StreamProposal(boundary=(14.0, 24.0), scores=verb_scores)
-        return compose_actions(noun, verb, k_n=2, k_v=2, vocab=vocab)
+        return compose_actions(noun_scores, verb_scores, k_n=2, k_v=2, vocab=vocab)
 
     def test_geometric_mean_score(self):
         vocab = VocabSpec(noun_count=1, verb_count=1)
-        noun = StreamProposal(boundary=(0.0, 1.0), scores=np.array([0.9]))
-        verb = StreamProposal(boundary=(0.0, 1.0), scores=np.array([0.4]))
-        (cand,) = compose_actions(noun, verb, k_n=1, k_v=1, vocab=vocab)
+        (cand,) = compose_actions(np.array([0.9]), np.array([0.4]), k_n=1, k_v=1, vocab=vocab)
         assert cand.score == pytest.approx(0.6)
 
     def test_all_pairs_enumerated_and_sorted(self):
@@ -82,24 +77,18 @@ class TestComposeActions:
             [math.sqrt(x) for x in (0.72, 0.18, 0.08, 0.02)]
         )
 
-    def test_boundaries_carried_through(self):
-        vocab = VocabSpec(noun_count=2, verb_count=2)
-        for cand in self.small_pair(np.array([0.9, 0.1]), np.array([0.8, 0.2]), vocab):
-            assert cand.noun_boundary == (10.0, 20.0)
-            assert cand.verb_boundary == (14.0, 24.0)
-
     def test_candidate_count_with_large_vocab(self):
         rng = np.random.default_rng(2)
-        noun = StreamProposal(boundary=(0.0, 1.0), scores=rng.uniform(size=300))
-        verb = StreamProposal(boundary=(0.0, 1.0), scores=rng.uniform(size=97))
-        candidates = compose_actions(noun, verb, k_n=10, k_v=10, vocab=VocabSpec())
+        noun_scores = rng.uniform(size=300)
+        verb_scores = rng.uniform(size=97)
+        candidates = compose_actions(noun_scores, verb_scores, k_n=10, k_v=10, vocab=VocabSpec())
         assert len(candidates) == 100
 
     def test_action_id_consistent(self):
         vocab = VocabSpec(noun_count=7, verb_count=5)
-        noun = StreamProposal(boundary=(0.0, 1.0), scores=np.linspace(0.1, 0.8, 7))
-        verb = StreamProposal(boundary=(0.0, 1.0), scores=np.linspace(0.2, 0.9, 5))
-        for cand in compose_actions(noun, verb, k_n=3, k_v=3, vocab=vocab):
+        noun_scores = np.linspace(0.1, 0.8, 7)
+        verb_scores = np.linspace(0.2, 0.9, 5)
+        for cand in compose_actions(noun_scores, verb_scores, k_n=3, k_v=3, vocab=vocab):
             assert cand.action_id == vocab.noun_count * cand.verb_index + cand.noun_index
 
     def test_products_one_ulp_apart_rank_by_product(self):
@@ -122,8 +111,6 @@ class TestComposeActions:
         verb_scores = np.array(data.draw(st.lists(
             st.floats(0.01, 1.0), min_size=v, max_size=v)))
         vocab = VocabSpec(noun_count=n, verb_count=v)
-        noun = StreamProposal(boundary=(0.0, 1.0), scores=noun_scores)
-        verb = StreamProposal(boundary=(0.0, 1.0), scores=verb_scores)
-        candidates = compose_actions(noun, verb, k_n=n, k_v=v, vocab=vocab)
+        candidates = compose_actions(noun_scores, verb_scores, k_n=n, k_v=v, vocab=vocab)
         products = [noun_scores[c.noun_index] * verb_scores[c.verb_index] for c in candidates]
         assert products == sorted(products, reverse=True)

@@ -19,7 +19,8 @@ def test_demos_found():
 def test_demo_exits_0(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # 06_full_pipeline leaves its work directory behind
+    env["TMPDIR"] = str(tmp_path)  # a demo must remove its temporary files: checked below
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert not any(tmp_path.iterdir())

@@ -66,6 +66,14 @@ def random_instance(rng, max_dets=10, max_gts=5, max_classes=3):
 # ---------------------------------------------------------------------------
 
 
+class TestGroundTruthInstance:
+    def test_nan_boundary_rejected(self):
+        with pytest.raises(InvalidConfig):
+            gt(float("nan"), 1.0)
+        with pytest.raises(InvalidConfig):
+            gt(0.0, float("nan"))
+
+
 class TestMatchDetections:
     def test_exact_hit(self):
         flags = match_detections([det(0, 10, 0.9)], [gt(0, 10)], tau=1.0)

@@ -34,6 +34,14 @@ def det(start, end, score, action_id=0, verb=0, noun=0, video="v"):
 VOTE_065 = NmsConfig(sigma=0.6, min_score=0.005, vote_threshold=0.65)
 
 
+class TestActionDetection:
+    def test_nan_boundary_rejected(self):
+        with pytest.raises(InvalidConfig):
+            det(math.nan, 1.0, 0.5)
+        with pytest.raises(InvalidConfig):
+            det(0.0, math.nan, 0.5)
+
+
 class TestTemporalIou:
     def test_partial_overlap(self):
         assert temporal_iou((5, 15), (10, 20)) == pytest.approx(5 / 15)
