@@ -10,7 +10,6 @@ import numpy as np
 
 from tadfusion import (
     HeadOutput,
-    StreamProposal,
     VocabSpec,
     compose_actions,
     decode_anchor_free,
@@ -50,9 +49,9 @@ for p in pooled:
 
 # Composition: cross the top noun and verb classes of one aligned pair.
 vocab = VocabSpec(noun_count=6, verb_count=4)
-noun = StreamProposal(boundary=(10.0, 20.0), scores=np.array([0.05, 0.9, 0.2, 0.1, 0.02, 0.3]))
-verb = StreamProposal(boundary=(12.0, 22.0), scores=np.array([0.7, 0.1, 0.4, 0.05]))
-candidates = compose_actions(noun, verb, k_n=2, k_v=2, vocab=vocab)
+noun_scores = np.array([0.05, 0.9, 0.2, 0.1, 0.02, 0.3])
+verb_scores = np.array([0.7, 0.1, 0.4, 0.05])
+candidates = compose_actions(noun_scores, verb_scores, k_n=2, k_v=2, vocab=vocab)
 print(f"\ntop-2 x top-2 composition ({len(candidates)} candidates):")
 for c in candidates:
     print(

@@ -1,6 +1,7 @@
 """Start-up budget: no command but ``simulate`` loads SciPy at all, and
 ``simulate`` loads only ``scipy.special``, not ``scipy.stats``; and every
-module of the package is one the CLI imports.
+module of the package but the listed library-only ones is one the CLI
+imports.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -76,6 +77,11 @@ def relative_imports(module):
     return found
 
 
+# library-only modules that no command reaches and that are to be deleted,
+# each with its tests, in a change of its own; the list must only shrink
+UNREACHED_PENDING_DELETION = {"decode"}
+
+
 def test_every_module_is_reached_from_the_cli():
     # static, because importing tadfusion.cli runs the package __init__,
     # which loads every module whether the CLI uses it or not
@@ -86,4 +92,4 @@ def test_every_module_is_reached_from_the_cli():
             reached.add(module)
             frontier.extend(relative_imports(module))
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
-    assert sorted(modules - reached) == []
+    assert sorted(modules - reached) == sorted(UNREACHED_PENDING_DELETION)
