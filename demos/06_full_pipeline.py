@@ -17,9 +17,9 @@ from tadfusion import (
     read_proposal_file,
     run_pipeline,
     scenario_to_records,
+    serialize_submission,
     submission_detections,
     write_proposal_file,
-    write_submission,
 )
 from tadfusion.pipeline import evaluate_detections, format_metrics_table
 
@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory(prefix="tadfusion_demo_") as tmp:
         cfg = PipelineConfig(fusion_mode=mode)
         submission = run_pipeline(records, cfg)
         out_path = workdir / f"submission_{mode}.json"
-        write_submission(out_path, submission)
+        out_path.write_text(serialize_submission(submission), encoding="utf-8")
         dets = submission_detections(submission)
         print(f"\n=== fusion mode: {mode} ({len(dets)} detections) -> {out_path}")
         results = evaluate_detections(dets, scenario.ground_truth)

@@ -5,8 +5,7 @@ detector: top-K noun-verb composition, confidence-weighted boundary
 fusion with a hard-mean baseline, class-wise Soft-NMS with boundary
 voting, and tIoU/mAP evaluation. A seeded Monte-Carlo simulator
 measures the fusion rules' boundary-error gap without a trained
-detector. The library-only ``decode`` module (anchor-free head decode
-and sliding-window pooling) is reached by no CLI command.
+detector.
 """
 
 __version__ = "0.1.0"
@@ -20,13 +19,6 @@ from .composition import (
     top_k,
 )
 from .config import PipelineConfig, parse_config, parse_config_text
-from .decode import (
-    HeadOutput,
-    StreamProposal,
-    decode_anchor_free,
-    pool_windows,
-    pre_nms_select,
-)
 from .errors import (
     ActionIdOutOfRange,
     DegenerateInterval,
@@ -38,7 +30,6 @@ from .errors import (
     SchemaMismatch,
     UnknownKey,
     VocabularyMismatch,
-    WindowMismatch,
 )
 from .evaluation import (
     EvalConfig,
@@ -66,7 +57,6 @@ from .io import (
     submission_detections,
     write_ground_truth,
     write_proposal_file,
-    write_submission,
 )
 from .pipeline import (
     evaluate_detections,

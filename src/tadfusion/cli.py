@@ -85,7 +85,7 @@ def cmd_nms(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     doc = read_submission(args.submission, cfg.vocab())
-    gts = read_ground_truth(args.ground_truth)
+    gts = read_ground_truth(args.ground_truth, cfg.vocab())
     results = evaluate_files(doc, gts, cfg.eval_thresholds)
     text = format_metrics_table(results) + "\n\n" + format_metrics_keyvalues(results) + "\n"
     _emit(text, args.output)

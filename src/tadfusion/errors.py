@@ -13,10 +13,6 @@ class InvalidOverlap(PipelineError):
     """Window overlap fraction outside [0, 1)."""
 
 
-class WindowMismatch(PipelineError):
-    """A proposal references a window it was not pooled under."""
-
-
 class EmptyVector(PipelineError):
     """An operation received a zero-length score vector."""
 

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import ActionDetection, rank_key, temporal_iou
+from .suppression import CLASS_KEYS, ActionDetection, rank_key, temporal_iou
 
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
-
-EVAL_TASKS = ("verb", "noun", "action")
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,8 @@ class EvalConfig:
     task: str = "action"
 
     def __post_init__(self):
-        if self.task not in EVAL_TASKS:
-            raise InvalidConfig(f"task must be one of {EVAL_TASKS}, got {self.task!r}")
+        if self.task not in CLASS_KEYS:
+            raise InvalidConfig(f"task must be one of {CLASS_KEYS}, got {self.task!r}")
         if not self.thresholds:
             raise InvalidConfig("at least one threshold required")
         prev = 0.0

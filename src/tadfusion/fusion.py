@@ -24,18 +24,15 @@ FUSION_MODES = ("dwf", "mean")
 
 @dataclass(frozen=True)
 class FusionWeights:
-    """Per-proposal stream confidences and their normalized weights.
+    """Per-proposal boundary weights of the noun and verb streams.
 
-    Weights sum to ``(c_noun + c_verb) / (c_noun + c_verb + epsilon)``,
-    slightly under 1; the epsilon keeps the normalization total even
-    when both confidences vanish.
+    ``dwf_weights`` makes them sum to ``(c_noun + c_verb) / (c_noun +
+    c_verb + epsilon)``, slightly under 1; the epsilon keeps the
+    normalization total even when both confidences vanish.
     """
 
-    noun_confidence: float
-    verb_confidence: float
     noun_weight: float
     verb_weight: float
-    epsilon: float = DEFAULT_FUSION_EPSILON
 
 
 def stream_confidences(
@@ -60,13 +57,7 @@ def dwf_weights(
     if epsilon <= 0.0:
         raise InvalidConfig("epsilon must be positive")
     total = noun_confidence + verb_confidence + epsilon
-    return FusionWeights(
-        noun_confidence=noun_confidence,
-        verb_confidence=verb_confidence,
-        noun_weight=noun_confidence / total,
-        verb_weight=verb_confidence / total,
-        epsilon=epsilon,
-    )
+    return FusionWeights(noun_weight=noun_confidence / total, verb_weight=verb_confidence / total)
 
 
 def fuse_boundaries(

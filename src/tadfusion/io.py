@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import VocabSpec, encode_action_id
-from .errors import ParseError, SchemaMismatch, VocabularyMismatch
+from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GroundTruthInstance
 from .suppression import ActionDetection, by_rank
 
@@ -29,6 +29,21 @@ def require_finite(value: float, *, line=None, key=None) -> float:
     """``value`` itself if finite; otherwise a ParseError naming the line or key."""
     if not math.isfinite(value):
         raise ParseError(f"non-finite value {value!r}", line=line, key=key)
+    return value
+
+
+def require_class_index(value, count: int, *, key: str) -> int:
+    """``value`` itself if it is a JSON integer in ``[0, count)``.
+
+    A bool, float or string is a SchemaMismatch, not an index to coerce;
+    an integer outside the vocabulary is a VocabularyMismatch naming ``key``.
+    """
+    if type(value) is not int:
+        raise SchemaMismatch(f"{key} must be an integer class index, got {value!r}")
+    if not 0 <= value < count:
+        raise VocabularyMismatch(
+            f"{key} class index {value} outside vocabulary of {count}", key=key
+        )
     return value
 
 
@@ -47,6 +62,11 @@ class ProposalRecord:
     noun_scores: np.ndarray
     verb_boundary: tuple[float, float]
     verb_scores: np.ndarray
+
+    def __post_init__(self):
+        for stream, (start, end) in (("noun", self.noun_boundary), ("verb", self.verb_boundary)):
+            if not start < end:  # also rejects a nan boundary
+                raise InvalidConfig(f"{stream} boundary start must precede end")
 
 
 def _parse_sparse_scores(token: str, size: int, lineno: int, stream: str) -> np.ndarray:
@@ -98,18 +118,14 @@ def parse_proposal_line(line: str, lineno: int, vocab: VocabSpec) -> ProposalRec
         raise ParseError("window start must be >= 0", line=lineno)
     for value in (*noun_boundary, *verb_boundary):
         require_finite(value, line=lineno)
-    if noun_boundary[0] >= noun_boundary[1]:
-        raise ParseError("noun boundary start must precede end", line=lineno)
-    if verb_boundary[0] >= verb_boundary[1]:
-        raise ParseError("verb boundary start must precede end", line=lineno)
-    return ProposalRecord(
-        video_id=video_id,
-        window_start=window_start,
-        noun_boundary=noun_boundary,
-        noun_scores=_parse_sparse_scores(tokens[4], vocab.noun_count, lineno, "noun"),
-        verb_boundary=verb_boundary,
-        verb_scores=_parse_sparse_scores(tokens[7], vocab.verb_count, lineno, "verb"),
-    )
+    noun_scores = _parse_sparse_scores(tokens[4], vocab.noun_count, lineno, "noun")
+    verb_scores = _parse_sparse_scores(tokens[7], vocab.verb_count, lineno, "verb")
+    try:
+        return ProposalRecord(
+            video_id, window_start, noun_boundary, noun_scores, verb_boundary, verb_scores
+        )
+    except InvalidConfig as exc:
+        raise ParseError(str(exc), line=lineno) from None
 
 
 def read_proposal_file(path, vocab: VocabSpec = VocabSpec()) -> list[ProposalRecord]:
@@ -216,11 +232,6 @@ def serialize_submission(doc: SubmissionDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_submission(path, doc: SubmissionDocument) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_submission(doc))
-
-
 def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
     """Parse submission JSON back into a document.
 
@@ -247,8 +258,8 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
         dets = []
         for entry in entries:
             try:
-                verb = int(entry["verb"])
-                noun = int(entry["noun"])
+                verb = require_class_index(entry["verb"], vocab.verb_count, key="verb")
+                noun = require_class_index(entry["noun"], vocab.noun_count, key="noun")
                 start = require_finite(float(entry["segment"][0]), key="segment")
                 end = require_finite(float(entry["segment"][1]), key="segment")
                 score = require_finite(float(entry["score"]), key="score")
@@ -312,7 +323,7 @@ def write_ground_truth(path, instances: list[GroundTruthInstance]) -> None:
         handle.write("\n")
 
 
-def read_ground_truth(path) -> list[GroundTruthInstance]:
+def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> list[GroundTruthInstance]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -331,8 +342,10 @@ def read_ground_truth(path) -> list[GroundTruthInstance]:
                         video_id=video_id,
                         start=require_finite(float(entry["segment"][0]), key="segment"),
                         end=require_finite(float(entry["segment"][1]), key="segment"),
-                        verb_index=int(entry["verb"]),
-                        noun_index=int(entry["noun"]),
+                        verb_index=require_class_index(
+                            entry["verb"], vocab.verb_count, key="verb"),
+                        noun_index=require_class_index(
+                            entry["noun"], vocab.noun_count, key="noun"),
                     )
                 )
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:

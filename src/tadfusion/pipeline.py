@@ -30,7 +30,7 @@ from .io import (
     build_submission,
     submission_detections,
 )
-from .suppression import ActionDetection, NmsConfig, suppress_video
+from .suppression import CLASS_KEYS, ActionDetection, NmsConfig, suppress_video
 from .timeline import boundary_to_seconds
 
 logger = logging.getLogger(__name__)
@@ -122,7 +122,7 @@ def evaluate_detections(
     """Score one detection set on all three tasks."""
     return {
         task: mean_ap(dets, gts, EvalConfig(thresholds=thresholds, task=task))
-        for task in ("verb", "noun", "action")
+        for task in CLASS_KEYS
     }
 
 
@@ -140,7 +140,7 @@ def format_metrics_table(results: dict[str, MeanApResult]) -> str:
     thresholds = list(next(iter(results.values())).per_threshold)
     header = "task    " + "".join(f"  mAP@{t:.1f}" for t in thresholds) + "     avg"
     lines = [header, "-" * len(header)]
-    for task in ("verb", "noun", "action"):
+    for task in CLASS_KEYS:
         if task not in results:
             continue
         row = results[task]
@@ -152,7 +152,7 @@ def format_metrics_table(results: dict[str, MeanApResult]) -> str:
 def format_metrics_keyvalues(results: dict[str, MeanApResult]) -> str:
     """Machine-readable ``key = value`` lines mirroring the table."""
     lines = []
-    for task in ("verb", "noun", "action"):
+    for task in CLASS_KEYS:
         if task not in results:
             continue
         row = results[task]

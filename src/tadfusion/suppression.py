@@ -24,6 +24,7 @@ from .errors import InvalidConfig
 DEFAULT_PRE_NMS_CAP = 5000
 DEFAULT_MAX_PER_VIDEO = 3000
 
+# the three tasks: a Soft-NMS class key here, an mAP task in evaluation
 CLASS_KEYS = ("verb", "noun", "action")
 
 

@@ -89,7 +89,7 @@ class TestFuseBoundaries:
     def test_manual_full_authority(self):
         from tadfusion.fusion import FusionWeights
 
-        w = FusionWeights(1.0, 0.0, noun_weight=1.0, verb_weight=0.0)
+        w = FusionWeights(noun_weight=1.0, verb_weight=0.0)
         assert fuse_boundaries((10.0, 20.0), (14.0, 24.0), w) == (10.0, 20.0)
 
     def test_degenerate_fusion_rejected(self):

@@ -66,6 +66,29 @@ class TestGroundTruthShape:
         assert "must" in capsys.readouterr().err
 
 
+class TestClassIndices:
+    """Class indices must be JSON integers inside the vocabulary, never coerced."""
+
+    @pytest.mark.parametrize("verb, noun, key", [
+        (5000, 5, "verb"), (3, -7, "noun"), (3.9, 5, "verb"), (3, True, "noun"), (3, "5", "noun"),
+    ])
+    def test_ground_truth(self, tmp_path, capsys, verb, noun, key):
+        bad = {"verb": verb, "noun": noun, "segment": [1.0, 2.0]}
+        gt = {"annotations": {"P01": [{"verb": 3, "noun": 5, "segment": [1.0, 2.0]}, bad]}}
+        code = run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
+                   s=submission_text([GOOD_ENTRY]), g=json.dumps(gt))
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, noun, key", [
+        (3.9, "5", "verb"), (3.0, 5, "verb"), (True, 5, "verb"), (3, "5", "noun"),
+    ])
+    def test_submission(self, tmp_path, capsys, verb, noun, key):
+        entry = dict(GOOD_ENTRY, verb=verb, noun=noun, action=f"{int(verb)},{int(noun)}")
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=submission_text([entry])) == 1
+        assert key in capsys.readouterr().err
+
+
 class TestConfigObjectsNameTheKey:
     @pytest.mark.parametrize("line, key", [
         ("stride_frames = 0", "stride_frames"),

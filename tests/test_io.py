@@ -1,9 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tadfusion.composition import VocabSpec
 from tadfusion.config import PipelineConfig, parse_config, parse_config_text
-from tadfusion.errors import ParseError, SchemaMismatch, UnknownKey, VocabularyMismatch
+from tadfusion.errors import (
+    InvalidConfig,
+    ParseError,
+    SchemaMismatch,
+    UnknownKey,
+    VocabularyMismatch,
+)
 from tadfusion.evaluation import GroundTruthInstance
 from tadfusion.io import (
     ProposalRecord,
@@ -35,6 +43,16 @@ def sample_record():
         verb_boundary=(14.0, 24.0),
         verb_scores=verb_scores,
     )
+
+
+class TestProposalRecord:
+    def test_inverted_boundary_rejected(self):
+        with pytest.raises(InvalidConfig, match="noun boundary"):
+            replace(sample_record(), noun_boundary=(20.0, 10.0))
+
+    def test_nan_boundary_rejected(self):
+        with pytest.raises(InvalidConfig, match="verb boundary"):
+            replace(sample_record(), verb_boundary=(14.0, float("nan")))
 
 
 class TestProposalFile:
