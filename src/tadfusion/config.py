@@ -59,13 +59,13 @@ class PipelineConfig:
     max_per_video: int = DEFAULT_MAX_PER_VIDEO
     eval_thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
     submission_version: str = SUBMISSION_VERSION
-    sim_segments: int = 1000
-    sim_video_length: float = 600.0
-    sim_confidence_lo: float = 0.1
-    sim_confidence_hi: float = 0.95
-    sim_sigma_min: float = 0.05
-    sim_sigma_max: float = 1.0
-    sim_seed: int = 0
+    sim_segments: int = ScenarioConfig.num_segments
+    sim_video_length: float = ScenarioConfig.video_length_s
+    sim_confidence_lo: float = ScenarioConfig.confidence_lo
+    sim_confidence_hi: float = ScenarioConfig.confidence_hi
+    sim_sigma_min: float = ScenarioConfig.sigma_min
+    sim_sigma_max: float = ScenarioConfig.sigma_max
+    sim_seed: int = ScenarioConfig.seed
 
     def grid(self, window_start_frame: int = 0) -> FeatureGrid:
         return FeatureGrid(

@@ -51,8 +51,8 @@ def dwf_weights(
     verb_confidence: float,
     epsilon: float = DEFAULT_FUSION_EPSILON,
 ) -> FusionWeights:
-    """Normalize stream confidences into boundary weights."""
-    if noun_confidence < 0.0 or verb_confidence < 0.0:
+    """Normalize stream confidences (floats, or arrays of proposals) into boundary weights."""
+    if np.min((noun_confidence, verb_confidence)) < 0.0:
         raise InvalidConfig("confidences must be non-negative")
     if epsilon <= 0.0:
         raise InvalidConfig("epsilon must be positive")
@@ -67,14 +67,15 @@ def fuse_boundaries(
 ) -> tuple[float, float]:
     """Linearly combine the two stream boundaries, coordinate-wise.
 
-    Applied to both start and end. The candidate's action score is not
+    Applied to both start and end; each coordinate may be an array of
+    proposals, with weights to match. The candidate's action score is not
     read or modified. Candidates whose confidences both vanish collapse
     to a point interval; upstream min-score filtering removes them, and
     this raises ``DegenerateInterval`` as a backstop.
     """
     fused_start = weights.noun_weight * noun_boundary[0] + weights.verb_weight * verb_boundary[0]
     fused_end = weights.noun_weight * noun_boundary[1] + weights.verb_weight * verb_boundary[1]
-    if fused_start >= fused_end:
+    if np.any(fused_start >= fused_end):
         raise DegenerateInterval(
             f"fused boundary ({fused_start}, {fused_end}) is empty or inverted"
         )

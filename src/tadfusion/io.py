@@ -47,6 +47,24 @@ def require_class_index(value, count: int, *, key: str) -> int:
     return value
 
 
+def require_number(value, *, key: str) -> float:
+    """``value`` as a float if it is a finite JSON number (int or float).
+
+    A bool, string or any other JSON value is a SchemaMismatch naming
+    ``key``, not a number to coerce.
+    """
+    if type(value) not in (int, float):
+        raise SchemaMismatch(f"{key} must be a JSON number, got {value!r}")
+    return require_finite(float(value), key=key)
+
+
+def require_segment(value) -> tuple[float, float]:
+    """A JSON ``segment``: a list of exactly two finite numbers."""
+    if type(value) is not list or len(value) != 2:
+        raise SchemaMismatch(f"segment must be a list of two numbers, got {value!r}")
+    return require_number(value[0], key="segment"), require_number(value[1], key="segment")
+
+
 @dataclass(eq=False)
 class ProposalRecord:
     """One aligned proposal pair as stored in the proposal file.
@@ -167,7 +185,6 @@ class SubmissionDocument:
     """Challenge-style JSON dictionary of per-video detections."""
 
     version: str = SUBMISSION_VERSION
-    challenge: str = SUBMISSION_CHALLENGE
     results: dict[str, list[ActionDetection]] = field(default_factory=dict)
 
 
@@ -206,7 +223,7 @@ def serialize_submission(doc: SubmissionDocument) -> str:
     """Deterministic JSON text: fixed key order, fixed 4-decimal floats."""
     lines = ["{"]
     lines.append(f'  "version": {json.dumps(doc.version)},')
-    lines.append(f'  "challenge": {json.dumps(doc.challenge)},')
+    lines.append(f'  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},')
     lines.append('  "results": {')
     video_ids = sorted(doc.results)
     for vi, video_id in enumerate(video_ids):
@@ -248,6 +265,10 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
     for key in ("version", "challenge", "results"):
         if key not in payload:
             raise SchemaMismatch(f"submission missing {key!r}")
+    if type(payload["version"]) is not str:
+        raise SchemaMismatch(f"version must be a JSON string, got {payload['version']!r}")
+    if payload["challenge"] != SUBMISSION_CHALLENGE:
+        raise SchemaMismatch(f"challenge must be {SUBMISSION_CHALLENGE!r}")
     if not isinstance(payload["results"], dict):
         raise SchemaMismatch("results must map video ids to detection lists")
 
@@ -260,9 +281,8 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
             try:
                 verb = require_class_index(entry["verb"], vocab.verb_count, key="verb")
                 noun = require_class_index(entry["noun"], vocab.noun_count, key="noun")
-                start = require_finite(float(entry["segment"][0]), key="segment")
-                end = require_finite(float(entry["segment"][1]), key="segment")
-                score = require_finite(float(entry["score"]), key="score")
+                start, end = require_segment(entry["segment"])
+                score = require_number(entry["score"], key="score")
                 action = entry["action"]
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed detection entry: {exc}") from None
@@ -282,9 +302,7 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
                 )
             )
         results[video_id] = dets
-    return SubmissionDocument(
-        version=str(payload["version"]), challenge=str(payload["challenge"]), results=results
-    )
+    return SubmissionDocument(version=payload["version"], results=results)
 
 
 def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
@@ -337,11 +355,12 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> list[GroundTruthI
             raise SchemaMismatch(f"annotations of video {video_id!r} must be a list")
         for entry in entries:
             try:
+                start, end = require_segment(entry["segment"])
                 instances.append(
                     GroundTruthInstance(
                         video_id=video_id,
-                        start=require_finite(float(entry["segment"][0]), key="segment"),
-                        end=require_finite(float(entry["segment"][1]), key="segment"),
+                        start=start,
+                        end=end,
                         verb_index=require_class_index(
                             entry["verb"], vocab.verb_count, key="verb"),
                         noun_index=require_class_index(

@@ -17,13 +17,9 @@ import numpy as np
 from .composition import VocabSpec
 from .errors import InvalidConfig
 from .evaluation import GroundTruthInstance
-from .fusion import (
-    DEFAULT_FUSION_EPSILON,
-    dwf_weights,
-    fuse_boundaries,
-    hard_mean_fusion,
-    stream_confidences,
-)
+from .fusion import DEFAULT_FUSION_EPSILON, dwf_weights, fuse_boundaries, hard_mean_fusion
+from .io import ProposalRecord
+from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
 
@@ -36,8 +32,9 @@ class ScenarioConfig:
     [confidence_lo, confidence_hi]; boundary noise for a stream with
     confidence C is zero-mean Gaussian with standard deviation
     ``sigma_max * (1 - C) + sigma_min`` seconds, independently on start
-    and end. The defaults give the asymmetric regime where stream
-    reliabilities genuinely differ.
+    and end. ``confidence_hi`` must be positive: DWF is undefined when
+    both streams have confidence 0. The defaults give the asymmetric
+    regime where stream reliabilities genuinely differ.
     """
 
     num_segments: int = 1000
@@ -59,6 +56,8 @@ class ScenarioConfig:
             raise InvalidConfig("video_length_s must be positive")
         if not 0.0 <= self.confidence_lo <= self.confidence_hi <= 1.0:
             raise InvalidConfig("confidence bounds must satisfy 0 <= lo <= hi <= 1")
+        if self.confidence_hi == 0.0:
+            raise InvalidConfig("confidence_hi must be positive; DWF is undefined at 0 and 0")
         if self.sigma_min < 0.0 or self.sigma_max < self.sigma_min:
             raise InvalidConfig("noise law requires 0 <= sigma_min <= sigma_max")
         if not 0.0 < self.min_segment_s <= self.max_segment_s:
@@ -72,22 +71,22 @@ class ScenarioConfig:
         return self.sigma_max * (1.0 - confidence) + self.sigma_min
 
 
-@dataclass(eq=False)
-class StreamProposal:
-    """One stream's noisy boundary (seconds) and its class scores."""
-
-    boundary: tuple[float, float]
-    scores: np.ndarray
-
-
 @dataclass
 class Scenario:
-    """Ground truth plus aligned noisy noun and verb proposal streams."""
+    """Ground truth plus the aligned noun and verb draws, one row per segment.
+
+    ``noun_confidence`` and ``verb_confidence`` have shape ``(n,)``;
+    ``noun_boundary`` and ``verb_boundary`` have shape ``(n, 2)`` and hold
+    each stream's noisy (start, end) in seconds. Score vectors are built
+    only when a scenario is exported as proposal records.
+    """
 
     config: ScenarioConfig
     ground_truth: list[GroundTruthInstance]
-    noun_stream: list[StreamProposal]
-    verb_stream: list[StreamProposal]
+    noun_confidence: np.ndarray
+    verb_confidence: np.ndarray
+    noun_boundary: np.ndarray
+    verb_boundary: np.ndarray
 
 
 @dataclass
@@ -121,14 +120,12 @@ class FusionReport:
 
 
 def _score_vector(size: int, true_class: int, confidence: float) -> np.ndarray:
-    # the vector maximum must equal the drawn confidence; the uniform
-    # filler is capped below it for degenerate (tiny-vocab) configs
+    # the vector maximum must equal the drawn confidence, so the uniform
+    # filler is capped at half of it (this binds in tiny vocabularies and
+    # at confidence 0, where the filler is 0 too)
     if size == 1:
         return np.array([confidence])
-    filler = (1.0 - confidence) / (size - 1)
-    if confidence > 0.0:
-        filler = min(filler, 0.5 * confidence)
-    vec = np.full(size, filler)
+    vec = np.full(size, min((1.0 - confidence) / (size - 1), 0.5 * confidence))
     vec[true_class] = confidence
     return vec
 
@@ -136,14 +133,15 @@ def _score_vector(size: int, true_class: int, confidence: float) -> np.ndarray:
 def _noisy_boundary(
     rng: np.random.Generator,
     true_boundary: tuple[float, float],
-    std: float,
-    video_length: float,
+    confidence: float,
+    cfg: ScenarioConfig,
 ) -> tuple[float, float]:
     # resample, rather than truncate, to avoid biasing noise near edges
+    std = cfg.noise_std(confidence)
     for _ in range(_MAX_NOISE_RESAMPLES):
         start = true_boundary[0] + rng.normal(0.0, std)
         end = true_boundary[1] + rng.normal(0.0, std)
-        if 0.0 <= start < end <= video_length:
+        if 0.0 <= start < end <= cfg.video_length_s:
             return (start, end)
     raise InvalidConfig(
         "could not draw a valid noisy boundary; noise scale is too large "
@@ -158,114 +156,88 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     seed, so results are identical regardless of evaluation order and
     segments could be generated in parallel.
     """
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_segments)
+    n = cfg.num_segments
     ground_truth = []
-    noun_stream = []
-    verb_stream = []
-    for seq in seeds:
+    noun_confidence, verb_confidence = np.empty(n), np.empty(n)
+    noun_boundary, verb_boundary = np.empty((n, 2)), np.empty((n, 2))
+    for i, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n)):
         rng = np.random.default_rng(seq)
         length = rng.uniform(cfg.min_segment_s, cfg.max_segment_s)
         start = rng.uniform(0.0, cfg.video_length_s - length)
         true_boundary = (start, start + length)
         verb = int(rng.integers(cfg.vocab.verb_count))
         noun = int(rng.integers(cfg.vocab.noun_count))
-        c_noun = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
-        c_verb = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
-        noun_boundary = _noisy_boundary(
-            rng, true_boundary, cfg.noise_std(c_noun), cfg.video_length_s
-        )
-        verb_boundary = _noisy_boundary(
-            rng, true_boundary, cfg.noise_std(c_verb), cfg.video_length_s
-        )
-        ground_truth.append(
-            GroundTruthInstance(
-                video_id=cfg.video_id,
-                start=true_boundary[0],
-                end=true_boundary[1],
-                verb_index=verb,
-                noun_index=noun,
-            )
-        )
-        noun_stream.append(
-            StreamProposal(
-                boundary=noun_boundary,
-                scores=_score_vector(cfg.vocab.noun_count, noun, c_noun),
-            )
-        )
-        verb_stream.append(
-            StreamProposal(
-                boundary=verb_boundary,
-                scores=_score_vector(cfg.vocab.verb_count, verb, c_verb),
-            )
-        )
+        c_noun = noun_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
+        c_verb = verb_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
+        noun_boundary[i] = _noisy_boundary(rng, true_boundary, c_noun, cfg)
+        verb_boundary[i] = _noisy_boundary(rng, true_boundary, c_verb, cfg)
+        ground_truth.append(GroundTruthInstance(
+            cfg.video_id, *true_boundary, verb_index=verb, noun_index=noun))
     return Scenario(
         config=cfg,
         ground_truth=ground_truth,
-        noun_stream=noun_stream,
-        verb_stream=verb_stream,
+        noun_confidence=noun_confidence,
+        verb_confidence=verb_confidence,
+        noun_boundary=noun_boundary,
+        verb_boundary=verb_boundary,
     )
 
 
-def scenario_to_records(scenario: Scenario, grid=None) -> list["ProposalRecord"]:
+def scenario_to_records(
+    scenario: Scenario, grid: FeatureGrid = FeatureGrid()
+) -> list[ProposalRecord]:
     """Export a scenario as aligned proposal records for the pipeline.
 
     Noisy boundaries (in seconds) are mapped to feature coordinates of a
     single window starting at feature 0. Coordinates before the grid's
     first center come out negative; the pipeline clamps them on the way
-    back to seconds.
+    back to seconds. Each stream's score vector puts the drawn confidence
+    on the ground-truth class.
     """
-    from .io import ProposalRecord
-    from .timeline import FeatureGrid, seconds_to_feature_coord
+    vocab = scenario.config.vocab
 
-    if grid is None:
-        grid = FeatureGrid()
-    records = []
-    for noun, verb in zip(scenario.noun_stream, scenario.verb_stream):
-        records.append(
-            ProposalRecord(
-                video_id=scenario.config.video_id,
-                window_start=0,
-                noun_boundary=(
-                    seconds_to_feature_coord(noun.boundary[0], grid),
-                    seconds_to_feature_coord(noun.boundary[1], grid),
-                ),
-                noun_scores=noun.scores,
-                verb_boundary=(
-                    seconds_to_feature_coord(verb.boundary[0], grid),
-                    seconds_to_feature_coord(verb.boundary[1], grid),
-                ),
-                verb_scores=verb.scores,
-            )
+    def to_feature(boundary):
+        return tuple(seconds_to_feature_coord(t, grid) for t in boundary)
+
+    return [
+        ProposalRecord(
+            video_id=scenario.config.video_id,
+            window_start=0,
+            noun_boundary=to_feature(noun_boundary),
+            noun_scores=_score_vector(vocab.noun_count, gt.noun_index, c_noun),
+            verb_boundary=to_feature(verb_boundary),
+            verb_scores=_score_vector(vocab.verb_count, gt.verb_index, c_verb),
         )
-    return records
-
-
-def _boundary_error(boundary: tuple[float, float], truth: tuple[float, float]) -> float:
-    return abs(boundary[0] - truth[0]) + abs(boundary[1] - truth[1])
+        for gt, c_noun, c_verb, noun_boundary, verb_boundary in zip(
+            scenario.ground_truth,
+            scenario.noun_confidence.tolist(),
+            scenario.verb_confidence.tolist(),
+            scenario.noun_boundary.tolist(),
+            scenario.verb_boundary.tolist(),
+        )
+    ]
 
 
 def compare_fusion(
     scenario: Scenario, epsilon: float = DEFAULT_FUSION_EPSILON
 ) -> FusionReport:
-    """Measure per-segment boundary errors of both fusion strategies."""
-    n = len(scenario.ground_truth)
-    err_dwf = np.empty(n)
-    err_mean = np.empty(n)
-    confidences = np.empty(2 * n)
-    stream_errors = np.empty(2 * n)
-    for i, gt in enumerate(scenario.ground_truth):
-        noun = scenario.noun_stream[i]
-        verb = scenario.verb_stream[i]
-        c_noun, c_verb = stream_confidences(noun.scores, verb.scores)
-        weights = dwf_weights(c_noun, c_verb, epsilon)
-        fused = fuse_boundaries(noun.boundary, verb.boundary, weights)
-        averaged = hard_mean_fusion(noun.boundary, verb.boundary)
-        err_dwf[i] = _boundary_error(fused, gt.interval)
-        err_mean[i] = _boundary_error(averaged, gt.interval)
-        confidences[2 * i] = c_noun
-        confidences[2 * i + 1] = c_verb
-        stream_errors[2 * i] = _boundary_error(noun.boundary, gt.interval)
-        stream_errors[2 * i + 1] = _boundary_error(verb.boundary, gt.interval)
+    """Measure per-segment boundary errors of both fusion strategies.
+
+    One array pass through the fusion operators the pipeline uses.
+    """
+    noun, verb = scenario.noun_boundary.T, scenario.verb_boundary.T
+    truth = np.array([gt.interval for gt in scenario.ground_truth]).T
+    n = truth.shape[1]
+
+    def error(boundary):
+        return np.abs(boundary[0] - truth[0]) + np.abs(boundary[1] - truth[1])
+
+    weights = dwf_weights(scenario.noun_confidence, scenario.verb_confidence, epsilon)
+    err_dwf = error(fuse_boundaries(noun, verb, weights))
+    err_mean = error(hard_mean_fusion(noun, verb))
+    # noun, verb interleaved per segment: np.std and np.corrcoef sum in this order
+    confidences = np.column_stack((scenario.noun_confidence, scenario.verb_confidence)).ravel()
+    stream_errors = np.column_stack((error(noun), error(verb))).ravel()
 
     if np.std(confidences) > 0.0 and np.std(stream_errors) > 0.0:
         correlation = float(np.corrcoef(confidences, stream_errors)[0, 1])

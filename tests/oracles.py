@@ -8,7 +8,11 @@ between module output and these references is a meaningful check.
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from tadfusion.evaluation import sort_detections
+from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
+from tadfusion.simulation import FusionReport, scenario_to_records
 
 
 def oracle_interval_iou(a, b):
@@ -140,3 +144,54 @@ def oracle_soft_nms(dets, cfg, vote=False):
                 survivors.append(entry)
         pool = survivors
     return sorted(kept, key=lambda d: _rank(d, d.score))
+
+
+def _boundary_error(boundary, truth):
+    return abs(boundary[0] - truth[0]) + abs(boundary[1] - truth[1])
+
+
+def oracle_compare_fusion(scenario, epsilon):
+    """Segment-at-a-time fusion comparison through the scalar fusion calls,
+    with each stream's confidence read back as the maximum of its exported
+    score vector."""
+    n = len(scenario.ground_truth)
+    err_dwf = np.empty(n)
+    err_mean = np.empty(n)
+    confidences = np.empty(2 * n)
+    stream_errors = np.empty(2 * n)
+    records = scenario_to_records(scenario)
+    noun_boundaries = scenario.noun_boundary.tolist()
+    verb_boundaries = scenario.verb_boundary.tolist()
+    for i, gt in enumerate(scenario.ground_truth):
+        noun, verb = tuple(noun_boundaries[i]), tuple(verb_boundaries[i])
+        c_noun, c_verb = stream_confidences(records[i].noun_scores, records[i].verb_scores)
+        fused = fuse_boundaries(noun, verb, dwf_weights(c_noun, c_verb, epsilon))
+        err_dwf[i] = _boundary_error(fused, gt.interval)
+        err_mean[i] = _boundary_error(hard_mean_fusion(noun, verb), gt.interval)
+        confidences[2 * i] = c_noun
+        confidences[2 * i + 1] = c_verb
+        stream_errors[2 * i] = _boundary_error(noun, gt.interval)
+        stream_errors[2 * i + 1] = _boundary_error(verb, gt.interval)
+
+    if np.std(confidences) > 0.0 and np.std(stream_errors) > 0.0:
+        correlation = float(np.corrcoef(confidences, stream_errors)[0, 1])
+    else:
+        correlation = float("nan")
+    diff = err_dwf - err_mean
+    if n < 2 or np.allclose(diff, 0.0):
+        p_value = 1.0
+    else:
+        from scipy.special import stdtr
+
+        m = diff.mean()
+        var = np.mean((diff - m) ** 2) * (n / (n - 1.0))
+        p_value = float(stdtr(float(n - 1), m / np.sqrt(var / n)))
+    return FusionReport(
+        num_segments=n,
+        mean_abs_err_dwf=float(err_dwf.mean()),
+        mean_abs_err_mean=float(err_mean.mean()),
+        per_segment_dwf=err_dwf,
+        per_segment_mean=err_mean,
+        confidence_error_correlation=correlation,
+        p_value=p_value,
+    )

@@ -89,6 +89,39 @@ class TestClassIndices:
         assert key in capsys.readouterr().err
 
 
+class TestJsonNumbers:
+    """Segments and scores must be JSON numbers, never coerced, cut or padded."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("segment", "12"), ("segment", [1.0, 2.0, 99.0]), ("segment", [1.0, "2"]),
+        ("score", "0.5"), ("score", True),
+    ])
+    def test_submission(self, tmp_path, capsys, key, value):
+        entry = dict(GOOD_ENTRY, **{key: value})
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=submission_text([entry])) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("segment", ["12", [1.0, 2.0, 99.0], [True, 2.0]])
+    def test_ground_truth(self, tmp_path, capsys, segment):
+        gt = {"annotations": {"P01": [{"verb": 3, "noun": 5, "segment": segment}]}}
+        code = run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
+                   s=submission_text([GOOD_ENTRY]), g=json.dumps(gt))
+        assert code == 1
+        assert "segment" in capsys.readouterr().err
+
+
+class TestSubmissionHeader:
+    """``version`` must be a JSON string and ``challenge`` the one challenge name."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("version", None), ("version", 0.1), ("challenge", 7), ("challenge", "segmentation"),
+    ])
+    def test_rejected(self, tmp_path, capsys, key, value):
+        payload = dict(json.loads(submission_text([GOOD_ENTRY])), **{key: value})
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=json.dumps(payload)) == 1
+        assert key in capsys.readouterr().err
+
+
 class TestConfigObjectsNameTheKey:
     @pytest.mark.parametrize("line, key", [
         ("stride_frames = 0", "stride_frames"),
@@ -101,6 +134,12 @@ class TestConfigObjectsNameTheKey:
                    c=line + "\n")
         assert code == 1
         assert f"key {key!r}" in capsys.readouterr().err
+
+    def test_zero_confidence_bounds(self, tmp_path, capsys):
+        # both streams at confidence 0 leave DWF undefined
+        text = "sim_confidence_lo = 0\nsim_confidence_hi = 0\nsim_segments = 50\n"
+        assert run(tmp_path, ["simulate", "--config", "{c}"], c=text) == 1
+        assert "sim_confidence_hi" in capsys.readouterr().err
 
 
 class TestUnreadableFiles:

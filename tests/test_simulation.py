@@ -1,12 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import oracle_compare_fusion
 from tadfusion.composition import VocabSpec
 from tadfusion.errors import InvalidConfig
 from tadfusion.simulation import (
-    Scenario,
+    FusionReport,
     ScenarioConfig,
+    _score_vector,
     compare_fusion,
     generate_scenario,
     scenario_to_records,
@@ -25,49 +29,52 @@ class TestGenerateScenario:
     def test_zero_noise_reproduces_truth(self):
         scenario = generate_scenario(config(sigma_min=0.0, sigma_max=0.0))
         for gt, noun, verb in zip(
-            scenario.ground_truth, scenario.noun_stream, scenario.verb_stream
+            scenario.ground_truth, scenario.noun_boundary, scenario.verb_boundary
         ):
-            assert noun.boundary == pytest.approx(gt.interval)
-            assert verb.boundary == pytest.approx(gt.interval)
+            assert tuple(noun) == pytest.approx(gt.interval)
+            assert tuple(verb) == pytest.approx(gt.interval)
 
     def test_determinism(self):
         a = generate_scenario(config())
         b = generate_scenario(config())
-        for pa, pb in zip(a.noun_stream, b.noun_stream):
-            assert pa.boundary == pb.boundary
-            np.testing.assert_array_equal(pa.scores, pb.scores)
+        for field in ("noun_boundary", "verb_boundary", "noun_confidence", "verb_confidence"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        for ra, rb in zip(scenario_to_records(a), scenario_to_records(b)):
+            np.testing.assert_array_equal(ra.noun_scores, rb.noun_scores)
         for ga, gb in zip(a.ground_truth, b.ground_truth):
             assert ga == gb
 
     def test_different_seeds_differ(self):
         a = generate_scenario(config(seed=1))
         b = generate_scenario(config(seed=2))
-        assert any(
-            pa.boundary != pb.boundary for pa, pb in zip(a.noun_stream, b.noun_stream)
-        )
+        assert np.any(a.noun_boundary != b.noun_boundary)
 
     def test_score_maximum_equals_drawn_confidence(self):
         scenario = generate_scenario(config())
-        for noun, gt in zip(scenario.noun_stream, scenario.ground_truth):
-            top = int(np.argmax(noun.scores))
+        records = scenario_to_records(scenario)
+        for record, gt, drawn in zip(records, scenario.ground_truth, scenario.noun_confidence):
+            top = int(np.argmax(record.noun_scores))
             assert top == gt.noun_index
+            assert record.noun_scores[top] == drawn
             # filler mass is strictly below the true-class confidence
-            others = np.delete(noun.scores, top)
-            assert others.max() < noun.scores[top]
+            others = np.delete(record.noun_scores, top)
+            assert others.max() < record.noun_scores[top]
 
     def test_boundaries_inside_video(self):
         cfg = config(sigma_min=0.5, sigma_max=2.0, video_length_s=50.0)
         scenario = generate_scenario(cfg)
-        for stream in (scenario.noun_stream, scenario.verb_stream):
-            for p in stream:
-                assert 0.0 <= p.boundary[0] < p.boundary[1] <= 50.0
+        for stream in (scenario.noun_boundary, scenario.verb_boundary):
+            for start, end in stream:
+                assert 0.0 <= start < end <= 50.0
 
     def test_alignment_one_pair_per_segment(self):
         scenario = generate_scenario(config())
         assert (
             len(scenario.ground_truth)
-            == len(scenario.noun_stream)
-            == len(scenario.verb_stream)
+            == len(scenario.noun_boundary)
+            == len(scenario.verb_boundary)
+            == len(scenario.noun_confidence)
+            == len(scenario.verb_confidence)
             == 200
         )
 
@@ -80,6 +87,13 @@ class TestGenerateScenario:
             ScenarioConfig(sigma_min=1.0, sigma_max=0.5)
         with pytest.raises(InvalidConfig):
             ScenarioConfig(video_length_s=2.0, max_segment_s=8.0)
+
+    def test_zero_confidence(self):
+        # DWF is undefined when both streams have confidence 0
+        with pytest.raises(InvalidConfig, match="confidence_hi"):
+            ScenarioConfig(confidence_lo=0.0, confidence_hi=0.0)
+        # a zero draw (possible when confidence_lo = 0) scores nothing
+        assert _score_vector(300, 5, 0.0).max() == 0.0
 
 
 class TestCompareFusion:
@@ -143,6 +157,33 @@ class TestCompareFusion:
         np.testing.assert_array_equal(a.per_segment_dwf, b.per_segment_dwf)
 
 
+class TestCompareFusionOracle:
+    """The array pass equals the segment-at-a-time scalar form bit for bit."""
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-300])
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(vocab=VocabSpec(noun_count=1, verb_count=1)),
+        dict(vocab=VocabSpec(noun_count=2, verb_count=3)),
+        dict(confidence_lo=0.6, confidence_hi=0.6),
+        dict(sigma_min=0.0, sigma_max=0.0),
+        dict(confidence_lo=0.0),
+        dict(num_segments=1),
+        dict(num_segments=2),
+    ])
+    def test_matches_oracle(self, overrides, epsilon):
+        for seed in range(6):
+            scenario = generate_scenario(config(seed=seed, **overrides))
+            got = compare_fusion(scenario, epsilon)
+            want = oracle_compare_fusion(scenario, epsilon)
+            for f in fields(FusionReport):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), (seed, f.name)
+                else:
+                    assert repr(a) == repr(b), (seed, f.name)
+
+
 class TestScenarioToRecords:
     def test_record_per_segment_with_seconds_round_trip(self):
         from tadfusion.timeline import FeatureGrid, boundary_to_seconds
@@ -151,10 +192,10 @@ class TestScenarioToRecords:
         records = scenario_to_records(scenario)
         assert len(records) == 20
         grid = FeatureGrid()
-        for record, noun in zip(records, scenario.noun_stream):
+        for record, noun in zip(records, scenario.noun_boundary):
             if record.noun_boundary[0] >= 0:  # clamping region excluded
                 back = boundary_to_seconds(record.noun_boundary, grid)
-                assert back == pytest.approx(noun.boundary, abs=1e-9)
+                assert back == pytest.approx(tuple(noun), abs=1e-9)
 
 
 class TestPairedTTest:
