@@ -130,8 +130,17 @@ def _parse_value(key: str, raw: str):
         raise ParseError(f"cannot parse value {raw!r}: {exc}", key=key) from None
 
 
+def _failure(build, cfg: PipelineConfig) -> InvalidConfig | None:
+    try:
+        build(cfg)
+    except InvalidConfig as exc:
+        return exc
+    return None
+
+
 def _validate(cfg: PipelineConfig, given) -> PipelineConfig:
-    """Check ``cfg``; a ParseError names the offending keys among ``given``."""
+    """Check ``cfg``; a ParseError names the offending keys among ``given``:
+    those whose default alone lets the object build, else all it reads."""
     for key in ("window_length", "top_k_nouns", "top_k_verbs", "epsilon"):
         if getattr(cfg, key) <= 0:
             raise ParseError("value must be positive", key=key)
@@ -144,10 +153,11 @@ def _validate(cfg: PipelineConfig, given) -> PipelineConfig:
             f"nms_preset must be one of {tuple(NMS_PRESETS)}", key="nms_preset"
         )
     for build, keys in _CHECKED_OBJECTS:
-        try:
-            build(cfg)
-        except InvalidConfig as exc:
-            raise ParseError(str(exc), key=", ".join(k for k in keys if k in given)) from None
+        if exc := _failure(build, cfg):
+            keys = [k for k in keys if k in given]
+            fixing = [k for k in keys if not _failure(
+                build, PipelineConfig(**{j: v for j, v in given.items() if j != k}))]
+            raise ParseError(str(exc), key=", ".join(fixing or keys))
     return cfg
 
 

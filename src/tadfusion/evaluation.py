@@ -82,6 +82,33 @@ def sort_detections(dets: list[ActionDetection]) -> list[ActionDetection]:
     return sorted(dets, key=lambda d: (*rank_key(d, d.score), d.video_id))
 
 
+def _overlap_rows(dets, gts, task: str) -> list[list[tuple[int, float]]]:
+    """Per detection, ``(gt index, tIoU)`` for every same-video, same-class
+    ground truth it overlaps (tIoU > 0), in ground-truth index order."""
+    by_video: dict = {}
+    for gi, gt in enumerate(gts):
+        by_video.setdefault(gt.video_id, []).append((gi, gt))
+    return [[(gi, iou) for gi, gt in by_video.get(det.video_id, ())
+             if _task_class(gt, task) == _task_class(det, task)
+             and (iou := temporal_iou(det.interval, gt.interval)) > 0.0]
+            for det in dets]
+
+
+def _greedy_match(rows, num_gt: int, tau: float) -> list[bool]:
+    matched = [False] * num_gt
+    flags = []
+    for row in rows:
+        best_idx, best_iou = -1, 0.0
+        for gi, iou in row:
+            if iou > best_iou and not matched[gi]:
+                best_idx, best_iou = gi, iou
+        hit = best_idx >= 0 and best_iou >= tau
+        if hit:
+            matched[best_idx] = True
+        flags.append(hit)
+    return flags
+
+
 def match_detections(
     dets: list[ActionDetection],
     gts: list[GroundTruthInstance],
@@ -96,27 +123,7 @@ def match_detections(
     ground-truth index). Returns one True (TP) / False (FP) flag per
     detection, in input order.
     """
-    matched = [False] * len(gts)
-    flags = []
-    for det in dets:
-        det_class = _task_class(det, task)
-        best_idx = -1
-        best_iou = 0.0
-        for gi, gt in enumerate(gts):
-            if matched[gi] or gt.video_id != det.video_id:
-                continue
-            if _task_class(gt, task) != det_class:
-                continue
-            iou = temporal_iou(det.interval, gt.interval)
-            if iou > best_iou:
-                best_iou = iou
-                best_idx = gi
-        if best_idx >= 0 and best_iou >= tau:
-            matched[best_idx] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
+    return _greedy_match(_overlap_rows(dets, gts, task), len(gts), tau)
 
 
 def average_precision(flags: list[bool], num_gt: int) -> float:
@@ -126,22 +133,23 @@ def average_precision(flags: list[bool], num_gt: int) -> float:
     recall level is replaced by the maximum precision at any greater or
     equal recall before integrating. Zero ground truth yields 0 (such
     classes are excluded from class means upstream).
+
+    Recall steps only at true positives, where the envelope is the best
+    later true-positive precision. The step terms and the closing
+    ``(1 - recall) * 0`` go to one ``np.sum``: its pairwise grouping fixes
+    every AP's rounding, and a left-to-right sum differs from 8 terms on.
     """
     if num_gt < 0:
         raise InvalidConfig("num_gt must be >= 0")
-    if num_gt == 0 or not flags:
+    hits = [rank for rank, flag in enumerate(flags, start=1) if flag]
+    if num_gt == 0 or not hits:
         return 0.0
-    tp = np.cumsum(np.asarray(flags, dtype=float))
-    fp = np.cumsum(1.0 - np.asarray(flags, dtype=float))
-    recall = tp / num_gt
-    precision = tp / (tp + fp)
-
-    mprec = np.concatenate([[0.0], precision, [0.0]])
-    mrec = np.concatenate([[0.0], recall, [1.0]])
-    for i in range(len(mprec) - 2, -1, -1):
-        mprec[i] = max(mprec[i], mprec[i + 1])
-    steps = np.where(mrec[1:] != mrec[:-1])[0] + 1
-    return float(np.sum((mrec[steps] - mrec[steps - 1]) * mprec[steps]))
+    terms = [(1.0 - len(hits) / num_gt) * 0.0] if len(hits) != num_gt else []
+    envelope = 0.0
+    for tp in range(len(hits), 0, -1):
+        envelope = max(envelope, tp / hits[tp - 1])
+        terms.append((tp / num_gt - (tp - 1) / num_gt) * envelope)
+    return float(np.sum(terms[::-1]))
 
 
 def mean_ap(
@@ -153,24 +161,25 @@ def mean_ap(
 
     Classes are keyed by the task's factor (verb index, noun index, or
     the verb-noun pair for the action task). Classes without any ground
-    truth are excluded from the mean rather than scored 0.
+    truth are excluded from the mean rather than scored 0. Each class's
+    overlap rows are built once and matched at every threshold; one
+    stable sort of all detections gives each class its sorted order.
     """
     gt_by_class: dict = {}
     for gt in gts:
         gt_by_class.setdefault(_task_class(gt, cfg.task), []).append(gt)
 
     det_by_class: dict = {}
-    for det in dets:
+    for det in sort_detections(dets):
         det_by_class.setdefault(_task_class(det, cfg.task), []).append(det)
 
-    ranked = {cls: sort_detections(det_by_class.get(cls, [])) for cls in gt_by_class}
+    classes = [(len(gt_by_class[cls]), _overlap_rows(det_by_class.get(cls, ()),
+                                                     gt_by_class[cls], cfg.task))
+               for cls in sorted(gt_by_class)]
     per_threshold = {}
     for tau in cfg.thresholds:
-        aps = []
-        for cls in sorted(gt_by_class):
-            class_gts = gt_by_class[cls]
-            flags = match_detections(ranked[cls], class_gts, tau, cfg.task)
-            aps.append(average_precision(flags, len(class_gts)))
+        aps = [average_precision(_greedy_match(rows, num_gt, tau), num_gt)
+               for num_gt, rows in classes]
         per_threshold[tau] = float(np.mean(aps)) if aps else 0.0
 
     average = float(np.mean(list(per_threshold.values())))

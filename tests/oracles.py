@@ -84,6 +84,74 @@ def oracle_mean_ap(dets, gts, tau, task):
     return sum(aps) / len(aps) if aps else 0.0
 
 
+# The evaluator as it was before overlaps were built once per class: one
+# full match and one NumPy AP per (class, threshold). Kept verbatim (with
+# the oracle's tIoU and class helpers, which compute the same values) so
+# the current evaluator can be pinned to it bit for bit.
+def _legacy_match_detections(dets, gts, tau, task="action"):
+    matched = [False] * len(gts)
+    flags = []
+    for det in dets:
+        det_class = _class_of(det, task)
+        best_idx = -1
+        best_iou = 0.0
+        for gi, gt in enumerate(gts):
+            if matched[gi] or gt.video_id != det.video_id:
+                continue
+            if _class_of(gt, task) != det_class:
+                continue
+            iou = oracle_interval_iou(det.interval, gt.interval)
+            if iou > best_iou:
+                best_iou = iou
+                best_idx = gi
+        if best_idx >= 0 and best_iou >= tau:
+            matched[best_idx] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+def _legacy_average_precision(flags, num_gt):
+    if num_gt == 0 or not flags:
+        return 0.0
+    tp = np.cumsum(np.asarray(flags, dtype=float))
+    fp = np.cumsum(1.0 - np.asarray(flags, dtype=float))
+    recall = tp / num_gt
+    precision = tp / (tp + fp)
+
+    mprec = np.concatenate([[0.0], precision, [0.0]])
+    mrec = np.concatenate([[0.0], recall, [1.0]])
+    for i in range(len(mprec) - 2, -1, -1):
+        mprec[i] = max(mprec[i], mprec[i + 1])
+    steps = np.where(mrec[1:] != mrec[:-1])[0] + 1
+    return float(np.sum((mrec[steps] - mrec[steps - 1]) * mprec[steps]))
+
+
+def oracle_mean_ap_legacy(dets, gts, thresholds, task):
+    """``(per_threshold, average)`` as the per-threshold evaluator gave them."""
+    gt_by_class = {}
+    for gt in gts:
+        gt_by_class.setdefault(_class_of(gt, task), []).append(gt)
+
+    det_by_class = {}
+    for det in dets:
+        det_by_class.setdefault(_class_of(det, task), []).append(det)
+
+    ranked = {cls: sort_detections(det_by_class.get(cls, [])) for cls in gt_by_class}
+    per_threshold = {}
+    for tau in thresholds:
+        aps = []
+        for cls in sorted(gt_by_class):
+            class_gts = gt_by_class[cls]
+            flags = _legacy_match_detections(ranked[cls], class_gts, tau, task)
+            aps.append(_legacy_average_precision(flags, len(class_gts)))
+        per_threshold[tau] = float(np.mean(aps)) if aps else 0.0
+
+    average = float(np.mean(list(per_threshold.values())))
+    return per_threshold, average
+
+
 def oracle_hard_nms(dets, iou_threshold):
     """Classic hard NMS: keep the best, delete everything overlapping it."""
     remaining = sorted(dets, key=lambda d: (-d.score, d.start, d.action_id))

@@ -38,7 +38,7 @@ def gt(start, end, verb=0, noun=0, video="v"):
     )
 
 
-from oracles import oracle_ap, oracle_mean_ap
+from oracles import oracle_ap, oracle_mean_ap, oracle_mean_ap_legacy
 
 
 def random_instance(rng, max_dets=10, max_gts=5, max_classes=3):
@@ -187,3 +187,62 @@ class TestMeanAp:
             EvalConfig(thresholds=(0.5, 0.1))
         with pytest.raises(InvalidConfig):
             EvalConfig(task="other")
+
+
+# -- the evaluator pinned bit for bit to the per-threshold one ------------------
+
+EXACT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0)
+
+
+def grid_instance(rng):
+    """Half-second-grid detections and ground truth that exercise every
+    matching and summing case: several videos and a video with no ground
+    truth, tied scores and intervals, exact hits, a detection overlapping
+    two ground truths equally, a class with ground truth and no detection,
+    and a crowded class whose AP adds 10 step terms."""
+    videos = ["v0", "v1", "v2"]
+    gts, dets = [], []
+    for _ in range(int(rng.integers(3, 12))):
+        start = int(rng.integers(0, 20)) / 2
+        gts.append(gt(start, start + int(rng.integers(1, 6)) / 2, verb=int(rng.integers(3)),
+                      noun=int(rng.integers(2)), video=str(rng.choice(videos))))
+    for _ in range(int(rng.integers(0, 25))):
+        start = int(rng.integers(0, 20)) / 2
+        dets.append(det(start, start + int(rng.integers(1, 6)) / 2,
+                        score=float(rng.choice([0.2, 0.5, 0.9, rng.uniform(0.01, 1.0)])),
+                        verb=int(rng.integers(3)), noun=int(rng.integers(2)),
+                        video=str(rng.choice(videos + ["no_gt"]))))
+    for i in range(10):
+        crowded = gt(100.0 + 2 * i, 101.0 + 2 * i, verb=3, video="v0")
+        gts.append(crowded)
+        shift = float(rng.choice([0.0, 0.0, 0.5, -0.5]))
+        dets.append(det(crowded.start + shift, crowded.end + shift,
+                        score=float(rng.choice([0.5, rng.uniform(0.01, 1.0)])),
+                        verb=3, video="v0"))
+    gts += [gt(200.0, 202.0, verb=4, video="v1"), gt(201.0, 203.0, verb=4, video="v1"),
+            gt(0.0, 1.0, verb=5, noun=1, video="v2")]
+    # tIoU 0.5 with both; taking the first leaves the later exact hit unmatched
+    dets += [det(201.0, 202.0, score=0.5, verb=4, video="v1"),
+             det(200.0, 202.0, score=0.4, verb=4, video="v1")]
+    return dets, gts
+
+
+class TestMeanApExact:
+    @pytest.mark.parametrize("task", ["verb", "noun", "action"])
+    def test_matches_per_threshold_evaluator_bit_for_bit(self, task):
+        rng = np.random.default_rng(2024)
+        cfg = EvalConfig(thresholds=EXACT_THRESHOLDS, task=task)
+        for _ in range(200):
+            dets, gts = grid_instance(rng)
+            per_threshold, average = oracle_mean_ap_legacy(dets, gts, EXACT_THRESHOLDS, task)
+            got = mean_ap(dets, gts, cfg)
+            assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
+                repr(per_threshold[t]) for t in EXACT_THRESHOLDS]
+            assert repr(got.average) == repr(average)
+
+    def test_equal_overlaps_go_to_the_earliest_ground_truth(self):
+        gts = [gt(200.0, 202.0), gt(201.0, 203.0)]
+        dets = [det(201.0, 202.0, 0.9), det(200.0, 202.0, 0.8)]
+        # the first detection takes gt 0, so the exact hit on gt 0 is a false positive
+        assert match_detections(dets, gts, 0.5) == [True, False]
+        assert match_detections(dets, gts[::-1], 0.5) == [True, True]

@@ -141,6 +141,21 @@ class TestConfigObjectsNameTheKey:
         assert run(tmp_path, ["simulate", "--config", "{c}"], c=text) == 1
         assert "sim_confidence_hi" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, key", [
+        (["simulate"], "sim_confidence_lo = 0\nsim_confidence_hi = 0\nsim_segments = 50\n",
+         "sim_confidence_hi"),
+        (["windows", "--total-features", "10"], "stride_frames = 0\nfps = 30\n",
+         "stride_frames"),
+    ])
+    def test_only_the_key_at_fault_is_named(self, tmp_path, capsys, command, text, key):
+        assert run(tmp_path, [*command, "--config", "{c}"], c=text) == 1
+        assert f"(key {key!r})" in capsys.readouterr().err
+
+    def test_keys_at_fault_together_are_named_together(self, tmp_path, capsys):
+        text = "sim_sigma_min = 0.5\nsim_sigma_max = 0.3\nsim_segments = 50\n"
+        assert run(tmp_path, ["simulate", "--config", "{c}"], c=text) == 1
+        assert "(key 'sim_sigma_min, sim_sigma_max')" in capsys.readouterr().err
+
 
 class TestUnreadableFiles:
     def test_non_utf8_proposal_file(self, tmp_path):
