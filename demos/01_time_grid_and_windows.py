@@ -6,19 +6,19 @@ videos are processed in windows of 4608 feature steps with 50% overlap;
 the last window slides left so that it still has full length.
 """
 
-from tadfusion import (
-    FeatureGrid,
-    boundary_to_seconds,
-    feature_index_to_seconds,
-    generate_windows,
-)
+import numpy as np
+
+from tadfusion import FeatureGrid, generate_windows, intervals_to_seconds
 
 grid = FeatureGrid()
 print("default grid:", grid)
 
+# Feature index i sits at coordinate i: the start of boundary (i, i + 1).
+indices = np.array([0, 1, 30, 1000], dtype=float)
+centers, _, _ = intervals_to_seconds(indices, indices + 1, [0] * len(indices), grid)
 print("\nfeature-index centers:")
-for i in (0, 1, 30, 1000):
-    print(f"  index {i:>5} -> {feature_index_to_seconds(i, grid):9.4f} s")
+for i, seconds in zip(indices.astype(int), centers):
+    print(f"  index {i:>5} -> {seconds:9.4f} s")
 
 # A regressed boundary in window-local feature coordinates converts to
 # seconds using the window's first frame, so overlapping windows agree
@@ -26,11 +26,12 @@ for i in (0, 1, 30, 1000):
 local_boundary = (0.0, 10.0)
 for window_start_feature in (0, 2304):
     w0_frames = window_start_feature * grid.stride_frames
-    windowed = FeatureGrid(window_start_frame=w0_frames)
-    seconds = boundary_to_seconds(local_boundary, windowed)
+    start, end, _ = intervals_to_seconds(
+        np.array(local_boundary[:1]), np.array(local_boundary[1:]), [w0_frames], grid
+    )
     print(
         f"\nboundary {local_boundary} in window starting at feature "
-        f"{window_start_feature}: {seconds[0]:.4f} .. {seconds[1]:.4f} s"
+        f"{window_start_feature}: {start[0]:.4f} .. {end[0]:.4f} s"
     )
 
 print("\nwindow placements:")

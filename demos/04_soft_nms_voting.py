@@ -8,7 +8,14 @@ a score-weighted vote over their strong neighbors.
 
 import math
 
-from tadfusion import ActionDetection, NmsConfig, soft_nms, suppress_video, temporal_iou
+from tadfusion import (
+    ActionDetection,
+    NmsConfig,
+    detection_columns,
+    soft_nms,
+    suppress_video,
+    temporal_iou,
+)
 from tadfusion.suppression import VERB_ACTION_NMS
 
 
@@ -44,10 +51,11 @@ for d in kept_voted:
     print(f"  ({d.start:5.2f}, {d.end:5.2f}) score={d.score:.4f}")
 
 # Suppression is class-wise: identical intervals under different action
-# ids never touch each other.
-mixed = [det(10, 20, 0.9, action_id=1), det(10, 20, 0.9, action_id=2)]
+# ids never touch each other. A video's detections travel as columns.
+mixed = detection_columns([det(10, 20, 0.9, action_id=1), det(10, 20, 0.9, action_id=2)])
 survivors = suppress_video(mixed, VERB_ACTION_NMS, class_key="action")
 print(f"\nsame interval, two action ids -> {len(survivors)} survivors (class isolation)")
+print(f"  their scores: {survivors.score.tolist()}")
 
 # As sigma -> 0 the decay becomes a hard cut-off.
 hard = soft_nms(dets, NmsConfig(sigma=1e-6, min_score=0.001, vote_threshold=0.75))

@@ -11,12 +11,10 @@ detector.
 __version__ = "0.1.0"
 
 from .composition import (
-    ActionCandidate,
     VocabSpec,
     compose_actions,
     decode_action_id,
     encode_action_id,
-    top_k,
 )
 from .config import PipelineConfig, parse_config, parse_config_text
 from .errors import (
@@ -79,6 +77,7 @@ from .suppression import (
     NMS_PRESETS,
     NOUN_NMS,
     VERB_ACTION_NMS,
+    detection_columns,
     soft_nms,
     suppress_video,
     temporal_iou,
@@ -86,8 +85,7 @@ from .suppression import (
 from .timeline import (
     FeatureGrid,
     Window,
-    boundary_to_seconds,
-    feature_index_to_seconds,
     generate_windows,
+    intervals_to_seconds,
     seconds_to_feature_coord,
 )

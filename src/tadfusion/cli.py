@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
+from operator import attrgetter
 
 from . import __version__
 from .config import PipelineConfig, parse_config
-from .errors import PipelineError
-from .fusion import FUSION_MODES
+from .errors import ParseError, PipelineError
+from .fusion import FUSION_MODES, fuse_proposals
 from .io import (
     read_ground_truth,
     read_proposal_file,
@@ -27,12 +29,12 @@ from .pipeline import (
     evaluate_files,
     format_metrics_keyvalues,
     format_metrics_table,
-    fuse_candidate_boundary,
     run_pipeline,
+    stack_records,
     suppress_submission,
 )
 from .simulation import compare_fusion, generate_scenario
-from .suppression import NMS_PRESETS
+from .suppression import NMS_PRESETS, detection_columns
 from .timeline import generate_windows
 
 
@@ -67,9 +69,18 @@ def cmd_fuse(args) -> int:
     cfg = _load_config(args)
     records = read_proposal_file(args.proposals, cfg.vocab())
     lines = ["# video_id fused_start fused_end"]
-    for record in records:
-        fused = fuse_candidate_boundary(record, cfg)
-        lines.append(f"{record.video_id} {fused[0]:.4f} {fused[1]:.4f}")
+    # one video's consecutive records fuse together, in file order
+    for _, run in groupby(records, attrgetter("video_id")):
+        run = list(run)
+        start, end = fuse_proposals(*stack_records(run), cfg.fusion_mode, cfg.epsilon)
+        for record, fused_start, fused_end in zip(run, start.tolist(), end.tolist()):
+            if fused_start >= fused_end:
+                raise ParseError(
+                    f"fused boundary ({fused_start}, {fused_end}) of video "
+                    f"{record.video_id!r} at window start {record.window_start} "
+                    "is empty or inverted"
+                )
+            lines.append(f"{record.video_id} {fused_start:.4f} {fused_end:.4f}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -77,7 +88,8 @@ def cmd_fuse(args) -> int:
 def cmd_nms(args) -> int:
     cfg = _load_config(args)
     doc = read_submission(args.input, cfg.vocab())
-    doc = suppress_submission(doc.results, cfg.nms_config(), doc.version)
+    by_video = {video_id: detection_columns(dets) for video_id, dets in doc.results.items()}
+    doc = suppress_submission(by_video, cfg.nms_config(), doc.version)
     _emit(serialize_submission(doc), args.output)
     return 0
 

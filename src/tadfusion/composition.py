@@ -9,7 +9,6 @@ evidence support it. Action labels flatten to ``noun_count * q + p``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +37,6 @@ class VocabSpec:
         return self.noun_count * self.verb_count
 
 
-@dataclass(frozen=True)
-class ActionCandidate:
-    """A composed (verb, noun) hypothesis with its score."""
-
-    noun_index: int
-    verb_index: int
-    action_id: int
-    score: float
-
-
 def encode_action_id(noun_index: int, verb_index: int, vocab: VocabSpec = VocabSpec()) -> int:
     """Flatten a (noun, verb) pair to a single action id."""
     if not 0 <= noun_index < vocab.noun_count:
@@ -66,17 +55,10 @@ def decode_action_id(action_id: int, vocab: VocabSpec = VocabSpec()) -> tuple[in
     return action_id % vocab.noun_count, action_id // vocab.noun_count
 
 
-def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
-    """Indices and values of the k highest entries, score descending.
-
-    Ties break by ascending class index. Returns fewer than k pairs when
-    the vector is shorter than k.
-    """
-    if k < 1:
-        raise InvalidConfig("k must be >= 1")
-    vec = np.asarray(scores, dtype=float)
-    order = sorted(range(vec.size), key=lambda i: (-vec[i], i))
-    return [(i, float(vec[i])) for i in order[:k]]
+# Composed action hypotheses are a record array of this dtype: noun and
+# verb class index, flat action id and score.
+CANDIDATE = np.dtype([("noun", np.int64), ("verb", np.int64), ("action", np.int64),
+                      ("score", float)])
 
 
 def compose_actions(
@@ -85,33 +67,34 @@ def compose_actions(
     k_n: int = DEFAULT_TOP_K_NOUNS,
     k_v: int = DEFAULT_TOP_K_VERBS,
     vocab: VocabSpec = VocabSpec(),
-) -> list[ActionCandidate]:
-    """Cross the top noun and verb classes of one aligned proposal pair.
+) -> np.recarray:
+    """Cross the top noun and verb classes of aligned proposal pairs.
 
-    Emits ``min(k_n, nouns) * min(k_v, verbs)`` candidates sorted by
-    ``P_noun * P_verb`` descending (ties by ascending action id), each
-    scored as ``sqrt(P_noun * P_verb)``.
+    ``noun_scores`` and ``verb_scores`` are ``(R, nouns)`` and ``(R, verbs)``
+    matrices, one row per pair, or one pair's two vectors. Each pair gives
+    ``min(k_n, nouns) * min(k_v, verbs)`` candidates from its top classes
+    (ties go to the lower index), sorted by ``P_noun * P_verb`` descending
+    (ties by ascending action id) and scored as ``sqrt(P_noun * P_verb)``.
+    The result holds them pair after pair.
     """
-    if len(noun_scores) != vocab.noun_count:
+    nouns = np.atleast_2d(np.asarray(noun_scores, dtype=float))
+    verbs = np.atleast_2d(np.asarray(verb_scores, dtype=float))
+    if (nouns.shape[1], verbs.shape[1]) != (vocab.noun_count, vocab.verb_count):
         raise InvalidConfig(
-            f"noun scores have {len(noun_scores)} entries, vocabulary expects {vocab.noun_count}"
-        )
-    if len(verb_scores) != vocab.verb_count:
-        raise InvalidConfig(
-            f"verb scores have {len(verb_scores)} entries, vocabulary expects {vocab.verb_count}"
-        )
+            f"score vectors have {nouns.shape[1]} noun and {verbs.shape[1]} verb entries, "
+            f"vocabulary expects {vocab.noun_count} and {vocab.verb_count}")
+    if k_n < 1 or k_v < 1:
+        raise InvalidConfig("k must be >= 1")
+    # a stable sort of the negated scores breaks ties by the lower index
+    p = np.argsort(-nouns, axis=1, kind="stable")[:, :k_n]
+    q = np.argsort(-verbs, axis=1, kind="stable")[:, :k_v]
+    shape = (len(nouns), p.shape[1] * q.shape[1])
+    product = (np.take_along_axis(nouns, p, 1)[:, :, None]
+               * np.take_along_axis(verbs, q, 1)[:, None, :]).reshape(shape)
+    noun, verb = np.repeat(p, q.shape[1], axis=1), np.tile(q, (1, p.shape[1]))
+    composed = np.rec.fromarrays([noun, verb, vocab.noun_count * verb + noun, product],
+                                 dtype=CANDIDATE)
     # rank on the product: two products one ulp apart can share a sqrt
-    ranked = []
-    verb_top = top_k(verb_scores, k_v)
-    for p, noun_score in top_k(noun_scores, k_n):
-        for q, verb_score in verb_top:
-            product = noun_score * verb_score
-            candidate = ActionCandidate(
-                noun_index=p,
-                verb_index=q,
-                action_id=encode_action_id(p, q, vocab),
-                score=math.sqrt(product),
-            )
-            ranked.append((-product, candidate.action_id, candidate))
-    ranked.sort(key=lambda entry: entry[:2])
-    return [candidate for *_, candidate in ranked]
+    composed = np.take_along_axis(composed, np.lexsort((composed.action, -product), axis=1), 1)
+    composed.score = np.sqrt(composed.score)
+    return composed.reshape(-1)

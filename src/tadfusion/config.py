@@ -67,12 +67,9 @@ class PipelineConfig:
     sim_sigma_max: float = ScenarioConfig.sigma_max
     sim_seed: int = ScenarioConfig.seed
 
-    def grid(self, window_start_frame: int = 0) -> FeatureGrid:
+    def grid(self) -> FeatureGrid:
         return FeatureGrid(
-            stride_frames=self.stride_frames,
-            offset_frames=self.offset_frames,
-            fps=self.fps,
-            window_start_frame=window_start_frame,
+            stride_frames=self.stride_frames, offset_frames=self.offset_frames, fps=self.fps
         )
 
     def vocab(self) -> VocabSpec:

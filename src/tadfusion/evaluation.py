@@ -79,7 +79,7 @@ def _task_class(obj, task: str):
 
 def sort_detections(dets: list[ActionDetection]) -> list[ActionDetection]:
     """Score-descending order with deterministic tie-breaks."""
-    return sorted(dets, key=lambda d: (*rank_key(d, d.score), d.video_id))
+    return sorted(dets, key=lambda d: (*rank_key(d), d.video_id))
 
 
 def _overlap_rows(dets, gts, task: str) -> list[list[tuple[int, float]]]:

@@ -38,12 +38,12 @@ class FusionWeights:
 def stream_confidences(
     noun_scores: np.ndarray, verb_scores: np.ndarray
 ) -> tuple[float, float]:
-    """Scalar per-stream confidences: the maximum class probability."""
+    """Per-stream confidences: the maximum class probability, per vector or matrix row."""
     noun = np.asarray(noun_scores, dtype=float)
     verb = np.asarray(verb_scores, dtype=float)
-    if noun.size == 0 or verb.size == 0:
+    if noun.shape[-1] == 0 or verb.shape[-1] == 0:
         raise EmptyVector("score vectors must be non-empty")
-    return float(noun.max()), float(verb.max())
+    return noun.max(axis=-1), verb.max(axis=-1)
 
 
 def dwf_weights(
@@ -60,6 +60,11 @@ def dwf_weights(
     return FusionWeights(noun_weight=noun_confidence / total, verb_weight=verb_confidence / total)
 
 
+def _weighted(noun_boundary, verb_boundary, weights: FusionWeights):
+    return (weights.noun_weight * noun_boundary[0] + weights.verb_weight * verb_boundary[0],
+            weights.noun_weight * noun_boundary[1] + weights.verb_weight * verb_boundary[1])
+
+
 def fuse_boundaries(
     noun_boundary: tuple[float, float],
     verb_boundary: tuple[float, float],
@@ -70,16 +75,25 @@ def fuse_boundaries(
     Applied to both start and end; each coordinate may be an array of
     proposals, with weights to match. The candidate's action score is not
     read or modified. Candidates whose confidences both vanish collapse
-    to a point interval; upstream min-score filtering removes them, and
-    this raises ``DegenerateInterval`` as a backstop.
+    to a point interval, which raises ``DegenerateInterval``.
     """
-    fused_start = weights.noun_weight * noun_boundary[0] + weights.verb_weight * verb_boundary[0]
-    fused_end = weights.noun_weight * noun_boundary[1] + weights.verb_weight * verb_boundary[1]
+    fused_start, fused_end = _weighted(noun_boundary, verb_boundary, weights)
     if np.any(fused_start >= fused_end):
         raise DegenerateInterval(
             f"fused boundary ({fused_start}, {fused_end}) is empty or inverted"
         )
     return (fused_start, fused_end)
+
+
+def fuse_proposals(noun_boundary, verb_boundary, noun_scores, verb_scores, mode: str,
+                   epsilon: float = DEFAULT_FUSION_EPSILON) -> tuple[np.ndarray, np.ndarray]:
+    """Fused ``(start, end)`` arrays of R aligned proposals under ``mode``:
+    boundaries are ``(starts, ends)`` arrays, scores ``(R, classes)``
+    matrices. An empty or inverted interval is returned as it is."""
+    if mode == "mean":
+        return hard_mean_fusion(noun_boundary, verb_boundary)
+    weights = dwf_weights(*stream_confidences(noun_scores, verb_scores), epsilon)
+    return _weighted(noun_boundary, verb_boundary, weights)
 
 
 def hard_mean_fusion(

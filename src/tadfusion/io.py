@@ -19,7 +19,7 @@ import numpy as np
 from .composition import VocabSpec, encode_action_id
 from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GroundTruthInstance
-from .suppression import ActionDetection, by_rank
+from .suppression import ActionDetection
 
 SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
@@ -189,33 +189,26 @@ class SubmissionDocument:
 
 
 def build_submission(
-    detections_by_video: dict[str, list[ActionDetection]], version: str = SUBMISSION_VERSION
+    detections_by_video: dict[str, np.recarray], version: str = SUBMISSION_VERSION
 ) -> SubmissionDocument:
-    """Assemble a submission with quantized times/scores and sorted order.
+    """Assemble a submission of detection objects, quantized, in rank order.
 
     Times and scores are rounded to 4 decimals (well below any matching
     tolerance that matters) so that serialization round-trips exactly.
     """
     results = {}
     for video_id in sorted(detections_by_video):
-        dets = []
-        for d in detections_by_video[video_id]:
-            start = round(d.start, 4)
-            end = round(d.end, 4)
-            if start >= end:
-                continue  # quantization collapsed a sub-0.1ms interval
-            dets.append(
-                ActionDetection(
-                    video_id=d.video_id,
-                    start=start,
-                    end=end,
-                    verb_index=d.verb_index,
-                    noun_index=d.noun_index,
-                    action_id=d.action_id,
-                    score=round(d.score, 4),
-                )
-            )
-        results[video_id] = by_rank(dets)
+        dets = detections_by_video[video_id]
+        start, end, score = (np.array([round(x, 4) for x in column.tolist()], dtype=float)
+                             for column in (dets.start, dets.end, dets.score))
+        kept = np.flatnonzero(~(start >= end))  # quantization collapses sub-0.1ms intervals
+        # a stable sort: equal ranks keep their input order
+        kept = kept[np.lexsort((dets.action[kept], start[kept], -score[kept]))]
+        results[video_id] = [
+            ActionDetection(video_id, *row) for row in zip(
+                start[kept].tolist(), end[kept].tolist(), dets.verb[kept].tolist(),
+                dets.noun[kept].tolist(), dets.action[kept].tolist(), score[kept].tolist())
+        ]
     return SubmissionDocument(version=version, results=results)
 
 

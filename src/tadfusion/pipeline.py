@@ -11,11 +11,12 @@ class-wise before serialization.
 from __future__ import annotations
 
 import logging
-import math
+
+import numpy as np
 
 from .composition import VocabSpec, compose_actions
 from .config import PipelineConfig
-from .errors import DegenerateInterval, ParseError
+from .errors import ParseError
 from .evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     EvalConfig,
@@ -23,69 +24,52 @@ from .evaluation import (
     MeanApResult,
     mean_ap,
 )
-from .fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
+from .fusion import fuse_proposals
 from .io import (
     ProposalRecord,
     SubmissionDocument,
     build_submission,
     submission_detections,
 )
-from .suppression import CLASS_KEYS, ActionDetection, NmsConfig, suppress_video
-from .timeline import boundary_to_seconds
+from .suppression import CLASS_KEYS, DETECTION, NmsConfig, suppress_video
+from .timeline import intervals_to_seconds
 
 logger = logging.getLogger(__name__)
 
 
-def fuse_candidate_boundary(record: ProposalRecord, cfg: PipelineConfig) -> tuple[float, float]:
-    """Fuse a record's aligned noun and verb boundaries under the configured mode.
-
-    Fusion is proposal-wise: every candidate composed from the record
-    shares this one interval.
-    """
-    if cfg.fusion_mode == "mean":
-        return hard_mean_fusion(record.noun_boundary, record.verb_boundary)
-    c_noun, c_verb = stream_confidences(record.noun_scores, record.verb_scores)
-    weights = dwf_weights(c_noun, c_verb, cfg.epsilon)
-    return fuse_boundaries(record.noun_boundary, record.verb_boundary, weights)
+def stack_records(records: list[ProposalRecord]):
+    """Noun and verb boundaries (``(starts, ends)`` arrays) and score matrices of records."""
+    noun_boundary = np.array([r.noun_boundary for r in records], dtype=float).T
+    verb_boundary = np.array([r.verb_boundary for r in records], dtype=float).T
+    noun_scores = np.stack([r.noun_scores for r in records])
+    verb_scores = np.stack([r.verb_scores for r in records])
+    return noun_boundary, verb_boundary, noun_scores, verb_scores
 
 
-def _record_detections(
-    record: ProposalRecord, cfg: PipelineConfig, vocab: VocabSpec, min_score: float
-) -> list[ActionDetection]:
-    candidates = compose_actions(
-        record.noun_scores, record.verb_scores, cfg.top_k_nouns, cfg.top_k_verbs, vocab
-    )
-    grid = cfg.grid(window_start_frame=record.window_start * cfg.stride_frames)
-    candidates = [cand for cand in candidates if cand.score >= min_score]
-    if not candidates:
-        return []
-    try:
-        start_s, end_s = boundary_to_seconds(fuse_candidate_boundary(record, cfg), grid)
-    except DegenerateInterval:
-        return []  # empty after fusion or clamping; nothing to keep
-    except OverflowError:  # a window start too large for a float
-        start_s = end_s = math.inf
-    if not (math.isfinite(start_s) and math.isfinite(end_s)):
-        raise ParseError(
-            f"boundary of video {record.video_id!r} at window start {record.window_start} "
-            "is too large to convert to finite seconds"
-        )
-    return [
-        ActionDetection(
-            video_id=record.video_id,
-            start=start_s,
-            end=end_s,
-            verb_index=cand.verb_index,
-            noun_index=cand.noun_index,
-            action_id=cand.action_id,
-            score=cand.score,
-        )
-        for cand in candidates
-    ]
+def _video_detections(
+    records: list[ProposalRecord], cfg: PipelineConfig, vocab: VocabSpec, min_score: float
+) -> tuple[np.recarray, np.ndarray]:
+    """One video's candidates, each with its record's fused interval in
+    seconds (records whose interval is empty are dropped), and a mask of
+    the records whose interval is not finite but has a surviving candidate."""
+    noun_boundary, verb_boundary, noun_scores, verb_scores = stack_records(records)
+    composed = compose_actions(
+        noun_scores, verb_scores, cfg.top_k_nouns, cfg.top_k_verbs, vocab
+    ).reshape(len(records), -1)
+    start, end = fuse_proposals(noun_boundary, verb_boundary, noun_scores, verb_scores,
+                                cfg.fusion_mode, cfg.epsilon)
+    frames = [r.window_start * cfg.stride_frames for r in records]
+    start_s, end_s, kept = intervals_to_seconds(start, end, frames, cfg.grid())
+    passing = composed.score >= min_score
+    unconvertible = passing.any(axis=1) & kept & ~(np.isfinite(start_s) & np.isfinite(end_s))
+    passing &= kept[:, None]
+    record, cand = np.nonzero(passing)[0], composed[passing]
+    return np.rec.fromarrays([start_s[record], end_s[record], cand.verb, cand.noun,
+                              cand.action, cand.score], dtype=DETECTION), unconvertible
 
 
 def suppress_submission(
-    by_video: dict[str, list[ActionDetection]], nms_cfg: NmsConfig, version: str
+    by_video: dict[str, np.recarray], nms_cfg: NmsConfig, version: str
 ) -> SubmissionDocument:
     """Suppress each video's detections, in video order, into a submission."""
     suppressed = {
@@ -98,6 +82,7 @@ def suppress_submission(
 def run_pipeline(records: list[ProposalRecord], cfg: PipelineConfig) -> SubmissionDocument:
     """Run the full post-processing chain over parsed proposal records.
 
+    Each video's records are composed, fused and converted together.
     Empty input is not an error: it produces a valid empty submission
     (with a warning), so a video with no surviving proposals still
     yields well-formed output.
@@ -106,10 +91,21 @@ def run_pipeline(records: list[ProposalRecord], cfg: PipelineConfig) -> Submissi
         logger.warning("no proposal records; emitting an empty submission")
     vocab = cfg.vocab()
     nms_cfg = cfg.nms_config()
-    by_video: dict[str, list[ActionDetection]] = {}
-    for record in records:
-        by_video.setdefault(record.video_id, []).extend(
-            _record_detections(record, cfg, vocab, nms_cfg.min_score)
+    positions: dict[str, list[int]] = {}
+    for i, record in enumerate(records):
+        positions.setdefault(record.video_id, []).append(i)
+    by_video: dict[str, np.recarray] = {}
+    unconvertible = []
+    for video_id, rows in positions.items():
+        by_video[video_id], bad = _video_detections(
+            [records[i] for i in rows], cfg, vocab, nms_cfg.min_score
+        )
+        unconvertible.extend(np.asarray(rows)[bad].tolist())
+    if unconvertible:  # name the first such record in the file
+        record = records[min(unconvertible)]
+        raise ParseError(
+            f"boundary of video {record.video_id!r} at window start {record.window_start} "
+            "is too large to convert to finite seconds"
         )
     return suppress_submission(by_video, nms_cfg, cfg.submission_version)
 

@@ -17,7 +17,9 @@ interval, so voting moves only the reported boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import InvalidConfig
 
@@ -78,6 +80,18 @@ class ActionDetection:
         return (self.start, self.end)
 
 
+# One video's detections pass from composition to the submission as a
+# record array of this dtype; a task's class column is named after it.
+DETECTION = np.dtype([("start", float), ("end", float), ("verb", np.int64), ("noun", np.int64),
+                      ("action", np.int64), ("score", float)])
+
+
+def detection_columns(dets: list[ActionDetection]) -> np.recarray:
+    """The detection objects as a record array, in their order."""
+    return np.rec.fromrecords([(d.start, d.end, d.verb_index, d.noun_index, d.action_id,
+                                d.score) for d in dets], dtype=DETECTION)
+
+
 def temporal_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Intersection-over-union of two time intervals; 0 when disjoint."""
     intersection = min(a[1], b[1]) - max(a[0], b[0])
@@ -87,35 +101,12 @@ def temporal_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
     return intersection / union
 
 
-def rank_key(det: ActionDetection, score: float) -> tuple:
-    """Rank order of detections: ``score`` descending, then earlier start,
-    then smaller action id. ``score`` is ``det.score`` everywhere except
-    inside Soft-NMS, which ranks by the decayed score."""
-    return (-score, det.start, det.action_id)
+def rank_key(det: ActionDetection) -> tuple:
+    """Rank order of detections: score descending, earlier start, smaller action id."""
+    return (-det.score, det.start, det.action_id)
 
 
-def by_rank(dets) -> list[ActionDetection]:
-    """``dets`` sorted by ``rank_key`` of their own scores."""
-    return sorted(dets, key=lambda d: rank_key(d, d.score))
-
-
-def class_key_of(det: ActionDetection, class_key: str):
-    """Class identity used for grouping under the given task."""
-    if class_key == "verb":
-        return det.verb_index
-    if class_key == "noun":
-        return det.noun_index
-    if class_key == "action":
-        return det.action_id
-    raise InvalidConfig(f"class_key must be one of {CLASS_KEYS}, got {class_key!r}")
-
-
-def soft_nms(
-    dets: list[ActionDetection],
-    cfg: NmsConfig,
-    *,
-    vote: bool = False,
-) -> list[ActionDetection]:
+def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
     """Soft-NMS over detections of one class on one video.
 
     Iteratively keeps the highest-scoring detection and decays every
@@ -126,17 +117,26 @@ def soft_nms(
     ``cfg.vote_threshold``, weighted by original scores; the kept score
     is not voted. One pass per round computes each neighbor's tIoU once
     and uses it for both the vote and the decay.
+
+    ``dets`` are ActionDetection objects, kept ones returned in rank
+    order, or rows ``[-score, start, action_id, position, end, score]``,
+    which this consumes, kept ones returned in the order they were kept
+    as ``(-score, start, action_id, position, end)``.
     """
-    # pool entries: [*rank_key(det, current score), input position, end, det],
-    # so min(pool) is the next to keep and -entry[0] is its current score
-    pool = [[*rank_key(d, d.score), i, d.end, d] for i, d in enumerate(dets)]
+    if dets and isinstance(dets[0], ActionDetection):
+        rows = [[-d.score, d.start, d.action_id, i, d.end, d.score] for i, d in enumerate(dets)]
+        kept = [replace(dets[i], start=start, end=end, score=-neg_score)
+                for neg_score, start, _, i, end in soft_nms(rows, cfg, vote=vote)]
+        return sorted(kept, key=rank_key)
+    # min(pool) is the next to keep: its rank key is its first three
+    # fields, with the current score, and the position breaks ties
+    pool = dets
     sigma, min_score, vote_threshold = cfg.sigma, cfg.min_score, cfg.vote_threshold
-    kept: list[ActionDetection] = []
+    kept = []
     while pool and len(kept) < cfg.max_per_video:
         best = min(pool)
         pool.remove(best)
-        neg_score, start, _, _, end, det = best
-        weight = det.score
+        neg_score, start, action_id, position, end, weight = best
         start_sum, end_sum = weight * start, weight * end
         survivors = []
         for entry in pool:
@@ -147,7 +147,7 @@ def soft_nms(
             if inter > 0.0:
                 iou = inter / ((hi if hi > end else end) - (lo if lo < start else start))
                 if vote and iou >= vote_threshold:
-                    score = entry[5].score
+                    score = entry[5]
                     weight += score
                     start_sum += score * lo
                     end_sum += score * hi
@@ -158,27 +158,37 @@ def soft_nms(
         pool = survivors
         if vote and weight > 0.0:
             start, end = start_sum / weight, end_sum / weight
-        kept.append(ActionDetection(det.video_id, start, end, det.verb_index,
-                                    det.noun_index, det.action_id, -neg_score))
-    return by_rank(kept)
+        kept.append((neg_score, start, action_id, position, end))
+    return kept
 
 
-def suppress_video(
-    dets: list[ActionDetection],
-    cfg: NmsConfig,
-    class_key: str = "action",
-) -> list[ActionDetection]:
+def suppress_video(dets: np.recarray, cfg: NmsConfig, class_key: str = "action") -> np.recarray:
     """Suppress one video's pooled detections, class by class.
 
-    Applies the global pre-NMS cap by score, runs Soft-NMS with boundary
-    voting within each class group, then merges, sorts by score and
-    truncates to ``max_per_video``.
+    Applies the global pre-NMS cap by rank, runs Soft-NMS with boundary
+    voting within each class pool, then merges the pools in rank order
+    and truncates to ``max_per_video``. Equal ranks keep pool order, then
+    the order in which Soft-NMS kept them.
     """
-    groups: dict = {}
-    for det in by_rank(dets)[: cfg.pre_nms_cap]:
-        groups.setdefault(class_key_of(det, class_key), []).append(det)
-
-    merged: list[ActionDetection] = []
-    for key in sorted(groups):
-        merged.extend(soft_nms(groups[key], cfg, vote=True))
-    return by_rank(merged)[: cfg.max_per_video]
+    if class_key not in CLASS_KEYS:
+        raise InvalidConfig(f"class_key must be one of {CLASS_KEYS}, got {class_key!r}")
+    if not len(dets):
+        return dets
+    order = np.lexsort((dets.action, dets.start, -dets.score))[: cfg.pre_nms_cap]
+    classes = dets[class_key][order]
+    pools = np.argsort(classes, kind="stable")  # ascending class, rank order within
+    order, classes = order[pools], classes[pools]
+    score = dets.score[order]
+    rows = list(map(list, zip((-score).tolist(), dets.start[order].tolist(),
+                              dets.action[order].tolist(), range(len(order)),
+                              dets.end[order].tolist(), score.tolist())))
+    bounds = [0, *(np.flatnonzero(classes[1:] != classes[:-1]) + 1).tolist(), len(rows)]
+    merged = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        merged.extend(soft_nms(rows[lo:hi], cfg, vote=True))
+    neg_score, start, action_id, position, end = (np.array(c) for c in zip(*merged))
+    # stable: equal ranks keep pool order, then the order Soft-NMS kept them
+    ranked = np.lexsort((action_id, start, neg_score))[: cfg.max_per_video]
+    kept = dets[order[position[ranked]]]
+    kept.start, kept.end, kept.score = start[ranked], end[ranked], -neg_score[ranked]
+    return kept

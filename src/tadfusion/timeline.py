@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateInterval, InvalidConfig, InvalidOverlap
+import numpy as np
+
+from .errors import InvalidConfig, InvalidOverlap
 
 DEFAULT_STRIDE_FRAMES = 8
 DEFAULT_OFFSET_FRAMES = 4
@@ -23,16 +25,11 @@ DEFAULT_WINDOW_OVERLAP = 0.5
 
 @dataclass(frozen=True)
 class FeatureGrid:
-    """Constants mapping feature indices to seconds.
-
-    ``window_start_frame`` is the first video frame of the sliding window
-    the coordinates are local to; 0 for single-window videos.
-    """
+    """Constants mapping feature coordinates to seconds."""
 
     stride_frames: int = DEFAULT_STRIDE_FRAMES
     offset_frames: int = DEFAULT_OFFSET_FRAMES
     fps: float = DEFAULT_FPS
-    window_start_frame: int = 0
 
     def __post_init__(self):
         if self.stride_frames < 1:
@@ -41,8 +38,6 @@ class FeatureGrid:
             raise InvalidConfig("offset_frames must be >= 0")
         if self.fps <= 0:
             raise InvalidConfig("fps must be positive")
-        if self.window_start_frame < 0:
-            raise InvalidConfig("window_start_frame must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -63,48 +58,48 @@ class Window:
         return self.start_feature + self.length_features
 
 
-def feature_index_to_seconds(i: int, grid: FeatureGrid = FeatureGrid()) -> float:
-    """Map feature index ``i`` to the second of its temporal center."""
-    if i < 0:
-        raise InvalidConfig(f"feature index must be >= 0, got {i}")
-    return (i * grid.stride_frames + grid.offset_frames) / grid.fps
+def _float_or_inf(n: int) -> float:
+    try:
+        return float(n)
+    except OverflowError:  # an integer past the float range
+        return math.inf
 
 
-def boundary_to_seconds(
-    boundary: tuple[float, float], grid: FeatureGrid = FeatureGrid()
-) -> tuple[float, float]:
-    """Convert a (start, end) pair in feature coordinates to seconds.
+def intervals_to_seconds(
+    start: np.ndarray, end: np.ndarray, window_start_frame, grid: FeatureGrid = FeatureGrid()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convert arrays of (start, end) feature coordinates to seconds.
 
     Coordinates may be fractional (regressed) and may undershoot the
-    window origin; negative values clamp to 0 before conversion. The
-    window's start frame shifts both ends so that overlapping windows
-    share a single global clock.
+    window origin; negative values clamp to 0 before conversion. Row i is
+    local to the window starting at video frame ``window_start_frame[i]``
+    (an integer), so overlapping windows share one global clock. Feature
+    index i, at coordinate i, is the temporal center of its feature step.
 
-    Raises:
-        DegenerateInterval: if the input is inverted/empty, or if
-            clamping collapses it to a point.
+    Returns ``(start_s, end_s, kept)``; ``kept`` is False where the input
+    is empty or inverted, or clamping collapses it to a point.
     """
-    start, end = boundary
-    if start >= end:
-        raise DegenerateInterval(f"boundary start {start} >= end {end}")
-    start = max(start, 0.0)
-    end = max(end, 0.0)
-    if start >= end:
-        raise DegenerateInterval("boundary collapsed to a point after clamping at 0")
-
-    def convert(u: float) -> float:
-        return (u * grid.stride_frames + grid.window_start_frame + grid.offset_frames) / grid.fps
-
-    return (convert(start), convert(end))
+    kept = ~(start >= end)
+    start = np.where(0.0 > start, 0.0, start)  # max(start, 0.0), -0.0 and nan as is
+    end = np.where(0.0 > end, 0.0, end)
+    kept &= ~(start >= end)
+    frames = np.array([_float_or_inf(f) for f in window_start_frame], dtype=float)
+    with np.errstate(over="ignore"):  # huge coordinates become inf seconds
+        start_s = (start * grid.stride_frames + frames + grid.offset_frames) / grid.fps
+        end_s = (end * grid.stride_frames + frames + grid.offset_frames) / grid.fps
+    return start_s, end_s, kept
 
 
-def seconds_to_feature_coord(seconds: float, grid: FeatureGrid = FeatureGrid()) -> float:
-    """Inverse of the boundary conversion: seconds to feature coordinates.
+def seconds_to_feature_coord(
+    seconds: float, grid: FeatureGrid = FeatureGrid(), window_start_frame: int = 0
+) -> float:
+    """Inverse of ``intervals_to_seconds``: seconds to feature coordinates
+    local to the window starting at ``window_start_frame``.
 
     The result may be negative for times before the grid's first center;
     the forward conversion clamps those at 0.
     """
-    return (seconds * grid.fps - grid.window_start_frame - grid.offset_frames) / grid.stride_frames
+    return (seconds * grid.fps - window_start_frame - grid.offset_frames) / grid.stride_frames
 
 
 def generate_windows(

@@ -7,12 +7,16 @@ between module output and these references is a meaningful check.
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
+from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
 from tadfusion.evaluation import sort_detections
 from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
+from tadfusion.io import SubmissionDocument
 from tadfusion.simulation import FusionReport, scenario_to_records
+from tadfusion.suppression import ActionDetection
 
 
 def oracle_interval_iou(a, b):
@@ -263,3 +267,170 @@ def oracle_compare_fusion(scenario, epsilon):
         confidence_error_correlation=correlation,
         p_value=p_value,
     )
+
+
+# The post-processing chain as it ran one proposal record and one
+# detection object at a time: ``_record_detections``,
+# ``suppress_submission`` and ``build_submission`` verbatim, with the
+# top-K composition, per-record fusion, scalar seconds conversion and
+# object-at-a-time suppression they called (Soft-NMS by
+# ``oracle_soft_nms``), so the columnar chain can be pinned to it byte
+# for byte.
+class _Candidate(NamedTuple):
+    noun_index: int
+    verb_index: int
+    action_id: int
+    score: float
+
+
+def _legacy_top_k(scores, k):
+    if k < 1:
+        raise InvalidConfig("k must be >= 1")
+    vec = np.asarray(scores, dtype=float)
+    order = sorted(range(vec.size), key=lambda i: (-vec[i], i))
+    return [(i, float(vec[i])) for i in order[:k]]
+
+
+def _legacy_compose_actions(noun_scores, verb_scores, k_n, k_v, vocab):
+    # rank on the product: two products one ulp apart can share a sqrt
+    ranked = []
+    verb_top = _legacy_top_k(verb_scores, k_v)
+    for p, noun_score in _legacy_top_k(noun_scores, k_n):
+        for q, verb_score in verb_top:
+            product = noun_score * verb_score
+            candidate = _Candidate(
+                noun_index=p,
+                verb_index=q,
+                action_id=vocab.noun_count * q + p,
+                score=math.sqrt(product),
+            )
+            ranked.append((-product, candidate.action_id, candidate))
+    ranked.sort(key=lambda entry: entry[:2])
+    return [candidate for *_, candidate in ranked]
+
+
+def _legacy_fuse_candidate_boundary(record, cfg):
+    if cfg.fusion_mode == "mean":
+        return hard_mean_fusion(record.noun_boundary, record.verb_boundary)
+    c_noun, c_verb = float(np.max(record.noun_scores)), float(np.max(record.verb_scores))
+    weights = dwf_weights(c_noun, c_verb, cfg.epsilon)
+    return fuse_boundaries(record.noun_boundary, record.verb_boundary, weights)
+
+
+def _legacy_boundary_to_seconds(boundary, grid, window_start_frame):
+    start, end = boundary
+    if start >= end:
+        raise DegenerateInterval(f"boundary start {start} >= end {end}")
+    start = max(start, 0.0)
+    end = max(end, 0.0)
+    if start >= end:
+        raise DegenerateInterval("boundary collapsed to a point after clamping at 0")
+
+    def convert(u: float) -> float:
+        return (u * grid.stride_frames + window_start_frame + grid.offset_frames) / grid.fps
+
+    return (convert(start), convert(end))
+
+
+def _legacy_record_detections(record, cfg, vocab, min_score):
+    candidates = _legacy_compose_actions(
+        record.noun_scores, record.verb_scores, cfg.top_k_nouns, cfg.top_k_verbs, vocab
+    )
+    grid, window_start_frame = cfg.grid(), record.window_start * cfg.stride_frames
+    candidates = [cand for cand in candidates if cand.score >= min_score]
+    if not candidates:
+        return []
+    try:
+        start_s, end_s = _legacy_boundary_to_seconds(
+            _legacy_fuse_candidate_boundary(record, cfg), grid, window_start_frame)
+    except DegenerateInterval:
+        return []  # empty after fusion or clamping; nothing to keep
+    except OverflowError:  # a window start too large for a float
+        start_s = end_s = math.inf
+    if not (math.isfinite(start_s) and math.isfinite(end_s)):
+        raise ParseError(
+            f"boundary of video {record.video_id!r} at window start {record.window_start} "
+            "is too large to convert to finite seconds"
+        )
+    return [
+        ActionDetection(
+            video_id=record.video_id,
+            start=start_s,
+            end=end_s,
+            verb_index=cand.verb_index,
+            noun_index=cand.noun_index,
+            action_id=cand.action_id,
+            score=cand.score,
+        )
+        for cand in candidates
+    ]
+
+
+def _legacy_class_key_of(det, class_key):
+    if class_key == "verb":
+        return det.verb_index
+    if class_key == "noun":
+        return det.noun_index
+    if class_key == "action":
+        return det.action_id
+    raise InvalidConfig(f"class_key must be one of ('verb', 'noun', 'action'), got {class_key!r}")
+
+
+def _legacy_by_rank(dets):
+    return sorted(dets, key=lambda d: _rank(d, d.score))
+
+
+def oracle_suppress_video(dets, cfg, class_key="action"):
+    """A video's detection objects suppressed class pool by class pool."""
+    groups: dict = {}
+    for det in _legacy_by_rank(dets)[: cfg.pre_nms_cap]:
+        groups.setdefault(_legacy_class_key_of(det, class_key), []).append(det)
+
+    merged = []
+    for key in sorted(groups):
+        merged.extend(oracle_soft_nms(groups[key], cfg, vote=True))
+    return _legacy_by_rank(merged)[: cfg.max_per_video]
+
+
+def _legacy_suppress_submission(by_video, nms_cfg, version):
+    suppressed = {
+        video_id: oracle_suppress_video(dets, nms_cfg, class_key="action")
+        for video_id, dets in sorted(by_video.items())
+    }
+    return _legacy_build_submission(suppressed, version=version)
+
+
+def _legacy_build_submission(detections_by_video, version):
+    results = {}
+    for video_id in sorted(detections_by_video):
+        dets = []
+        for d in detections_by_video[video_id]:
+            start = round(d.start, 4)
+            end = round(d.end, 4)
+            if start >= end:
+                continue  # quantization collapsed a sub-0.1ms interval
+            dets.append(
+                ActionDetection(
+                    video_id=d.video_id,
+                    start=start,
+                    end=end,
+                    verb_index=d.verb_index,
+                    noun_index=d.noun_index,
+                    action_id=d.action_id,
+                    score=round(d.score, 4),
+                )
+            )
+        results[video_id] = _legacy_by_rank(dets)
+    return SubmissionDocument(version=version, results=results)
+
+
+def oracle_run_pipeline(records, cfg):
+    """The submission the record-at-a-time chain made of ``records``."""
+    vocab = cfg.vocab()
+    nms_cfg = cfg.nms_config()
+    by_video = {}
+    for record in records:
+        by_video.setdefault(record.video_id, []).extend(
+            _legacy_record_detections(record, cfg, vocab, nms_cfg.min_score)
+        )
+    return _legacy_suppress_submission(by_video, nms_cfg, cfg.submission_version)

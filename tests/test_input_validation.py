@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -269,6 +271,37 @@ class TestSecondsOverflow:
         err = capsys.readouterr().err
         assert "'P01'" in err and "window start 0" in err
         assert not out.exists()
+
+
+class TestNoNumpyWarnings:
+    @pytest.mark.parametrize("line", [
+        "P01 0 1.0 1e308 5:0.9 14.0 1.7e308 3:0.8",
+        "P01 0 1.0 1.7e308 5:0.9 14.0 1.7e308 3:0.8",
+    ])
+    def test_overflowing_boundary_writes_one_error_line(self, tmp_path, line):
+        # in a fresh interpreter, where a NumPy warning would reach stderr
+        proposals = tmp_path / "p.txt"
+        proposals.write_text(line + "\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "tadfusion", "pipeline", "--proposals", str(proposals)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
+
+class TestFusedBoundaryEmpty:
+    def test_fuse_names_the_record(self, tmp_path, capsys):
+        # both score vectors "-": DWF fuses to (0.0, 0.0), which pipeline drops
+        text = f"{GOOD_PROPOSAL}\nP02 7 10.0 20.0 - 14.0 24.0 -\n"
+        assert run(tmp_path, ["fuse", "--proposals", "{p}"], p=text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fused boundary (0.0, 0.0)")
+        assert "'P02'" in err and "window start 7" in err
+        out = tmp_path / "out.json"
+        assert run(tmp_path, ["pipeline", "--proposals", "{p}", "--output", str(out)],
+                   p=text) == 0
 
 
 class TestMeanFusionOverflow:

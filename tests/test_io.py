@@ -25,9 +25,14 @@ from tadfusion.io import (
     write_ground_truth,
     write_proposal_file,
 )
-from tadfusion.suppression import ActionDetection
+from tadfusion.suppression import ActionDetection, detection_columns
 
 VOCAB = VocabSpec(noun_count=300, verb_count=97)
+
+
+def submission(by_video):
+    """``build_submission`` over the columns of lists of detection objects."""
+    return build_submission({video: detection_columns(dets) for video, dets in by_video.items()})
 
 
 def sample_record():
@@ -126,23 +131,23 @@ def detection(video="P01_101", start=0.13334, end=2.8, verb=3, noun=5, score=0.6
 
 class TestSubmission:
     def test_serialize_parse_round_trip(self):
-        doc = build_submission({"P01_101": [detection()], "P01_102": []})
+        doc = submission({"P01_101": [detection()], "P01_102": []})
         text = serialize_submission(doc)
         parsed = parse_submission(text, VOCAB)
         assert parsed == doc
 
     def test_fixed_decimal_formatting(self):
-        doc = build_submission({"v": [detection(start=0.5, end=2.0, score=0.25)]})
+        doc = submission({"v": [detection(start=0.5, end=2.0, score=0.25)]})
         text = serialize_submission(doc)
         assert '"segment": [0.5000, 2.0000]' in text
         assert '"score": 0.2500' in text
 
     def test_action_string_matches_indices(self):
-        text = serialize_submission(build_submission({"v": [detection(verb=3, noun=5)]}))
+        text = serialize_submission(submission({"v": [detection(verb=3, noun=5)]}))
         assert '"action": "3,5"' in text
 
     def test_entries_sorted_by_score(self):
-        doc = build_submission(
+        doc = submission(
             {"v": [detection(score=0.2, start=1.0, end=2.0), detection(score=0.9)]}
         )
         scores = [d.score for d in doc.results["v"]]
@@ -150,12 +155,12 @@ class TestSubmission:
 
     def test_serialization_deterministic(self):
         dets = {"b": [detection(video="b")], "a": [detection(video="a")]}
-        assert serialize_submission(build_submission(dets)) == serialize_submission(
-            build_submission(dets)
+        assert serialize_submission(submission(dets)) == serialize_submission(
+            submission(dets)
         )
 
     def test_mismatched_action_string_rejected(self):
-        text = serialize_submission(build_submission({"v": [detection()]}))
+        text = serialize_submission(submission({"v": [detection()]}))
         broken = text.replace('"action": "3,5"', '"action": "3,6"')
         with pytest.raises(SchemaMismatch):
             parse_submission(broken, VOCAB)
@@ -168,8 +173,15 @@ class TestSubmission:
         with pytest.raises(ParseError):
             parse_submission("{", VOCAB)
 
+    def test_ranks_tied_by_quantization_keep_input_order(self):
+        # both round to start 1.0 and score 0.5 under the same action
+        dets = [detection(start=1.0, end=5.0, score=0.5),
+                detection(start=1.00001, end=2.0, score=0.50001)]
+        assert [d.end for d in submission({"v": dets}).results["v"]] == [5.0, 2.0]
+        assert [d.end for d in submission({"v": dets[::-1]}).results["v"]] == [2.0, 5.0]
+
     def test_quantization_drops_collapsed_intervals(self):
-        doc = build_submission({"v": [detection(start=1.00001, end=1.00004)]})
+        doc = submission({"v": [detection(start=1.00001, end=1.00004)]})
         assert doc.results["v"] == []
 
 

@@ -1,13 +1,16 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from oracles import oracle_run_pipeline
 from tadfusion.composition import VocabSpec
 from tadfusion.config import PipelineConfig
+from tadfusion.errors import ParseError
 from tadfusion.evaluation import GroundTruthInstance
 from tadfusion.io import (
     ProposalRecord,
@@ -111,6 +114,101 @@ class TestRunPipeline:
         doc = run_pipeline([record(noun_p=0.003, verb_p=0.003)], cfg)
         # S = 0.003 < noun preset minimum 0.005
         assert doc.results["P01_101"] == []
+
+
+# scores that tie, sit exactly at or next to the 0.001 and 0.005 minimum
+# scores (0.001 * 0.001 and 0.005 * 0.005 have square roots of exactly
+# 0.001 and 0.005), or are 0
+TIED_SCORES = [0.0, 0.001, 0.005, 0.0050000001, 0.25, 0.5, 1 / 3, 0.2, 1.0]
+
+
+def random_proposal_set(rng):
+    """A config and 1-12 records of 1-3 interleaved videos. Records mix
+    tied and uniform scores, all-zero score vectors, boundaries that fuse
+    inverted or collapse at the 0 clamp and windows that overlap; in 30%
+    of the sets one record's window starts at 10**400."""
+    nouns, verbs = rng.choice([(300, 97), (4, 3), (2, 1), (7, 5)])
+    cfg = PipelineConfig(
+        noun_count=nouns, verb_count=verbs,
+        top_k_nouns=rng.choice([1, 2, 10, nouns, nouns + 3]),
+        top_k_verbs=rng.choice([1, 3, 10, verbs, verbs + 2]),
+        fusion_mode=rng.choice(["dwf", "mean"]), nms_preset=rng.choice(["noun", "verb_action"]),
+        pre_nms_cap=rng.choice([1, 3, 20, 5000]), max_per_video=rng.choice([1, 2, 15, 3000]),
+    )
+    videos = rng.sample(["a", "b", "c"], rng.randint(1, 3))
+
+    def scores(size):
+        vec = np.zeros(size)
+        if rng.random() < 0.15:
+            return vec  # a "-" vector
+        draw = (lambda: rng.choice(TIED_SCORES)) if rng.random() < 0.6 else rng.random
+        for i in rng.sample(range(size), rng.randint(1, min(size, 6))):
+            vec[i] = draw()
+        return vec
+
+    def boundary():
+        kind = rng.random()
+        if kind < 0.5:
+            start = 0.5 * rng.randrange(-10, 40)
+            return (start, start + rng.choice([0.5, 1.0, 3.0, 10.0]))
+        if kind < 0.7:  # entirely below 0: collapses to a point at the clamp
+            start = -rng.uniform(1.0, 20.0)
+            return (start, start + rng.uniform(0.1, -start))
+        start = rng.uniform(-5.0, 100.0)
+        return (start, start + rng.uniform(1e-9, 30.0))
+
+    records = [
+        ProposalRecord(rng.choice(videos), rng.choice([0, 0, 576, 1152, rng.randrange(5000)]),
+                       boundary(), scores(nouns), boundary(), scores(verbs))
+        for _ in range(rng.randint(1, 12))
+    ]
+    if rng.random() < 0.3:
+        rng.choice(records).window_start = 10**400
+    return records, cfg
+
+
+def pipeline_outcome(run, records, cfg):
+    """The serialized submission, or the message of the ParseError raised."""
+    try:
+        return serialize_submission(run(records, cfg))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+class TestRunPipelineMatchesOracle:
+    def test_byte_identical_on_240_proposal_sets(self):
+        rng = random.Random(11)
+        outcomes = []
+        for _ in range(240):
+            records, cfg = random_proposal_set(rng)
+            expected = pipeline_outcome(oracle_run_pipeline, records, cfg)
+            assert pipeline_outcome(run_pipeline, records, cfg) == expected
+            outcomes.append(expected)
+        # the sets reach both outcomes, and detections on several videos
+        errors = [o for o in outcomes if o.startswith("ParseError")]
+        assert 20 <= len(errors) <= 60
+        assert any(o.count('": [\n') >= 2 for o in outcomes)
+
+    def test_huge_window_start_fails_only_with_a_surviving_candidate(self):
+        cfg = PipelineConfig()
+        survives = record(window_start=10**400)
+        dropped = record(window_start=10**400, noun_p=0.001, verb_p=0.0005)
+        for records in ([survives], [dropped], [record(), dropped], [dropped, survives]):
+            expected = pipeline_outcome(oracle_run_pipeline, records, cfg)
+            assert pipeline_outcome(run_pipeline, records, cfg) == expected
+        assert pipeline_outcome(run_pipeline, [survives], cfg).startswith("ParseError")
+        assert not pipeline_outcome(run_pipeline, [dropped], cfg).startswith("ParseError")
+
+    def test_first_unconvertible_record_in_the_file_is_named(self):
+        records = [record(video="b"), record(video="a", window_start=10**400),
+                   record(video="b", window_start=10**401)]
+        with pytest.raises(ParseError, match=r"video 'a' at window start 10{400} "):
+            run_pipeline(records, PipelineConfig())
+
+    def test_candidate_exactly_at_min_score_is_kept(self):
+        assert math.sqrt(0.001 * 0.001) == 0.001
+        doc = run_pipeline([record(noun_p=0.001, verb_p=0.001)], PipelineConfig())
+        assert [d.score for d in doc.results["P01_101"]] == [0.001]
 
 
 class TestEvaluateFiles:

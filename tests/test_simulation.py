@@ -186,7 +186,7 @@ class TestCompareFusionOracle:
 
 class TestScenarioToRecords:
     def test_record_per_segment_with_seconds_round_trip(self):
-        from tadfusion.timeline import FeatureGrid, boundary_to_seconds
+        from tadfusion.timeline import FeatureGrid, intervals_to_seconds
 
         scenario = generate_scenario(config(num_segments=20))
         records = scenario_to_records(scenario)
@@ -194,8 +194,10 @@ class TestScenarioToRecords:
         grid = FeatureGrid()
         for record, noun in zip(records, scenario.noun_boundary):
             if record.noun_boundary[0] >= 0:  # clamping region excluded
-                back = boundary_to_seconds(record.noun_boundary, grid)
-                assert back == pytest.approx(tuple(noun), abs=1e-9)
+                (start,), (end,), (kept,) = intervals_to_seconds(
+                    *np.array([record.noun_boundary]).T, [0], grid)
+                assert kept
+                assert (start, end) == pytest.approx(tuple(noun), abs=1e-9)
 
 
 class TestPairedTTest:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_soft_nms
+from oracles import oracle_soft_nms, oracle_suppress_video
 from tadfusion.errors import InvalidConfig
 from tadfusion.suppression import (
     ActionDetection,
     NmsConfig,
     NOUN_NMS,
     VERB_ACTION_NMS,
+    detection_columns,
     soft_nms,
     suppress_video,
     temporal_iou,
@@ -29,6 +30,13 @@ def det(start, end, score, action_id=0, verb=0, noun=0, video="v"):
         action_id=action_id,
         score=score,
     )
+
+
+def suppress(dets, cfg, class_key):
+    """``suppress_video`` over the columns of detection objects, with the
+    kept columns back as objects."""
+    kept = suppress_video(detection_columns(dets), cfg, class_key=class_key)
+    return [ActionDetection("v", *row) for row in kept.tolist()]
 
 
 VOTE_065 = NmsConfig(sigma=0.6, min_score=0.005, vote_threshold=0.65)
@@ -205,22 +213,38 @@ class TestSoftNmsMatchesOracle:
         assert [d.score for d in kept] == [0.9, 0.5]
 
 
+class TestSuppressVideoMatchesOracle:
+    def test_identical_on_600_videos(self):
+        # class keys that disagree with the action ids tie rank keys
+        # across pools; small caps cut pools and the merged output
+        rng = random.Random(12)
+        for _ in range(600):
+            dets = [replace(d, verb_index=rng.randrange(3), noun_index=rng.randrange(2))
+                    for _ in range(rng.randrange(1, 4)) for d in random_pool(rng)]
+            cfg = replace(rng.choice(TestSoftNmsMatchesOracle.CONFIGS),
+                          pre_nms_cap=rng.choice([1, 4, 5000]),
+                          max_per_video=rng.choice([1, 3, 3000]))
+            for class_key in ("verb", "noun", "action"):
+                assert suppress(dets, cfg, class_key) == oracle_suppress_video(
+                    dets, cfg, class_key)
+
+
 class TestSuppressVideo:
     def test_one_detection_per_class_all_kept(self):
         dets = [det(0, 10, 0.9, action_id=1), det(0, 10, 0.8, action_id=2)]
-        kept = suppress_video(dets, VERB_ACTION_NMS, class_key="action")
+        kept = suppress(dets, VERB_ACTION_NMS, class_key="action")
         assert len(kept) == 2
 
     def test_max_per_video_cap(self):
         cfg = NmsConfig(sigma=0.4, min_score=0.001, vote_threshold=0.75, max_per_video=3)
         dets = [det(10 * i, 10 * i + 5, 0.1 + 0.01 * i, action_id=i) for i in range(6)]
-        kept = suppress_video(dets, cfg, class_key="action")
+        kept = suppress(dets, cfg, class_key="action")
         assert len(kept) == 3
         assert [d.action_id for d in kept] == [5, 4, 3]
 
     def test_class_isolation(self):
         dets = [det(0, 10, 0.9, action_id=1), det(0, 10, 0.9, action_id=2)]
-        kept = suppress_video(dets, VERB_ACTION_NMS, class_key="action")
+        kept = suppress(dets, VERB_ACTION_NMS, class_key="action")
         assert len(kept) == 2
         assert all(d.score == 0.9 for d in kept)
 
@@ -229,7 +253,7 @@ class TestSuppressVideo:
             sigma=0.4, min_score=0.001, vote_threshold=0.75, pre_nms_cap=4, max_per_video=10
         )
         dets = [det(10 * i, 10 * i + 5, 0.1 + 0.01 * i, action_id=i) for i in range(8)]
-        kept = suppress_video(dets, cfg, class_key="action")
+        kept = suppress(dets, cfg, class_key="action")
         assert len(kept) == 4
         assert {d.action_id for d in kept} == {4, 5, 6, 7}
 
@@ -238,10 +262,10 @@ class TestSuppressVideo:
             det(0, 10, 0.9, action_id=1, verb=1, noun=3),
             det(0, 10, 0.5, action_id=2, verb=1, noun=4),
         ]
-        by_verb = suppress_video(dets, VERB_ACTION_NMS, class_key="verb")
+        by_verb = suppress(dets, VERB_ACTION_NMS, class_key="verb")
         assert len(by_verb) == 2
         assert by_verb[1].score == pytest.approx(0.5 * math.exp(-2.5))
-        by_noun = suppress_video(dets, VERB_ACTION_NMS, class_key="noun")
+        by_noun = suppress(dets, VERB_ACTION_NMS, class_key="noun")
         assert all(d.score in (0.9, 0.5) for d in by_noun)
 
     @given(st.data())
@@ -256,7 +280,7 @@ class TestSuppressVideo:
             det(s, s + l, sc, action_id=a)
             for s, l, sc, a in zip(starts, lengths, scores, actions)
         ]
-        kept = suppress_video(dets, VERB_ACTION_NMS, class_key="action")
+        kept = suppress(dets, VERB_ACTION_NMS, class_key="action")
         assert len(kept) <= len(dets)
         out_scores = [d.score for d in kept]
         assert out_scores == sorted(out_scores, reverse=True)

@@ -1,79 +1,104 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tadfusion.errors import DegenerateInterval, InvalidOverlap
+from tadfusion.errors import InvalidOverlap
 from tadfusion.timeline import (
     FeatureGrid,
     Window,
-    boundary_to_seconds,
-    feature_index_to_seconds,
     generate_windows,
+    intervals_to_seconds,
     seconds_to_feature_coord,
 )
 
 
+def to_seconds(boundary, grid=FeatureGrid(), window_start_frame=0):
+    """``(start_s, end_s)`` of one boundary, or None where it is dropped."""
+    start, end, kept = intervals_to_seconds(
+        np.array([boundary[0]], dtype=float), np.array([boundary[1]], dtype=float),
+        [window_start_frame], grid)
+    return (float(start[0]), float(end[0])) if kept[0] else None
+
+
+def center_seconds(i, grid=FeatureGrid()):
+    """The center of feature step ``i``: the start of boundary ``(i, i + 1)``."""
+    return to_seconds((i, i + 1), grid)[0]
+
+
 class TestFeatureIndexToSeconds:
     def test_index_zero_default_grid(self):
-        assert feature_index_to_seconds(0) == pytest.approx(4 / 30)
+        assert center_seconds(0) == pytest.approx(4 / 30)
 
     def test_index_thirty_default_grid(self):
-        assert feature_index_to_seconds(30) == pytest.approx(244 / 30)
+        assert center_seconds(30) == pytest.approx(244 / 30)
 
     def test_custom_grid(self):
         grid = FeatureGrid(stride_frames=16, offset_frames=8, fps=30)
-        assert feature_index_to_seconds(1, grid) == pytest.approx(0.8)
+        assert center_seconds(1, grid) == pytest.approx(0.8)
 
     @given(st.integers(min_value=0, max_value=10**6))
     def test_monotone(self, i):
-        assert feature_index_to_seconds(i + 1) > feature_index_to_seconds(i)
+        assert center_seconds(i + 1) > center_seconds(i)
 
 
 class TestBoundaryToSeconds:
     def test_window_at_origin(self):
-        start, end = boundary_to_seconds((0.0, 10.0))
+        start, end = to_seconds((0.0, 10.0))
         assert start == pytest.approx(4 / 30)
         assert end == pytest.approx(84 / 30)
 
     def test_window_offset_shifts_both_ends(self):
-        grid = FeatureGrid(window_start_frame=2304)
-        start, end = boundary_to_seconds((0.0, 10.0), grid)
+        start, end = to_seconds((0.0, 10.0), window_start_frame=2304)
         assert start == pytest.approx(2308 / 30)
         assert end == pytest.approx(2388 / 30)
 
     def test_degenerate_boundary_rejected(self):
-        with pytest.raises(DegenerateInterval):
-            boundary_to_seconds((5.0, 5.0))
-        with pytest.raises(DegenerateInterval):
-            boundary_to_seconds((7.0, 3.0))
+        assert to_seconds((5.0, 5.0)) is None
+        assert to_seconds((7.0, 3.0)) is None
 
     def test_negative_coordinates_clamp_to_zero(self):
-        start, end = boundary_to_seconds((-3.0, 10.0))
-        expected_start, _ = boundary_to_seconds((0.0, 10.0))
+        start, end = to_seconds((-3.0, 10.0))
+        expected_start, _ = to_seconds((0.0, 10.0))
         assert start == expected_start
 
     def test_fully_negative_boundary_rejected(self):
-        with pytest.raises(DegenerateInterval):
-            boundary_to_seconds((-5.0, -1.0))
+        assert to_seconds((-5.0, -1.0)) is None
 
     def test_center_and_boundary_share_offset(self):
-        # start coordinate of a boundary equals the center of the same index
+        # start coordinate of a boundary is the center of the same index
         for i in [0, 5, 113]:
-            start, _ = boundary_to_seconds((float(i), float(i + 1)))
-            assert start == pytest.approx(feature_index_to_seconds(i))
+            start, _ = to_seconds((float(i), float(i + 1)))
+            assert start == pytest.approx((8 * i + 4) / 30)
 
     @given(
         st.floats(min_value=0.0, max_value=1e5, allow_nan=False),
         st.floats(min_value=1e-6, max_value=1e5, allow_nan=False),
     )
     def test_strictly_monotone(self, u, delta):
-        a = boundary_to_seconds((u, u + delta))
+        a = to_seconds((u, u + delta))
         assert a[0] < a[1]
 
     def test_round_trip_with_inverse(self):
-        grid = FeatureGrid(window_start_frame=800)
+        grid = FeatureGrid()
         for u in [0.0, 3.5, 999.25]:
             sec = (u * 8 + 800 + 4) / 30
-            assert seconds_to_feature_coord(sec, grid) == pytest.approx(u)
+            assert seconds_to_feature_coord(sec, grid, 800) == pytest.approx(u)
+
+    def test_rows_convert_independently(self):
+        # one call converts many rows, each in its own window
+        start, end, kept = intervals_to_seconds(
+            np.array([0.0, 5.0, -5.0, 2.0]), np.array([10.0, 5.0, -1.0, 3.0]),
+            [0, 0, 0, 2304], FeatureGrid())
+        assert kept.tolist() == [True, False, False, True]
+        assert start[[0, 3]].tolist() == [to_seconds((0.0, 10.0))[0],
+                                          to_seconds((2.0, 3.0), window_start_frame=2304)[0]]
+
+    def test_window_past_the_float_range_gives_inf_seconds(self):
+        start, end, kept = intervals_to_seconds(
+            np.array([1.0]), np.array([2.0]), [10**400], FeatureGrid())
+        assert kept[0] and math.isinf(start[0]) and math.isinf(end[0])
 
 
 class TestGenerateWindows:
