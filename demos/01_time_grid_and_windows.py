@@ -8,7 +8,7 @@ the last window slides left so that it still has full length.
 
 import numpy as np
 
-from tadfusion import FeatureGrid, generate_windows, intervals_to_seconds
+from tadfusion.timeline import FeatureGrid, generate_windows, intervals_to_seconds
 
 grid = FeatureGrid()
 print("default grid:", grid)
@@ -37,5 +37,7 @@ for window_start_feature in (0, 2304):
 print("\nwindow placements:")
 for total in (100, 4608, 6000, 20000):
     windows = generate_windows(total)
-    placed = ", ".join(f"[{w.start_feature}, {w.end_feature})" for w in windows)
+    placed = ", ".join(
+        f"[{w.start_feature}, {w.start_feature + w.length_features})" for w in windows
+    )
     print(f"  {total:>6} features -> {placed}")

@@ -7,7 +7,7 @@ of its factor probabilities. Pairs compose together, one row per pair.
 
 import numpy as np
 
-from tadfusion import VocabSpec, compose_actions
+from tadfusion.composition import VocabSpec, compose_actions
 
 vocab = VocabSpec(noun_count=6, verb_count=4)
 noun_scores = np.array([

@@ -8,7 +8,7 @@ untouched.
 
 import numpy as np
 
-from tadfusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
+from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
 
 noun_boundary = (10.0, 20.0)
 verb_boundary = (14.0, 24.0)
@@ -18,10 +18,10 @@ print(f"hard mean: {hard_mean_fusion(noun_boundary, verb_boundary)}\n")
 print("confidence sweep (verb confidence fixed at 0.5):")
 print("  c_noun  w_noun  w_verb     fused interval")
 for c_noun in np.linspace(0.1, 0.9, 5):
-    w = dwf_weights(float(c_noun), 0.5)
-    fused = fuse_boundaries(noun_boundary, verb_boundary, w)
+    w_noun, w_verb = weights = dwf_weights(float(c_noun), 0.5)
+    fused = fuse_boundaries(noun_boundary, verb_boundary, weights)
     print(
-        f"  {c_noun:6.2f}  {w.noun_weight:6.3f}  {w.verb_weight:6.3f}"
+        f"  {c_noun:6.2f}  {w_noun:6.3f}  {w_verb:6.3f}"
         f"     ({fused[0]:6.3f}, {fused[1]:6.3f})"
     )
 
@@ -32,8 +32,7 @@ noun_scores[42] = 0.92  # clearly visible object
 verb_scores = np.zeros(97)
 verb_scores[7] = 0.31  # ambiguous motion
 c_noun, c_verb = stream_confidences(noun_scores, verb_scores)
-w = dwf_weights(c_noun, c_verb)
-fused = fuse_boundaries(noun_boundary, verb_boundary, w)
+fused = fuse_boundaries(noun_boundary, verb_boundary, dwf_weights(c_noun, c_verb))
 print(
     f"\nconfident noun ({c_noun:.2f}) vs uncertain verb ({c_verb:.2f}):"
     f"\n  fused interval ({fused[0]:.3f}, {fused[1]:.3f}) sits near the noun's"

@@ -8,7 +8,8 @@ a score-weighted vote over their strong neighbors.
 
 import math
 
-from tadfusion import (
+from tadfusion.suppression import (
+    VERB_ACTION_NMS,
     ActionDetection,
     NmsConfig,
     detection_columns,
@@ -16,7 +17,6 @@ from tadfusion import (
     suppress_video,
     temporal_iou,
 )
-from tadfusion.suppression import VERB_ACTION_NMS
 
 
 def det(start, end, score, action_id=0):

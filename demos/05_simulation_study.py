@@ -9,7 +9,7 @@ regime (equal confidences) it has nothing to exploit and ties the mean.
 
 import numpy as np
 
-from tadfusion import ScenarioConfig, compare_fusion, generate_scenario
+from tadfusion.simulation import ScenarioConfig, compare_fusion, generate_scenario
 
 
 def study(name, **overrides):

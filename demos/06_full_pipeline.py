@@ -10,18 +10,15 @@ boundary precision decides matches.
 import tempfile
 from pathlib import Path
 
-from tadfusion import (
-    PipelineConfig,
-    ScenarioConfig,
-    generate_scenario,
+from tadfusion.config import PipelineConfig
+from tadfusion.io import (
     read_proposal_file,
-    run_pipeline,
-    scenario_to_records,
     serialize_submission,
     submission_detections,
     write_proposal_file,
 )
-from tadfusion.pipeline import evaluate_detections, format_metrics_table
+from tadfusion.pipeline import evaluate_files, format_metrics_table, run_pipeline
+from tadfusion.simulation import ScenarioConfig, generate_scenario, scenario_to_records
 
 scenario = generate_scenario(
     ScenarioConfig(
@@ -48,5 +45,5 @@ with tempfile.TemporaryDirectory(prefix="tadfusion_demo_") as tmp:
         out_path.write_text(serialize_submission(submission), encoding="utf-8")
         dets = submission_detections(submission)
         print(f"\n=== fusion mode: {mode} ({len(dets)} detections) -> {out_path}")
-        results = evaluate_detections(dets, scenario.ground_truth)
+        results = evaluate_files(submission, scenario.ground_truth)
         print(format_metrics_table(results))

@@ -13,10 +13,6 @@ class InvalidOverlap(PipelineError):
     """Window overlap fraction outside [0, 1)."""
 
 
-class EmptyVector(PipelineError):
-    """An operation received a zero-length score vector."""
-
-
 class ActionIdOutOfRange(PipelineError):
     """A flat action id lies outside the noun x verb action space."""
 

@@ -95,6 +95,11 @@ def _overlap_rows(dets, gts, task: str) -> list[list[tuple[int, float]]]:
 
 
 def _greedy_match(rows, num_gt: int, tau: float) -> list[bool]:
+    """TP/FP flags of score-ordered detections, given their overlap rows.
+
+    Each detection takes the unmatched ground truth with the highest tIoU,
+    provided that tIoU >= tau (ties go to the earliest ground-truth index).
+    """
     matched = [False] * num_gt
     flags = []
     for row in rows:
@@ -107,23 +112,6 @@ def _greedy_match(rows, num_gt: int, tau: float) -> list[bool]:
             matched[best_idx] = True
         flags.append(hit)
     return flags
-
-
-def match_detections(
-    dets: list[ActionDetection],
-    gts: list[GroundTruthInstance],
-    tau: float,
-    task: str = "action",
-) -> list[bool]:
-    """Greedy one-to-one matching of detections against ground truth.
-
-    ``dets`` must already be in score-descending order. Each detection
-    matches the unmatched same-class ground truth on the same video with
-    the highest tIoU, provided that tIoU >= tau (ties go to the earliest
-    ground-truth index). Returns one True (TP) / False (FP) flag per
-    detection, in input order.
-    """
-    return _greedy_match(_overlap_rows(dets, gts, task), len(gts), tau)
 
 
 def average_precision(flags: list[bool], num_gt: int) -> float:

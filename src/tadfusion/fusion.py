@@ -11,64 +11,53 @@ fusion reassigns the interval only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateInterval, EmptyVector, InvalidConfig
+from .errors import DegenerateInterval, InvalidConfig
 
 DEFAULT_FUSION_EPSILON = 1e-6
 
 FUSION_MODES = ("dwf", "mean")
 
 
-@dataclass(frozen=True)
-class FusionWeights:
-    """Per-proposal boundary weights of the noun and verb streams.
-
-    ``dwf_weights`` makes them sum to ``(c_noun + c_verb) / (c_noun +
-    c_verb + epsilon)``, slightly under 1; the epsilon keeps the
-    normalization total even when both confidences vanish.
-    """
-
-    noun_weight: float
-    verb_weight: float
-
-
 def stream_confidences(
     noun_scores: np.ndarray, verb_scores: np.ndarray
 ) -> tuple[float, float]:
     """Per-stream confidences: the maximum class probability, per vector or matrix row."""
-    noun = np.asarray(noun_scores, dtype=float)
-    verb = np.asarray(verb_scores, dtype=float)
-    if noun.shape[-1] == 0 or verb.shape[-1] == 0:
-        raise EmptyVector("score vectors must be non-empty")
-    return noun.max(axis=-1), verb.max(axis=-1)
+    return (np.asarray(noun_scores, dtype=float).max(axis=-1),
+            np.asarray(verb_scores, dtype=float).max(axis=-1))
 
 
 def dwf_weights(
     noun_confidence: float,
     verb_confidence: float,
     epsilon: float = DEFAULT_FUSION_EPSILON,
-) -> FusionWeights:
-    """Normalize stream confidences (floats, or arrays of proposals) into boundary weights."""
+) -> tuple[float, float]:
+    """Normalize stream confidences (floats, or arrays of proposals) into
+    ``(noun_weight, verb_weight)`` boundary weights.
+
+    The weights sum to ``(c_noun + c_verb) / (c_noun + c_verb + epsilon)``,
+    slightly under 1; the epsilon keeps the normalization total even when
+    both confidences vanish.
+    """
     if np.min((noun_confidence, verb_confidence)) < 0.0:
         raise InvalidConfig("confidences must be non-negative")
     if epsilon <= 0.0:
         raise InvalidConfig("epsilon must be positive")
     total = noun_confidence + verb_confidence + epsilon
-    return FusionWeights(noun_weight=noun_confidence / total, verb_weight=verb_confidence / total)
+    return noun_confidence / total, verb_confidence / total
 
 
-def _weighted(noun_boundary, verb_boundary, weights: FusionWeights):
-    return (weights.noun_weight * noun_boundary[0] + weights.verb_weight * verb_boundary[0],
-            weights.noun_weight * noun_boundary[1] + weights.verb_weight * verb_boundary[1])
+def _weighted(noun_boundary, verb_boundary, weights: tuple[float, float]):
+    noun_weight, verb_weight = weights
+    return (noun_weight * noun_boundary[0] + verb_weight * verb_boundary[0],
+            noun_weight * noun_boundary[1] + verb_weight * verb_boundary[1])
 
 
 def fuse_boundaries(
     noun_boundary: tuple[float, float],
     verb_boundary: tuple[float, float],
-    weights: FusionWeights,
+    weights: tuple[float, float],
 ) -> tuple[float, float]:
     """Linearly combine the two stream boundaries, coordinate-wise.
 

@@ -59,10 +59,14 @@ def require_number(value, *, key: str) -> float:
 
 
 def require_segment(value) -> tuple[float, float]:
-    """A JSON ``segment``: a list of exactly two finite numbers."""
+    """A JSON ``segment``: a list of exactly two finite numbers, start before
+    end, whose length ``end - start`` is finite too."""
     if type(value) is not list or len(value) != 2:
         raise SchemaMismatch(f"segment must be a list of two numbers, got {value!r}")
-    return require_number(value[0], key="segment"), require_number(value[1], key="segment")
+    start, end = require_number(value[0], key="segment"), require_number(value[1], key="segment")
+    if not 0.0 < end - start < math.inf:
+        raise SchemaMismatch(f"segment {value!r} must have start < end and a finite length")
+    return start, end
 
 
 @dataclass(eq=False)
@@ -158,26 +162,17 @@ def read_proposal_file(path, vocab: VocabSpec = VocabSpec()) -> list[ProposalRec
     return records
 
 
-def format_proposal_record(record: ProposalRecord) -> str:
-    return " ".join(
-        [
-            record.video_id,
-            str(record.window_start),
-            repr(float(record.noun_boundary[0])),
-            repr(float(record.noun_boundary[1])),
-            _format_sparse_scores(record.noun_scores),
-            repr(float(record.verb_boundary[0])),
-            repr(float(record.verb_boundary[1])),
-            _format_sparse_scores(record.verb_scores),
-        ]
-    )
-
-
 def write_proposal_file(path, records: list[ProposalRecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# video_id window_start ns ne noun_scores vs ve verb_scores\n")
-        for record in records:
-            handle.write(format_proposal_record(record) + "\n")
+        for r in records:
+            handle.write(" ".join([
+                r.video_id, str(r.window_start),
+                repr(float(r.noun_boundary[0])), repr(float(r.noun_boundary[1])),
+                _format_sparse_scores(r.noun_scores),
+                repr(float(r.verb_boundary[0])), repr(float(r.verb_boundary[1])),
+                _format_sparse_scores(r.verb_scores),
+            ]) + "\n")
 
 
 @dataclass
@@ -276,6 +271,8 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
                 noun = require_class_index(entry["noun"], vocab.noun_count, key="noun")
                 start, end = require_segment(entry["segment"])
                 score = require_number(entry["score"], key="score")
+                if not 0.0 <= score <= 1.0:
+                    raise ParseError(f"score {score} outside [0, 1]", key="score")
                 action = entry["action"]
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed detection entry: {exc}") from None
@@ -309,29 +306,6 @@ def submission_detections(doc: SubmissionDocument) -> list[ActionDetection]:
     for video_id in sorted(doc.results):
         dets.extend(doc.results[video_id])
     return dets
-
-
-def write_ground_truth(path, instances: list[GroundTruthInstance]) -> None:
-    """Ground-truth JSON: {"annotations": {video_id: [segment records]}}."""
-    by_video: dict[str, list[GroundTruthInstance]] = {}
-    for inst in instances:
-        by_video.setdefault(inst.video_id, []).append(inst)
-    payload = {
-        "annotations": {
-            video_id: [
-                {
-                    "verb": inst.verb_index,
-                    "noun": inst.noun_index,
-                    "segment": [inst.start, inst.end],
-                }
-                for inst in by_video[video_id]
-            ]
-            for video_id in sorted(by_video)
-        }
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> list[GroundTruthInstance]:

@@ -110,25 +110,17 @@ def run_pipeline(records: list[ProposalRecord], cfg: PipelineConfig) -> Submissi
     return suppress_submission(by_video, nms_cfg, cfg.submission_version)
 
 
-def evaluate_detections(
-    dets: list[ActionDetection],
-    gts: list[GroundTruthInstance],
-    thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
-) -> dict[str, MeanApResult]:
-    """Score one detection set on all three tasks."""
-    return {
-        task: mean_ap(dets, gts, EvalConfig(thresholds=thresholds, task=task))
-        for task in CLASS_KEYS
-    }
-
-
 def evaluate_files(
     submission: SubmissionDocument,
     gts: list[GroundTruthInstance],
     thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
 ) -> dict[str, MeanApResult]:
-    """Score a parsed submission against parsed ground truth."""
-    return evaluate_detections(submission_detections(submission), gts, thresholds)
+    """Score a parsed submission against parsed ground truth on all three tasks."""
+    dets = submission_detections(submission)
+    return {
+        task: mean_ap(dets, gts, EvalConfig(thresholds=thresholds, task=task))
+        for task in CLASS_KEYS
+    }
 
 
 def format_metrics_table(results: dict[str, MeanApResult]) -> str:

@@ -23,6 +23,9 @@ from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
 
+# the one video of every scenario
+VIDEO_ID = "sim"
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -46,7 +49,6 @@ class ScenarioConfig:
     seed: int = 0
     min_segment_s: float = 1.0
     max_segment_s: float = 8.0
-    video_id: str = "sim"
     vocab: VocabSpec = field(default_factory=VocabSpec)
 
     def __post_init__(self):
@@ -172,7 +174,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         noun_boundary[i] = _noisy_boundary(rng, true_boundary, c_noun, cfg)
         verb_boundary[i] = _noisy_boundary(rng, true_boundary, c_verb, cfg)
         ground_truth.append(GroundTruthInstance(
-            cfg.video_id, *true_boundary, verb_index=verb, noun_index=noun))
+            VIDEO_ID, *true_boundary, verb_index=verb, noun_index=noun))
     return Scenario(
         config=cfg,
         ground_truth=ground_truth,
@@ -201,7 +203,7 @@ def scenario_to_records(
 
     return [
         ProposalRecord(
-            video_id=scenario.config.video_id,
+            video_id=VIDEO_ID,
             window_start=0,
             noun_boundary=to_feature(noun_boundary),
             noun_scores=_score_vector(vocab.noun_count, gt.noun_index, c_noun),

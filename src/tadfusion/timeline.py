@@ -10,6 +10,7 @@ grid coordinates and wall-clock time meet.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,11 @@ class FeatureGrid:
     fps: float = DEFAULT_FPS
 
     def __post_init__(self):
-        if self.stride_frames < 1:
-            raise InvalidConfig("stride_frames must be >= 1")
-        if self.offset_frames < 0:
-            raise InvalidConfig("offset_frames must be >= 0")
+        # an int compares with the float maximum exactly, without converting
+        if not 1 <= self.stride_frames <= sys.float_info.max:
+            raise InvalidConfig("stride_frames must be >= 1 and within the float range")
+        if not 0 <= self.offset_frames <= sys.float_info.max:
+            raise InvalidConfig("offset_frames must be >= 0 and within the float range")
         if self.fps <= 0:
             raise InvalidConfig("fps must be positive")
 
@@ -52,10 +54,6 @@ class Window:
             raise InvalidConfig("window start must be >= 0")
         if self.length_features < 1:
             raise InvalidConfig("window length must be >= 1")
-
-    @property
-    def end_feature(self) -> int:
-        return self.start_feature + self.length_features
 
 
 def _float_or_inf(n: int) -> float:

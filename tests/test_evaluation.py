@@ -13,7 +13,6 @@ from tadfusion.evaluation import (
     EvalConfig,
     GroundTruthInstance,
     average_precision,
-    match_detections,
     mean_ap,
     sort_detections,
 )
@@ -36,6 +35,11 @@ def gt(start, end, verb=0, noun=0, video="v"):
     return GroundTruthInstance(
         video_id=video, start=start, end=end, verb_index=verb, noun_index=noun
     )
+
+
+def map_at(tau, dets, gts, task="action"):
+    """mAP of ``dets`` at the single threshold ``tau``."""
+    return mean_ap(dets, gts, EvalConfig(thresholds=(tau,), task=task)).average
 
 
 from oracles import oracle_ap, oracle_mean_ap, oracle_mean_ap_legacy
@@ -75,22 +79,27 @@ class TestGroundTruthInstance:
 
 
 class TestMatchDetections:
+    """Greedy one-to-one matching, seen through the AP that ``mean_ap`` scores."""
+
     def test_exact_hit(self):
-        flags = match_detections([det(0, 10, 0.9)], [gt(0, 10)], tau=1.0)
-        assert flags == [True]
+        assert map_at(1.0, [det(0, 10, 0.9)], [gt(0, 10)]) == 1.0
 
     def test_one_to_one_constraint(self):
+        # the duplicate finds gt 0 taken: a false positive, so recall stays 1/2
         dets = sort_detections([det(0, 10, 0.9), det(0.5, 10.5, 0.8)])
-        flags = match_detections(dets, [gt(0, 10)], tau=0.5)
-        assert flags == [True, False]
+        assert map_at(0.5, dets, [gt(0, 10), gt(50, 60)]) == 0.5
 
     def test_wrong_class_is_fp(self):
-        flags = match_detections([det(0, 10, 0.9, verb=1)], [gt(0, 10, verb=0)], tau=0.1)
-        assert flags == [False]
+        dets, gts = [det(0, 10, 0.9, verb=1)], [gt(0, 10, verb=0)]
+        assert map_at(0.1, dets, gts) == 0.0
+        assert map_at(0.1, dets, gts, task="verb") == 0.0
+        assert map_at(0.1, dets, gts, task="noun") == 1.0  # both noun 0
 
     def test_wrong_video_is_fp(self):
-        flags = match_detections([det(0, 10, 0.9, video="a")], [gt(0, 10, video="b")], 0.1)
-        assert flags == [False]
+        # the first-ranked detection is on another video: precision 1/2 at the hit
+        dets = [det(0, 10, 0.9, video="a"), det(0, 10, 0.8, video="b")]
+        assert map_at(0.1, dets[:1], [gt(0, 10, video="b")]) == 0.0
+        assert map_at(0.1, dets, [gt(0, 10, video="b")]) == 0.5
 
 
 class TestAveragePrecision:
@@ -243,6 +252,7 @@ class TestMeanApExact:
     def test_equal_overlaps_go_to_the_earliest_ground_truth(self):
         gts = [gt(200.0, 202.0), gt(201.0, 203.0)]
         dets = [det(201.0, 202.0, 0.9), det(200.0, 202.0, 0.8)]
-        # the first detection takes gt 0, so the exact hit on gt 0 is a false positive
-        assert match_detections(dets, gts, 0.5) == [True, False]
-        assert match_detections(dets, gts[::-1], 0.5) == [True, True]
+        # the first detection takes gt 0, so the exact hit on gt 0 is a false
+        # positive and recall stays 1/2; listed the other way round, both hit
+        assert map_at(0.5, dets, gts) == 0.5
+        assert map_at(0.5, dets, gts[::-1]) == 1.0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tadfusion.errors import DegenerateInterval, EmptyVector
+from tadfusion.errors import DegenerateInterval
 from tadfusion.fusion import (
     dwf_weights,
     fuse_boundaries,
@@ -22,39 +22,33 @@ class TestStreamConfidences:
     def test_singletons(self):
         assert stream_confidences([0.5], [0.5]) == (0.5, 0.5)
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyVector):
-            stream_confidences([], [0.5])
-
 
 class TestDwfWeights:
     def test_against_high_precision_oracle(self):
         mpmath.mp.dps = 50
-        w = dwf_weights(0.8, 0.2, epsilon=1e-6)
+        w_noun, w_verb = dwf_weights(0.8, 0.2, epsilon=1e-6)
         total = mpmath.mpf(0.8) + mpmath.mpf(0.2) + mpmath.mpf(1e-6)
-        assert w.noun_weight == pytest.approx(float(mpmath.mpf(0.8) / total), abs=1e-12)
-        assert w.verb_weight == pytest.approx(float(mpmath.mpf(0.2) / total), abs=1e-12)
+        assert w_noun == pytest.approx(float(mpmath.mpf(0.8) / total), abs=1e-12)
+        assert w_verb == pytest.approx(float(mpmath.mpf(0.2) / total), abs=1e-12)
 
     def test_symmetric_confidences(self):
-        w = dwf_weights(0.4, 0.4)
-        assert w.noun_weight == pytest.approx(w.verb_weight)
-        assert w.noun_weight == pytest.approx(0.5, abs=1e-5)
+        w_noun, w_verb = dwf_weights(0.4, 0.4)
+        assert w_noun == pytest.approx(w_verb)
+        assert w_noun == pytest.approx(0.5, abs=1e-5)
 
     def test_zero_confidences_zero_weights(self):
-        w = dwf_weights(0.0, 0.0)
-        assert w.noun_weight == 0.0
-        assert w.verb_weight == 0.0
+        assert dwf_weights(0.0, 0.0) == (0.0, 0.0)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_weight_sum_identity(self, c_noun, c_verb):
-        w = dwf_weights(c_noun, c_verb)
+        w_noun, w_verb = dwf_weights(c_noun, c_verb)
         total = c_noun + c_verb
-        assert w.noun_weight + w.verb_weight == pytest.approx(total / (total + 1e-6))
-        assert w.noun_weight >= 0.0 and w.verb_weight >= 0.0
-        assert w.noun_weight + w.verb_weight <= 1.0
+        assert w_noun + w_verb == pytest.approx(total / (total + 1e-6))
+        assert w_noun >= 0.0 and w_verb >= 0.0
+        assert w_noun + w_verb <= 1.0
 
 
 class TestFuseBoundaries:
@@ -87,10 +81,7 @@ class TestFuseBoundaries:
             assert abs(fused[1] - 22.0) <= 22.0 * 1e-6 / (2 * c)
 
     def test_manual_full_authority(self):
-        from tadfusion.fusion import FusionWeights
-
-        w = FusionWeights(noun_weight=1.0, verb_weight=0.0)
-        assert fuse_boundaries((10.0, 20.0), (14.0, 24.0), w) == (10.0, 20.0)
+        assert fuse_boundaries((10.0, 20.0), (14.0, 24.0), (1.0, 0.0)) == (10.0, 20.0)
 
     def test_degenerate_fusion_rejected(self):
         w = dwf_weights(0.0, 0.0)

@@ -92,18 +92,25 @@ class TestClassIndices:
 
 
 class TestJsonNumbers:
-    """Segments and scores must be JSON numbers, never coerced, cut or padded."""
+    """Segments and scores must be JSON numbers, never coerced, cut or padded.
+
+    A segment also needs start < end and a finite length: an overflowing
+    length would make tIoU inf/inf = nan, which scores an exact hit as a miss.
+    """
 
     @pytest.mark.parametrize("key, value", [
         ("segment", "12"), ("segment", [1.0, 2.0, 99.0]), ("segment", [1.0, "2"]),
         ("score", "0.5"), ("score", True),
+        ("segment", [-1.7e308, 1.7e308]), ("segment", [2.0, 2.0]), ("segment", [3.0, 1.0]),
     ])
     def test_submission(self, tmp_path, capsys, key, value):
         entry = dict(GOOD_ENTRY, **{key: value})
         assert run(tmp_path, ["nms", "--input", "{s}"], s=submission_text([entry])) == 1
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("segment", ["12", [1.0, 2.0, 99.0], [True, 2.0]])
+    @pytest.mark.parametrize("segment", [
+        "12", [1.0, 2.0, 99.0], [True, 2.0], [-1.7e308, 1.7e308], [2.0, 2.0], [3.0, 1.0],
+    ])
     def test_ground_truth(self, tmp_path, capsys, segment):
         gt = {"annotations": {"P01": [{"verb": 3, "noun": 5, "segment": segment}]}}
         code = run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
@@ -157,6 +164,23 @@ class TestConfigObjectsNameTheKey:
         text = "sim_sigma_min = 0.5\nsim_sigma_max = 0.3\nsim_segments = 50\n"
         assert run(tmp_path, ["simulate", "--config", "{c}"], c=text) == 1
         assert "(key 'sim_sigma_min, sim_sigma_max')" in capsys.readouterr().err
+
+
+class TestGridPastFloatRange:
+    @pytest.mark.parametrize("key", ["stride_frames", "offset_frames"])
+    def test_pipeline_names_the_key(self, tmp_path, capsys, key):
+        code = run(tmp_path, ["pipeline", "--proposals", "{p}", "--config", "{c}"],
+                   p=GOOD_PROPOSAL + "\n", c=f"{key} = 1{'0' * 400}\n")
+        assert code == 1
+        assert f"(key {key!r})" in capsys.readouterr().err
+
+
+class TestSubmissionScoreRange:
+    @pytest.mark.parametrize("score", [1.5, -0.25])
+    def test_names_the_key(self, tmp_path, capsys, score):
+        text = submission_text([dict(GOOD_ENTRY, score=score)])
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=text) == 1
+        assert "(key 'score')" in capsys.readouterr().err
 
 
 class TestUnreadableFiles:

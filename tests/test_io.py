@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +17,11 @@ from tadfusion.evaluation import GroundTruthInstance
 from tadfusion.io import (
     ProposalRecord,
     build_submission,
-    format_proposal_record,
     parse_proposal_line,
     parse_submission,
     read_ground_truth,
     read_proposal_file,
     serialize_submission,
-    write_ground_truth,
     write_proposal_file,
 )
 from tadfusion.suppression import ActionDetection, detection_columns
@@ -61,9 +60,11 @@ class TestProposalRecord:
 
 
 class TestProposalFile:
-    def test_line_round_trip(self):
-        line = format_proposal_record(sample_record())
-        parsed = parse_proposal_line(line, 1, VOCAB)
+    def test_line_round_trip(self, tmp_path):
+        path = tmp_path / "proposals.txt"
+        write_proposal_file(path, [sample_record()])
+        line = path.read_text().splitlines()[1]
+        parsed = parse_proposal_line(line, 2, VOCAB)
         assert parsed.video_id == "P01_101"
         assert parsed.window_start == 2304
         assert parsed.noun_boundary == (10.0, 20.0)
@@ -82,7 +83,8 @@ class TestProposalFile:
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "proposals.txt"
-        line = format_proposal_record(sample_record())
+        write_proposal_file(path, [sample_record()])
+        line = path.read_text().splitlines()[1]
         path.write_text(f"# header\n\n{line}  # trailing comment\n")
         assert len(read_proposal_file(path, VOCAB)) == 1
 
@@ -192,7 +194,10 @@ class TestGroundTruthFile:
             GroundTruthInstance("a", 0.0, 10.0, verb_index=3, noun_index=5),
             GroundTruthInstance("b", 1.0, 2.0, verb_index=0, noun_index=0),
         ]
-        write_ground_truth(path, instances)
+        path.write_text(json.dumps({"annotations": {
+            "a": [{"verb": 3, "noun": 5, "segment": [0.0, 10.0]}],
+            "b": [{"verb": 0, "noun": 0, "segment": [1.0, 2.0]}],
+        }}))
         loaded = read_ground_truth(path)
         assert sorted(loaded, key=lambda g: g.video_id) == instances
 

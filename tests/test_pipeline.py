@@ -17,7 +17,6 @@ from tadfusion.io import (
     read_submission,
     serialize_submission,
     submission_detections,
-    write_ground_truth,
     write_proposal_file,
 )
 from tadfusion.pipeline import (
@@ -285,10 +284,8 @@ class TestCli:
         doc = read_submission(submission)
         d = submission_detections(doc)[0]
         gt_path = tmp_path / "gt.json"
-        write_ground_truth(
-            gt_path,
-            [GroundTruthInstance("P01_101", d.start, d.end, verb_index=3, noun_index=5)],
-        )
+        gt_path.write_text(json.dumps({"annotations": {
+            "P01_101": [{"verb": 3, "noun": 5, "segment": [d.start, d.end]}]}}))
         result = run_cli(
             "eval", "--submission", str(submission), "--ground-truth", str(gt_path)
         )

@@ -1,6 +1,7 @@
 """Start-up budget: no command but ``simulate`` loads SciPy at all, and
-``simulate`` loads only ``scipy.special``, not ``scipy.stats``; and every
-module of the package is one the CLI imports.
+``simulate`` loads only ``scipy.special``, not ``scipy.stats``; every
+module of the package is one the CLI imports; and every public name is
+used by the package or the acceptance suite.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -77,8 +78,8 @@ def relative_imports(module):
 
 
 def test_every_module_is_reached_from_the_cli():
-    # static, because importing tadfusion.cli runs the package __init__,
-    # which loads every module whether the CLI uses it or not
+    # static: it follows every relative import of cli.py, also those inside
+    # function bodies, which a run of one command may never execute
     reached, frontier = set(), ["cli"]
     while frontier:
         module = frontier.pop()
@@ -87,3 +88,46 @@ def test_every_module_is_reached_from_the_cli():
             frontier.extend(relative_imports(module))
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(modules - reached) == []
+
+
+def public_definitions(tree):
+    """(name, node) of the public functions, classes and assigned names at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def referenced(nodes):
+    """Every name that ``nodes`` mention: as a name, an attribute or an import."""
+    found = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_every_public_name_is_used_by_the_package_or_the_acceptance_suite():
+    # __init__ is left out: a re-export there is not a use
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    uses = {module: referenced([tree]) for module, tree in trees.items()}
+    uses[None] = referenced([ast.parse((SRC.parent / "tests" / "test_acceptance.py")
+                                       .read_text(encoding="utf-8"))])
+    orphans = []
+    for module, tree in sorted(trees.items()):
+        elsewhere = set().union(*(names for m, names in uses.items() if m != module))
+        for name, definition in public_definitions(tree):
+            own = referenced([node for node in tree.body if node is not definition])
+            if name not in elsewhere | own:
+                orphans.append(f"{module}.{name}")
+    assert orphans == []

@@ -101,6 +101,10 @@ class TestBoundaryToSeconds:
         assert kept[0] and math.isinf(start[0]) and math.isinf(end[0])
 
 
+def end_feature(window):
+    return window.start_feature + window.length_features
+
+
 class TestGenerateWindows:
     def test_exact_fit_single_window(self):
         assert generate_windows(4608) == [Window(0, 4608)]
@@ -113,13 +117,13 @@ class TestGenerateWindows:
         windows = generate_windows(6000)
         assert [w.start_feature for w in windows] == [0, 1392]
         assert all(w.length_features == 4608 for w in windows)
-        assert windows[-1].end_feature == 6000
+        assert end_feature(windows[-1]) == 6000
         covered = set()
         for w in windows:
-            covered.update(range(w.start_feature, w.end_feature))
+            covered.update(range(w.start_feature, end_feature(w)))
         assert covered == set(range(6000))
         # at least 50% overlap between the two windows
-        overlap = windows[0].end_feature - windows[1].start_feature
+        overlap = end_feature(windows[0]) - windows[1].start_feature
         assert overlap / 4608 >= 0.5
 
     def test_invalid_overlap_rejected(self):
@@ -139,8 +143,8 @@ class TestGenerateWindows:
         assert starts == sorted(starts)
         assert all(w.length_features <= max_len for w in windows)
         assert windows[0].start_feature == 0
-        assert windows[-1].end_feature == total
+        assert end_feature(windows[-1]) == total
         # union covers [0, total) without needing gap checks: consecutive
         # windows must connect or overlap
         for prev, nxt in zip(windows, windows[1:]):
-            assert nxt.start_feature <= prev.end_feature
+            assert nxt.start_feature <= end_feature(prev)
