@@ -34,7 +34,7 @@ from .pipeline import (
     suppress_submission,
 )
 from .simulation import compare_fusion, generate_scenario
-from .suppression import NMS_PRESETS, detection_columns
+from .suppression import NMS_PRESETS
 from .timeline import generate_windows
 
 
@@ -88,8 +88,7 @@ def cmd_fuse(args) -> int:
 def cmd_nms(args) -> int:
     cfg = _load_config(args)
     doc = read_submission(args.input, cfg.vocab())
-    by_video = {video_id: detection_columns(dets) for video_id, dets in doc.results.items()}
-    doc = suppress_submission(by_video, cfg.nms_config(), doc.version)
+    doc = suppress_submission(doc.results, cfg.nms_config(), doc.version)
     _emit(serialize_submission(doc), args.output)
     return 0
 

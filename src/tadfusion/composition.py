@@ -19,6 +19,9 @@ DEFAULT_NOUN_COUNT = 300
 DEFAULT_VERB_COUNT = 97
 DEFAULT_TOP_K_NOUNS = 10
 DEFAULT_TOP_K_VERBS = 10
+# Largest vocabulary size accepted: dense score rows of this many classes
+# stay small, and every action id fits an int64.
+MAX_VOCABULARY_SIZE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -29,12 +32,17 @@ class VocabSpec:
     verb_count: int = DEFAULT_VERB_COUNT
 
     def __post_init__(self):
-        if self.noun_count < 1 or self.verb_count < 1:
-            raise InvalidConfig("vocabulary sizes must be >= 1")
+        for count in (self.noun_count, self.verb_count):
+            if not 1 <= count <= MAX_VOCABULARY_SIZE:
+                raise InvalidConfig(f"vocabulary sizes must lie in [1, {MAX_VOCABULARY_SIZE}]")
 
     @property
     def action_count(self) -> int:
         return self.noun_count * self.verb_count
+
+    def action_id(self, noun, verb):
+        """Flat action id of noun and verb indices, ints or arrays alike."""
+        return self.noun_count * verb + noun
 
 
 def encode_action_id(noun_index: int, verb_index: int, vocab: VocabSpec = VocabSpec()) -> int:
@@ -43,7 +51,7 @@ def encode_action_id(noun_index: int, verb_index: int, vocab: VocabSpec = VocabS
         raise ActionIdOutOfRange(f"noun index {noun_index} outside [0, {vocab.noun_count})")
     if not 0 <= verb_index < vocab.verb_count:
         raise ActionIdOutOfRange(f"verb index {verb_index} outside [0, {vocab.verb_count})")
-    return vocab.noun_count * verb_index + noun_index
+    return vocab.action_id(noun_index, verb_index)
 
 
 def decode_action_id(action_id: int, vocab: VocabSpec = VocabSpec()) -> tuple[int, int]:
@@ -92,7 +100,7 @@ def compose_actions(
     product = (np.take_along_axis(nouns, p, 1)[:, :, None]
                * np.take_along_axis(verbs, q, 1)[:, None, :]).reshape(shape)
     noun, verb = np.repeat(p, q.shape[1], axis=1), np.tile(q, (1, p.shape[1]))
-    composed = np.rec.fromarrays([noun, verb, vocab.noun_count * verb + noun, product],
+    composed = np.rec.fromarrays([noun, verb, vocab.action_id(noun, verb), product],
                                  dtype=CANDIDATE)
     # rank on the product: two products one ulp apart can share a sqrt
     composed = np.take_along_axis(composed, np.lexsort((composed.action, -product), axis=1), 1)

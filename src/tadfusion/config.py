@@ -36,6 +36,7 @@ from .timeline import (
     DEFAULT_WINDOW_LENGTH,
     DEFAULT_WINDOW_OVERLAP,
     FeatureGrid,
+    generate_windows,
 )
 
 
@@ -103,6 +104,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 # The objects a config builds, each validating itself, and the keys it reads.
 _CHECKED_OBJECTS = (
     (PipelineConfig.grid, ("stride_frames", "offset_frames", "fps")),
+    (lambda cfg: generate_windows(1, cfg.window_length), ("window_length",)),
     (PipelineConfig.vocab, ("noun_count", "verb_count")),
     (PipelineConfig.nms_config, ("pre_nms_cap", "max_per_video")),
     (lambda cfg: EvalConfig(thresholds=cfg.eval_thresholds), ("eval_thresholds",)),
@@ -138,7 +140,7 @@ def _failure(build, cfg: PipelineConfig) -> InvalidConfig | None:
 def _validate(cfg: PipelineConfig, given) -> PipelineConfig:
     """Check ``cfg``; a ParseError names the offending keys among ``given``:
     those whose default alone lets the object build, else all it reads."""
-    for key in ("window_length", "top_k_nouns", "top_k_verbs", "epsilon"):
+    for key in ("top_k_nouns", "top_k_verbs", "epsilon"):
         if getattr(cfg, key) <= 0:
             raise ParseError("value must be positive", key=key)
     if not 0.0 <= cfg.window_overlap < 1.0:

@@ -17,9 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import CLASS_KEYS, ActionDetection, rank_key, temporal_iou
+from .suppression import (
+    CLASS_KEYS,
+    DETECTION,
+    ActionDetection,
+    detection_columns,
+    temporal_iou,
+)
 
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+# The columns scored: detections and ground truth of all videos, each
+# row with its video as a code, the index of its id among the sorted ids.
+EVAL_DETECTION = np.dtype([("video", np.int64), *DETECTION.descr])
+EVAL_GROUND_TRUTH = np.dtype([("video", np.int64), ("start", float), ("end", float),
+                              ("verb", np.int64), ("noun", np.int64)])
 
 
 @dataclass(frozen=True)
@@ -69,67 +81,46 @@ class MeanApResult:
     average: float
 
 
-def _task_class(obj, task: str):
-    if task == "verb":
-        return obj.verb_index
-    if task == "noun":
-        return obj.noun_index
-    return (obj.verb_index, obj.noun_index)
+def eval_columns(
+    dets_by_video: dict[str, np.recarray], gts: list[GroundTruthInstance]
+) -> tuple[np.recarray, np.recarray]:
+    """Detections (``DETECTION`` record arrays by video id) and ground
+    truth as the columns ``score_columns`` takes: detections video after
+    video in sorted order, each video's in its order; ground truth in its
+    order."""
+    videos = sorted(set(dets_by_video).union(gt.video_id for gt in gts))
+    code = {video_id: i for i, video_id in enumerate(videos)}
+    blocks = [(code[video_id], dets_by_video[video_id]) for video_id in videos
+              if video_id in dets_by_video]
+    dets = np.empty(sum(len(block) for _, block in blocks), EVAL_DETECTION)
+    lo = 0
+    for video, block in blocks:
+        rows = dets[lo:lo + len(block)]
+        rows["video"] = video
+        for name in DETECTION.names:
+            rows[name] = block[name]
+        lo += len(block)
+    truth = np.array([(code[gt.video_id], gt.start, gt.end, gt.verb_index, gt.noun_index)
+                      for gt in gts], EVAL_GROUND_TRUTH)
+    return dets.view(np.recarray), truth.view(np.recarray)
 
 
-def sort_detections(dets: list[ActionDetection]) -> list[ActionDetection]:
-    """Score-descending order with deterministic tie-breaks."""
-    return sorted(dets, key=lambda d: (*rank_key(d), d.video_id))
-
-
-def _overlap_rows(dets, gts, task: str) -> list[list[tuple[int, float]]]:
-    """Per detection, ``(gt index, tIoU)`` for every same-video, same-class
-    ground truth it overlaps (tIoU > 0), in ground-truth index order."""
-    by_video: dict = {}
-    for gi, gt in enumerate(gts):
-        by_video.setdefault(gt.video_id, []).append((gi, gt))
-    return [[(gi, iou) for gi, gt in by_video.get(det.video_id, ())
-             if _task_class(gt, task) == _task_class(det, task)
-             and (iou := temporal_iou(det.interval, gt.interval)) > 0.0]
-            for det in dets]
-
-
-def _greedy_match(rows, num_gt: int, tau: float) -> list[bool]:
-    """TP/FP flags of score-ordered detections, given their overlap rows.
-
-    Each detection takes the unmatched ground truth with the highest tIoU,
-    provided that tIoU >= tau (ties go to the earliest ground-truth index).
-    """
-    matched = [False] * num_gt
-    flags = []
-    for row in rows:
-        best_idx, best_iou = -1, 0.0
-        for gi, iou in row:
-            if iou > best_iou and not matched[gi]:
-                best_idx, best_iou = gi, iou
-        hit = best_idx >= 0 and best_iou >= tau
-        if hit:
-            matched[best_idx] = True
-        flags.append(hit)
-    return flags
-
-
-def average_precision(flags: list[bool], num_gt: int) -> float:
+def average_precision(hits: list[int], num_gt: int) -> float:
     """Area under the interpolated precision-recall curve.
 
-    ``flags`` are TP/FP indicators in score order. Precision at each
-    recall level is replaced by the maximum precision at any greater or
-    equal recall before integrating. Zero ground truth yields 0 (such
-    classes are excluded from class means upstream).
+    ``hits`` are the 1-based ranks of the true positives in score order.
+    Precision at each recall level is replaced by the maximum precision
+    at any greater or equal recall before integrating. Zero ground truth
+    yields 0 (such classes are excluded from class means upstream).
 
     Recall steps only at true positives, where the envelope is the best
     later true-positive precision. The step terms and the closing
-    ``(1 - recall) * 0`` go to one ``np.sum``: its pairwise grouping fixes
-    every AP's rounding, and a left-to-right sum differs from 8 terms on.
+    ``(1 - recall) * 0`` are summed as ``np.sum`` sums them: left to right
+    below 8 terms, and pairwise, by ``np.sum`` itself, from 8 terms on. The
+    short sums add in a loop, because ``sum`` compensates from Python 3.12.
     """
     if num_gt < 0:
         raise InvalidConfig("num_gt must be >= 0")
-    hits = [rank for rank, flag in enumerate(flags, start=1) if flag]
     if num_gt == 0 or not hits:
         return 0.0
     terms = [(1.0 - len(hits) / num_gt) * 0.0] if len(hits) != num_gt else []
@@ -137,7 +128,100 @@ def average_precision(flags: list[bool], num_gt: int) -> float:
     for tp in range(len(hits), 0, -1):
         envelope = max(envelope, tp / hits[tp - 1])
         terms.append((tp / num_gt - (tp - 1) / num_gt) * envelope)
-    return float(np.sum(terms[::-1]))
+    if len(terms) >= 8:
+        return float(np.sum(terms[::-1]))
+    total = 0.0
+    for term in reversed(terms):
+        total += term
+    return total
+
+
+def _task_classes(dets: np.recarray, gts: np.recarray, task: str):
+    """Class of every detection and ground truth under ``task``; an action
+    class orders as its ``(verb, noun)`` pair."""
+    if task != "action":
+        return dets[task], gts[task]
+    span = 1 + max(dets.noun.max(initial=0), gts.noun.max(initial=0))
+    return dets.verb * span + dets.noun, gts.verb * span + gts.noun
+
+
+def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanApResult:
+    """Mean AP of evaluation columns (see ``eval_columns``) on one task.
+
+    Classes are keyed by the task's factor (verb index, noun index, or
+    the verb-noun pair for the action task). Classes without any ground
+    truth are excluded from the mean rather than scored 0.
+
+    Detections rank by score descending, then start, action id and video,
+    with input order on full ties. One join finds every same-video,
+    same-class (detection, ground truth) pair with tIoU > 0. Each
+    detection lists its pairs by tIoU descending, then ground-truth
+    order, so greedy matching at a threshold takes its first unmatched
+    pair, and a detection without pairs is a false positive.
+    """
+    det_class, gt_class = _task_classes(dets, gts, cfg.task)
+    videos = 1 + max(dets.video.max(initial=0), gts.video.max(initial=0))
+    # ground truth by class, then video, in input order within
+    gt_index = np.lexsort((gts.video, gt_class))
+    sorted_class = gt_class[gt_index]
+    first = np.ones(len(gts), dtype=bool)
+    first[1:] = sorted_class[1:] != sorted_class[:-1]
+    first = np.flatnonzero(first)
+    classes, num_gt = sorted_class[first], np.diff(np.append(first, len(gts)))
+    gt_key = np.repeat(np.arange(len(classes)), num_gt) * videos + gts.video[gt_index]
+
+    # detections of classes with ground truth, by class, in rank order
+    ranked = np.lexsort((dets.video, dets.action, dets.start, -dets.score))
+    class_id = np.searchsorted(classes, det_class[ranked])
+    has_gt = class_id < len(classes)
+    has_gt[has_gt] = classes[class_id[has_gt]] == det_class[ranked][has_gt]
+    ranked, class_id = ranked[has_gt], class_id[has_gt]
+    by_class = np.argsort(class_id, kind="stable")
+    ranked, class_id = ranked[by_class], class_id[by_class]
+    rank = np.arange(1, len(ranked) + 1) - np.searchsorted(class_id, class_id)
+
+    # the join: each detection against its (class, video) block of ground truth
+    det_key = class_id * videos + dets.video[ranked]
+    lo = np.searchsorted(gt_key, det_key, "left")
+    count = np.searchsorted(gt_key, det_key, "right") - lo
+    pair_det = np.repeat(np.arange(len(ranked)), count)
+    # a detection's pairs are its block: positions lo, lo + 1, ... of gt_key
+    offset = np.arange(len(pair_det)) - np.repeat(np.cumsum(count) - count, count)
+    pair_gt = gt_index[np.repeat(lo, count) + offset]
+    det = ranked[pair_det]
+    iou = temporal_iou((dets.start[det], dets.end[det]), (gts.start[pair_gt], gts.end[pair_gt]))
+    overlapping = iou > 0.0
+    pair_det, pair_gt, iou = pair_det[overlapping], pair_gt[overlapping], iou[overlapping]
+    order = np.lexsort((pair_gt, -iou, pair_det))
+
+    # one row per detection with pairs: class, rank, [(tIoU, gt), ...]
+    rows = []
+    row_class, row_rank = class_id.tolist(), rank.tolist()
+    last = -1
+    for i, pair_iou, g in zip(pair_det[order].tolist(), iou[order].tolist(),
+                              pair_gt[order].tolist()):
+        if i != last:
+            rows.append((row_class[i], row_rank[i], []))
+            last = i
+        rows[-1][2].append((pair_iou, g))
+
+    per_threshold = {}
+    num_gt = num_gt.tolist()
+    for tau in cfg.thresholds:
+        matched = bytearray(len(gts))
+        hits = [[] for _ in num_gt]
+        for cls, det_rank, pairs in rows:
+            for pair_iou, g in pairs:
+                if not matched[g]:
+                    if pair_iou >= tau:
+                        matched[g] = 1
+                        hits[cls].append(det_rank)
+                    break
+        aps = [average_precision(h, n) for h, n in zip(hits, num_gt)]
+        per_threshold[tau] = float(np.mean(aps)) if aps else 0.0
+
+    average = float(np.mean(list(per_threshold.values())))
+    return MeanApResult(task=cfg.task, per_threshold=per_threshold, average=average)
 
 
 def mean_ap(
@@ -145,30 +229,11 @@ def mean_ap(
     gts: list[GroundTruthInstance],
     cfg: EvalConfig = EvalConfig(),
 ) -> MeanApResult:
-    """Mean AP over classes with ground truth, at every threshold.
-
-    Classes are keyed by the task's factor (verb index, noun index, or
-    the verb-noun pair for the action task). Classes without any ground
-    truth are excluded from the mean rather than scored 0. Each class's
-    overlap rows are built once and matched at every threshold; one
-    stable sort of all detections gives each class its sorted order.
-    """
-    gt_by_class: dict = {}
-    for gt in gts:
-        gt_by_class.setdefault(_task_class(gt, cfg.task), []).append(gt)
-
-    det_by_class: dict = {}
-    for det in sort_detections(dets):
-        det_by_class.setdefault(_task_class(det, cfg.task), []).append(det)
-
-    classes = [(len(gt_by_class[cls]), _overlap_rows(det_by_class.get(cls, ()),
-                                                     gt_by_class[cls], cfg.task))
-               for cls in sorted(gt_by_class)]
-    per_threshold = {}
-    for tau in cfg.thresholds:
-        aps = [average_precision(_greedy_match(rows, num_gt, tau), num_gt)
-               for num_gt, rows in classes]
-        per_threshold[tau] = float(np.mean(aps)) if aps else 0.0
-
-    average = float(np.mean(list(per_threshold.values())))
-    return MeanApResult(task=cfg.task, per_threshold=per_threshold, average=average)
+    """Mean AP of detection and ground-truth objects at every threshold:
+    ``score_columns`` on their columns."""
+    by_video: dict = {}
+    for det in dets:
+        by_video.setdefault(det.video_id, []).append(det)
+    columns = eval_columns({video_id: detection_columns(video_dets)
+                            for video_id, video_dets in by_video.items()}, gts)
+    return score_columns(*columns, cfg)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composition import VocabSpec, encode_action_id
+from .composition import VocabSpec
 from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GroundTruthInstance
-from .suppression import ActionDetection
+from .suppression import DETECTION, ActionDetection
 
 SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
@@ -177,16 +177,17 @@ def write_proposal_file(path, records: list[ProposalRecord]) -> None:
 
 @dataclass
 class SubmissionDocument:
-    """Challenge-style JSON dictionary of per-video detections."""
+    """Challenge-style JSON dictionary: each video's detections as a
+    ``suppression.DETECTION`` record array, in rank order."""
 
     version: str = SUBMISSION_VERSION
-    results: dict[str, list[ActionDetection]] = field(default_factory=dict)
+    results: dict[str, np.recarray] = field(default_factory=dict)
 
 
 def build_submission(
     detections_by_video: dict[str, np.recarray], version: str = SUBMISSION_VERSION
 ) -> SubmissionDocument:
-    """Assemble a submission of detection objects, quantized, in rank order.
+    """Assemble a submission of quantized detections, in rank order.
 
     Times and scores are rounded to 4 decimals (well below any matching
     tolerance that matters) so that serialization round-trips exactly.
@@ -199,11 +200,9 @@ def build_submission(
         kept = np.flatnonzero(~(start >= end))  # quantization collapses sub-0.1ms intervals
         # a stable sort: equal ranks keep their input order
         kept = kept[np.lexsort((dets.action[kept], start[kept], -score[kept]))]
-        results[video_id] = [
-            ActionDetection(video_id, *row) for row in zip(
-                start[kept].tolist(), end[kept].tolist(), dets.verb[kept].tolist(),
-                dets.noun[kept].tolist(), dets.action[kept].tolist(), score[kept].tolist())
-        ]
+        quantized = dets[kept]
+        quantized.start, quantized.end, quantized.score = start[kept], end[kept], score[kept]
+        results[video_id] = quantized
     return SubmissionDocument(version=version, results=results)
 
 
@@ -215,20 +214,18 @@ def serialize_submission(doc: SubmissionDocument) -> str:
     lines.append('  "results": {')
     video_ids = sorted(doc.results)
     for vi, video_id in enumerate(video_ids):
-        entries = []
-        for d in doc.results[video_id]:
-            entries.append(
-                "      {"
-                + f'"verb": {d.verb_index}, "noun": {d.noun_index}, '
-                + f'"action": "{d.verb_index},{d.noun_index}", '
-                + f'"segment": [{d.start:.4f}, {d.end:.4f}], "score": {d.score:.4f}'
-                + "}"
-            )
-        body = ",\n".join(entries)
+        dets = doc.results[video_id]
+        entries = [
+            f'      {{"verb": {verb}, "noun": {noun}, "action": "{verb},{noun}", '
+            f'"segment": [{start:.4f}, {end:.4f}], "score": {score:.4f}}}'
+            for verb, noun, start, end, score in zip(
+                dets.verb.tolist(), dets.noun.tolist(), dets.start.tolist(),
+                dets.end.tolist(), dets.score.tolist())
+        ]
         suffix = "," if vi < len(video_ids) - 1 else ""
         if entries:
             lines.append(f"    {json.dumps(video_id)}: [")
-            lines.append(body)
+            lines.append(",\n".join(entries))
             lines.append(f"    ]{suffix}")
         else:
             lines.append(f"    {json.dumps(video_id)}: []{suffix}")
@@ -237,8 +234,33 @@ def serialize_submission(doc: SubmissionDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _checked_entry(entry, vocab: VocabSpec) -> tuple:
+    """One submission entry as a ``DETECTION`` row with action id 0, each
+    field checked in turn; the first at fault raises, naming its key."""
+    try:
+        verb = require_class_index(entry["verb"], vocab.verb_count, key="verb")
+        noun = require_class_index(entry["noun"], vocab.noun_count, key="noun")
+        start, end = require_segment(entry["segment"])
+        score = require_number(entry["score"], key="score")
+        if not 0.0 <= score <= 1.0:
+            raise ParseError(f"score {score} outside [0, 1]", key="score")
+        action = entry["action"]
+    except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed detection entry: {exc}") from None
+    if action != f"{verb},{noun}":
+        raise SchemaMismatch(
+            f"action string {action!r} does not match verb={verb}, noun={noun}"
+        )
+    return start, end, verb, noun, 0, score
+
+
 def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
     """Parse submission JSON back into a document.
+
+    An entry of JSON integers in the vocabulary, a segment of two floats
+    with start < end and a finite length, a float score in [0, 1] and the
+    matching action string is taken as it is; any other entry is checked
+    field by field, and the first field at fault raises.
 
     Raises:
         SchemaMismatch: when required fields are missing or ill-typed,
@@ -260,37 +282,26 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
     if not isinstance(payload["results"], dict):
         raise SchemaMismatch("results must map video ids to detection lists")
 
+    verb_count, noun_count = vocab.verb_count, vocab.noun_count
     results = {}
     for video_id, entries in payload["results"].items():
         if not isinstance(entries, list):
             raise SchemaMismatch(f"detections of video {video_id!r} must be a list")
-        dets = []
+        rows = []
         for entry in entries:
-            try:
-                verb = require_class_index(entry["verb"], vocab.verb_count, key="verb")
-                noun = require_class_index(entry["noun"], vocab.noun_count, key="noun")
-                start, end = require_segment(entry["segment"])
-                score = require_number(entry["score"], key="score")
-                if not 0.0 <= score <= 1.0:
-                    raise ParseError(f"score {score} outside [0, 1]", key="score")
-                action = entry["action"]
-            except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
-                raise SchemaMismatch(f"malformed detection entry: {exc}") from None
-            if action != f"{verb},{noun}":
-                raise SchemaMismatch(
-                    f"action string {action!r} does not match verb={verb}, noun={noun}"
-                )
-            dets.append(
-                ActionDetection(
-                    video_id=video_id,
-                    start=start,
-                    end=end,
-                    verb_index=verb,
-                    noun_index=noun,
-                    action_id=encode_action_id(noun, verb, vocab),
-                    score=score,
-                )
-            )
+            if (type(entry) is dict
+                    and type(verb := entry.get("verb")) is int and 0 <= verb < verb_count
+                    and type(noun := entry.get("noun")) is int and 0 <= noun < noun_count
+                    and type(segment := entry.get("segment")) is list and len(segment) == 2
+                    and type(start := segment[0]) is float and type(end := segment[1]) is float
+                    and 0.0 < end - start < math.inf  # false if either is not finite
+                    and type(score := entry.get("score")) is float and 0.0 <= score <= 1.0
+                    and entry.get("action") == f"{verb},{noun}"):
+                rows.append((start, end, verb, noun, 0, score))
+            else:
+                rows.append(_checked_entry(entry, vocab))
+        dets = np.array(rows, dtype=DETECTION).view(np.recarray)
+        dets.action = vocab.action_id(dets.noun, dets.verb)
         results[video_id] = dets
     return SubmissionDocument(version=payload["version"], results=results)
 
@@ -301,11 +312,9 @@ def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
 
 
 def submission_detections(doc: SubmissionDocument) -> list[ActionDetection]:
-    """Flatten a submission's results map into one detection list."""
-    dets = []
-    for video_id in sorted(doc.results):
-        dets.extend(doc.results[video_id])
-    return dets
+    """A submission's detections as objects, video after video in sorted order."""
+    return [ActionDetection(video_id, *row) for video_id in sorted(doc.results)
+            for row in zip(*(doc.results[video_id][name].tolist() for name in DETECTION.names))]
 
 
 def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> list[GroundTruthInstance]:

@@ -22,15 +22,11 @@ from .evaluation import (
     EvalConfig,
     GroundTruthInstance,
     MeanApResult,
-    mean_ap,
+    score_columns,
+    eval_columns,
 )
 from .fusion import fuse_proposals
-from .io import (
-    ProposalRecord,
-    SubmissionDocument,
-    build_submission,
-    submission_detections,
-)
+from .io import ProposalRecord, SubmissionDocument, build_submission
 from .suppression import CLASS_KEYS, DETECTION, NmsConfig, suppress_video
 from .timeline import intervals_to_seconds
 
@@ -115,10 +111,11 @@ def evaluate_files(
     gts: list[GroundTruthInstance],
     thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
 ) -> dict[str, MeanApResult]:
-    """Score a parsed submission against parsed ground truth on all three tasks."""
-    dets = submission_detections(submission)
+    """Score a parsed submission against parsed ground truth on all three
+    tasks, from columns built once."""
+    dets, truth = eval_columns(submission.results, gts)
     return {
-        task: mean_ap(dets, gts, EvalConfig(thresholds=thresholds, task=task))
+        task: score_columns(dets, truth, EvalConfig(thresholds=thresholds, task=task))
         for task in CLASS_KEYS
     }
 

@@ -92,13 +92,12 @@ def detection_columns(dets: list[ActionDetection]) -> np.recarray:
                                 d.score) for d in dets], dtype=DETECTION)
 
 
-def temporal_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Intersection-over-union of two time intervals; 0 when disjoint."""
-    intersection = min(a[1], b[1]) - max(a[0], b[0])
-    if intersection <= 0.0:
-        return 0.0
-    union = max(a[1], b[1]) - min(a[0], b[0])
-    return intersection / union
+def temporal_iou(a: tuple, b: tuple):
+    """Intersection-over-union of time intervals ``(start, end)``; 0 when
+    disjoint. Starts and ends may be numbers or arrays of them."""
+    intersection = np.minimum(a[1], b[1]) - np.maximum(a[0], b[0])
+    union = np.maximum(a[1], b[1]) - np.minimum(a[0], b[0])
+    return np.maximum(0.0, intersection) / union
 
 
 def rank_key(det: ActionDetection) -> tuple:
@@ -140,7 +139,7 @@ def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
         start_sum, end_sum = weight * start, weight * end
         survivors = []
         for entry in pool:
-            # temporal_iou((start, end), (lo, hi)) with min() and max()
+            # the tIoU of (start, end) and (lo, hi), with min() and max()
             # spelled out: each returns its first operand on a tie
             lo, hi = entry[1], entry[4]
             inter = (hi if hi < end else end) - (lo if lo > start else start)

@@ -114,13 +114,16 @@ def generate_windows(
 
     Raises:
         InvalidOverlap: if overlap is outside [0, 1).
+        InvalidConfig: if ``total_features`` is below 1, or ``max_len`` is
+            below 1 or past the float range.
     """
     if not 0.0 <= overlap < 1.0:
         raise InvalidOverlap(f"overlap must be in [0, 1), got {overlap}")
     if total_features < 1:
         raise InvalidConfig("total_features must be >= 1")
-    if max_len < 1:
-        raise InvalidConfig("max_len must be >= 1")
+    # an int compares with the float maximum exactly, without converting
+    if not 1 <= max_len <= sys.float_info.max:
+        raise InvalidConfig("max_len must be >= 1 and within the float range")
 
     if total_features <= max_len:
         return [Window(0, total_features)]

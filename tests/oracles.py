@@ -5,6 +5,7 @@ from the package's evaluation or suppression internals, so agreement
 between module output and these references is a meaningful check.
 """
 
+import json
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -12,11 +13,14 @@ from typing import NamedTuple
 import numpy as np
 
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
-from tadfusion.evaluation import sort_detections
 from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
-from tadfusion.io import SubmissionDocument
 from tadfusion.simulation import FusionReport, scenario_to_records
-from tadfusion.suppression import ActionDetection
+from tadfusion.suppression import ActionDetection, rank_key
+
+
+def sort_detections(dets: list[ActionDetection]) -> list[ActionDetection]:
+    """Score-descending order with deterministic tie-breaks."""
+    return sorted(dets, key=lambda d: (*rank_key(d), d.video_id))
 
 
 def oracle_interval_iou(a, b):
@@ -271,9 +275,10 @@ def oracle_compare_fusion(scenario, epsilon):
 
 # The post-processing chain as it ran one proposal record and one
 # detection object at a time: ``_record_detections``,
-# ``suppress_submission`` and ``build_submission`` verbatim, with the
-# top-K composition, per-record fusion, scalar seconds conversion and
-# object-at-a-time suppression they called (Soft-NMS by
+# ``suppress_submission``, ``build_submission`` (returning the version and
+# the object lists) and the object-at-a-time ``serialize_submission``
+# verbatim, with the top-K composition, per-record fusion, scalar seconds
+# conversion and object-at-a-time suppression they called (Soft-NMS by
 # ``oracle_soft_nms``), so the columnar chain can be pinned to it byte
 # for byte.
 class _Candidate(NamedTuple):
@@ -421,11 +426,40 @@ def _legacy_build_submission(detections_by_video, version):
                 )
             )
         results[video_id] = _legacy_by_rank(dets)
-    return SubmissionDocument(version=version, results=results)
+    return version, results
+
+
+def _legacy_serialize_submission(version, results):
+    lines = ["{"]
+    lines.append(f'  "version": {json.dumps(version)},')
+    lines.append(f'  "challenge": {json.dumps("action_detection")},')
+    lines.append('  "results": {')
+    video_ids = sorted(results)
+    for vi, video_id in enumerate(video_ids):
+        entries = []
+        for d in results[video_id]:
+            entries.append(
+                "      {"
+                + f'"verb": {d.verb_index}, "noun": {d.noun_index}, '
+                + f'"action": "{d.verb_index},{d.noun_index}", '
+                + f'"segment": [{d.start:.4f}, {d.end:.4f}], "score": {d.score:.4f}'
+                + "}"
+            )
+        body = ",\n".join(entries)
+        suffix = "," if vi < len(video_ids) - 1 else ""
+        if entries:
+            lines.append(f"    {json.dumps(video_id)}: [")
+            lines.append(body)
+            lines.append(f"    ]{suffix}")
+        else:
+            lines.append(f"    {json.dumps(video_id)}: []{suffix}")
+    lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_run_pipeline(records, cfg):
-    """The submission the record-at-a-time chain made of ``records``."""
+    """The submission text the record-at-a-time chain wrote for ``records``."""
     vocab = cfg.vocab()
     nms_cfg = cfg.nms_config()
     by_video = {}
@@ -433,4 +467,5 @@ def oracle_run_pipeline(records, cfg):
         by_video.setdefault(record.video_id, []).extend(
             _legacy_record_detections(record, cfg, vocab, nms_cfg.min_score)
         )
-    return _legacy_suppress_submission(by_video, nms_cfg, cfg.submission_version)
+    return _legacy_serialize_submission(
+        *_legacy_suppress_submission(by_video, nms_cfg, cfg.submission_version))

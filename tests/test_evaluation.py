@@ -14,9 +14,10 @@ from tadfusion.evaluation import (
     GroundTruthInstance,
     average_precision,
     mean_ap,
-    sort_detections,
 )
-from tadfusion.suppression import ActionDetection
+from tadfusion.io import SubmissionDocument, submission_detections
+from tadfusion.pipeline import evaluate_files
+from tadfusion.suppression import ActionDetection, detection_columns
 
 
 def det(start, end, score, verb=0, noun=0, video="v"):
@@ -42,7 +43,12 @@ def map_at(tau, dets, gts, task="action"):
     return mean_ap(dets, gts, EvalConfig(thresholds=(tau,), task=task)).average
 
 
-from oracles import oracle_ap, oracle_mean_ap, oracle_mean_ap_legacy
+from oracles import oracle_ap, oracle_mean_ap, oracle_mean_ap_legacy, sort_detections
+
+
+def ap_of(flags, num_gt):
+    """``average_precision`` of TP/FP flags in score order."""
+    return average_precision([rank for rank, flag in enumerate(flags, 1) if flag], num_gt)
 
 
 def random_instance(rng, max_dets=10, max_gts=5, max_classes=3):
@@ -104,29 +110,45 @@ class TestMatchDetections:
 
 class TestAveragePrecision:
     def test_perfect_single(self):
-        assert average_precision([True], 1) == 1.0
+        assert ap_of([True], 1) == 1.0
 
     def test_nothing_recalled(self):
-        assert average_precision([False], 1) == 0.0
+        assert ap_of([False], 1) == 0.0
 
     def test_interpolated_example(self):
         # oracle: enumerate prefix precisions and take envelope maxima
         assert oracle_ap([True, False, True], 2) == pytest.approx(0.5 + 0.5 * (2 / 3))
-        assert average_precision([True, False, True], 2) == pytest.approx(5 / 6)
+        assert ap_of([True, False, True], 2) == pytest.approx(5 / 6)
 
     def test_zero_ground_truth(self):
-        assert average_precision([False, False], 0) == 0.0
+        assert ap_of([False, False], 0) == 0.0
 
     def test_trailing_fp_never_increases(self):
-        base = average_precision([True, True], 2)
-        with_fp = average_precision([True, True, False], 2)
+        base = ap_of([True, True], 2)
+        with_fp = ap_of([True, True, False], 2)
         assert with_fp <= base
 
     @given(st.lists(st.booleans(), min_size=1, max_size=12), st.integers(1, 6))
     def test_matches_oracle(self, flags, num_gt):
-        assert average_precision(flags, num_gt) == pytest.approx(
+        assert ap_of(flags, num_gt) == pytest.approx(
             oracle_ap(flags, num_gt), abs=1e-12
         )
+
+
+class TestApSumCutOver:
+    """AP adds its step terms as ``np.sum`` does: left to right below 8 terms,
+    pairwise from 8 on. Pinned by ``repr``, so a NumPy that changes its
+    pairwise block size fails here rather than in a benchmark digest."""
+
+    def test_seven_terms_add_left_to_right(self):
+        # 7 hits of 7 ground truths: seven step terms; pairwise grouping and
+        # exact summation of the same terms both give 0.4256137237503697
+        assert repr(average_precision([2, 3, 7, 18, 19, 20, 23], 7)) == "0.42561372375036977"
+
+    def test_eight_terms_add_pairwise(self):
+        # 7 hits of 11 ground truths: seven step terms and the closing one;
+        # left to right the same terms give 0.21212121212121213
+        assert repr(average_precision([5, 10, 12, 14, 18, 19, 21], 11)) == "0.2121212121212121"
 
 
 class TestMeanAp:
@@ -248,6 +270,30 @@ class TestMeanApExact:
             assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
                 repr(per_threshold[t]) for t in EXACT_THRESHOLDS]
             assert repr(got.average) == repr(average)
+
+    def test_evaluate_files_matches_per_threshold_evaluator_bit_for_bit(self):
+        # grid instances hold tied scores and a video only in the submission;
+        # each adds a video only in the ground truth, and every tenth is
+        # scored as an empty submission
+        rng = np.random.default_rng(2025)
+        for i in range(120):
+            dets, gts = grid_instance(rng)
+            gts.append(gt(3.0, 4.5, verb=1, video="gt_only"))
+            if i % 10 == 0:
+                dets = []
+            by_video = {}
+            for d in dets:
+                by_video.setdefault(d.video_id, []).append(d)
+            doc = SubmissionDocument(results={video: detection_columns(video_dets)
+                                              for video, video_dets in by_video.items()})
+            results = evaluate_files(doc, gts, EXACT_THRESHOLDS)
+            for task in ("verb", "noun", "action"):
+                per_threshold, average = oracle_mean_ap_legacy(
+                    submission_detections(doc), gts, EXACT_THRESHOLDS, task)
+                got = results[task]
+                assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
+                    repr(per_threshold[t]) for t in EXACT_THRESHOLDS]
+                assert repr(got.average) == repr(average)
 
     def test_equal_overlaps_go_to_the_earliest_ground_truth(self):
         gts = [gt(200.0, 202.0), gt(201.0, 203.0)]

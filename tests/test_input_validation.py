@@ -175,6 +175,29 @@ class TestGridPastFloatRange:
         assert f"(key {key!r})" in capsys.readouterr().err
 
 
+class TestVocabularyCeiling:
+    @pytest.mark.parametrize("key", ["noun_count", "verb_count"])
+    def test_pipeline_names_the_key(self, tmp_path, capsys, key):
+        code = run(tmp_path, ["pipeline", "--proposals", "{p}", "--config", "{c}"],
+                   p=GOOD_PROPOSAL + "\n", c=f"{key} = 1{'0' * 30}\n")
+        assert code == 1
+        assert f"(key {key!r})" in capsys.readouterr().err
+
+
+class TestWindowLengthPastFloatRange:
+    def test_max_len_flag_is_named(self, tmp_path, capsys):
+        code = main(["windows", "--total-features", f"1{'0' * 401}",
+                     "--max-len", f"1{'0' * 400}", "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert "max_len" in capsys.readouterr().err
+
+    def test_window_length_key_is_named(self, tmp_path, capsys):
+        code = run(tmp_path, ["windows", "--total-features", f"1{'0' * 401}", "--config", "{c}"],
+                   c=f"window_length = 1{'0' * 400}\n")
+        assert code == 1
+        assert "(key 'window_length')" in capsys.readouterr().err
+
+
 class TestSubmissionScoreRange:
     @pytest.mark.parametrize("score", [1.5, -0.25])
     def test_names_the_key(self, tmp_path, capsys, score):

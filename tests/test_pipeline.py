@@ -48,7 +48,7 @@ def record(video="P01_101", window_start=0, noun_b=(10.0, 20.0), verb_b=(14.0, 2
 class TestRunPipeline:
     def test_single_confident_pair(self):
         doc = run_pipeline([record()], PipelineConfig())
-        dets = doc.results["P01_101"]
+        dets = submission_detections(doc)
         assert len(dets) == 1
         d = dets[0]
         assert d.score == pytest.approx(math.sqrt(0.9 * 0.8), abs=1e-4)
@@ -106,13 +106,13 @@ class TestRunPipeline:
     def test_below_min_score_candidates_dropped(self):
         doc = run_pipeline([record(noun_p=0.001, verb_p=0.0005)], PipelineConfig())
         # S = sqrt(5e-7) ~ 7e-4 < 0.001 under the verb_action preset
-        assert doc.results["P01_101"] == []
+        assert len(doc.results["P01_101"]) == 0
 
     def test_noun_preset_keeps_weaker_candidates_out(self):
         cfg = PipelineConfig(nms_preset="noun")
         doc = run_pipeline([record(noun_p=0.003, verb_p=0.003)], cfg)
         # S = 0.003 < noun preset minimum 0.005
-        assert doc.results["P01_101"] == []
+        assert len(doc.results["P01_101"]) == 0
 
 
 # scores that tie, sit exactly at or next to the 0.001 and 0.005 minimum
@@ -166,10 +166,16 @@ def random_proposal_set(rng):
     return records, cfg
 
 
-def pipeline_outcome(run, records, cfg):
-    """The serialized submission, or the message of the ParseError raised."""
+def written(records, cfg):
+    """The submission text ``pipeline`` writes for ``records``."""
+    return serialize_submission(run_pipeline(records, cfg))
+
+
+def pipeline_outcome(write, records, cfg):
+    """The submission text ``write`` makes of ``records``, or the message of
+    the ParseError raised."""
     try:
-        return serialize_submission(run(records, cfg))
+        return write(records, cfg)
     except ParseError as exc:
         return f"ParseError: {exc}"
 
@@ -181,7 +187,7 @@ class TestRunPipelineMatchesOracle:
         for _ in range(240):
             records, cfg = random_proposal_set(rng)
             expected = pipeline_outcome(oracle_run_pipeline, records, cfg)
-            assert pipeline_outcome(run_pipeline, records, cfg) == expected
+            assert pipeline_outcome(written, records, cfg) == expected
             outcomes.append(expected)
         # the sets reach both outcomes, and detections on several videos
         errors = [o for o in outcomes if o.startswith("ParseError")]
@@ -194,9 +200,9 @@ class TestRunPipelineMatchesOracle:
         dropped = record(window_start=10**400, noun_p=0.001, verb_p=0.0005)
         for records in ([survives], [dropped], [record(), dropped], [dropped, survives]):
             expected = pipeline_outcome(oracle_run_pipeline, records, cfg)
-            assert pipeline_outcome(run_pipeline, records, cfg) == expected
-        assert pipeline_outcome(run_pipeline, [survives], cfg).startswith("ParseError")
-        assert not pipeline_outcome(run_pipeline, [dropped], cfg).startswith("ParseError")
+            assert pipeline_outcome(written, records, cfg) == expected
+        assert pipeline_outcome(written, [survives], cfg).startswith("ParseError")
+        assert not pipeline_outcome(written, [dropped], cfg).startswith("ParseError")
 
     def test_first_unconvertible_record_in_the_file_is_named(self):
         records = [record(video="b"), record(video="a", window_start=10**400),

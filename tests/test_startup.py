@@ -1,7 +1,7 @@
-"""Start-up budget: no command but ``simulate`` loads SciPy at all, and
-``simulate`` loads only ``scipy.special``, not ``scipy.stats``; every
-module of the package is one the CLI imports; and every public name is
-used by the package or the acceptance suite.
+"""Start-up budget: no command but ``simulate`` loads SciPy or
+``numpy.ma`` at all, and ``simulate`` loads only ``scipy.special``, not
+``scipy.stats``; every module of the package is one the CLI imports; and
+every public name is used by the package or the acceptance suite.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -47,15 +47,25 @@ def loaded_after(tmp_path, module, *argv):
     return int(code), loaded == "True"
 
 
-@pytest.mark.parametrize("argv", [
+# every command but simulate, which loads SciPy, and SciPy loads numpy.ma
+COMMANDS = pytest.mark.parametrize("argv", [
     ["windows", "--total-features", "100"],
     ["fuse", "--proposals", "{tmp}/p.txt"],
     ["pipeline", "--proposals", "{tmp}/p.txt"],
     ["nms", "--input", "{tmp}/s.json"],
     ["eval", "--submission", "{tmp}/s.json", "--ground-truth", "{tmp}/g.json"],
 ], ids=lambda argv: argv[0])
+
+
+@COMMANDS
 def test_command_does_not_load_scipy(tmp_path, argv):
     assert loaded_after(tmp_path, "scipy", *argv) == (0, False)
+
+
+@COMMANDS
+def test_command_does_not_load_numpy_ma(tmp_path, argv):
+    # np.unique, for one, imports numpy.ma on first use
+    assert loaded_after(tmp_path, "numpy.ma", *argv) == (0, False)
 
 
 def test_simulate_does_not_load_scipy_stats(tmp_path):
