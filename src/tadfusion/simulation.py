@@ -10,6 +10,7 @@ trained detector in the loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,16 @@ from .io import ProposalRecord
 from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
+
+# each segment's spawn key is one 32-bit word of its child seed sequence
+_MAX_SEGMENTS = 2**32
+
+# NumPy SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 # the one video of every scenario
 VIDEO_ID = "sim"
@@ -52,10 +63,10 @@ class ScenarioConfig:
     vocab: VocabSpec = field(default_factory=VocabSpec)
 
     def __post_init__(self):
-        if self.num_segments < 1:
-            raise InvalidConfig("num_segments must be >= 1")
-        if self.video_length_s <= 0.0:
-            raise InvalidConfig("video_length_s must be positive")
+        if not 1 <= self.num_segments <= _MAX_SEGMENTS:
+            raise InvalidConfig(f"num_segments must lie in [1, {_MAX_SEGMENTS}]")
+        if not 0.0 < self.video_length_s < math.inf:
+            raise InvalidConfig("video_length_s must be positive and finite")
         if not 0.0 <= self.confidence_lo <= self.confidence_hi <= 1.0:
             raise InvalidConfig("confidence bounds must satisfy 0 <= lo <= hi <= 1")
         if self.confidence_hi == 0.0:
@@ -151,37 +162,107 @@ def _noisy_boundary(
     )
 
 
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's 32-bit hash, advancing its constant on every call.
+
+    Takes Python ints or uint64 arrays of 32-bit words.
+    """
+    def hash_word(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+    return hash_word
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _child_states(seed: int, n: int) -> np.ndarray:
+    """The ``(n, 4)`` PCG64 seed words of the first ``n`` children of a seed.
+
+    Row ``i`` equals
+    ``np.random.SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64)``.
+    Each child's entropy is the seed's 32-bit words, padded with zeros to
+    the pool size, then its spawn key ``i``. Everything but that last word
+    is mixed once on Python ints; the key and the output hash are mixed
+    over all keys at once, as 32-bit words held in uint64.
+    """
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+
+    hash_a = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_a(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+    for word in [*words[_POOL_SIZE:], np.arange(n, dtype=np.uint64)]:
+        pool = [_mix(entry, hash_a(word)) for entry in pool]
+
+    # generate_state(4, np.uint64): eight 32-bit words cycling over the
+    # pool, paired little-endian into four 64-bit words
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    out = [hash_b(pool[k % _POOL_SIZE]) for k in range(8)]
+    return np.column_stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])])
+
+
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """Draw a scenario deterministically from its seed.
 
-    Every segment consumes an independent child stream of the master
-    seed, so results are identical regardless of evaluation order and
-    segments could be generated in parallel.
+    Segment ``i`` draws from its own PCG64 generator, seeded exactly as
+    ``np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(n)[i])``
+    would be; ``_child_states`` derives the seed words of all ``n`` child
+    streams in one array pass. Results are therefore identical regardless
+    of evaluation order, and segments could be generated in parallel.
     """
-    n = cfg.num_segments
+    # numpy.random is imported here, not at module level, so that only
+    # simulate pays for it at start-up
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Words(ISeedSequence):
+        """Hands PCG64 one precomputed row of seed words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
     ground_truth = []
-    noun_confidence, verb_confidence = np.empty(n), np.empty(n)
-    noun_boundary, verb_boundary = np.empty((n, 2)), np.empty((n, 2))
-    for i, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n)):
-        rng = np.random.default_rng(seq)
-        length = rng.uniform(cfg.min_segment_s, cfg.max_segment_s)
-        start = rng.uniform(0.0, cfg.video_length_s - length)
+    noun_confidence, verb_confidence, noun_boundary, verb_boundary = [], [], [], []
+    # Generator.uniform(lo, hi) returns lo + (hi - lo) * random(), bit for bit;
+    # at lo = 0 that is the product alone, which is never -0.0
+    length_lo, length_range = cfg.min_segment_s, cfg.max_segment_s - cfg.min_segment_s
+    conf_lo, conf_range = cfg.confidence_lo, cfg.confidence_hi - cfg.confidence_lo
+    for words in _child_states(cfg.seed, cfg.num_segments):
+        rng = Generator(PCG64(_Words(words)))
+        length = length_lo + length_range * rng.random()
+        start = (cfg.video_length_s - length) * rng.random()
         true_boundary = (start, start + length)
         verb = int(rng.integers(cfg.vocab.verb_count))
         noun = int(rng.integers(cfg.vocab.noun_count))
-        c_noun = noun_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
-        c_verb = verb_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
-        noun_boundary[i] = _noisy_boundary(rng, true_boundary, c_noun, cfg)
-        verb_boundary[i] = _noisy_boundary(rng, true_boundary, c_verb, cfg)
+        c_noun = conf_lo + conf_range * rng.random()
+        c_verb = conf_lo + conf_range * rng.random()
+        noun_confidence.append(c_noun)
+        verb_confidence.append(c_verb)
+        noun_boundary.append(_noisy_boundary(rng, true_boundary, c_noun, cfg))
+        verb_boundary.append(_noisy_boundary(rng, true_boundary, c_verb, cfg))
         ground_truth.append(GroundTruthInstance(
             VIDEO_ID, *true_boundary, verb_index=verb, noun_index=noun))
     return Scenario(
         config=cfg,
         ground_truth=ground_truth,
-        noun_confidence=noun_confidence,
-        verb_confidence=verb_confidence,
-        noun_boundary=noun_boundary,
-        verb_boundary=verb_boundary,
+        noun_confidence=np.array(noun_confidence),
+        verb_confidence=np.array(verb_confidence),
+        noun_boundary=np.array(noun_boundary),
+        verb_boundary=np.array(verb_boundary),
     )
 
 

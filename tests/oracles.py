@@ -13,8 +13,15 @@ from typing import NamedTuple
 import numpy as np
 
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
+from tadfusion.evaluation import GroundTruthInstance
 from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
-from tadfusion.simulation import FusionReport, scenario_to_records
+from tadfusion.simulation import (
+    _MAX_NOISE_RESAMPLES,
+    VIDEO_ID,
+    FusionReport,
+    Scenario,
+    scenario_to_records,
+)
 from tadfusion.suppression import ActionDetection, rank_key
 
 
@@ -270,6 +277,52 @@ def oracle_compare_fusion(scenario, epsilon):
         per_segment_mean=err_mean,
         confidence_error_correlation=correlation,
         p_value=p_value,
+    )
+
+
+# ``generate_scenario`` and ``_noisy_boundary`` as they drew each segment
+# through its own child SeedSequence, ``default_rng`` and
+# ``Generator.uniform``, verbatim, so the array-derived seeds and the
+# ``lo + (hi - lo) * random()`` draws are pinned to them byte for byte.
+def _oracle_noisy_boundary(rng, true_boundary, confidence, cfg):
+    # resample, rather than truncate, to avoid biasing noise near edges
+    std = cfg.noise_std(confidence)
+    for _ in range(_MAX_NOISE_RESAMPLES):
+        start = true_boundary[0] + rng.normal(0.0, std)
+        end = true_boundary[1] + rng.normal(0.0, std)
+        if 0.0 <= start < end <= cfg.video_length_s:
+            return (start, end)
+    raise InvalidConfig(
+        "could not draw a valid noisy boundary; noise scale is too large "
+        "for the video length"
+    )
+
+
+def oracle_generate_scenario(cfg):
+    n = cfg.num_segments
+    ground_truth = []
+    noun_confidence, verb_confidence = np.empty(n), np.empty(n)
+    noun_boundary, verb_boundary = np.empty((n, 2)), np.empty((n, 2))
+    for i, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n)):
+        rng = np.random.default_rng(seq)
+        length = rng.uniform(cfg.min_segment_s, cfg.max_segment_s)
+        start = rng.uniform(0.0, cfg.video_length_s - length)
+        true_boundary = (start, start + length)
+        verb = int(rng.integers(cfg.vocab.verb_count))
+        noun = int(rng.integers(cfg.vocab.noun_count))
+        c_noun = noun_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
+        c_verb = verb_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
+        noun_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_noun, cfg)
+        verb_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_verb, cfg)
+        ground_truth.append(GroundTruthInstance(
+            VIDEO_ID, *true_boundary, verb_index=verb, noun_index=noun))
+    return Scenario(
+        config=cfg,
+        ground_truth=ground_truth,
+        noun_confidence=noun_confidence,
+        verb_confidence=verb_confidence,
+        noun_boundary=noun_boundary,
+        verb_boundary=verb_boundary,
     )
 
 

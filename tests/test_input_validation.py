@@ -198,6 +198,16 @@ class TestWindowLengthPastFloatRange:
         assert "(key 'window_length')" in capsys.readouterr().err
 
 
+class TestSegmentCountCeiling:
+    # each segment's spawn key is one 32-bit word; no count at or below
+    # the bound is tried here, since it would be generated
+    @pytest.mark.parametrize("count", [10**30, 2**32 + 1])
+    def test_simulate_names_the_key(self, tmp_path, capsys, count):
+        code = run(tmp_path, ["simulate", "--config", "{c}"], c=f"sim_segments = {count}\n")
+        assert code == 1
+        assert "(key 'sim_segments')" in capsys.readouterr().err
+
+
 class TestSubmissionScoreRange:
     @pytest.mark.parametrize("score", [1.5, -0.25])
     def test_names_the_key(self, tmp_path, capsys, score):

@@ -1,15 +1,18 @@
+import math
+import random
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import oracle_compare_fusion
+from oracles import oracle_compare_fusion, oracle_generate_scenario
 from tadfusion.composition import VocabSpec
 from tadfusion.errors import InvalidConfig
 from tadfusion.simulation import (
     FusionReport,
     ScenarioConfig,
+    _child_states,
     _score_vector,
     compare_fusion,
     generate_scenario,
@@ -87,6 +90,12 @@ class TestGenerateScenario:
             ScenarioConfig(sigma_min=1.0, sigma_max=0.5)
         with pytest.raises(InvalidConfig):
             ScenarioConfig(video_length_s=2.0, max_segment_s=8.0)
+        # a spawn key is one 32-bit word
+        with pytest.raises(InvalidConfig, match="num_segments"):
+            ScenarioConfig(num_segments=2**32 + 1)
+        for length in (math.inf, math.nan):
+            with pytest.raises(InvalidConfig, match="video_length_s"):
+                ScenarioConfig(video_length_s=length)
 
     def test_zero_confidence(self):
         # DWF is undefined when both streams have confidence 0
@@ -94,6 +103,76 @@ class TestGenerateScenario:
             ScenarioConfig(confidence_lo=0.0, confidence_hi=0.0)
         # a zero draw (possible when confidence_lo = 0) scores nothing
         assert _score_vector(300, 5, 0.0).max() == 0.0
+
+
+# seeds of one to six 32-bit words; those past four words are mixed into
+# the pool after it is filled
+RANDOM_SEEDS = [random.Random(14).getrandbits(bits) for bits in range(1, 161, 3)]
+
+
+class TestChildStates:
+    """Row i is the seed of child i of ``SeedSequence(seed)``, so a NumPy
+    that changes its seeding algorithm fails here before any digest."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3, 10**54])
+    def test_edge_seeds(self, seed):
+        self.check(seed, 300)
+
+    @pytest.mark.parametrize("seed", RANDOM_SEEDS)
+    def test_random_seeds(self, seed):
+        self.check(seed, 1 + seed % 300)
+
+    @staticmethod
+    def check(seed, n):
+        want = [child.generate_state(4, np.uint64)
+                for child in np.random.SeedSequence(seed).spawn(n)]
+        got = _child_states(seed, n)
+        assert got.dtype == np.uint64 and got.shape == (n, 4)
+        for i, row in enumerate(want):
+            assert (got[i] == row).all(), (seed, i)
+
+
+def assert_same_scenario(got, want):
+    for field in ("noun_confidence", "verb_confidence", "noun_boundary", "verb_boundary"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
+    assert repr(got.ground_truth) == repr(want.ground_truth)
+
+
+class TestGenerateScenarioOracle:
+    """The array-seeded loop draws what the per-segment ``SeedSequence``
+    and ``Generator.uniform`` loop drew, bit for bit. NumPy computes
+    ``uniform`` as ``lo + (hi - lo) * random()`` in C, so a platform whose
+    compiler fuses that into one multiply-add fails here."""
+
+    def test_many_seeds(self):
+        for seed in range(100):
+            cfg = config(seed=seed, num_segments=60)
+            assert_same_scenario(generate_scenario(cfg), oracle_generate_scenario(cfg))
+
+    @pytest.mark.parametrize("overrides", [
+        # noise as wide as the video: most draws are resampled
+        dict(video_length_s=10.0, sigma_min=2.0, sigma_max=6.0),
+        dict(confidence_lo=0.6, confidence_hi=0.6),
+        dict(confidence_lo=0.0),
+        dict(vocab=VocabSpec(noun_count=1, verb_count=1)),
+        dict(min_segment_s=5.0, max_segment_s=5.0, video_length_s=5.0),
+        dict(num_segments=1),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 7, 10**30])
+    def test_edge_configs(self, overrides, seed):
+        cfg = config(**{"seed": seed, "num_segments": 50, **overrides})
+        assert_same_scenario(generate_scenario(cfg), oracle_generate_scenario(cfg))
+
+    def test_exhausted_resampling_raises_the_same_error(self):
+        cfg = config(num_segments=1, video_length_s=1.0, min_segment_s=1.0,
+                     max_segment_s=1.0, sigma_min=1e6, sigma_max=1e6)
+        with pytest.raises(InvalidConfig) as got:
+            generate_scenario(cfg)
+        with pytest.raises(InvalidConfig) as want:
+            oracle_generate_scenario(cfg)
+        assert str(got.value) == str(want.value)
 
 
 class TestCompareFusion:

@@ -1,7 +1,8 @@
-"""Start-up budget: no command but ``simulate`` loads SciPy or
-``numpy.ma`` at all, and ``simulate`` loads only ``scipy.special``, not
-``scipy.stats``; every module of the package is one the CLI imports; and
-every public name is used by the package or the acceptance suite.
+"""Start-up budget: no command but ``simulate`` loads SciPy, ``numpy.ma``
+or ``numpy.random`` at all, and ``simulate`` loads only
+``scipy.special``, not ``scipy.stats``; every module of the package is
+one the CLI imports; and every public name is used by the package or the
+acceptance suite.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -66,6 +67,12 @@ def test_command_does_not_load_scipy(tmp_path, argv):
 def test_command_does_not_load_numpy_ma(tmp_path, argv):
     # np.unique, for one, imports numpy.ma on first use
     assert loaded_after(tmp_path, "numpy.ma", *argv) == (0, False)
+
+
+@COMMANDS
+def test_command_does_not_load_numpy_random(tmp_path, argv):
+    # simulation imports numpy.random inside generate_scenario only
+    assert loaded_after(tmp_path, "numpy.random", *argv) == (0, False)
 
 
 def test_simulate_does_not_load_scipy_stats(tmp_path):
