@@ -95,6 +95,7 @@ def _parse_sparse_scores(token: str, size: int, lineno: int, stream: str) -> np.
     scores = np.zeros(size)
     if token == "-":
         return scores
+    seen = set()
     for pair in token.split(","):
         index_str, _, score_str = pair.partition(":")
         try:
@@ -113,6 +114,9 @@ def _parse_sparse_scores(token: str, size: int, lineno: int, stream: str) -> np.
             raise ParseError(
                 f"{stream} score {score} outside [0, 1]", line=lineno
             )
+        if index in seen:
+            raise ParseError(f"repeated {stream} class index {index}", line=lineno)
+        seen.add(index)
         scores[index] = score
     return scores
 
@@ -184,6 +188,34 @@ class SubmissionDocument:
     results: dict[str, np.recarray] = field(default_factory=dict)
 
 
+# From 2**39 on, floats are spaced more than 1e-4 apart, so round(v, 4) == v.
+_ROUND4_LIMIT = 2.0**39
+
+
+def _round4(x: np.ndarray) -> np.ndarray:
+    """``round(v, 4)`` of every value of ``x``, bit for bit.
+
+    ``k = rint(x * 1e4)`` is the exact product rounded half-even unless
+    the float product is a half-integer that the exact one is not; there
+    the product's exact error (Dekker's split of ``x``; 1e4 needs none)
+    picks the side. ``k / 1e4`` is correctly rounded, as ``round``'s
+    decimal-to-float step is. Values from 2**39 on, inf and nan come back
+    as they are; -0.0 stays -0.0.
+    """
+    small = np.abs(x) < _ROUND4_LIMIT  # False for inf and nan
+    v = np.where(small, x, 0.0)  # no overflow in the products below
+    p = v * 1e4
+    k = np.rint(p)
+    tie = np.nonzero(np.abs(p - k) == 0.5)
+    v, p = v[tie], p[tie]
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    err = (hi * 1e4 - p) + (v - hi) * 1e4  # v * 1e4 - p, exactly
+    # where the error is 0 rint's half-even choice stands, -0.0 included
+    k[tie] = np.where(err > 0.0, np.ceil(p), np.where(err < 0.0, np.floor(p), k[tie]))
+    return np.where(small, k / 1e4, x)
+
+
 def build_submission(
     detections_by_video: dict[str, np.recarray], version: str = SUBMISSION_VERSION
 ) -> SubmissionDocument:
@@ -191,12 +223,15 @@ def build_submission(
 
     Times and scores are rounded to 4 decimals (well below any matching
     tolerance that matters) so that serialization round-trips exactly.
+    The rounding is Python's ``round(v, 4)``, bit for bit: half-even on
+    the exact binary value, so 510.37455 (a float just below the decimal)
+    becomes 510.3745. ``np.round(x, 4)`` is not the same: it rounds
+    ``x * 1e4`` after that product is itself rounded, and gives 510.3746.
     """
     results = {}
     for video_id in sorted(detections_by_video):
         dets = detections_by_video[video_id]
-        start, end, score = (np.array([round(x, 4) for x in column.tolist()], dtype=float)
-                             for column in (dets.start, dets.end, dets.score))
+        start, end, score = _round4(np.array([dets.start, dets.end, dets.score]))
         kept = np.flatnonzero(~(start >= end))  # quantization collapses sub-0.1ms intervals
         # a stable sort: equal ranks keep their input order
         kept = kept[np.lexsort((dets.action[kept], start[kept], -score[kept]))]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -185,7 +186,10 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig, class_key: str = "action")
     merged = []
     for lo, hi in zip(bounds, bounds[1:]):
         merged.extend(soft_nms(rows[lo:hi], cfg, vote=True))
-    neg_score, start, action_id, position, end = (np.array(c) for c in zip(*merged))
+    # one float array of the kept rows: ids and positions are exact below 2**53
+    neg_score, start, action_id, position, end = np.fromiter(
+        chain.from_iterable(merged), float, count=5 * len(merged)).reshape(-1, 5).T
+    position = position.astype(np.int64)
     # stable: equal ranks keep pool order, then the order Soft-NMS kept them
     ranked = np.lexsort((action_id, start, neg_score))[: cfg.max_per_video]
     kept = dets[order[position[ranked]]]

@@ -22,6 +22,8 @@ DEFAULT_OFFSET_FRAMES = 4
 DEFAULT_FPS = 30.0
 DEFAULT_WINDOW_LENGTH = 4608
 DEFAULT_WINDOW_OVERLAP = 0.5
+# windows one call may generate; counted before any is built
+MAX_WINDOWS = 2**20
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,9 @@ def generate_windows(
 
     Raises:
         InvalidOverlap: if overlap is outside [0, 1).
-        InvalidConfig: if ``total_features`` is below 1, or ``max_len`` is
-            below 1 or past the float range.
+        InvalidConfig: if ``total_features`` is below 1 or would give more
+            than ``MAX_WINDOWS`` windows, or ``max_len`` is below 1 or past
+            the float range.
     """
     if not 0.0 <= overlap < 1.0:
         raise InvalidOverlap(f"overlap must be in [0, 1), got {overlap}")
@@ -129,12 +132,7 @@ def generate_windows(
         return [Window(0, total_features)]
 
     stride = max(1, math.floor(max_len * (1.0 - overlap)))
-    starts: list[int] = []
-    start = 0
-    while True:
-        if start + max_len >= total_features:
-            starts.append(total_features - max_len)
-            break
-        starts.append(start)
-        start += stride
-    return [Window(s, max_len) for s in starts]
+    last = total_features - max_len
+    if -(-last // stride) + 1 > MAX_WINDOWS:
+        raise InvalidConfig(f"total_features gives more than {MAX_WINDOWS} windows")
+    return [Window(s, max_len) for s in range(0, last, stride)] + [Window(last, max_len)]

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,32 @@ class TestWindowLengthPastFloatRange:
                    c=f"window_length = 1{'0' * 400}\n")
         assert code == 1
         assert "(key 'window_length')" in capsys.readouterr().err
+
+
+class TestWindowCountCeiling:
+    # counted before any window is built, so neither run allocates them
+    @pytest.mark.parametrize("total", [10**11, 10**400])
+    def test_windows_names_the_flag(self, tmp_path, capsys, total):
+        began = time.perf_counter()
+        code = main(["windows", "--total-features", str(total),
+                     "--output", str(tmp_path / "out")])
+        assert time.perf_counter() - began < 1.0
+        assert code == 1
+        assert "total_features" in capsys.readouterr().err
+
+
+class TestRepeatedClassIndex:
+    @pytest.mark.parametrize("line", ["P01 0 1.0 3.0 5:0.9,5:0.1 1.0 3.0 3:0.8",
+                                      "P01 0 1.0 3.0 5:0.9 1.0 3.0 3:0.8,4:0.2,3:0.8"])
+    def test_pipeline_names_the_line(self, tmp_path, capsys, line):
+        out = tmp_path / "out.json"
+        code = run(tmp_path, ["pipeline", "--proposals", "{p}", "--output", str(out)],
+                   p=f"{GOOD_PROPOSAL}\n{line}\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "repeated" in err
+        assert ("index 5" if "5:0.1" in line else "index 3") in err
+        assert not out.exists()
 
 
 class TestSegmentCountCeiling:

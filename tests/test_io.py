@@ -1,9 +1,12 @@
 import json
+import sys
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
 
+from tadfusion.cli import main
 from tadfusion.composition import VocabSpec
 from tadfusion.config import PipelineConfig, parse_config, parse_config_text
 from tadfusion.errors import (
@@ -16,6 +19,7 @@ from tadfusion.errors import (
 from tadfusion.evaluation import GroundTruthInstance
 from tadfusion.io import (
     ProposalRecord,
+    _round4,
     build_submission,
     parse_proposal_line,
     parse_submission,
@@ -187,6 +191,58 @@ class TestSubmission:
     def test_quantization_drops_collapsed_intervals(self):
         doc = submission({"v": [detection(start=1.00001, end=1.00004)]})
         assert len(doc.results["v"]) == 0
+
+
+def round_bits(values: np.ndarray) -> np.ndarray:
+    """Bit patterns of Python's ``round(v, 4)`` over ``values``."""
+    return np.array(list(map(round, values.tolist(), repeat(4)))).view(np.int64)
+
+
+class TestRound4:
+    """``_round4`` is ``round(v, 4)`` bit for bit, -0.0 and nan included."""
+
+    def test_five_million_values(self):
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        for _ in range(5):
+            n = 250_000
+            # half-way points (k + 0.5) / 1e4 for k up to about 2**39 * 1e4
+            k = np.floor(10 ** rng.uniform(0.0, 15.74, n))
+            halves = (k + 0.5) / 1e4 * rng.choice([-1.0, 1.0], n)
+            # subnormals, zeros after rounding, and values past 2**39
+            spread = 10 ** rng.uniform(-325.0, 13.0, n) * rng.choice([-1.0, 1.0], n)
+            values = np.concatenate([halves, np.nextafter(halves, np.inf),
+                                     np.nextafter(halves, -np.inf), spread])
+            mismatched = _round4(values).view(np.int64) != round_bits(values)
+            assert not mismatched.any(), values[mismatched][:10]
+            checked += len(values)
+        assert checked >= 5_000_000
+
+    def test_edge_values(self):
+        limit = 2.0**39
+        tiny = sys.float_info.min
+        edges = np.array([
+            0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0), -tiny,
+            0.00005, -0.00005, 0.00004999, -0.00004999, 0.5e-4 + 1e-20,
+            1e12, -1e12, 1e12 + 0.00005, -1e12 - 0.00005,
+            limit, -limit, np.nextafter(limit, 0.0), -np.nextafter(limit, 0.0),
+            np.nextafter(limit, np.inf), limit - 0.5, limit - 1.00005,
+            1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max,
+            np.inf, -np.inf, np.nan, 510.37455, -510.37455, 2.675, 0.125, 0.375,
+        ])
+        assert (_round4(edges).view(np.int64) == round_bits(edges)).all()
+        assert np.signbit(_round4(np.array([-0.0, -0.00001]))).all()
+
+    def test_nms_writes_the_round_value(self, tmp_path, capsys):
+        # the float 510.37455 lies below the decimal, but its product with
+        # 1e4 rounds to 5103745.5, which np.round(x, 4) rounds up to even
+        entry = {"verb": 3, "noun": 5, "action": "3,5", "segment": [510.37455, 512.0],
+                 "score": 0.5}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": "0.1", "challenge": "action_detection",
+                                    "results": {"P01": [entry]}}), encoding="utf-8")
+        assert main(["nms", "--input", str(path)]) == 0
+        assert '"segment": [510.3745, 512.0000]' in capsys.readouterr().out
 
 
 class TestGroundTruthFile:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tadfusion.errors import InvalidOverlap
+from tadfusion import timeline
+from tadfusion.errors import InvalidConfig, InvalidOverlap
 from tadfusion.timeline import (
     FeatureGrid,
     Window,
@@ -148,3 +149,20 @@ class TestGenerateWindows:
         # windows must connect or overlap
         for prev, nxt in zip(windows, windows[1:]):
             assert nxt.start_feature <= end_feature(prev)
+
+
+class TestWindowCount:
+    """The count checked against ``MAX_WINDOWS`` before any window is built
+    is the number of windows built."""
+
+    @pytest.mark.parametrize("total", [1, 7, 100, 4608, 4609, 6000, 9217])
+    @pytest.mark.parametrize("max_len", [1, 3, 4608])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9, 0.999])
+    def test_count_is_the_bound(self, monkeypatch, total, max_len, overlap):
+        count = len(generate_windows(total, max_len, overlap))
+        monkeypatch.setattr(timeline, "MAX_WINDOWS", count)
+        assert len(generate_windows(total, max_len, overlap)) == count
+        if count > 1:  # a single window is never refused
+            monkeypatch.setattr(timeline, "MAX_WINDOWS", count - 1)
+            with pytest.raises(InvalidConfig, match="total_features"):
+                generate_windows(total, max_len, overlap)
