@@ -18,7 +18,12 @@ from tadfusion.io import (
     write_proposal_file,
 )
 from tadfusion.pipeline import evaluate_files, format_metrics_table, run_pipeline
-from tadfusion.simulation import ScenarioConfig, generate_scenario, scenario_to_records
+from tadfusion.simulation import (
+    VIDEO_ID,
+    ScenarioConfig,
+    generate_scenario,
+    scenario_to_records,
+)
 
 scenario = generate_scenario(
     ScenarioConfig(
@@ -29,7 +34,7 @@ scenario = generate_scenario(
         max_segment_s=4.0,
     )
 )
-print(f"scenario: {len(scenario.ground_truth)} ground-truth segments, one video\n")
+print(f"scenario: {len(scenario.truth)} ground-truth segments, one video\n")
 
 with tempfile.TemporaryDirectory(prefix="tadfusion_demo_") as tmp:
     workdir = Path(tmp)
@@ -45,5 +50,6 @@ with tempfile.TemporaryDirectory(prefix="tadfusion_demo_") as tmp:
         out_path.write_text(serialize_submission(submission), encoding="utf-8")
         dets = submission_detections(submission)
         print(f"\n=== fusion mode: {mode} ({len(dets)} detections) -> {out_path}")
-        results = evaluate_files(submission, scenario.ground_truth)
+        # ground truth goes in as record arrays by video id, as the reader returns it
+        results = evaluate_files(submission, {VIDEO_ID: scenario.truth})
         print(format_metrics_table(results))

@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages: ``pipeline`` runs proposals
 through to a submission JSON, ``fuse`` and ``nms`` expose the fusion and
 suppression stages on their own, ``eval`` scores a submission, ``simulate``
 runs the seeded fusion comparison, and ``windows`` prints sliding-window
-placements. Exit codes: 0 success, 1 parse or validation error, 2
+placements. Exit codes: 0 success, 1 usage, parse or validation error, 2
 internal invariant violation.
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import groupby
-from operator import attrgetter
 
 from . import __version__
 from .config import PipelineConfig, parse_config
@@ -69,11 +67,10 @@ def cmd_fuse(args) -> int:
     cfg = _load_config(args)
     records = read_proposal_file(args.proposals, cfg.vocab())
     lines = ["# video_id fused_start fused_end"]
-    # one video's consecutive records fuse together, in file order
-    for _, run in groupby(records, attrgetter("video_id")):
-        run = list(run)
-        start, end = fuse_proposals(*stack_records(run), cfg.fusion_mode, cfg.epsilon)
-        for record, fused_start, fused_end in zip(run, start.tolist(), end.tolist()):
+    # fusion is row-wise, so all records fuse at once, in file order
+    if records:
+        start, end = fuse_proposals(*stack_records(records), cfg.fusion_mode, cfg.epsilon)
+        for record, fused_start, fused_end in zip(records, start.tolist(), end.tolist()):
             if fused_start >= fused_end:
                 raise ParseError(
                     f"fused boundary ({fused_start}, {fused_end}) of video "
@@ -96,8 +93,8 @@ def cmd_nms(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     doc = read_submission(args.submission, cfg.vocab())
-    gts = read_ground_truth(args.ground_truth, cfg.vocab())
-    results = evaluate_files(doc, gts, cfg.eval_thresholds)
+    truth = read_ground_truth(args.ground_truth, cfg.vocab())
+    results = evaluate_files(doc, truth, cfg.eval_thresholds)
     text = format_metrics_table(results) + "\n\n" + format_metrics_keyvalues(results) + "\n"
     _emit(text, args.output)
     return 0
@@ -184,8 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 1, not argparse's 2
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (OSError, PipelineError, UnicodeDecodeError) as exc:

@@ -27,11 +27,13 @@ from .suppression import (
 
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
+# One video's annotated action segments: the ``DETECTION`` columns up to noun.
+GROUND_TRUTH = np.dtype(DETECTION.descr[:4])
+
 # The columns scored: detections and ground truth of all videos, each
 # row with its video as a code, the index of its id among the sorted ids.
 EVAL_DETECTION = np.dtype([("video", np.int64), *DETECTION.descr])
-EVAL_GROUND_TRUTH = np.dtype([("video", np.int64), ("start", float), ("end", float),
-                              ("verb", np.int64), ("noun", np.int64)])
+EVAL_GROUND_TRUTH = np.dtype([("video", np.int64), *GROUND_TRUTH.descr])
 
 
 @dataclass(frozen=True)
@@ -82,27 +84,40 @@ class MeanApResult:
 
 
 def eval_columns(
-    dets_by_video: dict[str, np.recarray], gts: list[GroundTruthInstance]
+    dets_by_video: dict[str, np.recarray], truth_by_video: dict[str, np.recarray]
 ) -> tuple[np.recarray, np.recarray]:
     """Detections (``DETECTION`` record arrays by video id) and ground
-    truth as the columns ``score_columns`` takes: detections video after
-    video in sorted order, each video's in its order; ground truth in its
-    order."""
-    videos = sorted(set(dets_by_video).union(gt.video_id for gt in gts))
-    code = {video_id: i for i, video_id in enumerate(videos)}
-    blocks = [(code[video_id], dets_by_video[video_id]) for video_id in videos
-              if video_id in dets_by_video]
-    dets = np.empty(sum(len(block) for _, block in blocks), EVAL_DETECTION)
-    lo = 0
-    for video, block in blocks:
-        rows = dets[lo:lo + len(block)]
-        rows["video"] = video
-        for name in DETECTION.names:
-            rows[name] = block[name]
-        lo += len(block)
-    truth = np.array([(code[gt.video_id], gt.start, gt.end, gt.verb_index, gt.noun_index)
-                      for gt in gts], EVAL_GROUND_TRUTH)
-    return dets.view(np.recarray), truth.view(np.recarray)
+    truth (``GROUND_TRUTH`` record arrays by video id) as the columns
+    ``score_columns`` takes: video after video in sorted order, each
+    video's rows in their order."""
+    videos = sorted(dets_by_video.keys() | truth_by_video.keys())
+    columns = []
+    for by_video, dtype in ((dets_by_video, EVAL_DETECTION),
+                            (truth_by_video, EVAL_GROUND_TRUTH)):
+        codes = [code for code, video_id in enumerate(videos) if video_id in by_video]
+        blocks = [by_video[videos[code]] for code in codes]
+        stacked = np.empty(sum(map(len, blocks)), dtype)
+        stacked["video"] = np.repeat(codes, [len(block) for block in blocks])
+        if blocks:  # np.concatenate needs at least one array
+            rows = np.concatenate(blocks)
+            for name in dtype.names[1:]:
+                stacked[name] = rows[name]
+        columns.append(stacked.view(np.recarray))
+    return columns[0], columns[1]
+
+
+def columns_by_video(dets: list[ActionDetection], gts: list[GroundTruthInstance]) -> tuple:
+    """Detection and ground-truth objects as ``DETECTION`` and
+    ``GROUND_TRUTH`` record arrays by video id, each video's in their order."""
+    det_rows, gt_rows = {}, {}
+    for det in dets:
+        det_rows.setdefault(det.video_id, []).append(det)
+    for gt in gts:
+        gt_rows.setdefault(gt.video_id, []).append((gt.start, gt.end, gt.verb_index,
+                                                    gt.noun_index))
+    return ({video_id: detection_columns(rows) for video_id, rows in det_rows.items()},
+            {video_id: np.rec.fromrecords(rows, dtype=GROUND_TRUTH)
+             for video_id, rows in gt_rows.items()})
 
 
 def average_precision(hits: list[int], num_gt: int) -> float:
@@ -231,9 +246,4 @@ def mean_ap(
 ) -> MeanApResult:
     """Mean AP of detection and ground-truth objects at every threshold:
     ``score_columns`` on their columns."""
-    by_video: dict = {}
-    for det in dets:
-        by_video.setdefault(det.video_id, []).append(det)
-    columns = eval_columns({video_id: detection_columns(video_dets)
-                            for video_id, video_dets in by_video.items()}, gts)
-    return score_columns(*columns, cfg)
+    return score_columns(*eval_columns(*columns_by_video(dets, gts)), cfg)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .composition import VocabSpec
 from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
-from .evaluation import GroundTruthInstance
+from .evaluation import GROUND_TRUTH
 from .suppression import DETECTION, ActionDetection
 
 SUBMISSION_VERSION = "0.1"
@@ -352,7 +352,8 @@ def submission_detections(doc: SubmissionDocument) -> list[ActionDetection]:
             for row in zip(*(doc.results[video_id][name].tolist() for name in DETECTION.names))]
 
 
-def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> list[GroundTruthInstance]:
+def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> dict[str, np.recarray]:
+    """Ground truth as ``GROUND_TRUTH`` record arrays by video id, in file order."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
@@ -360,24 +361,17 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> list[GroundTruthI
             raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
     if not isinstance(payload, dict) or not isinstance(payload.get("annotations"), dict):
         raise SchemaMismatch("ground truth must contain an 'annotations' map")
-    instances = []
+    truth = {}
     for video_id, entries in payload["annotations"].items():
         if not isinstance(entries, list):
             raise SchemaMismatch(f"annotations of video {video_id!r} must be a list")
+        rows = []
         for entry in entries:
             try:
-                start, end = require_segment(entry["segment"])
-                instances.append(
-                    GroundTruthInstance(
-                        video_id=video_id,
-                        start=start,
-                        end=end,
-                        verb_index=require_class_index(
-                            entry["verb"], vocab.verb_count, key="verb"),
-                        noun_index=require_class_index(
-                            entry["noun"], vocab.noun_count, key="noun"),
-                    )
-                )
+                rows.append((*require_segment(entry["segment"]),
+                             require_class_index(entry["verb"], vocab.verb_count, key="verb"),
+                             require_class_index(entry["noun"], vocab.noun_count, key="noun")))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed annotation: {exc}") from None
-    return instances
+        truth[video_id] = np.array(rows, dtype=GROUND_TRUTH).view(np.recarray)
+    return truth

@@ -20,7 +20,6 @@ from .errors import ParseError
 from .evaluation import (
     DEFAULT_TIOU_THRESHOLDS,
     EvalConfig,
-    GroundTruthInstance,
     MeanApResult,
     score_columns,
     eval_columns,
@@ -108,12 +107,12 @@ def run_pipeline(records: list[ProposalRecord], cfg: PipelineConfig) -> Submissi
 
 def evaluate_files(
     submission: SubmissionDocument,
-    gts: list[GroundTruthInstance],
+    truth_by_video: dict[str, np.recarray],
     thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
 ) -> dict[str, MeanApResult]:
-    """Score a parsed submission against parsed ground truth on all three
-    tasks, from columns built once."""
-    dets, truth = eval_columns(submission.results, gts)
+    """Score a parsed submission against ground truth (``GROUND_TRUTH``
+    record arrays by video id) on all three tasks, from columns built once."""
+    dets, truth = eval_columns(submission.results, truth_by_video)
     return {
         task: score_columns(dets, truth, EvalConfig(thresholds=thresholds, task=task))
         for task in CLASS_KEYS
@@ -126,8 +125,6 @@ def format_metrics_table(results: dict[str, MeanApResult]) -> str:
     header = "task    " + "".join(f"  mAP@{t:.1f}" for t in thresholds) + "     avg"
     lines = [header, "-" * len(header)]
     for task in CLASS_KEYS:
-        if task not in results:
-            continue
         row = results[task]
         cells = "".join(f"  {row.per_threshold[t]:7.4f}" for t in thresholds)
         lines.append(f"{task:<8}{cells} {row.average:7.4f}")
@@ -138,8 +135,6 @@ def format_metrics_keyvalues(results: dict[str, MeanApResult]) -> str:
     """Machine-readable ``key = value`` lines mirroring the table."""
     lines = []
     for task in CLASS_KEYS:
-        if task not in results:
-            continue
         row = results[task]
         for t, value in row.per_threshold.items():
             lines.append(f"{task}_map_{t:.1f} = {value:.4f}")

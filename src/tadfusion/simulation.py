@@ -17,15 +17,16 @@ import numpy as np
 
 from .composition import VocabSpec
 from .errors import InvalidConfig
-from .evaluation import GroundTruthInstance
+from .evaluation import GROUND_TRUTH, GroundTruthInstance
 from .fusion import DEFAULT_FUSION_EPSILON, dwf_weights, fuse_boundaries, hard_mean_fusion
 from .io import ProposalRecord
 from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
 
-# each segment's spawn key is one 32-bit word of its child seed sequence
-_MAX_SEGMENTS = 2**32
+# a run holds about 0.6 kB per segment, so 2**20 segments take about 0.7 GB;
+# the 2**32 that one 32-bit spawn key per segment would allow cannot fit in memory
+_MAX_SEGMENTS = 2**20
 
 # NumPy SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -88,6 +89,7 @@ class ScenarioConfig:
 class Scenario:
     """Ground truth plus the aligned noun and verb draws, one row per segment.
 
+    ``truth`` holds the ``GROUND_TRUTH`` rows of the one video ``VIDEO_ID``.
     ``noun_confidence`` and ``verb_confidence`` have shape ``(n,)``;
     ``noun_boundary`` and ``verb_boundary`` have shape ``(n, 2)`` and hold
     each stream's noisy (start, end) in seconds. Score vectors are built
@@ -95,11 +97,16 @@ class Scenario:
     """
 
     config: ScenarioConfig
-    ground_truth: list[GroundTruthInstance]
+    truth: np.recarray
     noun_confidence: np.ndarray
     verb_confidence: np.ndarray
     noun_boundary: np.ndarray
     verb_boundary: np.ndarray
+
+    @property
+    def ground_truth(self) -> list[GroundTruthInstance]:
+        """``truth`` as objects, for ``evaluation.mean_ap``."""
+        return [GroundTruthInstance(VIDEO_ID, *row) for row in self.truth.tolist()]
 
 
 @dataclass
@@ -235,8 +242,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    ground_truth = []
-    noun_confidence, verb_confidence, noun_boundary, verb_boundary = [], [], [], []
+    truth, noun_confidence, verb_confidence, noun_boundary, verb_boundary = [], [], [], [], []
     # Generator.uniform(lo, hi) returns lo + (hi - lo) * random(), bit for bit;
     # at lo = 0 that is the product alone, which is never -0.0
     length_lo, length_range = cfg.min_segment_s, cfg.max_segment_s - cfg.min_segment_s
@@ -246,19 +252,17 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         length = length_lo + length_range * rng.random()
         start = (cfg.video_length_s - length) * rng.random()
         true_boundary = (start, start + length)
-        verb = int(rng.integers(cfg.vocab.verb_count))
-        noun = int(rng.integers(cfg.vocab.noun_count))
+        truth.append((*true_boundary, int(rng.integers(cfg.vocab.verb_count)),
+                      int(rng.integers(cfg.vocab.noun_count))))
         c_noun = conf_lo + conf_range * rng.random()
         c_verb = conf_lo + conf_range * rng.random()
         noun_confidence.append(c_noun)
         verb_confidence.append(c_verb)
         noun_boundary.append(_noisy_boundary(rng, true_boundary, c_noun, cfg))
         verb_boundary.append(_noisy_boundary(rng, true_boundary, c_verb, cfg))
-        ground_truth.append(GroundTruthInstance(
-            VIDEO_ID, *true_boundary, verb_index=verb, noun_index=noun))
     return Scenario(
         config=cfg,
-        ground_truth=ground_truth,
+        truth=np.array(truth, dtype=GROUND_TRUTH).view(np.recarray),
         noun_confidence=np.array(noun_confidence),
         verb_confidence=np.array(verb_confidence),
         noun_boundary=np.array(noun_boundary),
@@ -287,12 +291,13 @@ def scenario_to_records(
             video_id=VIDEO_ID,
             window_start=0,
             noun_boundary=to_feature(noun_boundary),
-            noun_scores=_score_vector(vocab.noun_count, gt.noun_index, c_noun),
+            noun_scores=_score_vector(vocab.noun_count, noun, c_noun),
             verb_boundary=to_feature(verb_boundary),
-            verb_scores=_score_vector(vocab.verb_count, gt.verb_index, c_verb),
+            verb_scores=_score_vector(vocab.verb_count, verb, c_verb),
         )
-        for gt, c_noun, c_verb, noun_boundary, verb_boundary in zip(
-            scenario.ground_truth,
+        for noun, verb, c_noun, c_verb, noun_boundary, verb_boundary in zip(
+            scenario.truth.noun.tolist(),
+            scenario.truth.verb.tolist(),
             scenario.noun_confidence.tolist(),
             scenario.verb_confidence.tolist(),
             scenario.noun_boundary.tolist(),
@@ -309,8 +314,8 @@ def compare_fusion(
     One array pass through the fusion operators the pipeline uses.
     """
     noun, verb = scenario.noun_boundary.T, scenario.verb_boundary.T
-    truth = np.array([gt.interval for gt in scenario.ground_truth]).T
-    n = truth.shape[1]
+    truth = scenario.truth.start, scenario.truth.end
+    n = len(scenario.truth)
 
     def error(boundary):
         return np.abs(boundary[0] - truth[0]) + np.abs(boundary[1] - truth[1])

@@ -13,11 +13,10 @@ from typing import NamedTuple
 import numpy as np
 
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
-from tadfusion.evaluation import GroundTruthInstance
+from tadfusion.evaluation import GROUND_TRUTH
 from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
 from tadfusion.simulation import (
     _MAX_NOISE_RESAMPLES,
-    VIDEO_ID,
     FusionReport,
     Scenario,
     scenario_to_records,
@@ -300,7 +299,7 @@ def _oracle_noisy_boundary(rng, true_boundary, confidence, cfg):
 
 def oracle_generate_scenario(cfg):
     n = cfg.num_segments
-    ground_truth = []
+    truth = np.empty(n, GROUND_TRUTH)
     noun_confidence, verb_confidence = np.empty(n), np.empty(n)
     noun_boundary, verb_boundary = np.empty((n, 2)), np.empty((n, 2))
     for i, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n)):
@@ -314,11 +313,10 @@ def oracle_generate_scenario(cfg):
         c_verb = verb_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
         noun_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_noun, cfg)
         verb_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_verb, cfg)
-        ground_truth.append(GroundTruthInstance(
-            VIDEO_ID, *true_boundary, verb_index=verb, noun_index=noun))
+        truth[i] = (*true_boundary, verb, noun)
     return Scenario(
         config=cfg,
-        ground_truth=ground_truth,
+        truth=truth.view(np.recarray),
         noun_confidence=noun_confidence,
         verb_confidence=verb_confidence,
         noun_boundary=noun_boundary,

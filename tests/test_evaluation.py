@@ -13,11 +13,12 @@ from tadfusion.evaluation import (
     EvalConfig,
     GroundTruthInstance,
     average_precision,
+    columns_by_video,
     mean_ap,
 )
 from tadfusion.io import SubmissionDocument, submission_detections
 from tadfusion.pipeline import evaluate_files
-from tadfusion.suppression import ActionDetection, detection_columns
+from tadfusion.suppression import ActionDetection
 
 
 def det(start, end, score, verb=0, noun=0, video="v"):
@@ -281,12 +282,9 @@ class TestMeanApExact:
             gts.append(gt(3.0, 4.5, verb=1, video="gt_only"))
             if i % 10 == 0:
                 dets = []
-            by_video = {}
-            for d in dets:
-                by_video.setdefault(d.video_id, []).append(d)
-            doc = SubmissionDocument(results={video: detection_columns(video_dets)
-                                              for video, video_dets in by_video.items()})
-            results = evaluate_files(doc, gts, EXACT_THRESHOLDS)
+            dets_by_video, truth_by_video = columns_by_video(dets, gts)
+            doc = SubmissionDocument(results=dets_by_video)
+            results = evaluate_files(doc, truth_by_video, EXACT_THRESHOLDS)
             for task in ("verb", "noun", "action"):
                 per_threshold, average = oracle_mean_ap_legacy(
                     submission_detections(doc), gts, EXACT_THRESHOLDS, task)

@@ -226,13 +226,86 @@ class TestRepeatedClassIndex:
 
 
 class TestSegmentCountCeiling:
-    # each segment's spawn key is one 32-bit word; no count at or below
-    # the bound is tried here, since it would be generated
-    @pytest.mark.parametrize("count", [10**30, 2**32 + 1])
+    # a run's memory bounds the count at 2**20, far below the 2**32 spawn keys;
+    # no count at or below the bound is tried here, since it would be generated
+    @pytest.mark.parametrize("count", [10**30, 2**32 + 1, 2**32, 2**20 + 1])
     def test_simulate_names_the_key(self, tmp_path, capsys, count):
         code = run(tmp_path, ["simulate", "--config", "{c}"], c=f"sim_segments = {count}\n")
         assert code == 1
         assert "(key 'sim_segments')" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["pipeline"],
+        ["pipeline", "--proposals", "p.txt", "--no-such-flag"],
+        ["windows", "--total-features", "abc"],
+    ], ids=["missing-required-flag", "unknown-flag", "non-integer-value"])
+    def test_exit_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        assert main([flag]) == 0
+        assert capsys.readouterr().out
+
+    def test_process_exit_status(self):
+        result = subprocess.run([sys.executable, "-m", "tadfusion", "pipeline"],
+                                capture_output=True, text=True)
+        assert result.returncode == 1
+        assert "--proposals" in result.stderr
+
+
+class TestReaderPaths:
+    def test_integer_segment_and_score_match_the_float_spelling(self, tmp_path, capsys):
+        # integers leave the fast path for the field-by-field check
+        ints = submission_text([dict(GOOD_ENTRY, segment=[1, 2], score=1)])
+        floats = submission_text([dict(GOOD_ENTRY, segment=[1.0, 2.0], score=1.0)])
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=ints) == 0
+        got = capsys.readouterr().out
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=floats) == 0
+        assert got == capsys.readouterr().out
+        assert '"segment": [1.0000, 2.0000], "score": 1.0000' in got
+
+    @pytest.mark.parametrize("results, message", [
+        ({"P01": [{k: v for k, v in GOOD_ENTRY.items() if k != "score"}]},
+         "malformed detection entry: 'score'"),
+        ([GOOD_ENTRY], "results must map video ids"),
+        ({"P01": GOOD_ENTRY}, "detections of video 'P01' must be a list"),
+    ], ids=["no-score-key", "results-not-an-object", "detections-not-a-list"])
+    def test_submission_schema(self, tmp_path, capsys, results, message):
+        text = json.dumps({"version": "0.1", "challenge": "action_detection",
+                           "results": results})
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=text) == 1
+        assert message in capsys.readouterr().err
+
+    def test_invalid_ground_truth_json(self, tmp_path, capsys):
+        code = run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
+                   s=submission_text([GOOD_ENTRY]), g='{"annotations": {"P01": [}}\n')
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err and "line 1" in err
+
+    def test_non_numeric_sparse_score(self, tmp_path, capsys):
+        code = run(tmp_path, ["pipeline", "--proposals", "{p}"],
+                   p=f"{GOOD_PROPOSAL}\nP01 0 10.0 20.0 5:x 14.0 24.0 3:0.8\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "malformed noun score entry '5:x'" in err and "line 2" in err
+
+    def test_ground_truth_video_with_no_annotations_is_as_if_absent(self, tmp_path, capsys):
+        annotations = {"P01": [{"verb": 3, "noun": 5, "segment": [1.0, 2.0]}]}
+        outputs = []
+        for extra in ({}, {"P00": [], "P02": []}):
+            gt = json.dumps({"annotations": {**extra, **annotations}})
+            code = run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
+                       s=submission_text([GOOD_ENTRY, dict(GOOD_ENTRY, verb=4, action="4,5")]),
+                       g=gt)
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "action_map_avg = 1.0000" in outputs[0]
 
 
 class TestSubmissionScoreRange:

@@ -16,7 +16,7 @@ from tadfusion.errors import (
     UnknownKey,
     VocabularyMismatch,
 )
-from tadfusion.evaluation import GroundTruthInstance
+from tadfusion.evaluation import GROUND_TRUTH, GroundTruthInstance, columns_by_video
 from tadfusion.io import (
     ProposalRecord,
     _round4,
@@ -249,15 +249,23 @@ class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gt.json"
         instances = [
+            GroundTruthInstance("b", 4.0, 6.0, verb_index=2, noun_index=1),
             GroundTruthInstance("a", 0.0, 10.0, verb_index=3, noun_index=5),
             GroundTruthInstance("b", 1.0, 2.0, verb_index=0, noun_index=0),
         ]
         path.write_text(json.dumps({"annotations": {
+            "b": [{"verb": 2, "noun": 1, "segment": [4.0, 6.0]},
+                  {"verb": 0, "noun": 0, "segment": [1.0, 2.0]}],
             "a": [{"verb": 3, "noun": 5, "segment": [0.0, 10.0]}],
-            "b": [{"verb": 0, "noun": 0, "segment": [1.0, 2.0]}],
+            "c": [],
         }}))
         loaded = read_ground_truth(path)
-        assert sorted(loaded, key=lambda g: g.video_id) == instances
+        # one record array per video, videos and rows in file order
+        assert list(loaded) == ["b", "a", "c"]
+        assert all(rows.dtype == GROUND_TRUTH for rows in loaded.values())
+        want = columns_by_video([], instances)[1]
+        assert {video_id: rows.tolist() for video_id, rows in loaded.items()} == {
+            **{video_id: rows.tolist() for video_id, rows in want.items()}, "c": []}
 
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "gt.json"

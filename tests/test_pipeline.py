@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from oracles import oracle_run_pipeline
+from tadfusion.cli import main
 from tadfusion.composition import VocabSpec
 from tadfusion.config import PipelineConfig
 from tadfusion.errors import ParseError
-from tadfusion.evaluation import GroundTruthInstance
+from tadfusion.evaluation import GroundTruthInstance, columns_by_video
 from tadfusion.io import (
     ProposalRecord,
     read_submission,
@@ -223,21 +224,21 @@ class TestEvaluateFiles:
         gts = [
             GroundTruthInstance("P01_101", d.start, d.end, verb_index=3, noun_index=5)
         ]
-        results = evaluate_files(doc, gts)
+        results = evaluate_files(doc, columns_by_video([], gts)[1])
         for task in ("verb", "noun", "action"):
             assert results[task].average == pytest.approx(1.0)
 
     def test_empty_results_score_zero(self):
         doc = run_pipeline([], PipelineConfig())
         gts = [GroundTruthInstance("P01_101", 0.0, 1.0, 0, 0)]
-        results = evaluate_files(doc, gts)
+        results = evaluate_files(doc, columns_by_video([], gts)[1])
         for task in ("verb", "noun", "action"):
             assert results[task].average == 0.0
 
     def test_table_and_keyvalue_formats(self):
         doc = run_pipeline([record()], PipelineConfig())
         gts = [GroundTruthInstance("P01_101", 3.0, 6.0, verb_index=3, noun_index=5)]
-        results = evaluate_files(doc, gts)
+        results = evaluate_files(doc, columns_by_video([], gts)[1])
         table = format_metrics_table(results)
         assert "mAP@0.1" in table and "action" in table
         kv = format_metrics_keyvalues(results)
@@ -272,6 +273,28 @@ class TestCli:
         result = run_cli("fuse", "--proposals", str(proposals), "--fusion-mode", "mean")
         assert result.returncode == 0
         assert "P01_101 12.0000 22.0000" in result.stdout
+
+    def test_fuse_interleaved_videos_fuse_row_by_row(self, tmp_path):
+        def fused(records, name):
+            write_proposal_file(tmp_path / name, records)
+            out = tmp_path / f"{name}.out"
+            assert main(["fuse", "--proposals", str(tmp_path / name), "--output", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        records = [record("P01"), record("P02", noun_b=(2.0, 9.0), noun_p=0.4),
+                   record("P01", window_start=5, verb_b=(30.0, 41.0), verb_p=0.3)]
+        lines = fused(records, "all.txt")
+        assert lines[0] == "# video_id fused_start fused_end"
+        assert [line.split()[0] for line in lines[1:]] == ["P01", "P02", "P01"]
+        # each line as the record alone fuses to
+        assert lines[1:] == [fused([r], f"{i}.txt")[1] for i, r in enumerate(records)]
+
+    def test_fuse_empty_file_prints_only_the_header(self, tmp_path):
+        proposals = tmp_path / "proposals.txt"
+        proposals.write_text("# no records\n\n", encoding="utf-8")
+        out = tmp_path / "fused.txt"
+        assert main(["fuse", "--proposals", str(proposals), "--output", str(out)]) == 0
+        assert out.read_text() == "# video_id fused_start fused_end\n"
 
     def test_nms_subcommand(self, tmp_path):
         proposals = tmp_path / "proposals.txt"

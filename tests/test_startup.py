@@ -1,8 +1,8 @@
 """Start-up budget: no command but ``simulate`` loads SciPy, ``numpy.ma``
 or ``numpy.random`` at all, and ``simulate`` loads only
 ``scipy.special``, not ``scipy.stats``; every module of the package is
-one the CLI imports; and every public name is used by the package or the
-acceptance suite.
+one the CLI imports; every public name is used by the package or the
+acceptance suite; and ground truth reaches the score without objects.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -148,3 +148,10 @@ def test_every_public_name_is_used_by_the_package_or_the_acceptance_suite():
             if name not in elsewhere | own:
                 orphans.append(f"{module}.{name}")
     assert orphans == []
+
+
+def test_ground_truth_reaches_the_score_as_record_arrays():
+    # the reader, the chain and the CLI build and take no GroundTruthInstance
+    for module in ("io", "pipeline", "cli"):
+        assert "GroundTruthInstance" not in (PACKAGE / f"{module}.py").read_text(
+            encoding="utf-8"), module
