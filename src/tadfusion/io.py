@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,6 +290,36 @@ def _checked_entry(entry, vocab: VocabSpec) -> tuple:
     return start, end, verb, noun, 0, score
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is a ParseError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ParseError("repeated JSON object key", key=key)
+    return obj
+
+
+def _load_json(text: str):
+    """``json.loads``, with invalid JSON a ParseError naming the line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+
+
+def _reject_repeated_keys(text: str, keys: int) -> None:
+    """Raise a ParseError naming a key repeated within one JSON object of
+    ``text``, whose parsed objects were counted to hold ``keys`` keys or
+    more; ``json`` would let the last value of such a key win.
+
+    Every object member takes one ``:`` outside strings, so once ``keys``
+    reaches the number of colons, no key repeats. Only otherwise is the
+    text parsed again, checking every object.
+    """
+    if keys < text.count(":"):
+        json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
     """Parse submission JSON back into a document.
 
@@ -298,13 +329,11 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
     field by field, and the first field at fault raises.
 
     Raises:
+        ParseError: on invalid JSON or a key repeated within one object.
         SchemaMismatch: when required fields are missing or ill-typed,
             or an action string disagrees with its verb/noun fields.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    payload = _load_json(text)
     if not isinstance(payload, dict):
         raise SchemaMismatch("submission must be a JSON object")
     for key in ("version", "challenge", "results"):
@@ -319,6 +348,7 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
 
     verb_count, noun_count = vocab.verb_count, vocab.noun_count
     results = {}
+    keys = len(payload) + len(payload["results"])  # for _reject_repeated_keys
     for video_id, entries in payload["results"].items():
         if not isinstance(entries, list):
             raise SchemaMismatch(f"detections of video {video_id!r} must be a list")
@@ -335,9 +365,12 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
                 rows.append((start, end, verb, noun, 0, score))
             else:
                 rows.append(_checked_entry(entry, vocab))
-        dets = np.array(rows, dtype=DETECTION).view(np.recarray)
-        dets.action = vocab.action_id(dets.noun, dets.verb)
-        results[video_id] = dets
+        keys += sum(map(len, entries))  # all dicts: any other entry raised
+        # fields by index: a recarray's attribute access costs more
+        dets = np.array(rows, dtype=DETECTION)
+        dets["action"] = vocab.action_id(dets["noun"], dets["verb"])
+        results[video_id] = dets.view(np.recarray)
+    _reject_repeated_keys(text, keys)
     return SubmissionDocument(version=payload["version"], results=results)
 
 
@@ -353,15 +386,15 @@ def submission_detections(doc: SubmissionDocument) -> list[ActionDetection]:
 
 
 def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> dict[str, np.recarray]:
-    """Ground truth as ``GROUND_TRUTH`` record arrays by video id, in file order."""
+    """Ground truth as ``GROUND_TRUTH`` record arrays by video id, in file
+    order. A key repeated within one JSON object is a ParseError."""
     with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        text = handle.read()
+    payload = _load_json(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("annotations"), dict):
         raise SchemaMismatch("ground truth must contain an 'annotations' map")
     truth = {}
+    keys = len(payload) + len(payload["annotations"])  # for _reject_repeated_keys
     for video_id, entries in payload["annotations"].items():
         if not isinstance(entries, list):
             raise SchemaMismatch(f"annotations of video {video_id!r} must be a list")
@@ -373,5 +406,7 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> dict[str, np.reca
                              require_class_index(entry["noun"], vocab.noun_count, key="noun")))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed annotation: {exc}") from None
+        keys += sum(map(len, entries))  # all dicts: any other entry raised
         truth[video_id] = np.array(rows, dtype=GROUND_TRUTH).view(np.recarray)
+    _reject_repeated_keys(text, keys)
     return truth

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -118,25 +119,36 @@ def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
     is not voted. One pass per round computes each neighbor's tIoU once
     and uses it for both the vote and the decay.
 
-    ``dets`` are ActionDetection objects, kept ones returned in rank
-    order, or rows ``[-score, start, action_id, position, end, score]``,
-    which this consumes, kept ones returned in the order they were kept
-    as ``(-score, start, action_id, position, end)``.
+    ``dets`` are ActionDetection objects, run as one pool, kept ones
+    returned in rank order. Or they are rows ``[-score, start,
+    action_id, position, end, score, component]`` of one class pool,
+    grouped by component and in position order within each, where rows
+    of different components never overlap: the rounds run component by
+    component, which consumes the rows, and the kept ones are returned
+    component after component, each in the order they were kept, as
+    ``(-score, start, action_id, position, end)``.
     """
     if dets and isinstance(dets[0], ActionDetection):
         rows = [[-d.score, d.start, d.action_id, i, d.end, d.score] for i, d in enumerate(dets)]
         kept = [replace(dets[i], start=start, end=end, score=-neg_score)
-                for neg_score, start, _, i, end in soft_nms(rows, cfg, vote=vote)]
+                for neg_score, start, _, i, end in _soft_nms_loop(rows, cfg, vote)]
         return sorted(kept, key=rank_key)
+    return list(chain.from_iterable(_soft_nms_loop(list(rows), cfg, vote)
+                                    for _, rows in groupby(dets, itemgetter(6))))
+
+
+def _soft_nms_loop(pool: list, cfg: NmsConfig, vote: bool) -> list:
+    """The Soft-NMS rounds over rows ``[-score, start, action_id, position,
+    end, score, ...]``, which this consumes; kept rows are returned in the
+    order they were kept as ``(-score, start, action_id, position, end)``."""
     # min(pool) is the next to keep: its rank key is its first three
     # fields, with the current score, and the position breaks ties
-    pool = dets
     sigma, min_score, vote_threshold = cfg.sigma, cfg.min_score, cfg.vote_threshold
     kept = []
     while pool and len(kept) < cfg.max_per_video:
         best = min(pool)
         pool.remove(best)
-        neg_score, start, action_id, position, end, weight = best
+        neg_score, start, action_id, position, end, weight = best[:6]
         start_sum, end_sum = weight * start, weight * end
         survivors = []
         for entry in pool:
@@ -162,13 +174,44 @@ def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
     return kept
 
 
+def _overlap_components(start, end, pool, cap: int) -> np.ndarray:
+    """Component ids, ascending, of rows sorted by pool and then start.
+
+    A row opens a component when its start is at or past the largest end
+    before it in its pool, so rows of different components never
+    overlap. A pool of more than ``cap`` rows is one component.
+    """
+    # complex numbers compare by real part, then imaginary part: so the
+    # running maximum of (pool, end) is the largest end so far in the pool
+    key = np.empty(len(start), complex)
+    key.real, key.imag = pool, end
+    reach = np.maximum.accumulate(key).imag
+    small = np.bincount(pool) <= cap
+    opens = np.concatenate(([True], (pool[1:] != pool[:-1])
+                            | (small[pool[1:]] & (start[1:] >= reach[:-1]))))
+    return np.cumsum(opens) - 1
+
+
 def suppress_video(dets: np.recarray, cfg: NmsConfig, class_key: str = "action") -> np.recarray:
     """Suppress one video's pooled detections, class by class.
 
     Applies the global pre-NMS cap by rank, runs Soft-NMS with boundary
     voting within each class pool, then merges the pools in rank order
-    and truncates to ``max_per_video``. Equal ranks keep pool order, then
-    the order in which Soft-NMS kept them.
+    and truncates to ``max_per_video``.
+
+    Two rows interact only when their intervals overlap, so each pool is
+    split into overlap components. Rows below ``min_score`` are dropped
+    first, except the pool's best row and the rows that overlap it:
+    round 1 keeps the best, lets the rows it overlaps vote, and drops
+    every other row below ``min_score`` before it acts. A row that then
+    overlaps nothing in its pool keeps its score and its vote with
+    itself, computed in arrays. The rows of larger components go to one
+    ``soft_nms`` call per pool. A pool of more than ``max_per_video``
+    such rows stays one component, because the cap inside the rounds
+    depends on the pick order across components. Boundaries must be
+    finite, as every reader ensures. The merge breaks rank ties by pool,
+    then original start and position: the order in which the rounds
+    over a whole pool keep tied rows.
     """
     if class_key not in CLASS_KEYS:
         raise InvalidConfig(f"class_key must be one of {CLASS_KEYS}, got {class_key!r}")
@@ -178,20 +221,48 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig, class_key: str = "action")
     classes = dets[class_key][order]
     pools = np.argsort(classes, kind="stable")  # ascending class, rank order within
     order, classes = order[pools], classes[pools]
-    score = dets.score[order]
-    rows = list(map(list, zip((-score).tolist(), dets.start[order].tolist(),
-                              dets.action[order].tolist(), range(len(order)),
-                              dets.end[order].tolist(), score.tolist())))
-    bounds = [0, *(np.flatnonzero(classes[1:] != classes[:-1]) + 1).tolist(), len(rows)]
+    start, end, score, action = (dets[name][order] for name in ("start", "end", "score", "action"))
+    opens_pool = np.concatenate(([True], classes[1:] != classes[:-1]))
+    pool = np.cumsum(opens_pool) - 1
+    heads = np.flatnonzero(opens_pool)  # a pool's first row is its best
+    best = heads[pool]
+    live = (score >= cfg.min_score) | (np.minimum(end, end[best]) > np.maximum(start, start[best]))
+    live[heads] = True
+    live = np.flatnonzero(live)
+    # live rows by pool, then start, then position
+    by_start = live[np.lexsort((start[live], pool[live]))]
+    component = _overlap_components(start[by_start], end[by_start], pool[by_start],
+                                    cfg.max_per_video)
+    single = (np.bincount(component) == 1)[component]
+    # rows of larger components, by component and then position
+    at, component = by_start[~single], component[~single]
+    grouped = np.lexsort((at, component))
+    at, component = at[grouped], component[grouped]
+    rows = list(map(list, zip((-score[at]).tolist(), start[at].tolist(), action[at].tolist(),
+                              at.tolist(), end[at].tolist(), score[at].tolist(),
+                              component.tolist())))
+    bounds = [*np.flatnonzero(np.diff(pool[at], prepend=-1)).tolist(), len(rows)]
     merged = []
     for lo, hi in zip(bounds, bounds[1:]):
         merged.extend(soft_nms(rows[lo:hi], cfg, vote=True))
-    # one float array of the kept rows: ids and positions are exact below 2**53
-    neg_score, start, action_id, position, end = np.fromiter(
+    # one float array of the kept rows: positions are exact below 2**53
+    neg_score, kept_start, _, position, kept_end = np.fromiter(
         chain.from_iterable(merged), float, count=5 * len(merged)).reshape(-1, 5).T
-    position = position.astype(np.int64)
-    # stable: equal ranks keep pool order, then the order Soft-NMS kept them
-    ranked = np.lexsort((action_id, start, neg_score))[: cfg.max_per_video]
+    # each singleton is kept with its own score and its vote with itself
+    alone = by_start[single]
+    weight = score[alone]
+    voted = weight > 0.0
+    position = np.concatenate((position.astype(np.int64), alone))
+    neg_score = np.concatenate((neg_score, -weight))
+    kept_start = np.concatenate((kept_start, np.divide(weight * start[alone], weight,
+                                                       out=start[alone], where=voted)))
+    kept_end = np.concatenate((kept_end, np.divide(weight * end[alone], weight,
+                                                   out=end[alone], where=voted)))
+    # equal ranks in pool order, then by original start and position
+    tie = np.empty(len(order), np.int64)
+    tie[by_start] = np.arange(len(by_start))
+    ranked = np.lexsort((tie[position], action[position], kept_start, neg_score))[
+        : cfg.max_per_video]
     kept = dets[order[position[ranked]]]
-    kept.start, kept.end, kept.score = start[ranked], end[ranked], -neg_score[ranked]
+    kept.start, kept.end, kept.score = kept_start[ranked], kept_end[ranked], -neg_score[ranked]
     return kept

@@ -225,6 +225,41 @@ class TestRepeatedClassIndex:
         assert not out.exists()
 
 
+class TestRepeatedJsonKey:
+    """``json`` keeps only the last value of a repeated key; the readers refuse it."""
+
+    ENTRY = json.dumps(GOOD_ENTRY)
+    SEGMENT = '{"verb": 3, "noun": 5, "segment": [1.0, 2.0]}'
+
+    @pytest.mark.parametrize("results, key", [
+        (f'{{"P01": [{ENTRY}], "P01": []}}', "P01"),
+        (f'{{"P01": [{ENTRY[:-1]}, "score": 0.25}}]}}', "score"),
+    ], ids=["video", "entry-field"])
+    def test_submission(self, tmp_path, capsys, results, key):
+        text = f'{{"version": "0.1", "challenge": "action_detection", "results": {results}}}'
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=text) == 1
+        err = capsys.readouterr().err
+        assert "repeated JSON object key" in err and f"key {key!r}" in err
+
+    @pytest.mark.parametrize("payload, key", [
+        (f'{{"annotations": {{"P01": [{SEGMENT}], "P01": []}}}}', "P01"),
+        (f'{{"annotations": {{}}, "annotations": {{"P01": [{SEGMENT}]}}}}', "annotations"),
+    ], ids=["video", "top-level"])
+    def test_ground_truth(self, tmp_path, capsys, payload, key):
+        code = run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
+                   s=submission_text([GOOD_ENTRY]), g=payload)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "repeated JSON object key" in err and f"key {key!r}" in err
+
+    def test_colons_inside_strings_are_not_repeated_keys(self, tmp_path, capsys):
+        # more colons than keys sends the text through the per-object check
+        text = json.dumps({"version": "0.1:a", "challenge": "action_detection",
+                           "results": {"P01:1": [GOOD_ENTRY], "P01:2": []}})
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=text) == 0
+        assert '"P01:1": [' in capsys.readouterr().out
+
+
 class TestSegmentCountCeiling:
     # a run's memory bounds the count at 2**20, far below the 2**32 spawn keys;
     # no count at or below the bound is tried here, since it would be generated

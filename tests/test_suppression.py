@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_soft_nms, oracle_suppress_video
+from tadfusion import suppression
 from tadfusion.errors import InvalidConfig
 from tadfusion.suppression import (
     ActionDetection,
@@ -227,6 +228,95 @@ class TestSuppressVideoMatchesOracle:
             for class_key in ("verb", "noun", "action"):
                 assert suppress(dets, cfg, class_key) == oracle_suppress_video(
                     dets, cfg, class_key)
+
+
+SCORES = [1.0, 0.9, 0.5, 0.5, 0.31, 0.3, 0.2, 0.06, 0.05, 0.01, 0.001, 0.0005, 0.0]
+
+
+def random_video(rng):
+    """1-40 detections spread over 5, 30 or 200 s, so class pools split into
+    overlap components, plus: copies of some rows in other verb and noun
+    pools, which tie full rank keys across components; and up to two rows
+    scored 0.0005, 0.01 or 0.2, below some tested ``min_score``, placed on
+    the best row, half a second off it, or starting where it ends."""
+    gridded = rng.random() < 0.5
+    span = rng.choice([5, 30, 200])
+    dets = []
+    for _ in range(rng.randrange(1, 41)):
+        if gridded:
+            start, length = 0.5 * rng.randrange(2 * span), rng.choice([0.5, 1.0, 2.0, 5.0])
+        else:
+            start, length = rng.uniform(0, span), rng.uniform(0.1, 10)
+        score = rng.choice(SCORES) if rng.random() < 0.7 else rng.random()
+        dets.append(det(start, start + length, score, action_id=rng.randrange(3),
+                        verb=rng.randrange(3), noun=rng.randrange(2)))
+    dets += [replace(d, verb_index=rng.randrange(3), noun_index=rng.randrange(2))
+             for d in rng.sample(dets, rng.randrange(min(4, len(dets)) + 1))]
+    best = max(dets, key=lambda d: (d.score, -d.start))
+    for _ in range(rng.randrange(3)):
+        shift = rng.choice([-0.5, 0.0, 0.5, best.end - best.start])
+        dets.append(replace(best, start=best.start + shift, end=best.end + shift,
+                            action_id=rng.randrange(3), score=rng.choice([0.0005, 0.01, 0.2])))
+    rng.shuffle(dets)
+    return dets
+
+
+class TestSuppressVideoOverlapComponents:
+    def test_identical_to_the_oracle_on_6000_cases(self):
+        # a max_per_video of 3 or 10 leaves pools above it: one component each
+        rng = random.Random(17)
+        mismatches = 0
+        for _ in range(2000):
+            dets = random_video(rng)
+            cfg = NmsConfig(sigma=rng.choice([0.4, 0.6]),
+                            min_score=rng.choice([0.001, 0.05, 0.3]),
+                            vote_threshold=rng.choice([0.65, 0.75]),
+                            pre_nms_cap=rng.choice([5, 20, 5000]),
+                            max_per_video=rng.choice([3, 10, 3000]))
+            for class_key in ("verb", "noun", "action"):
+                mismatches += suppress(dets, cfg, class_key) != oracle_suppress_video(
+                    dets, cfg, class_key)
+        assert mismatches == 0
+
+    def test_tied_final_scores_keep_the_order_they_were_kept(self):
+        # b and a both decay to exactly 0 and are kept at the same start,
+        # one ulp past b's own; the rounds keep b first, by its earlier
+        # start, although a ranks first by its original score
+        start = 3.2
+        assert (0.1 * start) / 0.1 == np.nextafter(start, math.inf)
+        cfg = NmsConfig(sigma=1e-6, min_score=0.0, vote_threshold=1.0)
+        dets = [det(3.0, 13.2, 1.0), det(np.nextafter(start, math.inf), 4.2, 0.5),
+                det(start, 13.2, 0.1)]
+        kept = suppress(dets, cfg, "action")
+        assert kept == oracle_suppress_video(dets, cfg, "action")
+        assert [d.score for d in kept] == [1.0, 0.0, 0.0]
+        assert kept[1].start == kept[2].start
+        assert [d.end for d in kept[1:]] == [(0.1 * 13.2) / 0.1, 4.2]
+
+
+class TestClassPoolContract:
+    """``suppress_video`` calls ``soft_nms`` once per class pool with rows
+    that overlap, with the pool's overlapping rows: the benchmark reads the
+    class-pool size from these calls."""
+
+    def test_one_call_per_crowded_pool_with_all_its_rows(self, monkeypatch):
+        sizes = []
+        original = suppression.soft_nms
+
+        def counting(dets, *args, **kwargs):
+            sizes.append(len(dets))
+            return original(dets, *args, **kwargs)
+
+        monkeypatch.setattr(suppression, "soft_nms", counting)
+        # 4 classes, each 10 clusters of 30 overlapping rows
+        rng = np.random.default_rng(0)
+        dets = [det(100.0 * cluster + offset, 100.0 * cluster + offset + 10.0, score,
+                    action_id=action)
+                for action in range(4) for cluster in range(10)
+                for offset, score in zip(rng.uniform(0, 5, 30), rng.uniform(0.05, 1, 30))]
+        kept = suppress(dets, VERB_ACTION_NMS, "action")
+        assert sizes == [300] * 4
+        assert kept == oracle_suppress_video(dets, VERB_ACTION_NMS, "action")
 
 
 class TestSuppressVideo:
