@@ -53,7 +53,7 @@ for d in kept_voted:
 # Suppression is class-wise: identical intervals under different action
 # ids never touch each other. A video's detections travel as columns.
 mixed = detection_columns([det(10, 20, 0.9, action_id=1), det(10, 20, 0.9, action_id=2)])
-survivors = suppress_video(mixed, VERB_ACTION_NMS, class_key="action")
+survivors = suppress_video(mixed, VERB_ACTION_NMS)
 print(f"\nsame interval, two action ids -> {len(survivors)} survivors (class isolation)")
 print(f"  their scores: {survivors.score.tolist()}")
 

@@ -136,27 +136,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=False):
+    def add_common(p, fusion_mode=False, nms_preset=False):
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--fusion-mode", choices=FUSION_MODES, dest="fusion_mode")
-        p.add_argument("--nms-preset", choices=sorted(NMS_PRESETS), dest="nms_preset")
+        if fusion_mode:
+            p.add_argument("--fusion-mode", choices=FUSION_MODES, dest="fusion_mode")
+        if nms_preset:
+            p.add_argument("--nms-preset", choices=sorted(NMS_PRESETS), dest="nms_preset")
         p.add_argument("--output", help="write output here instead of stdout")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the simulation seed")
 
     p = sub.add_parser("pipeline", help="proposals -> submission JSON")
     p.add_argument("--proposals", required=True)
-    add_common(p)
+    add_common(p, fusion_mode=True, nms_preset=True)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("fuse", help="fuse aligned boundaries only")
     p.add_argument("--proposals", required=True)
-    add_common(p)
+    add_common(p, fusion_mode=True)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("nms", help="re-suppress an existing submission")
     p.add_argument("--input", required=True, help="submission JSON to suppress")
-    add_common(p)
+    add_common(p, nms_preset=True)
     p.set_defaults(func=cmd_nms)
 
     p = sub.add_parser("eval", help="score a submission against ground truth")
@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="seeded fusion error comparison")
-    add_common(p, seed=True)
+    add_common(p)
+    p.add_argument("--seed", type=int, help="override the simulation seed")
     p.add_argument("--table", help="write per-segment errors to this file")
     p.set_defaults(func=cmd_simulate)
 

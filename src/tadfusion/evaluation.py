@@ -17,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import (
-    CLASS_KEYS,
-    DETECTION,
-    ActionDetection,
-    detection_columns,
-    temporal_iou,
-)
+from .suppression import DETECTION, ActionDetection, detection_columns, temporal_iou
+
+# the three mAP tasks, each scored on its own class key
+CLASS_KEYS = ("verb", "noun", "action")
 
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -169,10 +166,14 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
 
     Detections rank by score descending, then start, action id and video,
     with input order on full ties. One join finds every same-video,
-    same-class (detection, ground truth) pair with tIoU > 0. Each
-    detection lists its pairs by tIoU descending, then ground-truth
-    order, so greedy matching at a threshold takes its first unmatched
-    pair, and a detection without pairs is a false positive.
+    same-class (detection, ground truth) pair with tIoU at or above the
+    lowest threshold; no other pair can match. The pairs run by detection
+    in rank order, then tIoU descending, then ground-truth order. Greedy
+    matching at a threshold walks them once and takes a pair whose tIoU
+    passes and whose detection and ground truth are both unmatched: since
+    a detection's later pairs overlap no more, that is its first pair
+    with unmatched ground truth if that one passes, and none otherwise. A
+    detection without a match is a false positive.
     """
     det_class, gt_class = _task_classes(dets, gts, cfg.task)
     videos = 1 + max(dets.video.max(initial=0), gts.video.max(initial=0))
@@ -205,33 +206,20 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     pair_gt = gt_index[np.repeat(lo, count) + offset]
     det = ranked[pair_det]
     iou = temporal_iou((dets.start[det], dets.end[det]), (gts.start[pair_gt], gts.end[pair_gt]))
-    overlapping = iou > 0.0
-    pair_det, pair_gt, iou = pair_det[overlapping], pair_gt[overlapping], iou[overlapping]
+    matchable = iou >= cfg.thresholds[0]  # a pair below the lowest threshold never matches
+    pair_det, pair_gt, iou = pair_det[matchable], pair_gt[matchable], iou[matchable]
     order = np.lexsort((pair_gt, -iou, pair_det))
-
-    # one row per detection with pairs: class, rank, [(tIoU, gt), ...]
-    rows = []
-    row_class, row_rank = class_id.tolist(), rank.tolist()
-    last = -1
-    for i, pair_iou, g in zip(pair_det[order].tolist(), iou[order].tolist(),
-                              pair_gt[order].tolist()):
-        if i != last:
-            rows.append((row_class[i], row_rank[i], []))
-            last = i
-        rows[-1][2].append((pair_iou, g))
+    pairs = list(zip(pair_det[order].tolist(), iou[order].tolist(), pair_gt[order].tolist()))
 
     per_threshold = {}
-    num_gt = num_gt.tolist()
+    class_of, rank_of, num_gt = class_id.tolist(), rank.tolist(), num_gt.tolist()
     for tau in cfg.thresholds:
-        matched = bytearray(len(gts))
+        det_matched, gt_matched = bytearray(len(ranked)), bytearray(len(gts))
         hits = [[] for _ in num_gt]
-        for cls, det_rank, pairs in rows:
-            for pair_iou, g in pairs:
-                if not matched[g]:
-                    if pair_iou >= tau:
-                        matched[g] = 1
-                        hits[cls].append(det_rank)
-                    break
+        for i, pair_iou, g in pairs:
+            if pair_iou >= tau and not det_matched[i] and not gt_matched[g]:
+                det_matched[i] = gt_matched[g] = 1
+                hits[class_of[i]].append(rank_of[i])
         aps = [average_precision(h, n) for h, n in zip(hits, num_gt)]
         per_threshold[tau] = float(np.mean(aps)) if aps else 0.0
 

@@ -299,12 +299,13 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _load_json(text: str):
-    """``json.loads``, with invalid JSON a ParseError naming the line."""
+def _load_json(text: str, **hooks):
+    """``json.loads``, with invalid JSON a ParseError naming the line, and
+    JSON nested too deep or with an integer too long to convert a ParseError."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from None
+        return json.loads(text, **hooks)
+    except (RecursionError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ParseError(f"invalid JSON: {exc}", line=getattr(exc, "lineno", None)) from None
 
 
 def _reject_repeated_keys(text: str, keys: int) -> None:
@@ -317,7 +318,7 @@ def _reject_repeated_keys(text: str, keys: int) -> None:
     text parsed again, checking every object.
     """
     if keys < text.count(":"):
-        json.loads(text, object_pairs_hook=_unique_keys)
+        _load_json(text, object_pairs_hook=_unique_keys)
 
 
 def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:

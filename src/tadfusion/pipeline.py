@@ -18,6 +18,7 @@ from .composition import VocabSpec, compose_actions
 from .config import PipelineConfig
 from .errors import ParseError
 from .evaluation import (
+    CLASS_KEYS,
     DEFAULT_TIOU_THRESHOLDS,
     EvalConfig,
     MeanApResult,
@@ -26,7 +27,7 @@ from .evaluation import (
 )
 from .fusion import fuse_proposals
 from .io import ProposalRecord, SubmissionDocument, build_submission
-from .suppression import CLASS_KEYS, DETECTION, NmsConfig, suppress_video
+from .suppression import DETECTION, NmsConfig, suppress_video
 from .timeline import intervals_to_seconds
 
 logger = logging.getLogger(__name__)
@@ -67,10 +68,8 @@ def suppress_submission(
     by_video: dict[str, np.recarray], nms_cfg: NmsConfig, version: str
 ) -> SubmissionDocument:
     """Suppress each video's detections, in video order, into a submission."""
-    suppressed = {
-        video_id: suppress_video(dets, nms_cfg, class_key="action")
-        for video_id, dets in sorted(by_video.items())
-    }
+    suppressed = {video_id: suppress_video(dets, nms_cfg)
+                  for video_id, dets in sorted(by_video.items())}
     return build_submission(suppressed, version=version)
 
 

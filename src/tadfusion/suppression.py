@@ -1,12 +1,12 @@
 """Class-wise Soft-NMS with score decay and boundary voting.
 
 Sliding-window inference emits near-duplicate detections wherever
-windows overlap. Suppression runs per class and per video: the highest
-scoring detection is kept, every overlapping neighbor has its score
-decayed by a Gaussian of the overlap, and neighbors falling below the
-minimum score are dropped. A kept detection's interval is refined by a
-score-weighted vote over its highly overlapping neighbors. Detections
-of different classes never affect each other.
+windows overlap. Suppression runs per action class and per video: the
+highest scoring detection is kept, every overlapping neighbor has its
+score decayed by a Gaussian of the overlap, and neighbors falling below
+the minimum score are dropped. A kept detection's interval is refined
+by a score-weighted vote over its highly overlapping neighbors.
+Detections of different action classes never affect each other.
 
 Two rules tie the vote to the decay within one selection round. The
 vote uses the round's pre-decay tIoU and the neighbors' original
@@ -27,9 +27,6 @@ from .errors import InvalidConfig
 
 DEFAULT_PRE_NMS_CAP = 5000
 DEFAULT_MAX_PER_VIDEO = 3000
-
-# the three tasks: a Soft-NMS class key here, an mAP task in evaluation
-CLASS_KEYS = ("verb", "noun", "action")
 
 
 @dataclass(frozen=True)
@@ -192,12 +189,12 @@ def _overlap_components(start, end, pool, cap: int) -> np.ndarray:
     return np.cumsum(opens) - 1
 
 
-def suppress_video(dets: np.recarray, cfg: NmsConfig, class_key: str = "action") -> np.recarray:
-    """Suppress one video's pooled detections, class by class.
+def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
+    """Suppress one video's pooled detections, action class by action class.
 
     Applies the global pre-NMS cap by rank, runs Soft-NMS with boundary
-    voting within each class pool, then merges the pools in rank order
-    and truncates to ``max_per_video``.
+    voting within each pool of one action id, then merges the pools in
+    rank order and truncates to ``max_per_video``.
 
     Two rows interact only when their intervals overlap, so each pool is
     split into overlap components. Rows below ``min_score`` are dropped
@@ -210,19 +207,15 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig, class_key: str = "action")
     such rows stays one component, because the cap inside the rounds
     depends on the pick order across components. Boundaries must be
     finite, as every reader ensures. The merge breaks rank ties by pool,
-    then original start and position: the order in which the rounds
-    over a whole pool keep tied rows.
+    which is action order, then original start and position: the order
+    in which the rounds over a whole pool keep tied rows.
     """
-    if class_key not in CLASS_KEYS:
-        raise InvalidConfig(f"class_key must be one of {CLASS_KEYS}, got {class_key!r}")
     if not len(dets):
         return dets
     order = np.lexsort((dets.action, dets.start, -dets.score))[: cfg.pre_nms_cap]
-    classes = dets[class_key][order]
-    pools = np.argsort(classes, kind="stable")  # ascending class, rank order within
-    order, classes = order[pools], classes[pools]
+    order = order[np.argsort(dets.action[order], kind="stable")]  # rank order within an action
     start, end, score, action = (dets[name][order] for name in ("start", "end", "score", "action"))
-    opens_pool = np.concatenate(([True], classes[1:] != classes[:-1]))
+    opens_pool = np.concatenate(([True], action[1:] != action[:-1]))
     pool = np.cumsum(opens_pool) - 1
     heads = np.flatnonzero(opens_pool)  # a pool's first row is its best
     best = heads[pool]
@@ -258,11 +251,10 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig, class_key: str = "action")
                                                        out=start[alone], where=voted)))
     kept_end = np.concatenate((kept_end, np.divide(weight * end[alone], weight,
                                                    out=end[alone], where=voted)))
-    # equal ranks in pool order, then by original start and position
+    # equal ranks in pool (so action) order, then by original start and position
     tie = np.empty(len(order), np.int64)
     tie[by_start] = np.arange(len(by_start))
-    ranked = np.lexsort((tie[position], action[position], kept_start, neg_score))[
-        : cfg.max_per_video]
+    ranked = np.lexsort((tie[position], kept_start, neg_score))[: cfg.max_per_video]
     kept = dets[order[position[ranked]]]
     kept.start, kept.end, kept.score = kept_start[ranked], kept_end[ranked], -neg_score[ranked]
     return kept

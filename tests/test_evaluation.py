@@ -96,6 +96,14 @@ class TestMatchDetections:
         dets = sort_detections([det(0, 10, 0.9), det(0.5, 10.5, 0.8)])
         assert map_at(0.5, dets, [gt(0, 10), gt(50, 60)]) == 0.5
 
+    def test_a_detection_whose_best_match_is_taken_tries_its_next(self):
+        # the second detection's best ground truth (0, 10) is taken, and its
+        # next, (2, 12), overlaps it with tIoU 8/12: a hit at 0.5, not at 0.7
+        gts = [gt(0, 10), gt(2, 12)]
+        dets = [det(0, 10, 0.9), det(0, 10, 0.8)]
+        result = mean_ap(dets, gts, EvalConfig(thresholds=(0.5, 0.7)))
+        assert result.per_threshold == {0.5: 1.0, 0.7: 0.5}
+
     def test_wrong_class_is_fp(self):
         dets, gts = [det(0, 10, 0.9, verb=1)], [gt(0, 10, verb=0)]
         assert map_at(0.1, dets, gts) == 0.0

@@ -1,5 +1,6 @@
 """Every reader rejects malformed input with exit 1; none reaches exit 2."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tadfusion.cli import main
+from tadfusion.cli import build_parser, main
 
 GOOD_PROPOSAL = "P01 0 10.0 20.0 5:0.9 14.0 24.0 3:0.8"
 GOOD_ENTRY = {"verb": 3, "noun": 5, "action": "3,5", "segment": [1.0, 2.0], "score": 0.5}
@@ -260,6 +261,36 @@ class TestRepeatedJsonKey:
         assert '"P01:1": [' in capsys.readouterr().out
 
 
+class TestJsonPastDecoderLimits:
+    """JSON nested past the recursion limit, or with an integer past the
+    digit limit of integer conversion, is invalid JSON, not an internal error."""
+
+    DEEP = "[" * 1000
+    LONG_INT = "1" + "0" * 4300  # 4,301 digits: json.dumps cannot write it either
+
+    @pytest.mark.parametrize("text, message", [
+        (DEEP, "recursion depth"),
+        (submission_text([GOOD_ENTRY]).replace('"verb": 3', f'"verb": {LONG_INT}'),
+         "4300 digits"),
+    ], ids=["nested", "long-int"])
+    def test_submission(self, tmp_path, capsys, text, message):
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON") and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        (DEEP, "recursion depth"),
+        (f'{{"annotations": {{"P01": [{{"verb": {LONG_INT}, "noun": 5, '
+         '"segment": [1.0, 2.0]}]}}', "4300 digits"),
+    ], ids=["nested", "long-int"])
+    def test_ground_truth(self, tmp_path, capsys, text, message):
+        code = run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
+                   s=submission_text([GOOD_ENTRY]), g=text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON") and message in err
+
+
 class TestSegmentCountCeiling:
     # a run's memory bounds the count at 2**20, far below the 2**32 spawn keys;
     # no count at or below the bound is tried here, since it would be generated
@@ -290,6 +321,35 @@ class TestUsageErrors:
                                 capture_output=True, text=True)
         assert result.returncode == 1
         assert "--proposals" in result.stderr
+
+
+class TestOptionSurface:
+    """Each subcommand accepts exactly the options it reads."""
+
+    OPTIONS = {
+        "pipeline": {"proposals", "config", "fusion_mode", "nms_preset", "output"},
+        "fuse": {"proposals", "config", "fusion_mode", "output"},
+        "nms": {"input", "config", "nms_preset", "output"},
+        "eval": {"submission", "ground_truth", "config", "output"},
+        "simulate": {"config", "output", "seed", "table"},
+        "windows": {"total_features", "max_len", "overlap", "config", "output"},
+    }
+
+    def test_option_dests_per_subcommand(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        got = {name: {action.dest for action in parser._actions
+                      if action.option_strings and action.dest != "help"}
+               for name, parser in sub.choices.items()}
+        assert got == self.OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--submission", "s.json", "--ground-truth", "g.json", "--fusion-mode", "mean"],
+        ["windows", "--total-features", "10", "--nms-preset", "noun"],
+    ], ids=["eval-fusion-mode", "windows-nms-preset"])
+    def test_an_option_a_subcommand_does_not_read_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReaderPaths:
