@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ActionIdOutOfRange, InvalidConfig
 
-DEFAULT_NOUN_COUNT = 300
-DEFAULT_VERB_COUNT = 97
 DEFAULT_TOP_K_NOUNS = 10
 DEFAULT_TOP_K_VERBS = 10
 # Largest vocabulary size accepted: dense score rows of this many classes
@@ -28,8 +26,8 @@ MAX_VOCABULARY_SIZE = 1 << 16
 class VocabSpec:
     """Sizes of the noun and verb vocabularies."""
 
-    noun_count: int = DEFAULT_NOUN_COUNT
-    verb_count: int = DEFAULT_VERB_COUNT
+    noun_count: int = 300
+    verb_count: int = 97
 
     def __post_init__(self):
         for count in (self.noun_count, self.verb_count):

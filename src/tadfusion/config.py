@@ -9,55 +9,36 @@ post-processing config are a classic way to ship a broken submission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
-from .composition import (
-    DEFAULT_NOUN_COUNT,
-    DEFAULT_TOP_K_NOUNS,
-    DEFAULT_TOP_K_VERBS,
-    DEFAULT_VERB_COUNT,
-    VocabSpec,
-)
+from .composition import DEFAULT_TOP_K_NOUNS, DEFAULT_TOP_K_VERBS, VocabSpec
 from .errors import InvalidConfig, ParseError, UnknownKey
 from .evaluation import DEFAULT_TIOU_THRESHOLDS, EvalConfig
 from .fusion import DEFAULT_FUSION_EPSILON, FUSION_MODES
 from .io import SUBMISSION_VERSION, require_finite
 from .simulation import ScenarioConfig
-from .suppression import (
-    DEFAULT_MAX_PER_VIDEO,
-    DEFAULT_PRE_NMS_CAP,
-    NMS_PRESETS,
-    NmsConfig,
-)
-from .timeline import (
-    DEFAULT_FPS,
-    DEFAULT_OFFSET_FRAMES,
-    DEFAULT_STRIDE_FRAMES,
-    DEFAULT_WINDOW_LENGTH,
-    DEFAULT_WINDOW_OVERLAP,
-    FeatureGrid,
-    generate_windows,
-)
+from .suppression import NMS_PRESETS, NmsConfig
+from .timeline import DEFAULT_WINDOW_LENGTH, DEFAULT_WINDOW_OVERLAP, FeatureGrid, generate_windows
 
 
 @dataclass
 class PipelineConfig:
     """All pipeline constants, with the defaults the system was tuned at."""
 
-    stride_frames: int = DEFAULT_STRIDE_FRAMES
-    offset_frames: int = DEFAULT_OFFSET_FRAMES
-    fps: float = DEFAULT_FPS
+    stride_frames: int = FeatureGrid.stride_frames
+    offset_frames: int = FeatureGrid.offset_frames
+    fps: float = FeatureGrid.fps
     window_length: int = DEFAULT_WINDOW_LENGTH
     window_overlap: float = DEFAULT_WINDOW_OVERLAP
-    noun_count: int = DEFAULT_NOUN_COUNT
-    verb_count: int = DEFAULT_VERB_COUNT
+    noun_count: int = VocabSpec.noun_count
+    verb_count: int = VocabSpec.verb_count
     top_k_nouns: int = DEFAULT_TOP_K_NOUNS
     top_k_verbs: int = DEFAULT_TOP_K_VERBS
     epsilon: float = DEFAULT_FUSION_EPSILON
     fusion_mode: str = "dwf"
     nms_preset: str = "verb_action"
-    pre_nms_cap: int = DEFAULT_PRE_NMS_CAP
-    max_per_video: int = DEFAULT_MAX_PER_VIDEO
+    pre_nms_cap: int = NmsConfig.pre_nms_cap
+    max_per_video: int = NmsConfig.max_per_video
     eval_thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS
     submission_version: str = SUBMISSION_VERSION
     sim_segments: int = ScenarioConfig.num_segments
@@ -77,14 +58,8 @@ class PipelineConfig:
         return VocabSpec(noun_count=self.noun_count, verb_count=self.verb_count)
 
     def nms_config(self) -> NmsConfig:
-        preset = NMS_PRESETS[self.nms_preset]
-        return NmsConfig(
-            sigma=preset.sigma,
-            min_score=preset.min_score,
-            vote_threshold=preset.vote_threshold,
-            pre_nms_cap=self.pre_nms_cap,
-            max_per_video=self.max_per_video,
-        )
+        return replace(NMS_PRESETS[self.nms_preset], pre_nms_cap=self.pre_nms_cap,
+                       max_per_video=self.max_per_video)
 
     def scenario(self) -> ScenarioConfig:
         return ScenarioConfig(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import DETECTION, ActionDetection, detection_columns, temporal_iou
+from .suppression import DETECTION, ActionDetection, detection_columns, rank_order, temporal_iou
 
 # the three mAP tasks, each scored on its own class key
 CLASS_KEYS = ("verb", "noun", "action")
@@ -164,8 +164,10 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     the verb-noun pair for the action task). Classes without any ground
     truth are excluded from the mean rather than scored 0.
 
-    Detections rank by score descending, then start, action id and video,
-    with input order on full ties. One join finds every same-video,
+    Detections rank within their class by ``rank_order``: score
+    descending, then start and action id, with input order on full ties.
+    ``eval_columns`` stacks videos in sorted id order, so that input
+    order breaks full ties by video. One join finds every same-video,
     same-class (detection, ground truth) pair with tIoU at or above the
     lowest threshold; no other pair can match. The pairs run by detection
     in rank order, then tIoU descending, then ground-truth order. Greedy
@@ -187,13 +189,11 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     gt_key = np.repeat(np.arange(len(classes)), num_gt) * videos + gts.video[gt_index]
 
     # detections of classes with ground truth, by class, in rank order
-    ranked = np.lexsort((dets.video, dets.action, dets.start, -dets.score))
+    ranked = rank_order(dets.score, dets.start, dets.action, det_class)
     class_id = np.searchsorted(classes, det_class[ranked])
     has_gt = class_id < len(classes)
     has_gt[has_gt] = classes[class_id[has_gt]] == det_class[ranked][has_gt]
     ranked, class_id = ranked[has_gt], class_id[has_gt]
-    by_class = np.argsort(class_id, kind="stable")
-    ranked, class_id = ranked[by_class], class_id[by_class]
     rank = np.arange(1, len(ranked) + 1) - np.searchsorted(class_id, class_id)
 
     # the join: each detection against its (class, video) block of ground truth

@@ -64,13 +64,16 @@ def fuse_boundaries(
     Applied to both start and end; each coordinate may be an array of
     proposals, with weights to match. The candidate's action score is not
     read or modified. Candidates whose confidences both vanish collapse
-    to a point interval, which raises ``DegenerateInterval``.
+    to a point interval, which raises ``DegenerateInterval`` naming the
+    first such index.
     """
     fused_start, fused_end = _weighted(noun_boundary, verb_boundary, weights)
-    if np.any(fused_start >= fused_end):
+    empty = np.flatnonzero(fused_start >= fused_end)
+    if len(empty):
+        i = empty[0]
+        start, end = np.ravel(fused_start)[i].item(), np.ravel(fused_end)[i].item()
         raise DegenerateInterval(
-            f"fused boundary ({fused_start}, {fused_end}) is empty or inverted"
-        )
+            f"fused boundary at index {i} ({start!r}, {end!r}) is empty or inverted")
     return (fused_start, fused_end)
 
 
@@ -79,6 +82,8 @@ def fuse_proposals(noun_boundary, verb_boundary, noun_scores, verb_scores, mode:
     """Fused ``(start, end)`` arrays of R aligned proposals under ``mode``:
     boundaries are ``(starts, ends)`` arrays, scores ``(R, classes)``
     matrices. An empty or inverted interval is returned as it is."""
+    if mode not in FUSION_MODES:
+        raise InvalidConfig(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
     if mode == "mean":
         return hard_mean_fusion(noun_boundary, verb_boundary)
     weights = dwf_weights(*stream_confidences(noun_scores, verb_scores), epsilon)

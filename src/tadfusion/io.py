@@ -20,7 +20,7 @@ import numpy as np
 from .composition import VocabSpec
 from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GROUND_TRUTH
-from .suppression import DETECTION, ActionDetection
+from .suppression import DETECTION, ActionDetection, rank_order
 
 SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
@@ -235,7 +235,7 @@ def build_submission(
         start, end, score = _round4(np.array([dets.start, dets.end, dets.score]))
         kept = np.flatnonzero(~(start >= end))  # quantization collapses sub-0.1ms intervals
         # a stable sort: equal ranks keep their input order
-        kept = kept[np.lexsort((dets.action[kept], start[kept], -score[kept]))]
+        kept = kept[rank_order(score[kept], start[kept], dets.action[kept])]
         quantized = dets[kept]
         quantized.start, quantized.end, quantized.score = start[kept], end[kept], score[kept]
         results[video_id] = quantized

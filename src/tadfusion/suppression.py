@@ -25,9 +25,6 @@ import numpy as np
 
 from .errors import InvalidConfig
 
-DEFAULT_PRE_NMS_CAP = 5000
-DEFAULT_MAX_PER_VIDEO = 3000
-
 
 @dataclass(frozen=True)
 class NmsConfig:
@@ -36,8 +33,8 @@ class NmsConfig:
     sigma: float
     min_score: float
     vote_threshold: float
-    pre_nms_cap: int = DEFAULT_PRE_NMS_CAP
-    max_per_video: int = DEFAULT_MAX_PER_VIDEO
+    pre_nms_cap: int = 5000
+    max_per_video: int = 3000
 
     def __post_init__(self):
         if self.sigma <= 0.0:
@@ -100,8 +97,16 @@ def temporal_iou(a: tuple, b: tuple):
 
 
 def rank_key(det: ActionDetection) -> tuple:
-    """Rank order of detections: score descending, earlier start, smaller action id."""
+    """Rank order of detections: score descending, earlier start, smaller
+    action id. The object form of ``rank_order``."""
     return (-det.score, det.start, det.action_id)
+
+
+def rank_order(score, start, action, *major) -> np.ndarray:
+    """Indices of columns in rank order (see ``rank_key``), within each
+    group of the ``major`` keys, the last of them the most significant;
+    input order breaks full ties."""
+    return np.lexsort((action, start, -score, *major))
 
 
 def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
@@ -117,57 +122,52 @@ def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
     and uses it for both the vote and the decay.
 
     ``dets`` are ActionDetection objects, run as one pool, kept ones
-    returned in rank order. Or they are rows ``[-score, start,
-    action_id, position, end, score, component]`` of one class pool,
-    grouped by component and in position order within each, where rows
-    of different components never overlap: the rounds run component by
-    component, which consumes the rows, and the kept ones are returned
-    component after component, each in the order they were kept, as
-    ``(-score, start, action_id, position, end)``.
+    returned in rank order. Or they are rows ``[-score, start, tie, end,
+    score, component]`` of one class pool, grouped by component and in
+    rank order within each, where rows of different components never
+    overlap and ``tie`` ranks rows of equal score and start: the rounds
+    run component by component, which consumes the rows, and the kept
+    ones are returned component after component, each in the order they
+    were kept, as ``(-score, start, tie, end)``.
     """
-    if dets and isinstance(dets[0], ActionDetection):
-        rows = [[-d.score, d.start, d.action_id, i, d.end, d.score] for i, d in enumerate(dets)]
-        kept = [replace(dets[i], start=start, end=end, score=-neg_score)
-                for neg_score, start, _, i, end in _soft_nms_loop(rows, cfg, vote)]
-        return sorted(kept, key=rank_key)
-    return list(chain.from_iterable(_soft_nms_loop(list(rows), cfg, vote)
-                                    for _, rows in groupby(dets, itemgetter(6))))
-
-
-def _soft_nms_loop(pool: list, cfg: NmsConfig, vote: bool) -> list:
-    """The Soft-NMS rounds over rows ``[-score, start, action_id, position,
-    end, score, ...]``, which this consumes; kept rows are returned in the
-    order they were kept as ``(-score, start, action_id, position, end)``."""
+    objects = bool(dets) and isinstance(dets[0], ActionDetection)
+    rows = [[-d.score, d.start, (d.action_id, i), d.end, d.score, 0]
+            for i, d in enumerate(dets)] if objects else dets
     # min(pool) is the next to keep: its rank key is its first three
-    # fields, with the current score, and the position breaks ties
+    # fields, with the current score
     sigma, min_score, vote_threshold = cfg.sigma, cfg.min_score, cfg.vote_threshold
     kept = []
-    while pool and len(kept) < cfg.max_per_video:
-        best = min(pool)
-        pool.remove(best)
-        neg_score, start, action_id, position, end, weight = best[:6]
-        start_sum, end_sum = weight * start, weight * end
-        survivors = []
-        for entry in pool:
-            # the tIoU of (start, end) and (lo, hi), with min() and max()
-            # spelled out: each returns its first operand on a tie
-            lo, hi = entry[1], entry[4]
-            inter = (hi if hi < end else end) - (lo if lo > start else start)
-            if inter > 0.0:
-                iou = inter / ((hi if hi > end else end) - (lo if lo < start else start))
-                if vote and iou >= vote_threshold:
-                    score = entry[5]
-                    weight += score
-                    start_sum += score * lo
-                    end_sum += score * hi
-                if iou > 0.0:  # nan when both starts are -inf: no decay
-                    entry[0] *= math.exp(-(iou * iou) / sigma)
-            if -entry[0] >= min_score:
-                survivors.append(entry)
-        pool = survivors
-        if vote and weight > 0.0:
-            start, end = start_sum / weight, end_sum / weight
-        kept.append((neg_score, start, action_id, position, end))
+    for _, pool in groupby(rows, itemgetter(5)):
+        pool = list(pool)
+        while pool and len(kept) < cfg.max_per_video:
+            best = min(pool)
+            pool.remove(best)
+            neg_score, start, tie, end, weight = best[:5]
+            start_sum, end_sum = weight * start, weight * end
+            survivors = []
+            for entry in pool:
+                # the tIoU of (start, end) and (lo, hi), with min() and max()
+                # spelled out: each returns its first operand on a tie
+                lo, hi = entry[1], entry[3]
+                inter = (hi if hi < end else end) - (lo if lo > start else start)
+                if inter > 0.0:
+                    iou = inter / ((hi if hi > end else end) - (lo if lo < start else start))
+                    if vote and iou >= vote_threshold:
+                        score = entry[4]
+                        weight += score
+                        start_sum += score * lo
+                        end_sum += score * hi
+                    if iou > 0.0:  # nan when both starts are -inf: no decay
+                        entry[0] *= math.exp(-(iou * iou) / sigma)
+                if -entry[0] >= min_score:
+                    survivors.append(entry)
+            pool = survivors
+            if vote and weight > 0.0:
+                start, end = start_sum / weight, end_sum / weight
+            kept.append((neg_score, start, tie, end))
+    if objects:
+        return sorted((replace(dets[i], start=start, end=end, score=-neg_score)
+                       for neg_score, start, (_, i), end in kept), key=rank_key)
     return kept
 
 
@@ -206,13 +206,14 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     ``soft_nms`` call per pool. A pool of more than ``max_per_video``
     such rows stays one component, because the cap inside the rounds
     depends on the pick order across components. Boundaries must be
-    finite, as every reader ensures. The merge breaks rank ties by pool,
-    which is action order, then original start and position: the order
-    in which the rounds over a whole pool keep tied rows.
+    finite, as every reader ensures. A row's tie is its index in the
+    order by pool (so action), original start and position; the rounds
+    and the merge both break rank ties by it, which is the order in
+    which the rounds over a whole pool keep tied rows.
     """
     if not len(dets):
         return dets
-    order = np.lexsort((dets.action, dets.start, -dets.score))[: cfg.pre_nms_cap]
+    order = rank_order(dets.score, dets.start, dets.action)[: cfg.pre_nms_cap]
     order = order[np.argsort(dets.action[order], kind="stable")]  # rank order within an action
     start, end, score, action = (dets[name][order] for name in ("start", "end", "score", "action"))
     opens_pool = np.concatenate(([True], action[1:] != action[:-1]))
@@ -227,34 +228,33 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     component = _overlap_components(start[by_start], end[by_start], pool[by_start],
                                     cfg.max_per_video)
     single = (np.bincount(component) == 1)[component]
-    # rows of larger components, by component and then position
-    at, component = by_start[~single], component[~single]
-    grouped = np.lexsort((at, component))
-    at, component = at[grouped], component[grouped]
-    rows = list(map(list, zip((-score[at]).tolist(), start[at].tolist(), action[at].tolist(),
-                              at.tolist(), end[at].tolist(), score[at].tolist(),
-                              component.tolist())))
+    # a row's tie is its index in by_start; rows of larger components go
+    # by component and then position, which is rank order in the pool
+    tie = np.flatnonzero(~single)
+    tie = tie[np.lexsort((by_start[tie], component[tie]))]
+    at = by_start[tie]
+    rows = list(map(list, zip((-score[at]).tolist(), start[at].tolist(), tie.tolist(),
+                              end[at].tolist(), score[at].tolist(), component[tie].tolist())))
     bounds = [*np.flatnonzero(np.diff(pool[at], prepend=-1)).tolist(), len(rows)]
     merged = []
     for lo, hi in zip(bounds, bounds[1:]):
         merged.extend(soft_nms(rows[lo:hi], cfg, vote=True))
-    # one float array of the kept rows: positions are exact below 2**53
-    neg_score, kept_start, _, position, kept_end = np.fromiter(
-        chain.from_iterable(merged), float, count=5 * len(merged)).reshape(-1, 5).T
+    # one float array of the kept rows: ties are exact below 2**53
+    neg_score, kept_start, kept_tie, kept_end = np.fromiter(
+        chain.from_iterable(merged), float, count=4 * len(merged)).reshape(-1, 4).T
     # each singleton is kept with its own score and its vote with itself
-    alone = by_start[single]
-    weight = score[alone]
+    alone = np.flatnonzero(single)
+    at = by_start[alone]
+    weight = score[at]
     voted = weight > 0.0
-    position = np.concatenate((position.astype(np.int64), alone))
+    kept_tie = np.concatenate((kept_tie.astype(np.int64), alone))
     neg_score = np.concatenate((neg_score, -weight))
-    kept_start = np.concatenate((kept_start, np.divide(weight * start[alone], weight,
-                                                       out=start[alone], where=voted)))
-    kept_end = np.concatenate((kept_end, np.divide(weight * end[alone], weight,
-                                                   out=end[alone], where=voted)))
+    kept_start = np.concatenate((kept_start, np.divide(weight * start[at], weight,
+                                                       out=start[at], where=voted)))
+    kept_end = np.concatenate((kept_end, np.divide(weight * end[at], weight,
+                                                   out=end[at], where=voted)))
     # equal ranks in pool (so action) order, then by original start and position
-    tie = np.empty(len(order), np.int64)
-    tie[by_start] = np.arange(len(by_start))
-    ranked = np.lexsort((tie[position], kept_start, neg_score))[: cfg.max_per_video]
-    kept = dets[order[position[ranked]]]
+    ranked = np.lexsort((kept_tie, kept_start, neg_score))[: cfg.max_per_video]
+    kept = dets[order[by_start[kept_tie[ranked]]]]
     kept.start, kept.end, kept.score = kept_start[ranked], kept_end[ranked], -neg_score[ranked]
     return kept

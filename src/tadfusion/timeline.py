@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidOverlap
 
-DEFAULT_STRIDE_FRAMES = 8
-DEFAULT_OFFSET_FRAMES = 4
-DEFAULT_FPS = 30.0
 DEFAULT_WINDOW_LENGTH = 4608
 DEFAULT_WINDOW_OVERLAP = 0.5
 # windows one call may generate; counted before any is built
@@ -30,9 +27,9 @@ MAX_WINDOWS = 2**20
 class FeatureGrid:
     """Constants mapping feature coordinates to seconds."""
 
-    stride_frames: int = DEFAULT_STRIDE_FRAMES
-    offset_frames: int = DEFAULT_OFFSET_FRAMES
-    fps: float = DEFAULT_FPS
+    stride_frames: int = 8
+    offset_frames: int = 4
+    fps: float = 30.0
 
     def __post_init__(self):
         # an int compares with the float maximum exactly, without converting

@@ -116,6 +116,12 @@ class TestMatchDetections:
         assert map_at(0.1, dets[:1], [gt(0, 10, video="b")]) == 0.0
         assert map_at(0.1, dets, [gt(0, 10, video="b")]) == 0.5
 
+    def test_a_full_tie_ranks_by_video_id(self):
+        # equal score, start and class: the detection on video "a" ranks
+        # first whatever the input order, and it is a false positive
+        dets = [det(0, 10, 0.9, video="b"), det(0, 10, 0.9, video="a")]
+        assert map_at(0.1, dets, [gt(0, 10, video="b")]) == 0.5
+
 
 class TestAveragePrecision:
     def test_perfect_single(self):

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tadfusion.errors import DegenerateInterval
+from tadfusion.errors import DegenerateInterval, InvalidConfig
 from tadfusion.fusion import (
     dwf_weights,
     fuse_boundaries,
+    fuse_proposals,
     hard_mean_fusion,
     stream_confidences,
 )
@@ -88,6 +89,14 @@ class TestFuseBoundaries:
         with pytest.raises(DegenerateInterval):
             fuse_boundaries((10.0, 20.0), (14.0, 24.0), w)
 
+    def test_degenerate_fusion_names_the_first_index_in_one_line(self):
+        noun = (np.array([10.0, 10.0, 10.0]), np.array([20.0, 20.0, 20.0]))
+        verb = (np.array([14.0, 14.0, 14.0]), np.array([24.0, 24.0, 24.0]))
+        weights = (np.array([0.5, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+        with pytest.raises(DegenerateInterval) as info:
+            fuse_boundaries(noun, verb, weights)
+        assert str(info.value) == "fused boundary at index 1 (0.0, 0.0) is empty or inverted"
+
     @given(
         st.floats(0.0, 50.0), st.floats(0.1, 20.0),
         st.floats(0.0, 50.0), st.floats(0.1, 20.0),
@@ -128,3 +137,13 @@ class TestHardMeanFusion:
 
     def test_plain_case(self):
         assert hard_mean_fusion((0.0, 10.0), (10.0, 20.0)) == (5.0, 15.0)
+
+
+class TestFuseProposals:
+    BOUNDARIES = ((np.array([0.0]), np.array([10.0])), (np.array([2.0]), np.array([12.0])))
+    SCORES = (np.array([[0.9]]), np.array([[0.2]]))
+
+    @pytest.mark.parametrize("mode", ["Mean", "DWF", ""])
+    def test_unknown_mode_is_rejected(self, mode):
+        with pytest.raises(InvalidConfig, match=repr(mode)):
+            fuse_proposals(*self.BOUNDARIES, *self.SCORES, mode)

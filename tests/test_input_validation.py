@@ -556,6 +556,19 @@ class TestFusedBoundaryEmpty:
                    p=text) == 0
 
 
+class TestSimulatedFusedBoundaryEmpty:
+    @pytest.mark.parametrize("text, index", [
+        ("sim_confidence_lo = 0\nsim_confidence_hi = 5e-324\n", 0),
+        ("sim_video_length = 1e16\nsim_seed = 0\n", 150),
+    ])
+    def test_one_line_names_the_first_index(self, tmp_path, capsys, text, index):
+        assert run(tmp_path, ["simulate", "--config", "{c}"], c=text) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: fused boundary at index {index} (")
+        assert err.rstrip().endswith(") is empty or inverted")
+
+
 class TestMeanFusionOverflow:
     def test_boundaries_near_float_max_fuse_to_a_finite_mean(self, tmp_path, capsys):
         text = "P01 0 1.0 1.7e308 5:0.9 14.0 1.7e308 3:0.8\n"

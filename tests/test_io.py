@@ -16,7 +16,7 @@ from tadfusion.errors import (
     UnknownKey,
     VocabularyMismatch,
 )
-from tadfusion.evaluation import GROUND_TRUTH, GroundTruthInstance, columns_by_video
+from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, GroundTruthInstance, columns_by_video
 from tadfusion.io import (
     ProposalRecord,
     _round4,
@@ -28,7 +28,9 @@ from tadfusion.io import (
     serialize_submission,
     write_proposal_file,
 )
-from tadfusion.suppression import ActionDetection, detection_columns
+from tadfusion.simulation import ScenarioConfig
+from tadfusion.suppression import VERB_ACTION_NMS, ActionDetection, detection_columns
+from tadfusion.timeline import FeatureGrid
 
 VOCAB = VocabSpec(noun_count=300, verb_count=97)
 
@@ -289,6 +291,15 @@ class TestConfig:
         assert cfg.top_k_nouns == 10 and cfg.top_k_verbs == 10
         assert cfg.epsilon == 1e-6
         assert cfg.pre_nms_cap == 5000 and cfg.max_per_video == 3000
+
+    def test_builds_the_library_defaults(self):
+        # each tuned default has one home: the object that reads it
+        cfg = PipelineConfig()
+        assert cfg.grid() == FeatureGrid()
+        assert cfg.vocab() == VocabSpec()
+        assert cfg.nms_config() == VERB_ACTION_NMS
+        assert cfg.scenario() == ScenarioConfig()
+        assert EvalConfig(thresholds=cfg.eval_thresholds) == EvalConfig()
 
     def test_fusion_mode_override(self):
         cfg = parse_config_text("fusion_mode = mean\n")
