@@ -36,15 +36,15 @@ from .suppression import NMS_PRESETS
 from .timeline import generate_windows
 
 
+# each value-setting flag's dest, and the configuration key it overrides
+_FLAG_KEYS = {"fusion_mode": "fusion_mode", "nms_preset": "nms_preset", "seed": "sim_seed",
+              "max_len": "window_length", "overlap": "window_overlap"}
+
+
 def _load_config(args) -> PipelineConfig:
-    cfg = parse_config(args.config) if args.config else PipelineConfig()
-    if getattr(args, "fusion_mode", None):
-        cfg.fusion_mode = args.fusion_mode
-    if getattr(args, "nms_preset", None):
-        cfg.nms_preset = args.nms_preset
-    if getattr(args, "seed", None) is not None:
-        cfg.sim_seed = args.seed
-    return cfg
+    overrides = {key: value for dest, key in _FLAG_KEYS.items()
+                 if (value := getattr(args, dest, None)) is not None}
+    return parse_config(args.config, overrides)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -120,9 +120,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_windows(args) -> int:
     cfg = _load_config(args)
-    max_len = args.max_len if args.max_len is not None else cfg.window_length
-    overlap = args.overlap if args.overlap is not None else cfg.window_overlap
-    windows = generate_windows(args.total_features, max_len, overlap)
+    windows = generate_windows(args.total_features, cfg.window_length, cfg.window_overlap)
     lines = [f"{w.start_feature} {w.length_features}" for w in windows]
     _emit("\n".join(lines) + "\n", args.output)
     return 0

@@ -3,8 +3,8 @@
 The file format is deliberately plain: UTF-8 text, one ``key = value``
 per line, ``#`` comments. Every key has a default matching the constants
 the pipeline was tuned with, so an empty file is a valid configuration.
-Unknown keys are rejected rather than ignored; silent typos in a
-post-processing config are a classic way to ship a broken submission.
+Unknown and repeated keys are rejected rather than ignored; silent typos
+in a post-processing config are a classic way to ship a broken submission.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from .composition import DEFAULT_TOP_K_NOUNS, DEFAULT_TOP_K_VERBS, VocabSpec
 from .errors import InvalidConfig, ParseError, UnknownKey
 from .evaluation import DEFAULT_TIOU_THRESHOLDS, EvalConfig
 from .fusion import DEFAULT_FUSION_EPSILON, FUSION_MODES
-from .io import SUBMISSION_VERSION, require_finite
+from .io import SUBMISSION_VERSION, open_text, require_finite
 from .simulation import ScenarioConfig
 from .suppression import NMS_PRESETS, NmsConfig
 from .timeline import DEFAULT_WINDOW_LENGTH, DEFAULT_WINDOW_OVERLAP, FeatureGrid, generate_windows
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """All pipeline constants, with the defaults the system was tuned at."""
 
@@ -58,6 +58,8 @@ class PipelineConfig:
         return VocabSpec(noun_count=self.noun_count, verb_count=self.verb_count)
 
     def nms_config(self) -> NmsConfig:
+        if self.nms_preset not in NMS_PRESETS:
+            raise InvalidConfig(f"nms_preset must be one of {tuple(NMS_PRESETS)}")
         return replace(NMS_PRESETS[self.nms_preset], pre_nms_cap=self.pre_nms_cap,
                        max_per_video=self.max_per_video)
 
@@ -79,9 +81,10 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 # The objects a config builds, each validating itself, and the keys it reads.
 _CHECKED_OBJECTS = (
     (PipelineConfig.grid, ("stride_frames", "offset_frames", "fps")),
-    (lambda cfg: generate_windows(1, cfg.window_length), ("window_length",)),
+    (lambda cfg: generate_windows(1, cfg.window_length, cfg.window_overlap),
+     ("window_length", "window_overlap")),
     (PipelineConfig.vocab, ("noun_count", "verb_count")),
-    (PipelineConfig.nms_config, ("pre_nms_cap", "max_per_video")),
+    (PipelineConfig.nms_config, ("nms_preset", "pre_nms_cap", "max_per_video")),
     (lambda cfg: EvalConfig(thresholds=cfg.eval_thresholds), ("eval_thresholds",)),
     (PipelineConfig.scenario, tuple(f for f in _FIELD_TYPES if f.startswith("sim_"))),
 )
@@ -118,19 +121,13 @@ def _validate(cfg: PipelineConfig, given) -> PipelineConfig:
     for key in ("top_k_nouns", "top_k_verbs", "epsilon"):
         if getattr(cfg, key) <= 0:
             raise ParseError("value must be positive", key=key)
-    if not 0.0 <= cfg.window_overlap < 1.0:
-        raise ParseError("overlap must lie in [0, 1)", key="window_overlap")
     if cfg.fusion_mode not in FUSION_MODES:
         raise ParseError(f"fusion_mode must be one of {FUSION_MODES}", key="fusion_mode")
-    if cfg.nms_preset not in NMS_PRESETS:
-        raise ParseError(
-            f"nms_preset must be one of {tuple(NMS_PRESETS)}", key="nms_preset"
-        )
     for build, keys in _CHECKED_OBJECTS:
         if exc := _failure(build, cfg):
             keys = [k for k in keys if k in given]
             fixing = [k for k in keys if not _failure(
-                build, PipelineConfig(**{j: v for j, v in given.items() if j != k}))]
+                build, replace(cfg, **{k: getattr(PipelineConfig, k)}))]
             raise ParseError(str(exc), key=", ".join(fixing or keys))
     return cfg
 
@@ -149,11 +146,18 @@ def parse_config_text(text: str) -> PipelineConfig:
         raw = raw.strip()
         if key not in _FIELD_TYPES:
             raise UnknownKey(f"unknown configuration key {key!r}", line=lineno)
+        if key in values:
+            raise ParseError("repeated configuration key", line=lineno, key=key)
         values[key] = _parse_value(key, raw)
     return _validate(PipelineConfig(**values), values)
 
 
-def parse_config(path) -> PipelineConfig:
-    """Read a configuration file; an empty or absent body means defaults."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_text(handle.read())
+def parse_config(path, overrides=None) -> PipelineConfig:
+    """The file at ``path`` (no path or an empty body means defaults), then
+    ``overrides``, typed values by key, checked like file values. The file
+    is checked first, so an override never hides an invalid file value."""
+    cfg = PipelineConfig()
+    if path:
+        with open_text(path) as handle:
+            cfg = parse_config_text(handle.read())
+    return _validate(replace(cfg, **overrides), overrides) if overrides else cfg

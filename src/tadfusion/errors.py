@@ -9,16 +9,16 @@ class DegenerateInterval(PipelineError):
     """An interval is empty or inverted (start >= end)."""
 
 
-class InvalidOverlap(PipelineError):
-    """Window overlap fraction outside [0, 1)."""
-
-
 class ActionIdOutOfRange(PipelineError):
     """A flat action id lies outside the noun x verb action space."""
 
 
 class InvalidConfig(PipelineError):
     """A configuration object violates its invariants."""
+
+
+class InvalidOverlap(InvalidConfig):
+    """Window overlap fraction outside [0, 1)."""
 
 
 class ParseError(PipelineError):

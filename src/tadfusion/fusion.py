@@ -18,6 +18,7 @@ from .errors import DegenerateInterval, InvalidConfig
 DEFAULT_FUSION_EPSILON = 1e-6
 
 FUSION_MODES = ("dwf", "mean")
+MEAN_WEIGHTS = (0.5, 0.5)  # the equal-weight baseline's
 
 
 def stream_confidences(
@@ -84,22 +85,19 @@ def fuse_proposals(noun_boundary, verb_boundary, noun_scores, verb_scores, mode:
     matrices. An empty or inverted interval is returned as it is."""
     if mode not in FUSION_MODES:
         raise InvalidConfig(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
-    if mode == "mean":
-        return hard_mean_fusion(noun_boundary, verb_boundary)
-    weights = dwf_weights(*stream_confidences(noun_scores, verb_scores), epsilon)
+    weights = MEAN_WEIGHTS if mode == "mean" else dwf_weights(
+        *stream_confidences(noun_scores, verb_scores), epsilon)
     return _weighted(noun_boundary, verb_boundary, weights)
 
 
 def hard_mean_fusion(
     noun_boundary: tuple[float, float], verb_boundary: tuple[float, float]
 ) -> tuple[float, float]:
-    """Equal-weight baseline: coordinate-wise arithmetic mean.
+    """Equal-weight baseline: coordinate-wise arithmetic mean, the
+    weighted sum at ``MEAN_WEIGHTS``.
 
     Halving before adding keeps boundaries near the float maximum
     finite. Wherever ``a + b`` does not overflow and neither the halves
     nor the mean are subnormal, it gives the bits of ``0.5 * (a + b)``.
     """
-    return (
-        0.5 * noun_boundary[0] + 0.5 * verb_boundary[0],
-        0.5 * noun_boundary[1] + 0.5 * verb_boundary[1],
-    )
+    return _weighted(noun_boundary, verb_boundary, MEAN_WEIGHTS)

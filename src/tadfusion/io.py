@@ -26,6 +26,11 @@ SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
 
 
+def open_text(path):
+    """``path`` opened to read as UTF-8 text; a leading byte-order mark is not data."""
+    return open(path, "r", encoding="utf-8-sig")
+
+
 def require_finite(value: float, *, line=None, key=None) -> float:
     """``value`` itself if finite; otherwise a ParseError naming the line or key."""
     if not math.isfinite(value):
@@ -158,7 +163,7 @@ def parse_proposal_line(line: str, lineno: int, vocab: VocabSpec) -> ProposalRec
 def read_proposal_file(path, vocab: VocabSpec = VocabSpec()) -> list[ProposalRecord]:
     """Parse a proposal file; ``#`` comments and blank lines are skipped."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -376,7 +381,7 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
 
 
 def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         return parse_submission(handle.read(), vocab)
 
 
@@ -389,7 +394,7 @@ def submission_detections(doc: SubmissionDocument) -> list[ActionDetection]:
 def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> dict[str, np.recarray]:
     """Ground truth as ``GROUND_TRUTH`` record arrays by video id, in file
     order. A key repeated within one JSON object is a ParseError."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         text = handle.read()
     payload = _load_json(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("annotations"), dict):

@@ -48,12 +48,6 @@ class Window:
     start_feature: int
     length_features: int
 
-    def __post_init__(self):
-        if self.start_feature < 0:
-            raise InvalidConfig("window start must be >= 0")
-        if self.length_features < 1:
-            raise InvalidConfig("window length must be >= 1")
-
 
 def _float_or_inf(n: int) -> float:
     try:
@@ -76,10 +70,9 @@ def intervals_to_seconds(
     Returns ``(start_s, end_s, kept)``; ``kept`` is False where the input
     is empty or inverted, or clamping collapses it to a point.
     """
-    kept = ~(start >= end)
     start = np.where(0.0 > start, 0.0, start)  # max(start, 0.0), -0.0 and nan as is
     end = np.where(0.0 > end, 0.0, end)
-    kept &= ~(start >= end)
+    kept = ~(start >= end)  # an empty or inverted pair stays so when clamped
     frames = np.array([_float_or_inf(f) for f in window_start_frame], dtype=float)
     with np.errstate(over="ignore"):  # huge coordinates become inf seconds
         start_s = (start * grid.stride_frames + frames + grid.offset_frames) / grid.fps

@@ -139,6 +139,13 @@ class TestConfigObjectsNameTheKey:
         ("verb_count = 0", "verb_count"),
         ("max_per_video = 0", "max_per_video"),
         ("sim_seed = -1", "sim_seed"),
+        ("top_k_nouns = 0", "top_k_nouns"),
+        ("epsilon = 0", "epsilon"),
+        ("fusion_mode = median", "fusion_mode"),
+        ("fps = 0", "fps"),
+        ("eval_thresholds = ,", "eval_thresholds"),
+        ("nms_preset = bogus", "nms_preset"),
+        ("window_overlap = 1.5", "window_overlap"),
     ])
     def test_invalid_value(self, tmp_path, capsys, line, key):
         code = run(tmp_path, ["windows", "--total-features", "10", "--config", "{c}"],
@@ -166,6 +173,82 @@ class TestConfigObjectsNameTheKey:
         text = "sim_sigma_min = 0.5\nsim_sigma_max = 0.3\nsim_segments = 50\n"
         assert run(tmp_path, ["simulate", "--config", "{c}"], c=text) == 1
         assert "(key 'sim_sigma_min, sim_sigma_max')" in capsys.readouterr().err
+
+
+class TestFlagsAreConfigValues:
+    """A value-setting flag is checked like the key it overrides, and its
+    error names that key."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--seed", "-1"], "error: seed must be >= 0 (key 'sim_seed')"),
+        (["windows", "--total-features", "10", "--overlap", "1.5"],
+         "error: overlap must be in [0, 1), got 1.5 (key 'window_overlap')"),
+        (["windows", "--total-features", "10", "--max-len", "0"],
+         "error: max_len must be >= 1 and within the float range (key 'window_length')"),
+    ], ids=["seed", "overlap", "max-len"])
+    def test_invalid_flag_names_its_key(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("command, text, key", [
+        (["simulate", "--seed", "5"], "sim_seed = -1\n", "sim_seed"),
+        (["windows", "--total-features", "10", "--overlap", "0.25"],
+         "window_overlap = 1.5\n", "window_overlap"),
+    ], ids=["seed", "overlap"])
+    def test_flag_does_not_hide_an_invalid_file_value(self, tmp_path, capsys, command, text,
+                                                      key):
+        assert run(tmp_path, [*command, "--config", "{c}"], c=text) == 1
+        assert f"(key {key!r})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, text", [
+        (["windows", "--total-features", "40"], ["--max-len", "16", "--overlap", "0.25"],
+         "window_length = 16\nwindow_overlap = 0.25\n"),
+        (["simulate"], ["--seed", "3"], "sim_seed = 3\n"),
+    ], ids=["windows", "simulate"])
+    def test_flag_acts_as_its_key(self, tmp_path, capsys, command, flags, text):
+        # the file's other values stand beside the flag's
+        base = "sim_segments = 50\n"
+        assert run(tmp_path, [*command, *flags, "--config", "{c}"], c=base) == 0
+        by_flag = capsys.readouterr().out
+        assert run(tmp_path, [*command, "--config", "{c}"], c=base + text) == 0
+        assert by_flag == capsys.readouterr().out
+        assert run(tmp_path, [*command, "--config", "{c}"], c=base) == 0
+        assert by_flag != capsys.readouterr().out
+
+
+class TestRepeatedConfigKey:
+    def test_exits_1_naming_line_and_key(self, tmp_path, capsys):
+        # a last-wins reading would silently run at fps 25
+        code = run(tmp_path, ["windows", "--total-features", "10", "--config", "{c}"],
+                   c="fps = 30\nfps = 25\n")
+        assert code == 1
+        assert "repeated configuration key (line 2, key 'fps')" in capsys.readouterr().err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is not data."""
+
+    def test_proposal_file_gives_the_same_submission(self, tmp_path):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            proposals, out = tmp_path / f"{encoding}.txt", tmp_path / f"{encoding}.json"
+            proposals.write_text(GOOD_PROPOSAL + "\n", encoding=encoding)
+            assert main(["pipeline", "--proposals", str(proposals), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b'"P01": [' in outputs[0]
+
+    def test_config_file_reads_its_first_key(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("window_length = 4\n", encoding="utf-8-sig")
+        assert main(["windows", "--total-features", "6", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == "0 4\n2 4\n"
+
+    def test_submission_json(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(submission_text([GOOD_ENTRY]), encoding="utf-8-sig")
+        assert main(["nms", "--input", str(path)]) == 0
+        assert '"P01": [' in capsys.readouterr().out
 
 
 class TestGridPastFloatRange:
@@ -210,6 +293,18 @@ class TestWindowCountCeiling:
         assert time.perf_counter() - began < 1.0
         assert code == 1
         assert "total_features" in capsys.readouterr().err
+
+
+class TestLowerBounds:
+    def test_negative_window_start_names_the_line(self, tmp_path, capsys):
+        code = run(tmp_path, ["pipeline", "--proposals", "{p}"],
+                   p="P01 -3 1.0 5.0 5:0.9 1.5 5.5 3:0.8\n")
+        assert code == 1
+        assert "window start must be >= 0 (line 1)" in capsys.readouterr().err
+
+    def test_no_features_names_the_flag(self, capsys):
+        assert main(["windows", "--total-features", "0"]) == 1
+        assert "total_features must be >= 1" in capsys.readouterr().err
 
 
 class TestRepeatedClassIndex:

@@ -1,6 +1,6 @@
 import json
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import repeat
 
 import numpy as np
@@ -342,3 +342,18 @@ class TestConfig:
         cfg = parse_config_text("nms_preset = noun\n")
         nms = cfg.nms_config()
         assert (nms.sigma, nms.min_score, nms.vote_threshold) == (0.6, 0.005, 0.65)
+
+    def test_unknown_preset_is_an_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="nms_preset"):
+            PipelineConfig(nms_preset="bogus").nms_config()
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            PipelineConfig().fusion_mode = "mean"
+
+    def test_overrides_apply_after_the_file(self, tmp_path):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text("fusion_mode = mean\nsim_seed = 9\n")
+        cfg = parse_config(path, {"sim_seed": 4, "window_length": 16})
+        assert (cfg.fusion_mode, cfg.sim_seed, cfg.window_length) == ("mean", 4, 16)
+        assert parse_config(None, {}) == PipelineConfig()
