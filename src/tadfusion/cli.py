@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .config import PipelineConfig, parse_config
 from .errors import ParseError, PipelineError
-from .fusion import FUSION_MODES, fuse_proposals
+from .fusion import FUSION_MODES, first_empty, fuse_proposals
 from .io import (
     read_ground_truth,
     read_proposal_file,
@@ -70,14 +70,13 @@ def cmd_fuse(args) -> int:
     # fusion is row-wise, so all records fuse at once, in file order
     if records:
         start, end = fuse_proposals(*stack_records(records), cfg.fusion_mode, cfg.epsilon)
-        for record, fused_start, fused_end in zip(records, start.tolist(), end.tolist()):
-            if fused_start >= fused_end:
-                raise ParseError(
-                    f"fused boundary ({fused_start}, {fused_end}) of video "
-                    f"{record.video_id!r} at window start {record.window_start} "
-                    "is empty or inverted"
-                )
-            lines.append(f"{record.video_id} {fused_start:.4f} {fused_end:.4f}")
+        if (i := first_empty(start, end)) is not None:
+            raise ParseError(
+                f"fused boundary ({start[i]}, {end[i]}) of video {records[i].video_id!r} "
+                f"at window start {records[i].window_start} is empty or inverted"
+            )
+        lines += [f"{record.video_id} {fused_start:.4f} {fused_end:.4f}"
+                  for record, fused_start, fused_end in zip(records, start.tolist(), end.tolist())]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -15,7 +15,7 @@ from .composition import DEFAULT_TOP_K_NOUNS, DEFAULT_TOP_K_VERBS, VocabSpec
 from .errors import InvalidConfig, ParseError, UnknownKey
 from .evaluation import DEFAULT_TIOU_THRESHOLDS, EvalConfig
 from .fusion import DEFAULT_FUSION_EPSILON, FUSION_MODES
-from .io import SUBMISSION_VERSION, open_text, require_finite
+from .io import SUBMISSION_VERSION, data_lines, open_text, parse_number
 from .simulation import ScenarioConfig
 from .suppression import NMS_PRESETS, NmsConfig
 from .timeline import DEFAULT_WINDOW_LENGTH, DEFAULT_WINDOW_OVERLAP, FeatureGrid, generate_windows
@@ -92,19 +92,12 @@ _CHECKED_OBJECTS = (
 
 def _parse_value(key: str, raw: str):
     kind = _FIELD_TYPES[key]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return require_finite(float(raw), key=key)
-        if kind == "str":
-            return raw
-        # tuple[float, ...]: comma-separated values
-        return tuple(
-            require_finite(float(tok), key=key) for tok in raw.split(",") if tok.strip()
-        )
-    except ValueError as exc:
-        raise ParseError(f"cannot parse value {raw!r}: {exc}", key=key) from None
+    if kind == "str":
+        return raw
+    if kind in ("int", "float"):
+        return parse_number(kind, raw, key=key)
+    # tuple[float, ...]: comma-separated values, none of them empty
+    return tuple(parse_number("float", item, key=key) for item in raw.split(","))
 
 
 def _failure(build, cfg: PipelineConfig) -> InvalidConfig | None:
@@ -135,15 +128,11 @@ def _validate(cfg: PipelineConfig, given) -> PipelineConfig:
 def parse_config_text(text: str) -> PipelineConfig:
     """Parse ``key = value`` lines into a validated PipelineConfig."""
     values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
+    for lineno, line in data_lines(text.splitlines()):
+        if "=" not in line:
             raise ParseError("expected 'key = value'", line=lineno)
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
             raise UnknownKey(f"unknown configuration key {key!r}", line=lineno)
         if key in values:

@@ -55,6 +55,14 @@ def _weighted(noun_boundary, verb_boundary, weights: tuple[float, float]):
             noun_weight * noun_boundary[1] + verb_weight * verb_boundary[1])
 
 
+def first_empty(start, end) -> int | None:
+    """Index of the first interval with ``start >= end`` (empty or inverted)
+    among ``start`` and ``end`` arrays (or scalars), or None if there is
+    none; an interval with a nan endpoint is not empty."""
+    empty = np.flatnonzero(np.greater_equal(start, end))
+    return int(empty[0]) if len(empty) else None
+
+
 def fuse_boundaries(
     noun_boundary: tuple[float, float],
     verb_boundary: tuple[float, float],
@@ -69,9 +77,7 @@ def fuse_boundaries(
     first such index.
     """
     fused_start, fused_end = _weighted(noun_boundary, verb_boundary, weights)
-    empty = np.flatnonzero(fused_start >= fused_end)
-    if len(empty):
-        i = empty[0]
+    if (i := first_empty(fused_start, fused_end)) is not None:
         start, end = np.ravel(fused_start)[i].item(), np.ravel(fused_end)[i].item()
         raise DegenerateInterval(
             f"fused boundary at index {i} ({start!r}, {end!r}) is empty or inverted")

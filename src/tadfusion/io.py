@@ -31,11 +31,36 @@ def open_text(path):
     return open(path, "r", encoding="utf-8-sig")
 
 
+def data_lines(lines):
+    """``(lineno, text)`` of each line of ``lines`` that holds data, numbered
+    from 1: the text before any ``#``, stripped; blank lines are skipped."""
+    for lineno, line in enumerate(lines, start=1):
+        if text := line.split("#", 1)[0].strip():
+            yield lineno, text
+
+
 def require_finite(value: float, *, line=None, key=None) -> float:
     """``value`` itself if finite; otherwise a ParseError naming the line or key."""
     if not math.isfinite(value):
         raise ParseError(f"non-finite value {value!r}", line=line, key=key)
     return value
+
+
+def _plain(token: str) -> bool:
+    """The number grammar beyond ``int`` and ``float``: ASCII, no ``_`` groups."""
+    return token.isascii() and "_" not in token
+
+
+def parse_number(kind: str, token: str, *, line=None, key=None):
+    """``token`` as a text reader's number: an ``"int"`` (``[+-]?[0-9]+``) or
+    a finite ``"float"`` (an ASCII decimal or exponent literal). Anything
+    else is a ParseError naming the line or key."""
+    try:
+        if _plain(token):
+            return int(token) if kind == "int" else require_finite(float(token), line=line, key=key)
+    except ValueError:
+        pass
+    raise ParseError(f"malformed {kind} {token!r}", line=line, key=key)
 
 
 def require_class_index(value, count: int, *, key: str) -> int:
@@ -101,6 +126,8 @@ def _parse_sparse_scores(token: str, size: int, lineno: int, stream: str) -> np.
     scores = np.zeros(size)
     if token == "-":
         return scores
+    if not _plain(token):  # one check for the whole token, not one per entry
+        raise ParseError(f"malformed {stream} scores {token!r}", line=lineno)
     seen = set()
     for pair in token.split(","):
         index_str, _, score_str = pair.partition(":")
@@ -139,37 +166,24 @@ def parse_proposal_line(line: str, lineno: int, vocab: VocabSpec) -> ProposalRec
         raise ParseError(
             f"expected 8 whitespace-separated fields, got {len(tokens)}", line=lineno
         )
-    video_id, window_start_str = tokens[0], tokens[1]
-    try:
-        window_start = int(window_start_str)
-        noun_boundary = (float(tokens[2]), float(tokens[3]))
-        verb_boundary = (float(tokens[5]), float(tokens[6]))
-    except ValueError as exc:
-        raise ParseError(f"malformed numeric field: {exc}", line=lineno) from None
+    window_start = parse_number("int", tokens[1], line=lineno)
     if window_start < 0:
         raise ParseError("window start must be >= 0", line=lineno)
-    for value in (*noun_boundary, *verb_boundary):
-        require_finite(value, line=lineno)
+    noun_start, noun_end, verb_start, verb_end = (
+        parse_number("float", tokens[i], line=lineno) for i in (2, 3, 5, 6))
     noun_scores = _parse_sparse_scores(tokens[4], vocab.noun_count, lineno, "noun")
     verb_scores = _parse_sparse_scores(tokens[7], vocab.verb_count, lineno, "verb")
     try:
-        return ProposalRecord(
-            video_id, window_start, noun_boundary, noun_scores, verb_boundary, verb_scores
-        )
+        return ProposalRecord(tokens[0], window_start, (noun_start, noun_end), noun_scores,
+                              (verb_start, verb_end), verb_scores)
     except InvalidConfig as exc:
         raise ParseError(str(exc), line=lineno) from None
 
 
 def read_proposal_file(path, vocab: VocabSpec = VocabSpec()) -> list[ProposalRecord]:
     """Parse a proposal file; ``#`` comments and blank lines are skipped."""
-    records = []
     with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            records.append(parse_proposal_line(stripped, lineno, vocab))
-    return records
+        return [parse_proposal_line(text, lineno, vocab) for lineno, text in data_lines(handle)]
 
 
 def write_proposal_file(path, records: list[ProposalRecord]) -> None:

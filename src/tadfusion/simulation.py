@@ -78,6 +78,9 @@ class ScenarioConfig:
             raise InvalidConfig("segment length bounds must satisfy 0 < min <= max")
         if self.max_segment_s > self.video_length_s:
             raise InvalidConfig("max_segment_s exceeds video length")
+        if math.ulp(self.video_length_s) > 1e-6 * self.min_segment_s:
+            raise InvalidConfig("video_length_s too large: float spacing there exceeds "
+                                "1e-6 * min_segment_s")
         if self.seed < 0:
             raise InvalidConfig("seed must be >= 0")
 

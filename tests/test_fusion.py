@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from tadfusion.errors import DegenerateInterval, InvalidConfig
 from tadfusion.fusion import (
     dwf_weights,
+    first_empty,
     fuse_boundaries,
     fuse_proposals,
     hard_mean_fusion,
@@ -50,6 +51,23 @@ class TestDwfWeights:
         assert w_noun + w_verb == pytest.approx(total / (total + 1e-6))
         assert w_noun >= 0.0 and w_verb >= 0.0
         assert w_noun + w_verb <= 1.0
+
+
+class TestFirstEmpty:
+    def test_equal_endpoints_are_empty(self):
+        assert first_empty(np.array([1.0, 2.0]), np.array([2.0, 2.0])) == 1
+        assert first_empty(3.0, 3.0) == 0
+
+    def test_nan_endpoint_is_not_empty(self):
+        assert first_empty(np.array([np.nan, 1.0]), np.array([1.0, np.nan])) is None
+
+    def test_first_index_is_returned(self):
+        start, end = np.array([0.0, 5.0, 3.0, 9.0]), np.array([1.0, 4.0, 3.0, 1.0])
+        assert first_empty(start, end) == 1
+
+    def test_none_without_an_empty_interval(self):
+        assert first_empty(np.array([0.0, -1.0]), np.array([1.0, 2.0])) is None
+        assert first_empty(np.array([]), np.array([])) is None
 
 
 class TestFuseBoundaries:

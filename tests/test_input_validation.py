@@ -146,6 +146,16 @@ class TestConfigObjectsNameTheKey:
         ("eval_thresholds = ,", "eval_thresholds"),
         ("nms_preset = bogus", "nms_preset"),
         ("window_overlap = 1.5", "window_overlap"),
+        # numbers are ASCII, without "_" digit groups; list items are never empty
+        ("fps = 3_0", "fps"),
+        ("stride_frames = \u0668", "stride_frames"),
+        ("eval_thresholds = 0.1,0.2_5", "eval_thresholds"),
+        ("eval_thresholds = 0.1,,0.5", "eval_thresholds"),
+        ("eval_thresholds = 0.1,", "eval_thresholds"),
+        ("eval_thresholds = ,0.1", "eval_thresholds"),
+        ("eval_thresholds = 0.1, ,0.5", "eval_thresholds"),
+        # from 2**33 s on, float spacing exceeds 1e-6 of the 1 s shortest segment
+        ("sim_video_length = 8.6e9", "sim_video_length"),
     ])
     def test_invalid_value(self, tmp_path, capsys, line, key):
         code = run(tmp_path, ["windows", "--total-features", "10", "--config", "{c}"],
@@ -164,6 +174,7 @@ class TestConfigObjectsNameTheKey:
          "sim_confidence_hi"),
         (["windows", "--total-features", "10"], "stride_frames = 0\nfps = 30\n",
          "stride_frames"),
+        (["simulate"], "sim_video_length = 1e16\nsim_seed = 0\n", "sim_video_length"),
     ])
     def test_only_the_key_at_fault_is_named(self, tmp_path, capsys, command, text, key):
         assert run(tmp_path, [*command, "--config", "{c}"], c=text) == 1
@@ -506,6 +517,27 @@ class TestSubmissionScoreRange:
         assert "(key 'score')" in capsys.readouterr().err
 
 
+class TestNumberGrammar:
+    """Proposal numbers are ASCII, with no ``_`` digit groups, though
+    Python's ``int`` and ``float`` accept both."""
+
+    @pytest.mark.parametrize("line", [
+        "P01 1_0 1.0 5.0 5:0.9 1.5 5.5 3:0.8",
+        "P01 0 1_0.5 20.0 5:0.9 14.0 24.0 3:0.8",
+        "P01 \u0661 10.0 20.0 5:0.9 14.0 24.0 3:0.8",
+        "P01 0 10.0 20.0 5:0_9 14.0 24.0 3:0.8",
+        "P01 0 10.0 20.0 5:0.1_5 14.0 24.0 3:0.8",
+        "P01 0 10.0 20.0 1_0:0.9 14.0 24.0 3:0.8",
+        "P01 0 10.0 20.0 5:0.9 14.0 24.0 \u0663:0.8",
+    ])
+    @pytest.mark.parametrize("command", ["fuse", "pipeline"])
+    def test_proposal_field_names_the_line(self, tmp_path, capsys, command, line):
+        text = f"{GOOD_PROPOSAL}\n{line}\n"
+        assert run(tmp_path, [command, "--proposals", "{p}"], p=text) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and "(line 2)" in err
+
+
 class TestUnreadableFiles:
     def test_non_utf8_proposal_file(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -521,7 +553,7 @@ class TestUnreadableFiles:
 numbers = st.one_of(
     st.integers(-(10**30), 10**30),
     st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from(["nan", "inf", "1e999", "-0", "0x1", "1_0", "", "-"]),
+    st.sampled_from(["nan", "inf", "1e999", "-0", "0x1", "1_0", "", "-", "\u0661", "3_0"]),
 )
 tokens = st.one_of(
     numbers.map(str),
@@ -654,7 +686,6 @@ class TestFusedBoundaryEmpty:
 class TestSimulatedFusedBoundaryEmpty:
     @pytest.mark.parametrize("text, index", [
         ("sim_confidence_lo = 0\nsim_confidence_hi = 5e-324\n", 0),
-        ("sim_video_length = 1e16\nsim_seed = 0\n", 150),
     ])
     def test_one_line_names_the_first_index(self, tmp_path, capsys, text, index):
         assert run(tmp_path, ["simulate", "--config", "{c}"], c=text) == 1

@@ -5,6 +5,7 @@ from itertools import repeat
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tadfusion.cli import main
 from tadfusion.composition import VocabSpec
@@ -123,6 +124,39 @@ class TestProposalFile:
         line = "P01 0 1.0 2.0 - 3.0 4.0 0:0.5"
         record = parse_proposal_line(line, 1, VOCAB)
         assert record.noun_scores.sum() == 0.0
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def increasing(elements, size):
+    """Strictly increasing lists of ``size`` values drawn from ``elements``."""
+    return st.lists(elements, min_size=size[0], max_size=size[1], unique=True).map(sorted)
+
+
+class TestWrittenNumbersReadBack:
+    """A number written as the writers write it (``str`` of an int, ``repr``
+    of a float) reads back as the same value, bit for bit."""
+
+    @given(st.integers(0, 10**30), increasing(finite_floats, (2, 2)),
+           increasing(finite_floats, (2, 2)), st.integers(0, 299), st.floats(0.0, 1.0))
+    def test_proposal_line(self, window_start, noun, verb, index, score):
+        line = (f"P01 {window_start} {noun[0]!r} {noun[1]!r} {index}:{score!r} "
+                f"{verb[0]!r} {verb[1]!r} 0:{score!r}")
+        record = parse_proposal_line(line, 1, VOCAB)
+        assert record.window_start == window_start
+        read = [*record.noun_boundary, *record.verb_boundary,
+                record.noun_scores[index].item(), record.verb_scores[0].item()]
+        assert list(map(repr, read)) == list(map(repr, [*noun, *verb, score, score]))
+
+    @given(st.integers(0, 10**30), st.floats(0.0, exclude_min=True, allow_infinity=False),
+           increasing(st.floats(0.0, 1.0, exclude_min=True), (1, 4)))
+    def test_config_values(self, seed, epsilon, thresholds):
+        cfg = parse_config_text(f"sim_seed = {seed}\nepsilon = {epsilon!r}\n"
+                                f"eval_thresholds = {','.join(map(repr, thresholds))}\n")
+        assert cfg.sim_seed == seed
+        assert repr(cfg.epsilon) == repr(epsilon)
+        assert list(map(repr, cfg.eval_thresholds)) == list(map(repr, thresholds))
 
 
 def detection(video="P01_101", start=0.13334, end=2.8, verb=3, noun=5, score=0.6):
