@@ -55,12 +55,16 @@ def _weighted(noun_boundary, verb_boundary, weights: tuple[float, float]):
             noun_weight * noun_boundary[1] + verb_weight * verb_boundary[1])
 
 
+def empty(start, end):
+    """True where ``start >= end`` (empty or inverted); a nan endpoint is not."""
+    return np.greater_equal(start, end)
+
+
 def first_empty(start, end) -> int | None:
-    """Index of the first interval with ``start >= end`` (empty or inverted)
-    among ``start`` and ``end`` arrays (or scalars), or None if there is
-    none; an interval with a nan endpoint is not empty."""
-    empty = np.flatnonzero(np.greater_equal(start, end))
-    return int(empty[0]) if len(empty) else None
+    """Index of the first ``empty`` interval among ``start`` and ``end``
+    arrays (or scalars), or None if there is none."""
+    found = np.flatnonzero(empty(start, end))
+    return int(found[0]) if len(found) else None
 
 
 def fuse_boundaries(

@@ -57,7 +57,8 @@ def parse_number(kind: str, token: str, *, line=None, key=None):
     else is a ParseError naming the line or key."""
     try:
         if _plain(token):
-            return int(token) if kind == "int" else require_finite(float(token), line=line, key=key)
+            return (int(token) if kind == "int"
+                    else require_finite(float(token), line=line, key=key))
     except ValueError:
         pass
     raise ParseError(f"malformed {kind} {token!r}", line=line, key=key)
@@ -163,14 +164,13 @@ def _format_sparse_scores(scores: np.ndarray) -> str:
 def parse_proposal_line(line: str, lineno: int, vocab: VocabSpec) -> ProposalRecord:
     tokens = line.split()
     if len(tokens) != 8:
-        raise ParseError(
-            f"expected 8 whitespace-separated fields, got {len(tokens)}", line=lineno
-        )
+        raise ParseError(f"expected 8 whitespace-separated fields, got {len(tokens)}",
+                         line=lineno)
     window_start = parse_number("int", tokens[1], line=lineno)
+    noun_start, noun_end, verb_start, verb_end = [
+        parse_number("float", tokens[i], line=lineno) for i in (2, 3, 5, 6)]
     if window_start < 0:
         raise ParseError("window start must be >= 0", line=lineno)
-    noun_start, noun_end, verb_start, verb_end = (
-        parse_number("float", tokens[i], line=lineno) for i in (2, 3, 5, 6))
     noun_scores = _parse_sparse_scores(tokens[4], vocab.noun_count, lineno, "noun")
     verb_scores = _parse_sparse_scores(tokens[7], vocab.verb_count, lineno, "verb")
     try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, InvalidOverlap
+from .fusion import empty
 
 DEFAULT_WINDOW_LENGTH = 4608
 DEFAULT_WINDOW_OVERLAP = 0.5
@@ -72,7 +73,7 @@ def intervals_to_seconds(
     """
     start = np.where(0.0 > start, 0.0, start)  # max(start, 0.0), -0.0 and nan as is
     end = np.where(0.0 > end, 0.0, end)
-    kept = ~(start >= end)  # an empty or inverted pair stays so when clamped
+    kept = ~empty(start, end)  # an empty or inverted pair stays so when clamped
     frames = np.array([_float_or_inf(f) for f in window_start_frame], dtype=float)
     with np.errstate(over="ignore"):  # huge coordinates become inf seconds
         start_s = (start * grid.stride_frames + frames + grid.offset_frames) / grid.fps

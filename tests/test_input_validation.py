@@ -313,6 +313,12 @@ class TestLowerBounds:
         assert code == 1
         assert "window start must be >= 0 (line 1)" in capsys.readouterr().err
 
+    def test_malformed_boundary_is_named_before_the_window_start(self, tmp_path, capsys):
+        code = run(tmp_path, ["pipeline", "--proposals", "{p}"],
+                   p="P01 -3 abc 5.0 5:0.9 1.5 5.5 3:0.8\n")
+        assert code == 1
+        assert "malformed float 'abc' (line 1)" in capsys.readouterr().err
+
     def test_no_features_names_the_flag(self, capsys):
         assert main(["windows", "--total-features", "0"]) == 1
         assert "total_features must be >= 1" in capsys.readouterr().err
