@@ -85,8 +85,10 @@ def eval_columns(
 ) -> tuple[np.recarray, np.recarray]:
     """Detections (``DETECTION`` record arrays by video id) and ground
     truth (``GROUND_TRUTH`` record arrays by video id) as the columns
-    ``score_columns`` takes: video after video in sorted order, each
-    video's rows in their order."""
+    ``score_columns`` takes. Ground truth runs video after video in sorted
+    id order, each video's rows in their order. Detections come in
+    ``rank_order`` over that same layout, so a full tie keeps video id
+    order, then the video's own order: ranked once here for every task."""
     videos = sorted(dets_by_video.keys() | truth_by_video.keys())
     columns = []
     for by_video, dtype in ((dets_by_video, EVAL_DETECTION),
@@ -100,7 +102,8 @@ def eval_columns(
             for name in dtype.names[1:]:
                 stacked[name] = rows[name]
         columns.append(stacked.view(np.recarray))
-    return columns[0], columns[1]
+    dets, truth = columns
+    return dets.take(rank_order(dets.score, dets.start, dets.action)), truth
 
 
 def columns_by_video(dets: list[ActionDetection], gts: list[GroundTruthInstance]) -> tuple:
@@ -117,35 +120,58 @@ def columns_by_video(dets: list[ActionDetection], gts: list[GroundTruthInstance]
              for video_id, rows in gt_rows.items()})
 
 
-def average_precision(hits: list[int], num_gt: int) -> float:
-    """Area under the interpolated precision-recall curve.
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every run of equal values in ``keys``."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    first = np.flatnonzero(first)
+    return first, np.diff(np.append(first, len(keys)))
 
-    ``hits`` are the 1-based ranks of the true positives in score order.
-    Precision at each recall level is replaced by the maximum precision
-    at any greater or equal recall before integrating. Zero ground truth
-    yields 0 (such classes are excluded from class means upstream).
+
+def average_precisions(row, rank, num_gt) -> np.ndarray:
+    """Area under the interpolated precision-recall curve of every row.
+
+    Row ``r`` holds the true positives of one ranked list with
+    ``num_gt[r]`` ground truths (at least one for a row with a true
+    positive). ``row`` and ``rank`` list every true positive as its row
+    and its 1-based rank in score order, grouped by row and ascending in
+    rank within a row. A row without one scores 0. Precision at each
+    recall level is replaced by the maximum precision at any greater or
+    equal recall before integrating.
 
     Recall steps only at true positives, where the envelope is the best
     later true-positive precision. The step terms and the closing
     ``(1 - recall) * 0`` are summed as ``np.sum`` sums them: left to right
-    below 8 terms, and pairwise, by ``np.sum`` itself, from 8 terms on. The
-    short sums add in a loop, because ``sum`` compensates from Python 3.12.
+    below 8 terms, here by one ``np.add.accumulate`` over rows padded with
+    -0.0, and pairwise, by ``np.sum`` of the row itself, from 8 terms on.
+    Every step term is positive, so the closing +0.0 adds as the -0.0
+    padding does: it only counts toward the number of terms.
     """
-    if num_gt < 0:
-        raise InvalidConfig("num_gt must be >= 0")
-    if num_gt == 0 or not hits:
-        return 0.0
-    terms = [(1.0 - len(hits) / num_gt) * 0.0] if len(hits) != num_gt else []
-    envelope = 0.0
-    for tp in range(len(hits), 0, -1):
-        envelope = max(envelope, tp / hits[tp - 1])
-        terms.append((tp / num_gt - (tp - 1) / num_gt) * envelope)
-    if len(terms) >= 8:
-        return float(np.sum(terms[::-1]))
-    total = 0.0
-    for term in reversed(terms):
-        total += term
-    return total
+    aps = np.zeros(len(num_gt))
+    if not len(row):
+        return aps
+    row, rank = np.asarray(row), np.asarray(rank)
+    # the rows with true positives, each with its count k of them
+    first, k = _runs(row)
+    scored = row[first]
+    n = np.asarray(num_gt)[scored]
+    # one line per such row, its hit with tp true positives at column
+    # tp - 1 and room for its closing term at column k; -0.0 pads the line
+    width = int(k.max()) + 1
+    tp = np.arange(1, len(row) + 1) - np.repeat(first, k)
+    at = np.repeat(np.arange(len(scored)) * width - 1, k) + tp
+    terms = np.full((len(scored), width), -0.0)
+    flat = terms.reshape(-1)
+    flat[at] = tp / rank
+    # the envelope: the best precision at this or any later true positive
+    np.maximum.accumulate(terms[:, ::-1], axis=1, out=terms[:, ::-1])
+    n_at = np.repeat(n, k)
+    flat[at] *= tp / n_at - (tp - 1) / n_at
+    aps[scored] = np.add.accumulate(terms[:, :7], axis=1)[:, -1]
+    length = k + (k != n)
+    for i in np.flatnonzero(length >= 8).tolist():
+        aps[scored[i]] = np.sum(terms[i, : length[i]])
+    return aps
 
 
 def _task_classes(dets: np.recarray, gts: np.recarray, task: str):
@@ -164,32 +190,31 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     the verb-noun pair for the action task). Classes without any ground
     truth are excluded from the mean rather than scored 0.
 
-    Detections rank within their class by ``rank_order``: score
-    descending, then start and action id, with input order on full ties.
-    ``eval_columns`` stacks videos in sorted id order, so that input
-    order breaks full ties by video. One join finds every same-video,
-    same-class (detection, ground truth) pair with tIoU at or above the
-    lowest threshold; no other pair can match. The pairs run by detection
+    The detections come in ``rank_order`` (score descending, then start
+    and action id), as ``eval_columns`` returns them, so a full tie keeps
+    video id order. One stable sort by class keeps that rank within each
+    class. One join finds every same-video, same-class (detection, ground
+    truth) pair with tIoU at or above the lowest threshold; no other pair
+    can match. The pairs run by detection
     in rank order, then tIoU descending, then ground-truth order. Greedy
     matching at a threshold walks them once and takes a pair whose tIoU
     passes and whose detection and ground truth are both unmatched: since
     a detection's later pairs overlap no more, that is its first pair
     with unmatched ground truth if that one passes, and none otherwise. A
-    detection without a match is a false positive.
+    detection without a match is a false positive. The hits of every
+    threshold and class are scored by one ``average_precisions`` call.
     """
     det_class, gt_class = _task_classes(dets, gts, cfg.task)
     videos = 1 + max(dets.video.max(initial=0), gts.video.max(initial=0))
     # ground truth by class, then video, in input order within
     gt_index = np.lexsort((gts.video, gt_class))
     sorted_class = gt_class[gt_index]
-    first = np.ones(len(gts), dtype=bool)
-    first[1:] = sorted_class[1:] != sorted_class[:-1]
-    first = np.flatnonzero(first)
-    classes, num_gt = sorted_class[first], np.diff(np.append(first, len(gts)))
+    first, num_gt = _runs(sorted_class)
+    classes = sorted_class[first]
     gt_key = np.repeat(np.arange(len(classes)), num_gt) * videos + gts.video[gt_index]
 
     # detections of classes with ground truth, by class, in rank order
-    ranked = rank_order(dets.score, dets.start, dets.action, det_class)
+    ranked = np.argsort(det_class, kind="stable")
     class_id = np.searchsorted(classes, det_class[ranked])
     has_gt = class_id < len(classes)
     has_gt[has_gt] = classes[class_id[has_gt]] == det_class[ranked][has_gt]
@@ -211,17 +236,22 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     order = np.lexsort((pair_gt, -iou, pair_det))
     pairs = list(zip(pair_det[order].tolist(), iou[order].tolist(), pair_gt[order].tolist()))
 
-    per_threshold = {}
-    class_of, rank_of, num_gt = class_id.tolist(), rank.tolist(), num_gt.tolist()
-    for tau in cfg.thresholds:
+    # hits grouped by row t * classes + class, each row's in rank order,
+    # because the pairs run class by class in rank order
+    hit_row, hit_rank = [], []
+    class_of, rank_of = class_id.tolist(), rank.tolist()
+    for t, tau in enumerate(cfg.thresholds):
         det_matched, gt_matched = bytearray(len(ranked)), bytearray(len(gts))
-        hits = [[] for _ in num_gt]
+        base = t * len(classes)
         for i, pair_iou, g in pairs:
             if pair_iou >= tau and not det_matched[i] and not gt_matched[g]:
                 det_matched[i] = gt_matched[g] = 1
-                hits[class_of[i]].append(rank_of[i])
-        aps = [average_precision(h, n) for h, n in zip(hits, num_gt)]
-        per_threshold[tau] = float(np.mean(aps)) if aps else 0.0
+                hit_row.append(base + class_of[i])
+                hit_rank.append(rank_of[i])
+    aps = average_precisions(hit_row, hit_rank, np.tile(num_gt, len(cfg.thresholds)))
+    aps = aps.reshape(len(cfg.thresholds), len(classes))
+    per_threshold = {tau: float(np.mean(aps[t])) if len(classes) else 0.0
+                     for t, tau in enumerate(cfg.thresholds)}
 
     average = float(np.mean(list(per_threshold.values())))
     return MeanApResult(task=cfg.task, per_threshold=per_threshold, average=average)

@@ -119,23 +119,28 @@ def evaluate_files(
 
 
 def format_metrics_table(results: dict[str, MeanApResult]) -> str:
-    """Human-readable grid: one row per task, one column per threshold."""
+    """Human-readable grid: one row per task, one column per threshold.
+    A threshold is labelled by its shortest round-trip decimal, so distinct
+    thresholds get distinct labels; a column widens to fit its label."""
     thresholds = list(next(iter(results.values())).per_threshold)
-    header = "task    " + "".join(f"  mAP@{t:.1f}" for t in thresholds) + "     avg"
+    labels = [f"mAP@{t}" for t in thresholds]
+    widths = [max(7, len(label)) for label in labels]
+    header = "task    " + "".join(f"  {s:>{w}}" for s, w in zip(labels, widths)) + "     avg"
     lines = [header, "-" * len(header)]
     for task in CLASS_KEYS:
         row = results[task]
-        cells = "".join(f"  {row.per_threshold[t]:7.4f}" for t in thresholds)
+        cells = "".join(f"  {row.per_threshold[t]:{w}.4f}" for t, w in zip(thresholds, widths))
         lines.append(f"{task:<8}{cells} {row.average:7.4f}")
     return "\n".join(lines)
 
 
 def format_metrics_keyvalues(results: dict[str, MeanApResult]) -> str:
-    """Machine-readable ``key = value`` lines mirroring the table."""
+    """Machine-readable ``key = value`` lines mirroring the table, each
+    threshold in its shortest round-trip decimal."""
     lines = []
     for task in CLASS_KEYS:
         row = results[task]
         for t, value in row.per_threshold.items():
-            lines.append(f"{task}_map_{t:.1f} = {value:.4f}")
+            lines.append(f"{task}_map_{t} = {value:.4f}")
         lines.append(f"{task}_map_avg = {row.average:.4f}")
     return "\n".join(lines)

@@ -142,6 +142,26 @@ def _legacy_average_precision(flags, num_gt):
     return float(np.sum((mrec[steps] - mrec[steps - 1]) * mprec[steps]))
 
 
+def legacy_average_precision(hits, num_gt):
+    """AP of one ranked list as the scalar evaluator summed it: ``hits`` are
+    the 1-based ranks of its true positives. The step terms and the closing
+    ``(1 - recall) * 0`` add left to right below 8 terms, by ``np.sum``
+    from 8 on."""
+    if num_gt == 0 or not hits:
+        return 0.0
+    terms = [(1.0 - len(hits) / num_gt) * 0.0] if len(hits) != num_gt else []
+    envelope = 0.0
+    for tp in range(len(hits), 0, -1):
+        envelope = max(envelope, tp / hits[tp - 1])
+        terms.append((tp / num_gt - (tp - 1) / num_gt) * envelope)
+    if len(terms) >= 8:
+        return float(np.sum(terms[::-1]))
+    total = 0.0
+    for term in reversed(terms):
+        total += term
+    return total
+
+
 def oracle_mean_ap_legacy(dets, gts, thresholds, task):
     """``(per_threshold, average)`` as the per-threshold evaluator gave them."""
     gt_by_class = {}

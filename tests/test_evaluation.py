@@ -12,13 +12,14 @@ from tadfusion.errors import InvalidConfig
 from tadfusion.evaluation import (
     EvalConfig,
     GroundTruthInstance,
-    average_precision,
+    average_precisions,
     columns_by_video,
+    eval_columns,
     mean_ap,
 )
 from tadfusion.io import SubmissionDocument, submission_detections
 from tadfusion.pipeline import evaluate_files
-from tadfusion.suppression import ActionDetection
+from tadfusion.suppression import ActionDetection, rank_order
 
 
 def det(start, end, score, verb=0, noun=0, video="v"):
@@ -39,12 +40,36 @@ def gt(start, end, verb=0, noun=0, video="v"):
     )
 
 
+def replace_video(d, video):
+    return det(d.start, d.end, d.score, d.verb_index, d.noun_index, video)
+
+
 def map_at(tau, dets, gts, task="action"):
     """mAP of ``dets`` at the single threshold ``tau``."""
     return mean_ap(dets, gts, EvalConfig(thresholds=(tau,), task=task)).average
 
 
-from oracles import oracle_ap, oracle_mean_ap, oracle_mean_ap_legacy, sort_detections
+from oracles import (
+    legacy_average_precision,
+    oracle_ap,
+    oracle_mean_ap,
+    oracle_mean_ap_legacy,
+    sort_detections,
+)
+
+
+def batched(rows):
+    """``average_precisions`` of ``rows`` in one call, as floats: each row
+    the 1-based ranks of its true positives in score order and its
+    ground-truth count."""
+    row = [r for r, (hits, _) in enumerate(rows) for _ in hits]
+    rank = [h for hits, _ in rows for h in hits]
+    return [float(ap) for ap in average_precisions(row, rank, [n for _, n in rows])]
+
+
+def average_precision(hits, num_gt):
+    """``average_precisions`` of the one row ``(hits, num_gt)``."""
+    return batched([(hits, num_gt)])[0]
 
 
 def ap_of(flags, num_gt):
@@ -164,6 +189,90 @@ class TestApSumCutOver:
         # 7 hits of 11 ground truths: seven step terms and the closing one;
         # left to right the same terms give 0.21212121212121213
         assert repr(average_precision([5, 10, 12, 14, 18, 19, 21], 11)) == "0.2121212121212121"
+
+
+@st.composite
+def ap_rows(draw):
+    """Rows of true-positive ranks with their ground-truth counts: 0-20
+    hits per row, from one with a count equal to its hits (no closing
+    term) to one with three times as many ground truths."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        hits = sorted(draw(st.sets(st.integers(1, 60), max_size=20)))
+        low = max(1, len(hits))
+        rows.append((hits, draw(st.one_of(st.just(low), st.integers(low, 3 * low)))))
+    return rows
+
+
+class TestBatchedApIsTheScalarAp:
+    """One ``average_precisions`` call gives every row the bits of the
+    scalar AP, including the 7- and 8-term sums on either side of
+    ``np.sum``'s pairwise cut-over."""
+
+    @given(ap_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_matches_the_scalar_ap(self, rows):
+        assert [repr(ap) for ap in batched(rows)] == [
+            repr(legacy_average_precision(hits, n)) for hits, n in rows]
+
+    @pytest.mark.parametrize("hits, num_gt", [
+        ([2, 3, 7, 18, 19, 20, 23], 7),       # 7 terms, no closing term
+        ([5, 10, 12, 14, 18, 19, 21], 11),    # 7 step terms and the closing one
+        ([1, 3, 4, 9, 11, 12, 17, 30], 8),    # 8 terms, no closing term
+        ([2, 3, 5, 7, 11, 13], 9),            # 7 terms with the closing one
+    ])
+    def test_cut_over_rows_between_others(self, hits, num_gt):
+        rows = [([1, 4], 3), (hits, num_gt), ([], 2), ([3], 1)]
+        assert [repr(ap) for ap in batched(rows)] == [
+            repr(legacy_average_precision(h, n)) for h, n in rows]
+
+
+class TestRankOrderContract:
+    """``eval_columns`` ranks the detections once for every task."""
+
+    def tied_videos(self):
+        # videos listed out of id order; each holds the same (score, start,
+        # action) rows, and "b" also a full tie within itself
+        rows = [det(0, 10, 0.9), det(0, 12, 0.9), det(5, 10, 0.9), det(0, 10, 0.4, verb=1)]
+        dets = [replace_video(d, video) for video in ("c", "a", "b") for d in rows]
+        dets.append(replace_video(rows[0], "b"))
+        gts = [gt(0, 10, video="b"), gt(0, 12, video="a"), gt(1, 10, verb=1, video="c"),
+               gt(0, 9, video="c")]
+        return dets, gts
+
+    def test_eval_columns_returns_rank_order_with_ties_in_video_id_order(self):
+        dets, gts = self.tied_videos()
+        dets_by_video, truth_by_video = columns_by_video(dets, gts)
+        assert list(dets_by_video) == ["c", "a", "b"]
+        ranked, _ = eval_columns(dets_by_video, truth_by_video)
+        assert (rank_order(ranked.score, ranked.start, ranked.action)
+                == np.arange(len(ranked))).all()
+        # in video id order, each video's rows in their own order
+        expected = sorted(
+            ((-d.score, d.start, d.action_id, d.video_id, i, d.end)
+             for i, d in enumerate(dets)), key=lambda key: key[:5])
+        assert ranked.video.tolist() == ["abc".index(key[3]) for key in expected]
+        assert ranked.end.tolist() == [key[5] for key in expected]
+
+    def test_evaluate_files_ignores_the_insertion_order_of_videos(self):
+        dets, gts = self.tied_videos()
+        dets_by_video, truth_by_video = columns_by_video(dets, gts)
+        results = evaluate_files(SubmissionDocument(results=dets_by_video), truth_by_video,
+                                 EXACT_THRESHOLDS)
+        reordered = dict(reversed(list(dets_by_video.items())))
+        again = evaluate_files(SubmissionDocument(results=reordered),
+                               dict(reversed(list(truth_by_video.items()))), EXACT_THRESHOLDS)
+        for task in ("verb", "noun", "action"):
+            assert repr(again[task]) == repr(results[task])
+
+    @pytest.mark.parametrize("task", ["verb", "noun", "action"])
+    def test_identical_rows_on_two_videos_score_as_the_legacy_evaluator(self, task):
+        dets, gts = self.tied_videos()
+        per_threshold, average = oracle_mean_ap_legacy(dets, gts, EXACT_THRESHOLDS, task)
+        got = mean_ap(dets, gts, EvalConfig(thresholds=EXACT_THRESHOLDS, task=task))
+        assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
+            repr(per_threshold[t]) for t in EXACT_THRESHOLDS]
+        assert repr(got.average) == repr(average)
 
 
 class TestMeanAp:

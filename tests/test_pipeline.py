@@ -12,7 +12,7 @@ from tadfusion.cli import main
 from tadfusion.composition import VocabSpec
 from tadfusion.config import PipelineConfig
 from tadfusion.errors import ParseError
-from tadfusion.evaluation import GroundTruthInstance, columns_by_video
+from tadfusion.evaluation import GroundTruthInstance, MeanApResult, columns_by_video
 from tadfusion.io import (
     ProposalRecord,
     read_submission,
@@ -243,6 +243,48 @@ class TestEvaluateFiles:
         assert "mAP@0.1" in table and "action" in table
         kv = format_metrics_keyvalues(results)
         assert any(line.startswith("action_map_avg = ") for line in kv.splitlines())
+
+
+class TestMetricLabels:
+    def results(self, thresholds):
+        return {task: MeanApResult(task, {t: i / 8 + t / 10 for t in thresholds}, 0.25 * i)
+                for i, task in enumerate(("verb", "noun", "action"))}
+
+    def test_default_thresholds_print_as_before(self):
+        results = self.results((0.1, 0.2, 0.3, 0.4, 0.5))
+        assert format_metrics_table(results) == (
+            "task      mAP@0.1  mAP@0.2  mAP@0.3  mAP@0.4  mAP@0.5     avg\n"
+            "-------------------------------------------------------------\n"
+            "verb       0.0100   0.0200   0.0300   0.0400   0.0500  0.0000\n"
+            "noun       0.1350   0.1450   0.1550   0.1650   0.1750  0.2500\n"
+            "action     0.2600   0.2700   0.2800   0.2900   0.3000  0.5000")
+        assert format_metrics_keyvalues(results).splitlines()[:6] == [
+            "verb_map_0.1 = 0.0100", "verb_map_0.2 = 0.0200", "verb_map_0.3 = 0.0300",
+            "verb_map_0.4 = 0.0400", "verb_map_0.5 = 0.0500", "verb_map_avg = 0.0000"]
+
+    def test_close_thresholds_get_distinct_labels_that_read_back(self, tmp_path):
+        # at one decimal 0.72 and 0.74 both print as 0.7, and 0.75 as 0.8
+        thresholds = (0.72, 0.74, 0.75)
+        submission, gt_path, cfg = (tmp_path / name for name in ("s.json", "g.json", "e.cfg"))
+        submission.write_text(json.dumps({"version": "0.1", "challenge": "action_detection",
+                                          "results": {"P01": []}}))
+        gt_path.write_text(json.dumps({"annotations": {
+            "P01": [{"verb": 3, "noun": 5, "segment": [1.0, 2.0]}]}}))
+        cfg.write_text("eval_thresholds = 0.72,0.74,0.75\n")
+        result = run_cli("eval", "--submission", str(submission), "--ground-truth",
+                         str(gt_path), "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        table, keyvalues = result.stdout.split("\n\n")
+        keys = [line.split(" = ")[0] for line in keyvalues.splitlines()]
+        assert len(set(keys)) == len(keys) == 12
+        for task in ("verb", "noun", "action"):
+            labels = [key.removeprefix(f"{task}_map_") for key in keys if key.startswith(task)]
+            assert tuple(float(label) for label in labels[:-1]) == thresholds
+            assert labels[-1] == "avg"
+        header = table.splitlines()[0].split()
+        assert header == ["task", "mAP@0.72", "mAP@0.74", "mAP@0.75", "avg"]
+        # every row lines up with the widened header
+        assert len({len(line) for line in table.splitlines()}) == 1
 
 
 def run_cli(*args):
