@@ -195,14 +195,14 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     video id order. One stable sort by class keeps that rank within each
     class. One join finds every same-video, same-class (detection, ground
     truth) pair with tIoU at or above the lowest threshold; no other pair
-    can match. The pairs run by detection
-    in rank order, then tIoU descending, then ground-truth order. Greedy
-    matching at a threshold walks them once and takes a pair whose tIoU
-    passes and whose detection and ground truth are both unmatched: since
-    a detection's later pairs overlap no more, that is its first pair
-    with unmatched ground truth if that one passes, and none otherwise. A
-    detection without a match is a false positive. The hits of every
-    threshold and class are scored by one ``average_precisions`` call.
+    can match. The pairs run by detection in rank order, then tIoU
+    descending, then ground-truth order. Greedy matching at a threshold
+    walks them once and takes a pair whose tIoU passes and whose detection
+    and ground truth are both unmatched: since a detection's later pairs
+    overlap no more, that is its first pair with unmatched ground truth if
+    that one passes, and none otherwise. A detection without a match is a
+    false positive. The hits of every threshold and class are scored by
+    one ``average_precisions`` call.
     """
     det_class, gt_class = _task_classes(dets, gts, cfg.task)
     videos = 1 + max(dets.video.max(initial=0), gts.video.max(initial=0))
