@@ -108,12 +108,10 @@ def cmd_simulate(args) -> int:
              for key, value in pairs]
     _emit("\n".join(lines) + "\n", args.output)
     if args.table:
+        rows = enumerate(zip(report.per_segment_dwf.tolist(), report.per_segment_mean.tolist()))
         with open(args.table, "w", encoding="utf-8") as handle:
-            handle.write("# segment err_dwf err_mean\n")
-            for i in range(report.num_segments):
-                handle.write(
-                    f"{i} {report.per_segment_dwf[i]:.6f} {report.per_segment_mean[i]:.6f}\n"
-                )
+            handle.write("# segment err_dwf err_mean\n"
+                         + "".join(f"{i} {dwf:.6f} {mean:.6f}\n" for i, (dwf, mean) in rows))
     return 0
 
 

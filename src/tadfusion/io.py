@@ -255,7 +255,7 @@ def build_submission(
         kept = np.flatnonzero(~(start >= end))  # quantization collapses sub-0.1ms intervals
         # a stable sort: equal ranks keep their input order
         kept = kept[rank_order(score[kept], start[kept], dets.action[kept])]
-        quantized = dets[kept]
+        quantized = dets.take(kept)
         quantized.start, quantized.end, quantized.score = start[kept], end[kept], score[kept]
         results[video_id] = quantized
     return SubmissionDocument(version=version, results=results)

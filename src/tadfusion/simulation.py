@@ -24,8 +24,9 @@ from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
 
-# a run holds about 0.6 kB per segment, so 2**20 segments take about 0.7 GB;
-# the 2**32 that one 32-bit spawn key per segment would allow cannot fit in memory
+# a run holds about 0.26 kB per segment at its peak, so 2**20 segments take
+# about 0.27 GB; the 2**32 that one 32-bit spawn key per segment would allow
+# cannot fit in memory
 _MAX_SEGMENTS = 2**20
 
 # NumPy SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
@@ -172,6 +173,40 @@ def _noisy_boundary(
     )
 
 
+def _draw_segment(rng: np.random.Generator, cfg: ScenarioConfig):
+    """One segment's draws, one scalar call each, from its own stream.
+
+    Returns its truth row (start, end, verb, noun), its noun and verb
+    confidences and its noun and verb boundaries. ``generate_scenario``
+    replays through it the segments its array pass cannot finish.
+    """
+    # Generator.uniform(lo, hi) returns lo + (hi - lo) * random(), bit for bit;
+    # at lo = 0 that is the product alone, which is never -0.0
+    length = cfg.min_segment_s + (cfg.max_segment_s - cfg.min_segment_s) * rng.random()
+    start = (cfg.video_length_s - length) * rng.random()
+    true_boundary = (start, start + length)
+    verb = int(rng.integers(cfg.vocab.verb_count))
+    noun = int(rng.integers(cfg.vocab.noun_count))
+    conf_range = cfg.confidence_hi - cfg.confidence_lo
+    c_noun = cfg.confidence_lo + conf_range * rng.random()
+    c_verb = cfg.confidence_lo + conf_range * rng.random()
+    return ((*true_boundary, verb, noun), c_noun, c_verb,
+            _noisy_boundary(rng, true_boundary, c_noun, cfg),
+            _noisy_boundary(rng, true_boundary, c_verb, cfg))
+
+
+def _bounded_index(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.integers(k)`` for ``1 < k <= 2**32`` on 32-bit words held in uint64.
+
+    NumPy draws a bounded integer by Lemire's method (arXiv:1805.10941):
+    ``m = word * k``, index ``m >> 32``. When the low half of ``m`` is
+    below ``(2**32 - k) % k`` it rejects the word and draws again; those
+    words come back flagged, with an index NumPy does not return.
+    """
+    m = words * np.uint64(k)
+    return m >> 32, (m & _MASK32) < (2**32 - k) % k
+
+
 def _hasher(hash_const: int, mult: int):
     """SeedSequence's 32-bit hash, advancing its constant on every call.
 
@@ -230,6 +265,18 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     would be; ``_child_states`` derives the seed words of all ``n`` child
     streams in one array pass. Results are therefore identical regardless
     of evaluation order, and segments could be generated in parallel.
+
+    Each stream is asked for two things only: its first five raw 64-bit
+    outputs and the next four standard normals. One array pass turns them
+    into what ``_draw_segment``'s scalar calls return: ``random()`` is
+    ``(raw >> 11) * 2**-53`` of outputs 0, 1, 3 and 4; the verb and noun
+    indices come from the low and high halves of output 2, which PCG64
+    hands out one 32-bit half at a time; ``normal(0, std)`` is
+    ``0.0 + std * z``, normals 0-1 for the noun stream's first (start, end)
+    and 2-3 for the verb's. A segment whose first boundary pair is
+    invalid, or whose index word NumPy would reject, is replayed by
+    ``_draw_segment``; so is every segment when a vocabulary has one
+    entry, since ``integers(1)`` consumes no bits.
     """
     # numpy.random is imported here, not at module level, so that only
     # simulate pays for it at start-up
@@ -245,31 +292,48 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    truth, noun_confidence, verb_confidence, noun_boundary, verb_boundary = [], [], [], [], []
-    # Generator.uniform(lo, hi) returns lo + (hi - lo) * random(), bit for bit;
-    # at lo = 0 that is the product alone, which is never -0.0
-    length_lo, length_range = cfg.min_segment_s, cfg.max_segment_s - cfg.min_segment_s
-    conf_lo, conf_range = cfg.confidence_lo, cfg.confidence_hi - cfg.confidence_lo
-    for words in _child_states(cfg.seed, cfg.num_segments):
-        rng = Generator(PCG64(_Words(words)))
-        length = length_lo + length_range * rng.random()
-        start = (cfg.video_length_s - length) * rng.random()
-        true_boundary = (start, start + length)
-        truth.append((*true_boundary, int(rng.integers(cfg.vocab.verb_count)),
-                      int(rng.integers(cfg.vocab.noun_count))))
-        c_noun = conf_lo + conf_range * rng.random()
-        c_verb = conf_lo + conf_range * rng.random()
-        noun_confidence.append(c_noun)
-        verb_confidence.append(c_verb)
-        noun_boundary.append(_noisy_boundary(rng, true_boundary, c_noun, cfg))
-        verb_boundary.append(_noisy_boundary(rng, true_boundary, c_verb, cfg))
+    n, vocab = cfg.num_segments, cfg.vocab
+    states = _child_states(cfg.seed, n)
+    raw, normals = np.empty((n, 5), np.uint64), np.empty((n, 4))
+    for i in range(n):
+        bitgen = PCG64(_Words(states[i]))
+        raw[i] = bitgen.random_raw(5)
+        Generator(bitgen).standard_normal(out=normals[i])
+
+    uniform = (raw[:, [0, 1, 3, 4]] >> 11) * 2.0**-53
+    length = cfg.min_segment_s + (cfg.max_segment_s - cfg.min_segment_s) * uniform[:, 0]
+    start = (cfg.video_length_s - length) * uniform[:, 1]
+    truth = np.empty(n, GROUND_TRUTH).view(np.recarray)
+    truth.start, truth.end = start, start + length
+    truth.verb, verb_rejected = _bounded_index(raw[:, 2] & _MASK32, vocab.verb_count)
+    truth.noun, noun_rejected = _bounded_index(raw[:, 2] >> 32, vocab.noun_count)
+    conf_range = cfg.confidence_hi - cfg.confidence_lo
+    noun_confidence = cfg.confidence_lo + conf_range * uniform[:, 2]
+    verb_confidence = cfg.confidence_lo + conf_range * uniform[:, 3]
+
+    true_boundary = np.column_stack((truth.start, truth.end))
+
+    def noisy_boundary(confidence, z):
+        boundary = true_boundary + (0.0 + cfg.noise_std(confidence)[:, None] * z)
+        start, end = boundary.T
+        return boundary, (0.0 <= start) & (start < end) & (end <= cfg.video_length_s)
+
+    noun_boundary, noun_valid = noisy_boundary(noun_confidence, normals[:, :2])
+    verb_boundary, verb_valid = noisy_boundary(verb_confidence, normals[:, 2:])
+
+    replay = ~(noun_valid & verb_valid) | verb_rejected | noun_rejected
+    if min(vocab.noun_count, vocab.verb_count) == 1:
+        replay[:] = True
+    for i in np.flatnonzero(replay).tolist():
+        (truth[i], noun_confidence[i], verb_confidence[i], noun_boundary[i],
+         verb_boundary[i]) = _draw_segment(Generator(PCG64(_Words(states[i]))), cfg)
     return Scenario(
         config=cfg,
-        truth=np.array(truth, dtype=GROUND_TRUTH).view(np.recarray),
-        noun_confidence=np.array(noun_confidence),
-        verb_confidence=np.array(verb_confidence),
-        noun_boundary=np.array(noun_boundary),
-        verb_boundary=np.array(verb_boundary),
+        truth=truth,
+        noun_confidence=noun_confidence,
+        verb_confidence=verb_confidence,
+        noun_boundary=noun_boundary,
+        verb_boundary=verb_boundary,
     )
 
 

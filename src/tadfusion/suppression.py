@@ -255,6 +255,6 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
                                                    out=end[at], where=voted)))
     # equal ranks in pool (so action) order, then by original start and position
     ranked = np.lexsort((kept_tie, kept_start, neg_score))[: cfg.max_per_video]
-    kept = dets[order[by_start[kept_tie[ranked]]]]
+    kept = dets.take(order[by_start[kept_tie[ranked]]])
     kept.start, kept.end, kept.score = kept_start[ranked], kept_end[ranked], -neg_score[ranked]
     return kept

@@ -383,6 +383,24 @@ class TestCli:
         lines = table.read_text().strip().splitlines()
         assert len(lines) == 51  # header + one row per segment
 
+    def test_simulate_table_bytes(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("sim_segments = 6\n")
+        table = tmp_path / "table.txt"
+        result = run_cli(
+            "simulate", "--config", str(cfg), "--seed", "5", "--table", str(table)
+        )
+        assert result.returncode == 0
+        assert table.read_bytes() == (
+            b"# segment err_dwf err_mean\n"
+            b"0 1.098343 1.084430\n"
+            b"1 0.479412 0.452391\n"
+            b"2 0.360858 0.739594\n"
+            b"3 0.805735 0.799369\n"
+            b"4 0.644186 0.748134\n"
+            b"5 0.878023 1.264236\n"
+        )
+
     def test_windows_subcommand(self):
         result = run_cli("windows", "--total-features", "6000")
         assert result.returncode == 0

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from oracles import oracle_compare_fusion, oracle_generate_scenario
+from tadfusion import simulation
 from tadfusion.composition import VocabSpec
 from tadfusion.errors import InvalidConfig
 from tadfusion.evaluation import GROUND_TRUTH, GroundTruthInstance
@@ -14,6 +15,7 @@ from tadfusion.simulation import (
     VIDEO_ID,
     FusionReport,
     ScenarioConfig,
+    _bounded_index,
     _child_states,
     _score_vector,
     compare_fusion,
@@ -149,6 +151,43 @@ def assert_same_scenario(got, want):
         assert a.tobytes() == b.tobytes(), field
 
 
+def count_replays(monkeypatch):
+    """Record what every scalar replay of ``generate_scenario`` returns."""
+    replayed = []
+
+    def draw_segment(rng, cfg):
+        replayed.append(draw(rng, cfg))
+        return replayed[-1]
+
+    draw = simulation._draw_segment
+    monkeypatch.setattr(simulation, "_draw_segment", draw_segment)
+    return replayed
+
+
+class TestBoundedIndex:
+    """``_bounded_index`` on a stream's 32-bit words, low half of each
+    64-bit output first, against ``Generator.integers(k)`` on the same
+    fresh stream: the first unflagged word gives NumPy's value, and NumPy
+    has consumed exactly the words up to it (``integers(2**32)`` returns
+    the next word whole)."""
+
+    @pytest.mark.parametrize("k", [2, 7, 97, 300, 65175, 65535, 65536, 2**31 + 1])
+    def test_matches_generator_integers(self, k):
+        flagged_seen = 0
+        for seed in range(300):
+            raw = np.random.default_rng(seed).bit_generator.random_raw(8)
+            words = np.column_stack((raw & 0xFFFFFFFF, raw >> 32)).ravel()
+            index, flagged = _bounded_index(words, k)
+            first = int(np.argmin(flagged))
+            assert not flagged[first]
+            rng = np.random.default_rng(seed)
+            assert int(rng.integers(k)) == index[first]
+            assert int(rng.integers(2**32)) == words[first + 1]
+            flagged_seen += first
+        # about half of all words are rejected at k = 2**31 + 1
+        assert (flagged_seen > 200) == (k == 2**31 + 1)
+
+
 class TestGenerateScenarioOracle:
     """The array-seeded loop draws what the per-segment ``SeedSequence``
     and ``Generator.uniform`` loop drew, bit for bit. NumPy computes
@@ -168,11 +207,36 @@ class TestGenerateScenarioOracle:
         dict(vocab=VocabSpec(noun_count=1, verb_count=1)),
         dict(min_segment_s=5.0, max_segment_s=5.0, video_length_s=5.0),
         dict(num_segments=1),
+        # integers(1) consumes no bits, so the other index takes the low half
+        dict(vocab=VocabSpec(noun_count=1, verb_count=7)),
+        dict(vocab=VocabSpec(noun_count=7, verb_count=1)),
+        dict(vocab=VocabSpec(noun_count=65536, verb_count=65535)),
+        dict(sigma_min=0.0, sigma_max=0.0, confidence_lo=1.0, confidence_hi=1.0),
     ])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 7, 10**30])
     def test_edge_configs(self, overrides, seed):
         cfg = config(**{"seed": seed, "num_segments": 50, **overrides})
         assert_same_scenario(generate_scenario(cfg), oracle_generate_scenario(cfg))
+
+    def test_default_config_replays_a_few_segments(self, monkeypatch):
+        replayed = count_replays(monkeypatch)
+        cfg = ScenarioConfig(num_segments=5000, seed=3)
+        assert_same_scenario(generate_scenario(cfg), oracle_generate_scenario(cfg))
+        # segments near either end of the video whose first noise pair leaves it
+        assert 0 < len(replayed) < 100
+
+    @pytest.mark.parametrize("seed, num_segments", [
+        (143, 53),  # segment 52: NumPy rejects the verb's word
+        (68, 74),   # segment 73: NumPy rejects the noun's word
+    ])
+    def test_rejected_index_word_is_replayed(self, monkeypatch, seed, num_segments):
+        # 2**32 % 65175 is close to 65175: about 1.5 in 10**5 words are rejected
+        replayed = count_replays(monkeypatch)
+        cfg = config(seed=seed, num_segments=num_segments,
+                     vocab=VocabSpec(noun_count=65175, verb_count=65175))
+        got = generate_scenario(cfg)
+        assert_same_scenario(got, oracle_generate_scenario(cfg))
+        assert got.truth[-1].tolist() in [row[0] for row in replayed]
 
     def test_exhausted_resampling_raises_the_same_error(self):
         cfg = config(num_segments=1, video_length_s=1.0, min_segment_s=1.0,
