@@ -2,7 +2,9 @@
 
 The noun and verb streams of each aligned proposal pair cross their top
 classes into scored action hypotheses; each scores as the geometric mean
-of its factor probabilities. Pairs compose together, one row per pair.
+of its factor probabilities. Pairs compose together, one row per pair,
+and each pair's candidates come noun by noun in top-K order, unranked:
+Soft-NMS ranks detections later.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from tadfusion.composition import VocabSpec, compose_actions
 vocab = VocabSpec(noun_count=6, verb_count=4)
 noun_scores = np.array([
     [0.05, 0.9, 0.2, 0.1, 0.02, 0.3],
-    [0.6, 0.0, 0.0, 0.6, 0.1, 0.0],  # tied nouns: equal products rank by action id
+    [0.6, 0.0, 0.0, 0.6, 0.1, 0.0],  # tied nouns: the lower index is taken first
 ])
 verb_scores = np.array([
     [0.7, 0.1, 0.4, 0.05],

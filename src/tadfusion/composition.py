@@ -79,9 +79,10 @@ def compose_actions(
     ``noun_scores`` and ``verb_scores`` are ``(R, nouns)`` and ``(R, verbs)``
     matrices, one row per pair, or one pair's two vectors. Each pair gives
     ``min(k_n, nouns) * min(k_v, verbs)`` candidates from its top classes
-    (ties go to the lower index), sorted by ``P_noun * P_verb`` descending
-    (ties by ascending action id) and scored as ``sqrt(P_noun * P_verb)``.
-    The result holds them pair after pair.
+    (ties go to the lower index), scored as ``sqrt(P_noun * P_verb)``.
+    The result holds them pair after pair; within a pair, noun by noun in
+    top-K order and, for each noun, verb by verb. Nothing here ranks
+    them: ``suppression.rank_order`` is the one ranking of detections.
     """
     nouns = np.atleast_2d(np.asarray(noun_scores, dtype=float))
     verbs = np.atleast_2d(np.asarray(verb_scores, dtype=float))
@@ -94,13 +95,8 @@ def compose_actions(
     # a stable sort of the negated scores breaks ties by the lower index
     p = np.argsort(-nouns, axis=1, kind="stable")[:, :k_n]
     q = np.argsort(-verbs, axis=1, kind="stable")[:, :k_v]
-    shape = (len(nouns), p.shape[1] * q.shape[1])
     product = (np.take_along_axis(nouns, p, 1)[:, :, None]
-               * np.take_along_axis(verbs, q, 1)[:, None, :]).reshape(shape)
-    noun, verb = np.repeat(p, q.shape[1], axis=1), np.tile(q, (1, p.shape[1]))
-    composed = np.rec.fromarrays([noun, verb, vocab.action_id(noun, verb), product],
-                                 dtype=CANDIDATE)
-    # rank on the product: two products one ulp apart can share a sqrt
-    composed = np.take_along_axis(composed, np.lexsort((composed.action, -product), axis=1), 1)
-    composed.score = np.sqrt(composed.score)
-    return composed.reshape(-1)
+               * np.take_along_axis(verbs, q, 1)[:, None, :])
+    noun, verb = np.repeat(p, q.shape[1]), np.tile(q, p.shape[1]).reshape(-1)
+    return np.rec.fromarrays([noun, verb, vocab.action_id(noun, verb),
+                              np.sqrt(product).reshape(-1)], dtype=CANDIDATE)

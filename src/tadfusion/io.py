@@ -20,6 +20,7 @@ import numpy as np
 from .composition import VocabSpec
 from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GROUND_TRUTH
+from .fusion import empty
 from .suppression import DETECTION, ActionDetection, rank_order
 
 SUBMISSION_VERSION = "0.1"
@@ -252,7 +253,7 @@ def build_submission(
     for video_id in sorted(detections_by_video):
         dets = detections_by_video[video_id]
         start, end, score = _round4(np.array([dets.start, dets.end, dets.score]))
-        kept = np.flatnonzero(~(start >= end))  # quantization collapses sub-0.1ms intervals
+        kept = np.flatnonzero(~empty(start, end))  # quantization collapses sub-0.1ms intervals
         # a stable sort: equal ranks keep their input order
         kept = kept[rank_order(score[kept], start[kept], dets.action[kept])]
         quantized = dets.take(kept)

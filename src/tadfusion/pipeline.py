@@ -67,9 +67,8 @@ def _video_detections(
 def suppress_submission(
     by_video: dict[str, np.recarray], nms_cfg: NmsConfig, version: str
 ) -> SubmissionDocument:
-    """Suppress each video's detections, in video order, into a submission."""
-    suppressed = {video_id: suppress_video(dets, nms_cfg)
-                  for video_id, dets in sorted(by_video.items())}
+    """Suppress each video's detections into a submission."""
+    suppressed = {video_id: suppress_video(dets, nms_cfg) for video_id, dets in by_video.items()}
     return build_submission(suppressed, version=version)
 
 

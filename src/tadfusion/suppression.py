@@ -102,11 +102,10 @@ def rank_key(det: ActionDetection) -> tuple:
     return (-det.score, det.start, det.action_id)
 
 
-def rank_order(score, start, action, *major) -> np.ndarray:
-    """Indices of columns in rank order (see ``rank_key``), within each
-    group of the ``major`` keys, the last of them the most significant;
-    input order breaks full ties."""
-    return np.lexsort((action, start, -score, *major))
+def rank_order(score, start, action) -> np.ndarray:
+    """Indices of columns in rank order (see ``rank_key``); input order
+    breaks full ties. The one ranking of detections."""
+    return np.lexsort((action, start, -score))
 
 
 def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -79,26 +78,14 @@ class TestComposeActions:
         ((_, _, _, score),) = candidates(composed)
         assert score == pytest.approx(0.6)
 
-    def test_all_pairs_enumerated_and_sorted(self):
-        # oracle: brute-force cross product, sorted by product of scores
+    def test_all_pairs_enumerated_by_noun_rank_then_verb_rank(self):
+        # noun-major top-K order, not product order: 0.5 * 0.8 = 0.4
+        # comes after 0.9 * 0.2 = 0.18
         vocab = VocabSpec(noun_count=2, verb_count=2)
-        noun_scores = np.array([0.9, 0.1])
-        verb_scores = np.array([0.8, 0.2])
-        composed = self.small_pair(noun_scores, verb_scores, vocab)
-        expected = sorted(
-            (
-                (math.sqrt(noun_scores[p] * verb_scores[q]), q, p)
-                for p, q in itertools.product(range(2), range(2))
-            ),
-            key=lambda item: -item[0],
-        )
-        assert len(composed) == 4
-        for (p, q, _, cand_score), (score, exp_q, exp_p) in zip(composed, expected):
-            assert cand_score == pytest.approx(score)
-            assert (q, p) == (exp_q, exp_p)
-        assert [c[3] for c in composed] == pytest.approx(
-            [math.sqrt(x) for x in (0.72, 0.18, 0.08, 0.02)]
-        )
+        composed = self.small_pair(np.array([0.9, 0.5]), np.array([0.8, 0.2]), vocab)
+        assert [(p, q) for p, q, _, _ in composed] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [c[3] for c in composed] == [math.sqrt(x) for x in (
+            0.9 * 0.8, 0.9 * 0.2, 0.5 * 0.8, 0.5 * 0.2)]
 
     def test_candidate_count_with_large_vocab(self):
         rng = np.random.default_rng(2)
@@ -118,29 +105,31 @@ class TestComposeActions:
         for p, q, action_id, _ in candidates(composed):
             assert action_id == vocab.noun_count * q + p
 
-    def test_products_one_ulp_apart_rank_by_product(self):
-        # 0.5 * 0.4 = 0.2 and 0.6 * (1/3) = 0.19999999999999998 share one
-        # sqrt; the larger product must still rank first
-        vocab = VocabSpec(noun_count=2, verb_count=2)
-        composed = self.small_pair(np.array([0.5, 0.6]), np.array([1 / 3, 0.4]), vocab)
-        pairs = [(p, q) for p, q, _, _ in composed]
-        assert pairs == [(1, 1), (0, 1), (1, 0), (0, 0)]
-        assert composed[1][3] == composed[2][3] == math.sqrt(0.2)
-
     @given(st.data())
-    def test_ranking_matches_product_ranking(self, data):
-        # geometric mean is monotone in the product, so sorting by S must
-        # equal sorting by the raw product
-        n = data.draw(st.integers(2, 6))
-        v = data.draw(st.integers(2, 6))
-        noun_scores = np.array(data.draw(st.lists(
-            st.floats(0.01, 1.0), min_size=n, max_size=n)))
-        verb_scores = np.array(data.draw(st.lists(
-            st.floats(0.01, 1.0), min_size=v, max_size=v)))
+    def test_candidates_in_top_k_order_scored_by_sqrt_of_product(self, data):
+        # each pair's candidates cross the top-K nouns with the top-K verbs,
+        # noun by noun, where top-K is a stable argsort of the negated
+        # scores; ties and zeros make that order differ from product order
+        n, v = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        rows = data.draw(st.integers(1, 3))
+        k_n, k_v = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+        nouns = np.array(data.draw(st.lists(st.lists(score, min_size=n, max_size=n),
+                                            min_size=rows, max_size=rows)))
+        verbs = np.array(data.draw(st.lists(st.lists(score, min_size=v, max_size=v),
+                                            min_size=rows, max_size=rows)))
         vocab = VocabSpec(noun_count=n, verb_count=v)
-        composed = compose_actions(noun_scores, verb_scores, k_n=n, k_v=v, vocab=vocab)
-        products = [noun_scores[p] * verb_scores[q] for p, q, _, _ in candidates(composed)]
-        assert products == sorted(products, reverse=True)
+        composed = compose_actions(nouns, verbs, k_n=k_n, k_v=k_v, vocab=vocab)
+        per_pair = composed.reshape(rows, -1)
+
+        def topk(scores, k):
+            return np.argsort(-scores, kind="stable")[:k].tolist()
+
+        for row in range(rows):
+            expected = [(p, q) for p in topk(nouns[row], k_n) for q in topk(verbs[row], k_v)]
+            assert [(p, q) for p, q, _, _ in candidates(per_pair[row])] == expected
+            products = np.array([nouns[row, p] * verbs[row, q] for p, q in expected])
+            assert per_pair[row].score.tobytes() == np.sqrt(products).tobytes()
 
     def test_rows_compose_as_single_pairs(self):
         # a stacked matrix gives, pair after pair, what each pair gives alone

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import oracle_run_pipeline
+import tadfusion.pipeline
 from tadfusion.cli import main
-from tadfusion.composition import VocabSpec
+from tadfusion.composition import VocabSpec, compose_actions
 from tadfusion.config import PipelineConfig
 from tadfusion.errors import ParseError
 from tadfusion.evaluation import GroundTruthInstance, MeanApResult, columns_by_video
@@ -115,6 +116,29 @@ class TestRunPipeline:
         # S = 0.003 < noun preset minimum 0.005
         assert len(doc.results["P01_101"]) == 0
 
+    @pytest.mark.parametrize("order", [
+        lambda shape: np.broadcast_to(np.arange(shape[1])[::-1], shape),
+        lambda shape: np.argsort(np.random.default_rng(0).random(shape), axis=1),
+    ], ids=["reversed", "shuffled"])
+    def test_output_does_not_depend_on_each_pairs_candidate_order(self, order, monkeypatch):
+        # two videos of records whose scores tie within and across records,
+        # some with equal boundaries, and a pre-NMS cap that binds: 24
+        # candidates per video against a cap of 10
+        cfg = PipelineConfig(noun_count=4, verb_count=3, top_k_nouns=3, top_k_verbs=2,
+                             pre_nms_cap=10)
+        nouns, verbs = np.array([0.5, 0.5, 0.25, 0.0]), np.array([0.8, 0.8, 0.1])
+        records = [ProposalRecord(video, 0, (10.0 + shift, 20.0), nouns.copy(),
+                                  (14.0 + shift, 24.0), verbs.copy())
+                   for shift in (0.0, 0.0, 3.0, 0.0) for video in ("b", "a")]
+        doc = run_pipeline(records, cfg)
+        assert [len(dets) for dets in doc.results.values()] == [10, 10]
+
+        def permuted(noun_scores, *rest):
+            per_pair = compose_actions(noun_scores, *rest).reshape(len(noun_scores), -1)
+            return np.take_along_axis(per_pair, order(per_pair.shape), 1).reshape(-1)
+
+        monkeypatch.setattr(tadfusion.pipeline, "compose_actions", permuted)
+        assert serialize_submission(run_pipeline(records, cfg)) == serialize_submission(doc)
 
 # scores that tie, sit exactly at or next to the 0.001 and 0.005 minimum
 # scores (0.001 * 0.001 and 0.005 * 0.005 have square roots of exactly
