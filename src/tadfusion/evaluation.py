@@ -24,6 +24,10 @@ CLASS_KEYS = ("verb", "noun", "action")
 
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
+# scoring holds a hit list per threshold, so memory grows with thresholds
+# times hits; the protocol scores 5
+MAX_EVAL_THRESHOLDS = 100
+
 # One video's annotated action segments: the ``DETECTION`` columns up to noun.
 GROUND_TRUTH = np.dtype(DETECTION.descr[:4])
 
@@ -62,8 +66,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.task not in CLASS_KEYS:
             raise InvalidConfig(f"task must be one of {CLASS_KEYS}, got {self.task!r}")
-        if not self.thresholds:
-            raise InvalidConfig("at least one threshold required")
+        if not 1 <= len(self.thresholds) <= MAX_EVAL_THRESHOLDS:
+            raise InvalidConfig(f"between 1 and {MAX_EVAL_THRESHOLDS} thresholds required")
         prev = 0.0
         for t in self.thresholds:
             if not 0.0 < t <= 1.0 or t <= prev:

@@ -10,6 +10,7 @@ trained detector in the loop.
 
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass, field
 
@@ -24,8 +25,8 @@ from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
 
-# a run holds about 0.26 kB per segment at its peak, so 2**20 segments take
-# about 0.27 GB; the 2**32 that one 32-bit spawn key per segment would allow
+# a run holds about 0.36 kB per segment at its peak, so 2**20 segments take
+# about 0.37 GB; the 2**32 that one 32-bit spawn key per segment would allow
 # cannot fit in memory
 _MAX_SEGMENTS = 2**20
 
@@ -35,6 +36,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+
+# NumPy PCG64's multiplier: its 128-bit state steps to state * _PCG_MULT + inc
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # the one video of every scenario
 VIDEO_ID = "sim"
@@ -257,6 +261,37 @@ def _child_states(seed: int, n: int) -> np.ndarray:
     return np.column_stack([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])])
 
 
+def _pcg64_words(states: np.ndarray, count: int) -> np.ndarray:
+    """``random_raw(count)`` of PCG64 seeded with each row of ``states``.
+
+    NumPy seeds ``inc = states[i, 2:4] << 1 | 1``, steps state 0, adds
+    ``states[i, 0:2]`` and steps again (high half first in each pair); each
+    output steps once more and returns ``rotr64(hi ^ lo, hi >> 58)``. The
+    128-bit values are uint64 limb pairs, products taken in 32-bit halves.
+    """
+    mult_hi, mult_lo = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1)
+    m0, m1 = mult_lo & np.uint64(_MASK32), mult_lo >> np.uint64(32)
+    inc_hi = states[:, 2] << 1 | states[:, 3] >> 63
+    inc_lo = states[:, 3] << 1 | 1
+    # the first step takes state 0 to inc; step -1 below is the second
+    lo = inc_lo + states[:, 1]
+    hi = inc_hi + states[:, 0] + (lo < inc_lo)
+    words = np.empty((len(states), count), np.uint64)
+    for k in range(-1, count):
+        a0, a1 = lo & _MASK32, lo >> 32
+        low_cross = a1 * m0 + (a0 * m0 >> 32)
+        mid = a0 * m1 + (low_cross & _MASK32)
+        carry = a1 * m1 + (low_cross >> 32) + (mid >> 32)
+        product = lo * mult_lo
+        hi = hi * mult_lo + lo * mult_hi + carry + inc_hi
+        lo = product + inc_lo
+        hi += lo < product
+        if k >= 0:
+            xored, rot = hi ^ lo, hi >> 58
+            words[:, k] = xored >> rot | xored << (64 - rot & 63)
+    return words
+
+
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """Draw a scenario deterministically from its seed.
 
@@ -266,17 +301,19 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     streams in one array pass. Results are therefore identical regardless
     of evaluation order, and segments could be generated in parallel.
 
-    Each stream is asked for two things only: its first five raw 64-bit
-    outputs and the next four standard normals. One array pass turns them
-    into what ``_draw_segment``'s scalar calls return: ``random()`` is
+    ``_pcg64_words`` steps all ``n`` streams at once for their first nine
+    raw 64-bit outputs, and one array pass turns them into what
+    ``_draw_segment``'s scalar calls return: ``random()`` is
     ``(raw >> 11) * 2**-53`` of outputs 0, 1, 3 and 4; the verb and noun
     indices come from the low and high halves of output 2, which PCG64
-    hands out one 32-bit half at a time; ``normal(0, std)`` is
-    ``0.0 + std * z``, normals 0-1 for the noun stream's first (start, end)
-    and 2-3 for the verb's. A segment whose first boundary pair is
-    invalid, or whose index word NumPy would reject, is replayed by
-    ``_draw_segment``; so is every segment when a vocabulary has one
-    entry, since ``integers(1)`` consumes no bits.
+    hands out one 32-bit half at a time; outputs 5-8 are the four
+    standard normals when each takes the ziggurat's fast path, and
+    ``normal(0, std)`` is ``0.0 + std * z``, normals 0-1 for the noun
+    stream's first (start, end) and 2-3 for the verb's. A segment is
+    replayed by ``_draw_segment`` when its first boundary pair is invalid,
+    NumPy would reject its index word or a normal is off the fast path
+    (338 of 5,000 at the default seed 3); so is every segment when a
+    vocabulary has one entry, since ``integers(1)`` consumes no bits.
     """
     # numpy.random is imported here, not at module level, so that only
     # simulate pays for it at start-up
@@ -294,11 +331,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
 
     n, vocab = cfg.num_segments, cfg.vocab
     states = _child_states(cfg.seed, n)
-    raw, normals = np.empty((n, 5), np.uint64), np.empty((n, 4))
-    for i in range(n):
-        bitgen = PCG64(_Words(states[i]))
-        raw[i] = bitgen.random_raw(5)
-        Generator(bitgen).standard_normal(out=normals[i])
+    raw = _pcg64_words(states, 9)
 
     uniform = (raw[:, [0, 1, 3, 4]] >> 11) * 2.0**-53
     length = cfg.min_segment_s + (cfg.max_segment_s - cfg.min_segment_s) * uniform[:, 0]
@@ -311,6 +344,14 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     noun_confidence = cfg.confidence_lo + conf_range * uniform[:, 2]
     verb_confidence = cfg.confidence_lo + conf_range * uniform[:, 3]
 
+    # standard_normal's ziggurat: a draw whose rabs is below ki[idx]
+    # returns +-rabs * wi[idx] and consumes its one word
+    idx = raw[:, 5:] & 0xFF
+    rabs = raw[:, 5:] >> 9 & (2**52 - 1)
+    normals = rabs * _ZIGGURAT_WI[idx]
+    np.negative(normals, out=normals, where=(raw[:, 5:] & 0x100) != 0)
+    slow_normal = (rabs >= _ZIGGURAT_KI[idx]).any(axis=1)
+
     true_boundary = np.column_stack((truth.start, truth.end))
 
     def noisy_boundary(confidence, z):
@@ -321,7 +362,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     noun_boundary, noun_valid = noisy_boundary(noun_confidence, normals[:, :2])
     verb_boundary, verb_valid = noisy_boundary(verb_confidence, normals[:, 2:])
 
-    replay = ~(noun_valid & verb_valid) | verb_rejected | noun_rejected
+    replay = ~(noun_valid & verb_valid) | verb_rejected | noun_rejected | slow_normal
     if min(vocab.noun_count, vocab.verb_count) == 1:
         replay[:] = True
     for i in np.flatnonzero(replay).tolist():
@@ -421,3 +462,83 @@ def compare_fusion(
         confidence_error_correlation=correlation,
         p_value=p_value,
     )
+
+
+# NumPy's ziggurat tables for standard_normal: wi as 256 little-endian float64,
+# then ki as 256 little-endian uint64. Recomputed in double precision, 66 ki
+# entries come out wrong, so they are data; tests/test_simulation.py re-probes
+# both from the installed NumPy.
+_ZIGGURAT = np.frombuffer(binascii.a2b_base64(
+    "edkVeDtJzzzG9v3jC42LPLRbLDyvUJI8YTtEOLl8lTwMpy/o/AGYPLzQTC4MI5o892E4L00AnDx0"
+    "cnRaL6ydPMPVTC1IMp88rbuOJzJNoDxDXQI7BfWgPHc2QZemkqE89Rp6j6InojyA2GM4LrWiPPWR"
+    "V8A/PKM8L7GiwZ69ozxVm/+N7zmkPKf+PTa7saQ8dNMaYnUlpTyWzgengJWlPOp+2c8xAqY8PXyj"
+    "YdJrpjxwBQCSotKmPKb4RtPaNqc8dyqzEK2YpzxD9UatRfinPHcKQ1PMVag8mnZ7nmSxqDyYz06p"
+    "LgupPOoeLIJHY6k8RsU4jsm5qTwsp6TczA6qPFnNd21nYqo8MBYQbq20qjycbBNtsQWrPCl6QoeE"
+    "Vas8Op9Sjjakqzwygr8q1vGrPPNOWflwPqw8YTsypROKrDyLJnL+ydSsPEi3gA6fHq08EB/kKZ1n"
+    "rTzDuCMAzq+tPFN28ak69608/u3Stes9rjwAb3oz6YOuPM6C+b06ya48JmLwhOcNrzyI9thU9lGv"
+    "PK7Xh55tla88rC76fVPYrzzsNELgVg2wPJqPOfVALrA8/KUWnupOsDwQoHJbVm+wPAv0cZCGj7A8"
+    "E2G8hH2vsDx/zEtmPc+wPGsIFkvI7rA87hWVMiAOsTy+DzEHRy2xPEGRjp8+TLE8HiDEvwhrsTw0"
+    "2ngap4mxPIht7lEbqLE8yyr4+GbGsTwu1OCTi+SxPJ+gQJmKArI86cbEcmUgsjwfw+l9HT6yPPtr"
+    "qQy0W7I8f9MdZip5sjwb1xnHgZayPNouuGK7s7I8U7jhYtjQsjyOqcvo2e2yPNdIbg3BCrM8MLn0"
+    "4Y4nszyhXiZwRESzPNVSyrriYLM8algFvmp9szxksrJv3ZmzPAM9uL87trM84B1WmIbSszyDWnLe"
+    "vu6zPHSe4HHlCrQ8XXSmLfsmtDykMDzoAEO0PF3HynP3XrQ8NsNmnt96tDwvj0gyupa0PF1BAvaH"
+    "srQ83BGzrEnOtDwFpjgWAOq0PGJVXu+rBbU8WosK8k0htTxPZmrV5jy1PMiyG053WLU8eF9VDgB0"
+    "tTwUhQ7GgY+1PFkbJCP9qrU8PXN90XLGtTzTjC974+G1PDhen8hP/bU8wx+jYLgYtjyisKLoHTS2"
+    "PAsmtwSBT7Y8cpbJV+Jqtjw3MbGDQoa2PLGyUCmiobY8u0Oz6AG9tjxS0yhhYti2PFT4YTHE87Y8"
+    "62iL9ycPtzzGFGlRjiq3PNzucNz3Rbc8H3PlNWVhtzxJ9O/61ny3PJO9ushNmLc8CRSLPMqztzz7"
+    "ItvzTM+3POfec4zW6rc8H+qGpGcGuDx2hsjaACK4PBWfic6iPbg8vfXRH05ZuDzFfnpvA3W4PC33"
+    "R1/DkLg8Q8AFko6suDycDKGrZci4PCdqRFFJ5Lg8j7VzKToAuTxHgyjcOBy5PPwK7xJGOLk8iqID"
+    "eWJUuTzu1XC7jnC5PDEqLonLjLk8v5k/kxmpuTws2dWMecW5PBF0byvs4bk8StL6JnL+uTySNvk5"
+    "DBu6PFvIoiG7N7o8iLsLnn9UujykqUpyWnG6PD0xoGRMjro8CPGfPlarujzO9VrNeMi6PDazi+G0"
+    "5bo8GqHDTwsDuzxbmJrwfCC7PAAM4KAKPrs8Az3OQbVbuzwniT+5fXm7PDz35fFkl7s8biWF22u1"
+    "uzyiwC5rk9O7PIOugZvc8bs8oBbsbEgQvDwtevDl1y68PBwNbhOMTbw8BYfsCGZsvDwXpuvgZou8"
+    "PKuiNr2Pqrw8kNY7x+HJvDw34GgwXum8PG6PizIGCb08IO83ENsovTxHxjMV3ki9PCPx55YQab08"
+    "pfvX9HOJvTxwbiCZCaq9PA5J/PjSyr08Ny5SldHrvTwc0kn7Bg2+PPZG6sR0Lr48iNHBmRxQvjwl"
+    "/pcvAHK+PAq/KkshlL48CG/3wIG2vjw6pxB2I9m+PKnsAWEI/L48IVPCijIfvzxtTbcPpEK/PGgB"
+    "ySBfZr88gpeJBGaKvzy/InEYu66/PIXnL9Jg0788C/YYwVn4vzx1oNNH1A7APEfJjwKoIcA8qwKp"
+    "g6k0wDzH9T5O2kfAPH6zrfY7W8A8aCanI9BuwDwXLmOPmILAPFSi6AiXlsA8xMBxdc2qwDxI1O7R"
+    "Pb/APDA9qjTq08A8k2URz9TowDy2n6bv//3APEFwIARuE8E8NV27myEpwTxtCcRpHT/BPDsuYEhk"
+    "VcE88+6dO/lrwTxhEtJ034LBPKzrTlYamsE8ji9/d62xwTyUpnGpnMnBPDmu5Pvr4cE8Adniwp/6"
+    "wTyBzASdvBPCPO7Tb3pHLcI8JJyspEVHwjzgWHbHvGHCPC5ZqPqyfMI8eA53zS6YwjxSCipTN7TC"
+    "PJfbljHU0MI89XipsQ3uwjzurlbS7AvDPKOkaF57KsM8oxKuBcRJwzxAqDN60mnDPApBVpKzisM8"
+    "+oiucHWswzymBBezJ8/DPHX0YKrb8sM82uW5nKQXxDyUXlQVmD3EPBU6p0TOZMQ8vEOcdWKNxDwn"
+    "Wmudc7fEPAKJzQ0l48Q8QazpU58QxTxCfjpSEUDFPBvkSqmxccU82Y1xi8ClxTz+0DokitzFPEwe"
+    "hs9pFsY86moAe85TxjzD5Z++QJXGPDLiCY1r28Y8NHpf8CgnxzxzBglWlXnHPIzO1vQt1Mc8NPIp"
+    "BQM5yDwUfKq/D6vIPJZEb5TgLsk8q1dAAe7LyTxad5R43I/KPLH9eDgfmMs8M60JgrQ7zTxq7yWA"
+    "PfMOAAAAAAAAAAAAqMb7mL4IDABCgb36VKMNAOruwX72UQ4AfvfT6VWyDgC5yn6BS+8OAKpE+gpH"
+    "GQ8AGMv/Ye03DwBcJWGVRk8PAJajG+SlYQ8ApJZTdXpwDwCaRCjssnwPANNXYwzxhg8A3iWDV6aP"
+    "DwDa0E3HJJcPAAn12wepnQ8AdPqB9WCjDwD4S1veb6gPANxU02DxrA8AD7kYZ/uwDwDGdFONn7QP"
+    "AHf+ZiPstw8ADuWh6ey6DwDtCwSdq70PAFds/2AwwA8ASKI3EILCDwDRW+J6psQPADHuepeixg8A"
+    "pJYoqXrIDwCF3kteMsoPABojAunMyw8AxDn4Ek3NDwCZ7I9Ntc4PADDJHb8H0A8A5sTWTUbRDwBQ"
+    "9OKoctIPAB7J8E+O0w8AeLSQmZrUDwBTD5K4mNUPAOyZjsCJ1g8AMujIqW7XDwDoCHtUSNgPAIws"
+    "rYsX2Q8A0q2nB93ZDwCMXhBwmdoPACAuwF1N2w8A0PxbXPnbDwB9mrnrndwPAJ1yGIE73Q8AkC80"
+    "iNLdDwBknzZkY94PAE5RjXDu3g8ALrSmAXTfDwBA7Zll9N8PAPIkvORv4A8AWKIlwubgDwBMuCg8"
+    "WeEPAJk/vIzH4Q8Aqhzb6THiDwCRG9qFmOIPAIZBtY/74g8ASo1VM1vjDwAqANCZt+MPAH+tnukQ"
+    "5A8ANHfURmfkDwBcCUzTuuQPACSV0q4L5Q8AeLxO91nlDwASEuTIpeUPAImGEz7v5Q8AeBDZbzbm"
+    "DwB41cZ1e+YPAKoRHma+5g8A8vTlVf/mDwACpwBZPucPADmePoJ75w8AonBw47bnDwBDQneN8OcP"
+    "AIzwU5Ao6A8AOhc1+17oDwBkCITck+gPALzO8EHH6A8A9k59OPnoDwAdm4fMKekPAOqI0wlZ6Q8A"
+    "opqT+4bpDwBmSHGss+kPANW2lCbf6Q8AfOarcwnqDwCkZvGcMuoPACyVMqta6g8AGnTVpoHqDwDw"
+    "HN6Xp+oPACDZ84XM6g8APOZlePDqDwAT7C92E+sPAEoq/oU16w8AtGIxrlbrDwD6hOL0dusPABQg"
+    "5l+W6w8AfJ3P9LTrDwDQSfS40usPAD4ubrHv6w8A6L0e4wvsDwAVWrFSJ+wPANOvnQRC7A8AlvEp"
+    "/VvsDwD07mxAdewPALQMUNKN7A8AEh+RtqXsDwD+J8TwvOwPABX7VITT7A8As8iIdOnsDwC3kX/E"
+    "/uwPACiFNXcT7Q8AA0mEjyftDwBMLyQQO+0PAG5YrftN7Q8A3cOYVGDtDwDoT0Edcu0PAIKp5FeD"
+    "7Q8AyCykBpTtDwAEt4UrpO0PALRqdMiz7Q8AUmZB38LtDwBSbqRx0e0PANOKPIHf7Q8AgJmQD+3t"
+    "DwAU1A8e+u0PAMRLEq4G7g8ABlrZwBLuDwDgBpBXHu4PACRlS3Mp7g8AvOQKFTTuDwA8m7g9Pu4P"
+    "APSCKe5H7g8AhrAdJ1HuDwBBf0DpWe4PAC60KDVi7g8A8ZdYC2ruDwB6Bz5sce4PAIJ7Mlh47g8A"
+    "ugZ7z37uDwCySkjShO4PAENjtmCK7g8AUcjMeo/uDwDaJX4glO4PAOopqFGY7g8AXEgTDpzuDwD0"
+    "c3JVn+4PAK7MYiei7g8ArEJrg6TuDwBxLfxopu4PAPrWbten7g8ACvoEzqjuDwA7M+hLqe4PABBk"
+    "KVCp7g8AXgfA2ajuDwBUdonnp+4PACQdSHim7g8Ag56iiqTuDwDa5CIdou4PACQgNS6f7g8ALq8m"
+    "vJvuDwDk8iTFl+4PADoKPEeT7g8AFnVVQI7uDwB6nDauiO4PAP09f46C7g8AiLin3nvuDwD/N/+b"
+    "dO4PAF69qcNs7g8AfgCeUmTuDwCIKKNFW+4PALZXTplR7g8AzwYASkfuDwBQLOFTPO4PANgq4LIw"
+    "7g8ABYKtYiTuDwBaPLheF+4PAEcUKqIJ7g8AzEnjJ/vtDwBsIXbq6+0PAH4EIuTb7Q8A0znODsvt"
+    "DwD0LARkue0PAMk46dym7Q8Ajek3cpPtDwA2qDgcf+0PACvAudJp7Q8AAK4GjVPtDwAipN5BPO0P"
+    "ANgvaucj7Q8AROYvcwrtDwA0/gfa7+wPALi3DhDU7A8AtG6VCLfsDwDBMBK2mOwPAHipDQp57A8A"
+    "/jEP9VfsDwBiyYZmNewPADWztEwR7A8A0G+OlOvrDwCStqApxOsPANwM7vWa6w8AQoXJ4W/rDwCe"
+    "H63TQusPAEstC7AT6w8A6QIaWeLqDwBXIpmuruoPACbjjo146g8A5XP9zz/qDwD22Y1MBOoPADtW"
+    "L9bF6Q8ApEepO4TpDwAoRx1HP+kPANbFdr326A8A5ujEXaroDwDqsXrgWegPAECpkPYE6A8AwDOC"
+    "SKvnDwClah91TOcPAAKiKhDo5g8A2Ku2oH3mDwB+MDifDOYPAEL3OHOU5Q8AgHKXcBTlDwBY9DbU"
+    "i+QPADce/b/54w8AnLHuNV3jDwD+5C8SteIPAFdVmQMA4g8AFIN4gjzhDwCwZ+7EaOAPAKpxK7CC"
+    "3w8Aqv5+xYfeDwD9O8YJdd0PABO/KeVG3A8AggIu+PjaDwB1urLhhdkPAATPSO/m1w8AC2W9rRPW"
+    "DwAS8OJJAdQPAKzHtKeh0Q8Anh92BOLODwCyEV7YqMsPACItzW7Sxw8A7SIeLyvDDwA6uMCBZb0P"
+    "ADRUAMQGtg8AdCgqWECsDwCYRQEel54PAPwdpEj6iQ8ALDDw98VmDwBKHDNLWhoPAA=="), "<u8")
+_ZIGGURAT_WI, _ZIGGURAT_KI = _ZIGGURAT[:256].view("<f8"), _ZIGGURAT[256:]

@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -719,3 +721,35 @@ class TestInternalError:
         monkeypatch.setattr("tadfusion.cli.cmd_windows", broken)
         assert main(["windows", "--total-features", "10"]) == 2
         assert capsys.readouterr().err == "internal error: KeyError: 'x'\n"
+
+
+class TestThresholdCount:
+    """Scoring holds a hit list per threshold, so the count is bounded:
+    10,000 thresholds over 10,000 hits ran out of memory (exit 2)."""
+
+    @pytest.mark.parametrize("count, code", [(10_000, 1), (100, 0)])
+    def test_under_one_gib_of_address_space(self, tmp_path, count, code):
+        segments = [{"verb": i % 97, "noun": i // 97, "segment": [i, i + 0.5]}
+                    for i in range(10_000)]
+        entries = [dict(s, action=f"{s['verb']},{s['noun']}", score=0.5) for s in segments]
+        files = {"s.json": submission_text(entries),
+                 "g.json": json.dumps({"annotations": {"P01": segments}}),
+                 "c.cfg": "eval_thresholds = "
+                          + ",".join(repr((i + 1) / count) for i in range(count)) + "\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "tadfusion", "eval", "--submission", str(tmp_path / "s.json"),
+             "--ground-truth", str(tmp_path / "g.json"), "--config", str(tmp_path / "c.cfg")],
+            capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == code, result.stderr
+        if code:
+            assert result.stderr.startswith("error: ") and "eval_thresholds" in result.stderr
+        else:
+            assert f"mAP@{1 / count}" in result.stdout

@@ -12,11 +12,15 @@ from tadfusion.composition import VocabSpec
 from tadfusion.errors import InvalidConfig
 from tadfusion.evaluation import GROUND_TRUTH, GroundTruthInstance
 from tadfusion.simulation import (
+    _PCG_MULT,
+    _ZIGGURAT_KI,
+    _ZIGGURAT_WI,
     VIDEO_ID,
     FusionReport,
     ScenarioConfig,
     _bounded_index,
     _child_states,
+    _pcg64_words,
     _score_vector,
     compare_fusion,
     generate_scenario,
@@ -164,6 +168,95 @@ def count_replays(monkeypatch):
     return replayed
 
 
+def replay_reason(seq, cfg):
+    """Why ``generate_scenario`` must replay the segment drawn from ``seq``,
+    or None. Draws it as the scalar loop does and compares the stream with
+    a fresh one after ``random_raw``: an index word was rejected when the
+    draws up to the confidences took more than raw words 0-4, a normal was
+    off the ziggurat's fast path when it took more than one word, and
+    otherwise the segment replays when its first noun or verb pair leaves
+    the video."""
+    rng, fresh = np.random.default_rng(seq), np.random.default_rng(seq)
+
+    def took(count):
+        fresh.bit_generator.random_raw(count)
+        got, want = rng.bit_generator.state, fresh.bit_generator.state
+        return (got["state"], got["has_uint32"]) == (want["state"], 0)
+
+    length = rng.uniform(cfg.min_segment_s, cfg.max_segment_s)
+    start = rng.uniform(0.0, cfg.video_length_s - length)
+    rng.integers(cfg.vocab.verb_count), rng.integers(cfg.vocab.noun_count)
+    stds = [cfg.noise_std(rng.uniform(cfg.confidence_lo, cfg.confidence_hi)) for _ in "nv"]
+    if not took(5):
+        return "index"
+    boundary = []
+    for k in range(4):
+        boundary.append((start, start + length)[k % 2] + rng.normal(0.0, stds[k // 2]))
+        if not took(1):
+            return f"normal {k}"
+    if not all(0.0 <= lo < hi <= cfg.video_length_s for lo, hi in (boundary[:2], boundary[2:])):
+        return "pair"
+    return None
+
+
+class TestPcg64Words:
+    """The array pass steps PCG64 as NumPy does: each child stream's first
+    nine raw words equal ``random_raw(9)`` of a PCG64 seeded with its row."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 7, 10**30])
+    def test_matches_random_raw(self, seed):
+        from numpy.random import PCG64
+        from numpy.random.bit_generator import ISeedSequence
+
+        class Row(ISeedSequence):
+            def __init__(self, words):
+                self.words = words
+
+            def generate_state(self, n_words, dtype=np.uint32):
+                return self.words
+
+        states = _child_states(seed, 1000)
+        got = _pcg64_words(states, 9)
+        assert got.dtype == np.uint64 and got.shape == (1000, 9)
+        for i, row in enumerate(states):
+            assert (got[i] == PCG64(Row(row)).random_raw(9)).all(), (seed, i)
+
+
+class TestZigguratTables:
+    """The packed ``wi`` and ``ki`` equal the installed NumPy's, probed
+    through the public ``bit_generator.state`` setter: a state whose next
+    PCG64 output is a chosen word (post-step high half 0, so the output is
+    the low half), one ``standard_normal``, and whether the stream took
+    exactly that one word. Word ``idx | rabs << 9`` takes the fast path,
+    returning ``rabs * wi[idx]``, exactly when ``rabs < ki[idx]``."""
+
+    def test_tables_match_installed_numpy(self):
+        from numpy.random import PCG64, Generator
+
+        inverse, inc = pow(_PCG_MULT, -1, 2**128), 1
+        bitgen = PCG64()
+        normal = Generator(bitgen).standard_normal
+
+        def draw(word):
+            state = (word - inc) * inverse % 2**128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            z = normal()
+            return z, bitgen.state["state"]["state"] == word
+
+        wi, ki = [], []
+        for idx in range(256):
+            wi.append(draw(idx | 1 << 9)[0])
+            lo, hi = 0, 2**52
+            while lo < hi:  # the smallest rabs off the fast path
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if draw(idx | mid << 9)[1] else (lo, mid)
+            ki.append(lo)
+        assert ki[1] == 0
+        assert _ZIGGURAT_WI.tolist() == wi
+        assert _ZIGGURAT_KI.tolist() == ki
+
+
 class TestBoundedIndex:
     """``_bounded_index`` on a stream's 32-bit words, low half of each
     64-bit output first, against ``Generator.integers(k)`` on the same
@@ -218,12 +311,30 @@ class TestGenerateScenarioOracle:
         cfg = config(**{"seed": seed, "num_segments": 50, **overrides})
         assert_same_scenario(generate_scenario(cfg), oracle_generate_scenario(cfg))
 
-    def test_default_config_replays_a_few_segments(self, monkeypatch):
+    def test_default_config_replays_exactly_the_segments_it_cannot_finish(self, monkeypatch):
         replayed = count_replays(monkeypatch)
         cfg = ScenarioConfig(num_segments=5000, seed=3)
         assert_same_scenario(generate_scenario(cfg), oracle_generate_scenario(cfg))
-        # segments near either end of the video whose first noise pair leaves it
-        assert 0 < len(replayed) < 100
+        reasons = [replay_reason(seq, cfg) for seq in np.random.SeedSequence(3).spawn(5000)]
+        assert len(replayed) == sum(reason is not None for reason in reasons)
+        # about 5.5% of segments have a normal off the fast path
+        assert sum(reason.startswith("normal") for reason in filter(None, reasons)) > 200
+
+    @pytest.mark.parametrize("seed, num_segments, normal, tail", [
+        (22, 81, 1, True),   # segment 80's noun end: idx 0, the ziggurat's tail
+        (0, 43, 3, False),   # segment 42's verb end: rabs at or above ki[idx]
+    ], ids=["tail", "ki"])
+    def test_normal_off_the_fast_path_is_replayed(self, monkeypatch, seed, num_segments,
+                                                  normal, tail):
+        replayed = count_replays(monkeypatch)
+        cfg = config(seed=seed, num_segments=num_segments)
+        got = generate_scenario(cfg)
+        assert_same_scenario(got, oracle_generate_scenario(cfg))
+        assert got.truth[-1].tolist() in [row[0] for row in replayed]
+        last = np.random.SeedSequence(seed).spawn(num_segments)[-1]
+        assert replay_reason(last, cfg) == f"normal {normal}"
+        word = int(np.random.default_rng(last).bit_generator.random_raw(9)[5 + normal])
+        assert (word & 0xFF == 0) == tail
 
     @pytest.mark.parametrize("seed, num_segments", [
         (143, 53),  # segment 52: NumPy rejects the verb's word
