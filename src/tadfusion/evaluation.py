@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import DETECTION, ActionDetection, detection_columns, rank_order, temporal_iou
+from .suppression import DETECTION, rank_order, temporal_iou
 
 # the three mAP tasks, each scored on its own class key
 CLASS_KEYS = ("verb", "noun", "action")
@@ -35,25 +35,6 @@ GROUND_TRUTH = np.dtype(DETECTION.descr[:4])
 # row with its video as a code, the index of its id among the sorted ids.
 EVAL_DETECTION = np.dtype([("video", np.int64), *DETECTION.descr])
 EVAL_GROUND_TRUTH = np.dtype([("video", np.int64), *GROUND_TRUTH.descr])
-
-
-@dataclass(frozen=True)
-class GroundTruthInstance:
-    """One annotated action segment."""
-
-    video_id: str
-    start: float
-    end: float
-    verb_index: int
-    noun_index: int
-
-    def __post_init__(self):
-        if not self.start < self.end:  # also rejects a nan boundary
-            raise InvalidConfig(f"ground truth start {self.start} >= end {self.end}")
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.start, self.end)
 
 
 @dataclass(frozen=True)
@@ -108,20 +89,6 @@ def eval_columns(
         columns.append(stacked.view(np.recarray))
     dets, truth = columns
     return dets.take(rank_order(dets.score, dets.start, dets.action)), truth
-
-
-def columns_by_video(dets: list[ActionDetection], gts: list[GroundTruthInstance]) -> tuple:
-    """Detection and ground-truth objects as ``DETECTION`` and
-    ``GROUND_TRUTH`` record arrays by video id, each video's in their order."""
-    det_rows, gt_rows = {}, {}
-    for det in dets:
-        det_rows.setdefault(det.video_id, []).append(det)
-    for gt in gts:
-        gt_rows.setdefault(gt.video_id, []).append((gt.start, gt.end, gt.verb_index,
-                                                    gt.noun_index))
-    return ({video_id: detection_columns(rows) for video_id, rows in det_rows.items()},
-            {video_id: np.rec.fromrecords(rows, dtype=GROUND_TRUTH)
-             for video_id, rows in gt_rows.items()})
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,13 +226,3 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
 
     average = float(np.mean(list(per_threshold.values())))
     return MeanApResult(task=cfg.task, per_threshold=per_threshold, average=average)
-
-
-def mean_ap(
-    dets: list[ActionDetection],
-    gts: list[GroundTruthInstance],
-    cfg: EvalConfig = EvalConfig(),
-) -> MeanApResult:
-    """Mean AP of detection and ground-truth objects at every threshold:
-    ``score_columns`` on their columns."""
-    return score_columns(*eval_columns(*columns_by_video(dets, gts)), cfg)

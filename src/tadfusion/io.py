@@ -21,7 +21,7 @@ from .composition import VocabSpec
 from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GROUND_TRUTH
 from .fusion import empty
-from .suppression import DETECTION, ActionDetection, rank_order
+from .suppression import DETECTION, rank_order
 
 SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
@@ -398,12 +398,6 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
 def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
     with open_text(path) as handle:
         return parse_submission(handle.read(), vocab)
-
-
-def submission_detections(doc: SubmissionDocument) -> list[ActionDetection]:
-    """A submission's detections as objects, video after video in sorted order."""
-    return [ActionDetection(video_id, *row) for video_id in sorted(doc.results)
-            for row in zip(*(doc.results[video_id][name].tolist() for name in DETECTION.names))]
 
 
 def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> dict[str, np.recarray]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .composition import VocabSpec
 from .errors import InvalidConfig
-from .evaluation import GROUND_TRUTH, GroundTruthInstance
+from .evaluation import GROUND_TRUTH
 from .fusion import DEFAULT_FUSION_EPSILON, dwf_weights, fuse_boundaries, hard_mean_fusion
 from .io import ProposalRecord
 from .timeline import FeatureGrid, seconds_to_feature_coord
@@ -111,10 +111,9 @@ class Scenario:
     noun_boundary: np.ndarray
     verb_boundary: np.ndarray
 
-    @property
-    def ground_truth(self) -> list[GroundTruthInstance]:
-        """``truth`` as objects, for ``evaluation.mean_ap``."""
-        return [GroundTruthInstance(VIDEO_ID, *row) for row in self.truth.tolist()]
+    @property  # perfbench/tracing.py's simulation.segments hook reads it; goes with ROADMAP item 1
+    def ground_truth(self) -> np.recarray:
+        return self.truth
 
 
 @dataclass

@@ -17,7 +17,7 @@ interval, so voting moves only the reported boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
 
@@ -53,88 +53,55 @@ VERB_ACTION_NMS = NmsConfig(sigma=0.4, min_score=0.001, vote_threshold=0.75)
 NMS_PRESETS = {"noun": NOUN_NMS, "verb_action": VERB_ACTION_NMS}
 
 
-@dataclass(frozen=True)
-class ActionDetection:
-    """A final detection: interval in seconds, composed label, score."""
-
-    video_id: str
-    start: float
-    end: float
-    verb_index: int
-    noun_index: int
-    action_id: int
-    score: float
-
-    def __post_init__(self):
-        if not self.start < self.end:  # also rejects a nan boundary
-            raise InvalidConfig(f"detection start {self.start} >= end {self.end}")
-        if not 0.0 <= self.score <= 1.0:
-            raise InvalidConfig(f"detection score {self.score} outside [0, 1]")
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.start, self.end)
-
-
 # One video's detections pass from composition to the submission as a
 # record array of this dtype; a task's class column is named after it.
 DETECTION = np.dtype([("start", float), ("end", float), ("verb", np.int64), ("noun", np.int64),
                       ("action", np.int64), ("score", float)])
 
 
-def detection_columns(dets: list[ActionDetection]) -> np.recarray:
-    """The detection objects as a record array, in their order."""
-    return np.rec.fromrecords([(d.start, d.end, d.verb_index, d.noun_index, d.action_id,
-                                d.score) for d in dets], dtype=DETECTION)
-
-
 def temporal_iou(a: tuple, b: tuple):
     """Intersection-over-union of time intervals ``(start, end)``; 0 when
-    disjoint. Starts and ends may be numbers or arrays of them."""
-    intersection = np.minimum(a[1], b[1]) - np.maximum(a[0], b[0])
-    union = np.maximum(a[1], b[1]) - np.minimum(a[0], b[0])
-    return np.maximum(0.0, intersection) / union
-
-
-def rank_key(det: ActionDetection) -> tuple:
-    """Rank order of detections: score descending, earlier start, smaller
-    action id. The object form of ``rank_order``."""
-    return (-det.score, det.start, det.action_id)
+    disjoint. Starts and ends may be finite numbers or arrays of them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        union = np.maximum(a[1], b[1]) - np.minimum(a[0], b[0])
+        if np.any(union == np.inf):  # halved ends are exact, and their union is finite
+            half = np.where(union == np.inf, 0.5, 1.0)
+            a, b = [t * half for t in a], [t * half for t in b]
+            union = np.maximum(a[1], b[1]) - np.minimum(a[0], b[0])
+        intersection = np.minimum(a[1], b[1]) - np.maximum(a[0], b[0])
+        return np.maximum(0.0, intersection) / union
 
 
 def rank_order(score, start, action) -> np.ndarray:
-    """Indices of columns in rank order (see ``rank_key``); input order
-    breaks full ties. The one ranking of detections."""
+    """Indices of columns in rank order: score descending, then earlier
+    start, then smaller action id; input order breaks full ties. The one
+    ranking of detections."""
     return np.lexsort((action, start, -score))
 
 
-def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
-    """Soft-NMS over detections of one class on one video.
+def soft_nms(rows: list, cfg: NmsConfig, *, vote: bool = False) -> list:
+    """Soft-NMS over the rows of one class pool on one video.
 
-    Iteratively keeps the highest-scoring detection and decays every
-    remaining score by ``exp(-tIoU^2 / sigma)``; detections decayed
-    below ``cfg.min_score`` are dropped. Stops once ``max_per_video``
-    detections are kept. With ``vote=True`` each kept interval becomes
-    the mean of its own and of the round's neighbors with tIoU >=
-    ``cfg.vote_threshold``, weighted by original scores; the kept score
-    is not voted. One pass per round computes each neighbor's tIoU once
-    and uses it for both the vote and the decay.
+    Iteratively keeps the highest-scoring row and decays every remaining
+    score by ``exp(-tIoU^2 / sigma)``; rows decayed below
+    ``cfg.min_score`` are dropped. Stops once ``max_per_video`` rows are
+    kept. With ``vote=True`` each kept interval becomes the mean of its
+    own and of the round's neighbors with tIoU >= ``cfg.vote_threshold``,
+    weighted by original scores; the kept score is not voted. One pass per
+    round computes each neighbor's tIoU once and uses it for both the vote
+    and the decay.
 
-    ``dets`` are ActionDetection objects, run as one pool, kept ones
-    returned in rank order. Or they are rows ``[-score, start, tie, end,
-    score, component]`` of one class pool, grouped by component and in
-    rank order within each, where rows of different components never
-    overlap and ``tie`` ranks rows of equal score and start: the rounds
-    run component by component, which consumes the rows, and the kept
-    ones are returned component after component, each in the order they
-    were kept, as ``(-score, start, tie, end)``.
+    ``rows`` are ``[-score, start, tie, end, score, component]``, grouped
+    by component and in rank order within each, where rows of different
+    components never overlap and ``tie`` ranks rows of equal score and
+    start. The rounds run component by component, which consumes the
+    rows, and the kept ones are returned component after component, each
+    in the order they were kept, as ``(-score, start, tie, end)``.
     """
-    objects = bool(dets) and isinstance(dets[0], ActionDetection)
-    rows = [[-d.score, d.start, (d.action_id, i), d.end, d.score, 0]
-            for i, d in enumerate(dets)] if objects else dets
     # min(pool) is the next to keep: its rank key is its first three
     # fields, with the current score
     sigma, min_score, vote_threshold = cfg.sigma, cfg.min_score, cfg.vote_threshold
+    inf = math.inf
     kept = []
     for _, pool in groupby(rows, itemgetter(5)):
         pool = list(pool)
@@ -150,13 +117,15 @@ def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
                 lo, hi = entry[1], entry[3]
                 inter = (hi if hi < end else end) - (lo if lo > start else start)
                 if inter > 0.0:
-                    iou = inter / ((hi if hi > end else end) - (lo if lo < start else start))
+                    union = (hi if hi > end else end) - (lo if lo < start else start)
+                    iou = (inter / union if union < inf
+                           else float(temporal_iou((start, end), (lo, hi))))
                     if vote and iou >= vote_threshold:
                         score = entry[4]
                         weight += score
                         start_sum += score * lo
                         end_sum += score * hi
-                    if iou > 0.0:  # nan when both starts are -inf: no decay
+                    if iou > 0.0:
                         entry[0] *= math.exp(-(iou * iou) / sigma)
                 if -entry[0] >= min_score:
                     survivors.append(entry)
@@ -164,9 +133,6 @@ def soft_nms(dets: list, cfg: NmsConfig, *, vote: bool = False) -> list:
             if vote and weight > 0.0:
                 start, end = start_sum / weight, end_sum / weight
             kept.append((neg_score, start, tie, end))
-    if objects:
-        return sorted((replace(dets[i], start=start, end=end, score=-neg_score)
-                       for neg_score, start, (_, i), end in kept), key=rank_key)
     return kept
 
 

@@ -1,19 +1,21 @@
 """Independent brute-force references used by unit and acceptance tests.
 
-Everything here is deliberately written with plain loops and no imports
-from the package's evaluation or suppression internals, so agreement
-between module output and these references is a meaningful check.
+The references are deliberately written with plain loops over detection
+and ground-truth objects and no imports from the package's evaluation or
+suppression internals, so agreement between module output and these
+references is a meaningful check. The objects and the adapters between
+them and the package's record arrays and Soft-NMS rows come first; they
+are the only object forms of detections and ground truth.
 """
 
 import json
 import math
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
-from tadfusion.evaluation import GROUND_TRUTH
+from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, eval_columns, score_columns
 from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
 from tadfusion.simulation import (
     _MAX_NOISE_RESAMPLES,
@@ -21,12 +23,82 @@ from tadfusion.simulation import (
     Scenario,
     scenario_to_records,
 )
-from tadfusion.suppression import ActionDetection, rank_key
+from tadfusion.suppression import DETECTION, soft_nms
+
+
+class ActionDetection(NamedTuple):
+    """A detection: its video and the fields of a ``DETECTION`` row."""
+
+    video_id: str
+    start: float
+    end: float
+    verb_index: int
+    noun_index: int
+    action_id: int
+    score: float
+
+    @property
+    def interval(self) -> tuple:
+        return (self.start, self.end)
+
+
+class GroundTruthInstance(NamedTuple):
+    """An annotated segment: its video and the fields of a ``GROUND_TRUTH`` row."""
+
+    video_id: str
+    start: float
+    end: float
+    verb_index: int
+    noun_index: int
+
+    @property
+    def interval(self) -> tuple:
+        return (self.start, self.end)
+
+
+def detection_columns(dets: list) -> np.recarray:
+    """Detection objects as one ``DETECTION`` record array, in their order."""
+    return np.rec.fromrecords([d[1:] for d in dets], dtype=DETECTION)
+
+
+def detection_objects(by_video: dict) -> list:
+    """``DETECTION`` record arrays by video id as objects, video after
+    video in sorted order, each video's in their order."""
+    return [ActionDetection(video_id, *row) for video_id in sorted(by_video)
+            for row in by_video[video_id].tolist()]
+
+
+def columns_by_video(dets: list, gts: list) -> tuple:
+    """Detection and ground-truth objects as ``DETECTION`` and
+    ``GROUND_TRUTH`` record arrays by video id, each video's in their order."""
+    det_rows, gt_rows = {}, {}
+    for det in dets:
+        det_rows.setdefault(det.video_id, []).append(det)
+    for gt in gts:
+        gt_rows.setdefault(gt.video_id, []).append(gt[1:])
+    return ({video_id: detection_columns(rows) for video_id, rows in det_rows.items()},
+            {video_id: np.rec.fromrecords(rows, dtype=GROUND_TRUTH)
+             for video_id, rows in gt_rows.items()})
+
+
+def score_objects(dets: list, gts: list, cfg: EvalConfig = EvalConfig()):
+    """``score_columns`` of detection and ground-truth objects."""
+    return score_columns(*eval_columns(*columns_by_video(dets, gts)), cfg)
+
+
+def soft_nms_objects(dets: list, cfg, vote: bool = False) -> list:
+    """``soft_nms`` of detection objects run as one pool, the kept ones
+    back as objects in rank order. A row's tie is its action id and then
+    its position."""
+    rows = [[-d.score, d.start, (d.action_id, i), d.end, d.score, 0] for i, d in enumerate(dets)]
+    kept = (dets[i]._replace(start=start, end=end, score=-neg_score)
+            for neg_score, start, (_, i), end in soft_nms(rows, cfg, vote=vote))
+    return sorted(kept, key=lambda d: _rank(d, d.score))
 
 
 def sort_detections(dets: list[ActionDetection]) -> list[ActionDetection]:
     """Score-descending order with deterministic tie-breaks."""
-    return sorted(dets, key=lambda d: (*rank_key(d), d.video_id))
+    return sorted(dets, key=lambda d: (*_rank(d, d.score), d.video_id))
 
 
 def oracle_interval_iou(a, b):
@@ -219,7 +291,7 @@ def _oracle_boundary_vote(kept, neighbors, vote_threshold):
             end_sum += n.score * n.end
     if weight <= 0.0:
         return kept
-    return replace(kept, start=start_sum / weight, end=end_sum / weight)
+    return kept._replace(start=start_sum / weight, end=end_sum / weight)
 
 
 def oracle_soft_nms(dets, cfg, vote=False):
@@ -235,7 +307,7 @@ def oracle_soft_nms(dets, cfg, vote=False):
             refined = _oracle_boundary_vote(det, [e[-1] for e in pool], cfg.vote_threshold)
         else:
             refined = det
-        kept.append(replace(refined, score=-best[0]))
+        kept.append(refined._replace(score=-best[0]))
         survivors = []
         for entry in pool:
             other = entry[-1]
@@ -256,7 +328,7 @@ def oracle_compare_fusion(scenario, epsilon):
     """Segment-at-a-time fusion comparison through the scalar fusion calls,
     with each stream's confidence read back as the maximum of its exported
     score vector."""
-    n = len(scenario.ground_truth)
+    n = len(scenario.truth)
     err_dwf = np.empty(n)
     err_mean = np.empty(n)
     confidences = np.empty(2 * n)
@@ -264,16 +336,16 @@ def oracle_compare_fusion(scenario, epsilon):
     records = scenario_to_records(scenario)
     noun_boundaries = scenario.noun_boundary.tolist()
     verb_boundaries = scenario.verb_boundary.tolist()
-    for i, gt in enumerate(scenario.ground_truth):
+    for i, (start, end, _, _) in enumerate(scenario.truth.tolist()):
         noun, verb = tuple(noun_boundaries[i]), tuple(verb_boundaries[i])
         c_noun, c_verb = stream_confidences(records[i].noun_scores, records[i].verb_scores)
         fused = fuse_boundaries(noun, verb, dwf_weights(c_noun, c_verb, epsilon))
-        err_dwf[i] = _boundary_error(fused, gt.interval)
-        err_mean[i] = _boundary_error(hard_mean_fusion(noun, verb), gt.interval)
+        err_dwf[i] = _boundary_error(fused, (start, end))
+        err_mean[i] = _boundary_error(hard_mean_fusion(noun, verb), (start, end))
         confidences[2 * i] = c_noun
         confidences[2 * i + 1] = c_verb
-        stream_errors[2 * i] = _boundary_error(noun, gt.interval)
-        stream_errors[2 * i + 1] = _boundary_error(verb, gt.interval)
+        stream_errors[2 * i] = _boundary_error(noun, (start, end))
+        stream_errors[2 * i + 1] = _boundary_error(verb, (start, end))
 
     if np.std(confidences) > 0.0 and np.std(stream_errors) > 0.0:
         correlation = float(np.corrcoef(confidences, stream_errors)[0, 1])

@@ -13,26 +13,28 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import oracle_hard_nms, oracle_mean_ap
+from oracles import (
+    ActionDetection,
+    GroundTruthInstance,
+    oracle_hard_nms,
+    oracle_mean_ap,
+    score_objects,
+    soft_nms_objects,
+)
 from tadfusion.composition import VocabSpec, decode_action_id, encode_action_id
 from tadfusion.config import PipelineConfig
-from tadfusion.evaluation import EvalConfig, GroundTruthInstance, mean_ap
+from tadfusion.evaluation import EvalConfig, eval_columns, score_columns
 from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion
-from tadfusion.io import submission_detections, write_proposal_file
+from tadfusion.io import write_proposal_file
 from tadfusion.pipeline import run_pipeline
 from tadfusion.simulation import (
+    VIDEO_ID,
     ScenarioConfig,
     compare_fusion,
     generate_scenario,
     scenario_to_records,
 )
-from tadfusion.suppression import (
-    ActionDetection,
-    NOUN_NMS,
-    VERB_ACTION_NMS,
-    NmsConfig,
-    soft_nms,
-)
+from tadfusion.suppression import NOUN_NMS, VERB_ACTION_NMS, NmsConfig
 
 NUM_SEEDS = 20
 
@@ -68,8 +70,8 @@ def end_to_end_results():
         per_mode = {}
         for mode in ("dwf", "mean"):
             doc = run_pipeline(records, PipelineConfig(fusion_mode=mode))
-            dets = submission_detections(doc)
-            per_mode[mode] = mean_ap(dets, scenario.ground_truth, EvalConfig(task="action"))
+            per_mode[mode] = score_columns(*eval_columns(doc.results, {VIDEO_ID: scenario.truth}),
+                                           EvalConfig(task="action"))
         results.append(per_mode)
     return results, time.monotonic() - start
 
@@ -154,7 +156,7 @@ class TestEvaluatorOracleEquivalence:
                 )
             tau = float(rng.choice([0.1, 0.3, 0.5, 0.7]))
             expected = oracle_mean_ap(dets, gts, tau, "verb")
-            got = mean_ap(dets, gts, EvalConfig(thresholds=(tau,), task="verb"))
+            got = score_objects(dets, gts, EvalConfig(thresholds=(tau,), task="verb"))
             assert got.per_threshold[tau] == expected, "module AP diverged from oracle"
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
@@ -211,7 +213,7 @@ class TestSoftNmsLimits:
         cfg = NmsConfig(sigma=1e-6, min_score=0.001, vote_threshold=0.75)
         for _ in range(100):
             dets = self._clustered_set(rng)
-            kept = soft_nms(dets, cfg)
+            kept = soft_nms_objects(dets, cfg)
             expected = oracle_hard_nms(dets, iou_threshold=0.01)
             assert [(d.start, d.end, d.score) for d in kept] == [
                 (d.start, d.end, d.score) for d in expected
@@ -232,7 +234,7 @@ class TestSoftNmsLimits:
                     )
                     for s in starts
                 ]
-                kept = soft_nms(dets, cfg)
+                kept = soft_nms_objects(dets, cfg)
                 assert sorted(d.score for d in kept) == sorted(d.score for d in dets)
                 assert {d.interval for d in kept} == {d.interval for d in dets}
         _announce("soft-nms-disjoint-pass-through")

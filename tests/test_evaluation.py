@@ -4,22 +4,30 @@ The oracle re-implements greedy matching and envelope interpolation with
 plain loops and no shared code, so agreement is meaningful.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tadfusion.errors import InvalidConfig
-from tadfusion.evaluation import (
-    EvalConfig,
+from oracles import (
+    ActionDetection,
     GroundTruthInstance,
-    average_precisions,
     columns_by_video,
-    eval_columns,
-    mean_ap,
+    detection_objects,
+    legacy_average_precision,
+    oracle_ap,
+    oracle_mean_ap,
+    oracle_mean_ap_legacy,
+    score_objects,
+    sort_detections,
 )
-from tadfusion.io import SubmissionDocument, submission_detections
+from tadfusion.cli import main
+from tadfusion.errors import InvalidConfig
+from tadfusion.evaluation import EvalConfig, average_precisions, eval_columns
+from tadfusion.io import SubmissionDocument
 from tadfusion.pipeline import evaluate_files
-from tadfusion.suppression import ActionDetection, rank_order
+from tadfusion.suppression import rank_order
 
 
 def det(start, end, score, verb=0, noun=0, video="v"):
@@ -46,16 +54,7 @@ def replace_video(d, video):
 
 def map_at(tau, dets, gts, task="action"):
     """mAP of ``dets`` at the single threshold ``tau``."""
-    return mean_ap(dets, gts, EvalConfig(thresholds=(tau,), task=task)).average
-
-
-from oracles import (
-    legacy_average_precision,
-    oracle_ap,
-    oracle_mean_ap,
-    oracle_mean_ap_legacy,
-    sort_detections,
-)
+    return score_objects(dets, gts, EvalConfig(thresholds=(tau,), task=task)).average
 
 
 def batched(rows):
@@ -102,16 +101,8 @@ def random_instance(rng, max_dets=10, max_gts=5, max_classes=3):
 # ---------------------------------------------------------------------------
 
 
-class TestGroundTruthInstance:
-    def test_nan_boundary_rejected(self):
-        with pytest.raises(InvalidConfig):
-            gt(float("nan"), 1.0)
-        with pytest.raises(InvalidConfig):
-            gt(0.0, float("nan"))
-
-
 class TestMatchDetections:
-    """Greedy one-to-one matching, seen through the AP that ``mean_ap`` scores."""
+    """Greedy one-to-one matching, seen through the AP that ``score_columns`` scores."""
 
     def test_exact_hit(self):
         assert map_at(1.0, [det(0, 10, 0.9)], [gt(0, 10)]) == 1.0
@@ -126,7 +117,7 @@ class TestMatchDetections:
         # next, (2, 12), overlaps it with tIoU 8/12: a hit at 0.5, not at 0.7
         gts = [gt(0, 10), gt(2, 12)]
         dets = [det(0, 10, 0.9), det(0, 10, 0.8)]
-        result = mean_ap(dets, gts, EvalConfig(thresholds=(0.5, 0.7)))
+        result = score_objects(dets, gts, EvalConfig(thresholds=(0.5, 0.7)))
         assert result.per_threshold == {0.5: 1.0, 0.7: 0.5}
 
     def test_wrong_class_is_fp(self):
@@ -269,7 +260,7 @@ class TestRankOrderContract:
     def test_identical_rows_on_two_videos_score_as_the_legacy_evaluator(self, task):
         dets, gts = self.tied_videos()
         per_threshold, average = oracle_mean_ap_legacy(dets, gts, EXACT_THRESHOLDS, task)
-        got = mean_ap(dets, gts, EvalConfig(thresholds=EXACT_THRESHOLDS, task=task))
+        got = score_objects(dets, gts, EvalConfig(thresholds=EXACT_THRESHOLDS, task=task))
         assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
             repr(per_threshold[t]) for t in EXACT_THRESHOLDS]
         assert repr(got.average) == repr(average)
@@ -277,14 +268,14 @@ class TestRankOrderContract:
 
 class TestMeanAp:
     def test_empty_detections(self):
-        result = mean_ap([], [gt(0, 10)], EvalConfig())
+        result = score_objects([], [gt(0, 10)], EvalConfig())
         assert all(v == 0.0 for v in result.per_threshold.values())
         assert result.average == 0.0
 
     def test_perfect_detections(self):
         gts = [gt(0, 10, verb=0), gt(20, 30, verb=1), gt(40, 50, verb=2)]
         dets = [det(0, 10, 0.9, verb=0), det(20, 30, 0.8, verb=1), det(40, 50, 0.7, verb=2)]
-        result = mean_ap(dets, gts, EvalConfig(task="verb"))
+        result = score_objects(dets, gts, EvalConfig(task="verb"))
         assert all(v == 1.0 for v in result.per_threshold.values())
         assert result.average == 1.0
 
@@ -292,7 +283,7 @@ class TestMeanAp:
         # det (1, 20) vs gt (0, 10): intersection 9, union 20 -> tIoU 0.45
         gts = [gt(0, 10, verb=0), gt(20, 30, verb=1), gt(40, 50, verb=2)]
         dets = [det(1, 20, 0.9, verb=0), det(20, 30, 0.8, verb=1), det(40, 50, 0.7, verb=2)]
-        result = mean_ap(dets, gts, EvalConfig(task="verb"))
+        result = score_objects(dets, gts, EvalConfig(task="verb"))
         for tau in (0.1, 0.2, 0.3, 0.4):
             assert result.per_threshold[tau] == pytest.approx(
                 oracle_mean_ap(dets, gts, tau, "verb")
@@ -306,7 +297,7 @@ class TestMeanAp:
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(7)
         dets, gts = random_instance(rng, max_dets=10, max_gts=5)
-        result = mean_ap(dets, gts, EvalConfig(task="verb"))
+        result = score_objects(dets, gts, EvalConfig(task="verb"))
         values = [result.per_threshold[t] for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -315,17 +306,17 @@ class TestMeanAp:
         gts = [gt(0, 10), gt(20, 30)]
         dets_a = [det(0, 10, 0.9), det(21, 31, 0.5), det(5, 15, 0.2)]
         dets_b = [det(0, 10, 0.99), det(21, 31, 0.98), det(5, 15, 0.97)]
-        res_a = mean_ap(dets_a, gts, EvalConfig(task="verb"))
-        res_b = mean_ap(dets_b, gts, EvalConfig(task="verb"))
+        res_a = score_objects(dets_a, gts, EvalConfig(task="verb"))
+        res_b = score_objects(dets_b, gts, EvalConfig(task="verb"))
         assert res_a.per_threshold == res_b.per_threshold
 
     def test_action_task_uses_pair_identity(self):
         gts = [gt(0, 10, verb=1, noun=2)]
         dets = [det(0, 10, 0.9, verb=1, noun=3)]
-        result = mean_ap(dets, gts, EvalConfig(task="action"))
+        result = score_objects(dets, gts, EvalConfig(task="action"))
         assert result.average == 0.0
         dets = [det(0, 10, 0.9, verb=1, noun=2)]
-        result = mean_ap(dets, gts, EvalConfig(task="action"))
+        result = score_objects(dets, gts, EvalConfig(task="action"))
         assert result.average == 1.0
 
     def test_oracle_equivalence_randomized(self):
@@ -334,8 +325,30 @@ class TestMeanAp:
             dets, gts = random_instance(rng)
             for tau in (0.1, 0.3, 0.5):
                 expected = oracle_mean_ap(dets, gts, tau, "verb")
-                got = mean_ap(dets, gts, EvalConfig(thresholds=(tau,), task="verb"))
+                got = score_objects(dets, gts, EvalConfig(thresholds=(tau,), task="verb"))
                 assert got.per_threshold[tau] == pytest.approx(expected, abs=1e-12)
+
+    def test_a_union_past_the_float_maximum_scores_as_a_scaled_copy(self, tmp_path, capsys):
+        # tIoU 1.35 / 2.05: at scale 1e308 the union of the two segments is
+        # past the float maximum (about 1.8e308), and neither length is
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("eval_thresholds = 0.6,0.7\n")
+
+        def metrics(scale):
+            submission, truth = tmp_path / "submission.json", tmp_path / "truth.json"
+            submission.write_text(json.dumps({"version": "0.1", "challenge": "action_detection",
+                                              "results": {"v": [
+                {"verb": 3, "noun": 5, "action": "3,5", "score": 0.9,
+                 "segment": [-0.85 * scale, 0.85 * scale]}]}}))
+            truth.write_text(json.dumps({"annotations": {"v": [
+                {"verb": 3, "noun": 5, "segment": [-0.5 * scale, 1.2 * scale]}]}}))
+            assert main(["eval", "--submission", str(submission), "--ground-truth", str(truth),
+                         "--config", str(cfg)]) == 0
+            return capsys.readouterr().out
+
+        out = metrics(1e308)
+        assert out == metrics(1e308 * 2.0**-8)
+        assert "action_map_avg = 0.5000" in out  # a hit at 0.6, not at 0.7
 
     def test_invalid_config(self):
         with pytest.raises(InvalidConfig):
@@ -390,7 +403,7 @@ class TestMeanApExact:
         for _ in range(200):
             dets, gts = grid_instance(rng)
             per_threshold, average = oracle_mean_ap_legacy(dets, gts, EXACT_THRESHOLDS, task)
-            got = mean_ap(dets, gts, cfg)
+            got = score_objects(dets, gts, cfg)
             assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
                 repr(per_threshold[t]) for t in EXACT_THRESHOLDS]
             assert repr(got.average) == repr(average)
@@ -410,7 +423,7 @@ class TestMeanApExact:
             results = evaluate_files(doc, truth_by_video, EXACT_THRESHOLDS)
             for task in ("verb", "noun", "action"):
                 per_threshold, average = oracle_mean_ap_legacy(
-                    submission_detections(doc), gts, EXACT_THRESHOLDS, task)
+                    detection_objects(doc.results), gts, EXACT_THRESHOLDS, task)
                 got = results[task]
                 assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
                     repr(per_threshold[t]) for t in EXACT_THRESHOLDS]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import ActionDetection, detection_columns
 from tadfusion.cli import main
 from tadfusion.composition import VocabSpec
 from tadfusion.config import PipelineConfig, parse_config, parse_config_text
@@ -17,7 +18,7 @@ from tadfusion.errors import (
     UnknownKey,
     VocabularyMismatch,
 )
-from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, GroundTruthInstance, columns_by_video
+from tadfusion.evaluation import GROUND_TRUTH, EvalConfig
 from tadfusion.io import (
     ProposalRecord,
     _round4,
@@ -30,7 +31,7 @@ from tadfusion.io import (
     write_proposal_file,
 )
 from tadfusion.simulation import ScenarioConfig
-from tadfusion.suppression import VERB_ACTION_NMS, ActionDetection, detection_columns
+from tadfusion.suppression import VERB_ACTION_NMS
 from tadfusion.timeline import FeatureGrid
 
 VOCAB = VocabSpec(noun_count=300, verb_count=97)
@@ -284,11 +285,6 @@ class TestRound4:
 class TestGroundTruthFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gt.json"
-        instances = [
-            GroundTruthInstance("b", 4.0, 6.0, verb_index=2, noun_index=1),
-            GroundTruthInstance("a", 0.0, 10.0, verb_index=3, noun_index=5),
-            GroundTruthInstance("b", 1.0, 2.0, verb_index=0, noun_index=0),
-        ]
         path.write_text(json.dumps({"annotations": {
             "b": [{"verb": 2, "noun": 1, "segment": [4.0, 6.0]},
                   {"verb": 0, "noun": 0, "segment": [1.0, 2.0]}],
@@ -299,9 +295,8 @@ class TestGroundTruthFile:
         # one record array per video, videos and rows in file order
         assert list(loaded) == ["b", "a", "c"]
         assert all(rows.dtype == GROUND_TRUTH for rows in loaded.values())
-        want = columns_by_video([], instances)[1]
         assert {video_id: rows.tolist() for video_id, rows in loaded.items()} == {
-            **{video_id: rows.tolist() for video_id, rows in want.items()}, "c": []}
+            "b": [(4.0, 6.0, 2, 1), (1.0, 2.0, 0, 0)], "a": [(0.0, 10.0, 3, 5)], "c": []}
 
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "gt.json"

@@ -13,14 +13,8 @@ from tadfusion.cli import main
 from tadfusion.composition import VocabSpec, compose_actions
 from tadfusion.config import PipelineConfig
 from tadfusion.errors import ParseError
-from tadfusion.evaluation import GroundTruthInstance, MeanApResult, columns_by_video
-from tadfusion.io import (
-    ProposalRecord,
-    read_submission,
-    serialize_submission,
-    submission_detections,
-    write_proposal_file,
-)
+from tadfusion.evaluation import GROUND_TRUTH, MeanApResult
+from tadfusion.io import ProposalRecord, read_submission, serialize_submission, write_proposal_file
 from tadfusion.pipeline import (
     evaluate_files,
     format_metrics_keyvalues,
@@ -50,11 +44,11 @@ def record(video="P01_101", window_start=0, noun_b=(10.0, 20.0), verb_b=(14.0, 2
 class TestRunPipeline:
     def test_single_confident_pair(self):
         doc = run_pipeline([record()], PipelineConfig())
-        dets = submission_detections(doc)
+        dets = doc.results["P01_101"]
         assert len(dets) == 1
         d = dets[0]
         assert d.score == pytest.approx(math.sqrt(0.9 * 0.8), abs=1e-4)
-        assert (d.verb_index, d.noun_index) == (3, 5)
+        assert (d.verb, d.noun) == (3, 5)
         # dwf-fused boundary in feature coords, then seconds via the grid
         w_noun = 0.9 / (0.9 + 0.8 + 1e-6)
         w_verb = 0.8 / (0.9 + 0.8 + 1e-6)
@@ -245,24 +239,22 @@ class TestEvaluateFiles:
     def test_submission_equal_to_ground_truth_scores_one(self):
         doc = run_pipeline([record()], PipelineConfig(fusion_mode="mean"))
         d = doc.results["P01_101"][0]
-        gts = [
-            GroundTruthInstance("P01_101", d.start, d.end, verb_index=3, noun_index=5)
-        ]
-        results = evaluate_files(doc, columns_by_video([], gts)[1])
+        truth = {"P01_101": np.rec.fromrecords([(d.start, d.end, 3, 5)], dtype=GROUND_TRUTH)}
+        results = evaluate_files(doc, truth)
         for task in ("verb", "noun", "action"):
             assert results[task].average == pytest.approx(1.0)
 
     def test_empty_results_score_zero(self):
         doc = run_pipeline([], PipelineConfig())
-        gts = [GroundTruthInstance("P01_101", 0.0, 1.0, 0, 0)]
-        results = evaluate_files(doc, columns_by_video([], gts)[1])
+        truth = {"P01_101": np.rec.fromrecords([(0.0, 1.0, 0, 0)], dtype=GROUND_TRUTH)}
+        results = evaluate_files(doc, truth)
         for task in ("verb", "noun", "action"):
             assert results[task].average == 0.0
 
     def test_table_and_keyvalue_formats(self):
         doc = run_pipeline([record()], PipelineConfig())
-        gts = [GroundTruthInstance("P01_101", 3.0, 6.0, verb_index=3, noun_index=5)]
-        results = evaluate_files(doc, columns_by_video([], gts)[1])
+        truth = {"P01_101": np.rec.fromrecords([(3.0, 6.0, 3, 5)], dtype=GROUND_TRUTH)}
+        results = evaluate_files(doc, truth)
         table = format_metrics_table(results)
         assert "mAP@0.1" in table and "action" in table
         kv = format_metrics_keyvalues(results)
@@ -377,7 +369,7 @@ class TestCli:
         submission = tmp_path / "sub.json"
         run_cli("pipeline", "--proposals", str(proposals), "--output", str(submission))
         doc = read_submission(submission)
-        d = submission_detections(doc)[0]
+        d = doc.results["P01_101"][0]
         gt_path = tmp_path / "gt.json"
         gt_path.write_text(json.dumps({"annotations": {
             "P01_101": [{"verb": 3, "noun": 5, "segment": [d.start, d.end]}]}}))

@@ -10,12 +10,11 @@ from oracles import oracle_compare_fusion, oracle_generate_scenario
 from tadfusion import simulation
 from tadfusion.composition import VocabSpec
 from tadfusion.errors import InvalidConfig
-from tadfusion.evaluation import GROUND_TRUTH, GroundTruthInstance
+from tadfusion.evaluation import GROUND_TRUTH
 from tadfusion.simulation import (
     _PCG_MULT,
     _ZIGGURAT_KI,
     _ZIGGURAT_WI,
-    VIDEO_ID,
     FusionReport,
     ScenarioConfig,
     _bounded_index,
@@ -43,15 +42,9 @@ class TestGenerateScenario:
         np.testing.assert_allclose(scenario.noun_boundary, truth)
         np.testing.assert_allclose(scenario.verb_boundary, truth)
 
-    def test_truth_columns_and_objects(self):
+    def test_truth_columns(self):
         scenario = generate_scenario(config())
         assert scenario.truth.dtype == GROUND_TRUTH
-        assert scenario.ground_truth == [
-            GroundTruthInstance(VIDEO_ID, start, end, verb_index=verb, noun_index=noun)
-            for start, end, verb, noun in zip(scenario.truth.start.tolist(),
-                                              scenario.truth.end.tolist(),
-                                              scenario.truth.verb.tolist(),
-                                              scenario.truth.noun.tolist())]
 
     def test_determinism(self):
         a = generate_scenario(config())

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -6,16 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_soft_nms, oracle_suppress_video
+from oracles import (
+    ActionDetection,
+    detection_columns,
+    detection_objects,
+    oracle_soft_nms,
+    oracle_suppress_video,
+    soft_nms_objects,
+)
 from tadfusion import suppression
+from tadfusion.cli import main
 from tadfusion.errors import InvalidConfig
 from tadfusion.suppression import (
-    ActionDetection,
     NmsConfig,
     NOUN_NMS,
     VERB_ACTION_NMS,
-    detection_columns,
-    soft_nms,
     suppress_video,
     temporal_iou,
 )
@@ -36,19 +42,10 @@ def det(start, end, score, action_id=0, verb=0, noun=0, video="v"):
 def suppress(dets, cfg):
     """``suppress_video`` over the columns of detection objects, with the
     kept columns back as objects."""
-    kept = suppress_video(detection_columns(dets), cfg)
-    return [ActionDetection("v", *row) for row in kept.tolist()]
+    return detection_objects({"v": suppress_video(detection_columns(dets), cfg)})
 
 
 VOTE_065 = NmsConfig(sigma=0.6, min_score=0.005, vote_threshold=0.65)
-
-
-class TestActionDetection:
-    def test_nan_boundary_rejected(self):
-        with pytest.raises(InvalidConfig):
-            det(math.nan, 1.0, 0.5)
-        with pytest.raises(InvalidConfig):
-            det(0.0, math.nan, 0.5)
 
 
 class TestTemporalIou:
@@ -70,6 +67,54 @@ class TestTemporalIou:
         iou = temporal_iou(a, b)
         assert 0.0 <= iou <= 1.0
         assert iou == pytest.approx(temporal_iou(b, a))
+
+
+# at scale 1e308, two overlapping intervals whose union, but not either
+# length, lies past the float maximum (about 1.8e308): tIoU 1.35 / 2.05
+WIDE = [(-0.85, 0.85), (-0.5, 1.2)]
+
+
+def scaled(intervals, scale):
+    return [(start * scale, end * scale) for start, end in intervals]
+
+
+class TestOverflowingUnion:
+    """A union past the float maximum is computed from halved ends: the
+    tIoU is that of any copy scaled by a power of two, with no warning."""
+
+    def test_temporal_iou_is_scale_free(self):
+        big, small = scaled(WIDE, 1e308), scaled(WIDE, 1e308 * 2.0**-8)
+        assert float(temporal_iou(*big)) == float(temporal_iou(*small))
+        assert temporal_iou(*big) == pytest.approx(1.35 / 2.05)
+        # an intersection past the maximum too, and one ordinary pair
+        assert temporal_iou((-1e308, 1e308), (-1e308, 1e308)) == 1.0
+        starts, ends = np.array([big[1][0], 5.0]), np.array([big[1][1], 15.0])
+        ious = temporal_iou((np.array([big[0][0], 10.0]), np.array([big[0][1], 20.0])),
+                            (starts, ends))
+        assert ious.tolist() == [temporal_iou(*small), 5 / 15]
+
+    def test_soft_nms_decays_as_on_a_scaled_copy(self):
+        def kept(scale):
+            dets = [det(start, end, score) for (start, end), score
+                    in zip(scaled(WIDE, scale), (0.9, 0.8))]
+            return [d.score for d in soft_nms_objects(dets, VERB_ACTION_NMS)]
+
+        assert kept(1e308) == kept(1e308 * 2.0**-8)
+        assert kept(1e308)[1] < 0.8
+
+    def test_nms_output_is_that_of_a_scaled_copy(self, tmp_path, capsys):
+        def nms(scale):
+            path = tmp_path / "submission.json"
+            path.write_text(json.dumps({"version": "0.1", "challenge": "action_detection",
+                                        "results": {"v": [
+                {"verb": 3, "noun": 5, "action": "3,5", "segment": [start, end], "score": score}
+                for (start, end), score in zip(scaled(WIDE, scale), (0.9, 0.8))]}}))
+            assert main(["nms", "--input", str(path)]) == 0
+            return json.loads(capsys.readouterr().out)["results"]["v"]
+
+        big, small = nms(1e308), nms(1e308 * 2.0**-8)
+        assert [d["score"] for d in big] == [d["score"] for d in small] == [0.9, 0.2705]
+        assert [d["segment"] for d in big] == [[x * 2.0**8 for x in d["segment"]] for d in small]
 
 
 class TestPresets:
@@ -95,14 +140,14 @@ class TestPresets:
 class TestSoftNms:
     def test_disjoint_pass_through(self):
         dets = [det(0, 1, 0.9), det(5, 6, 0.4)]
-        kept = soft_nms(dets, VERB_ACTION_NMS)
+        kept = soft_nms_objects(dets, VERB_ACTION_NMS)
         assert [d.score for d in kept] == [0.9, 0.4]
         assert [d.interval for d in kept] == [(0, 1), (5, 6)]
 
     def test_duplicate_decay_oracle(self):
         # oracle: independent evaluation of the Gaussian decay
         dets = [det(0, 10, 0.9), det(0, 10, 0.5)]
-        kept = soft_nms(dets, VERB_ACTION_NMS)
+        kept = soft_nms_objects(dets, VERB_ACTION_NMS)
         expected = 0.5 * math.exp(-1.0 / 0.4)
         assert expected == pytest.approx(0.04104, abs=1e-5)
         assert len(kept) == 2
@@ -112,13 +157,13 @@ class TestSoftNms:
         # tIoU 0.5 at sigma 0.4 decays a unit score to exp(-0.625) ~ 0.53526
         dets = [det(0, 10, 1.0), det(5, 10, 0.99)]
         assert temporal_iou((0, 10), (5, 10)) == pytest.approx(0.5)
-        kept = soft_nms(dets, VERB_ACTION_NMS)
+        kept = soft_nms_objects(dets, VERB_ACTION_NMS)
         assert math.exp(-0.5**2 / 0.4) == pytest.approx(0.53526, abs=1e-5)
         assert kept[1].score == pytest.approx(0.99 * math.exp(-0.625))
 
     def test_decay_below_min_score_drops(self):
         dets = [det(0, 10, 0.9), det(0, 10, 0.01)]
-        kept = soft_nms(dets, VERB_ACTION_NMS)
+        kept = soft_nms_objects(dets, VERB_ACTION_NMS)
         # 0.01 * exp(-2.5) = 0.00082 < 0.001
         assert len(kept) == 1
 
@@ -131,7 +176,7 @@ class TestSoftNms:
             )
         ]
         by_interval = {d.interval: d.score for d in dets}
-        kept = soft_nms(dets, NOUN_NMS)
+        kept = soft_nms_objects(dets, NOUN_NMS)
         assert len(kept) <= len(dets)
         for d in kept:
             assert d.score <= by_interval[d.interval] + 1e-12
@@ -139,31 +184,31 @@ class TestSoftNms:
     def test_sigma_to_zero_reproduces_hard_nms(self):
         cfg = NmsConfig(sigma=1e-6, min_score=0.001, vote_threshold=0.75)
         dets = [det(0, 10, 0.9), det(1, 11, 0.8), det(20, 30, 0.7)]
-        kept = soft_nms(dets, cfg)
+        kept = soft_nms_objects(dets, cfg)
         assert [d.interval for d in kept] == [(0, 10), (20, 30)]
 
     def test_voting_moves_intervals_only_with_flag(self):
         dets = [det(10, 20, 0.8), det(12, 22, 0.2)]
         assert temporal_iou((10, 20), (12, 22)) >= 0.65
-        plain = soft_nms(dets, VOTE_065)
+        plain = soft_nms_objects(dets, VOTE_065)
         assert plain[0].interval == (10, 20)
-        voted = soft_nms(dets, VOTE_065, vote=True)
+        voted = soft_nms_objects(dets, VOTE_065, vote=True)
         assert voted[0].start == pytest.approx(10.4)
         assert voted[0].end == pytest.approx(20.4)
 
     def test_vote_without_neighbor_above_threshold_keeps_interval(self):
-        kept = soft_nms([det(10, 20, 0.8), det(100, 110, 0.5)], VOTE_065, vote=True)
+        kept = soft_nms_objects([det(10, 20, 0.8), det(100, 110, 0.5)], VOTE_065, vote=True)
         assert kept[0].interval == (10, 20)
 
     def test_vote_is_score_weighted_average(self):
-        kept = soft_nms([det(10, 20, 0.8), det(12, 22, 0.2)], VOTE_065, vote=True)
+        kept = soft_nms_objects([det(10, 20, 0.8), det(12, 22, 0.2)], VOTE_065, vote=True)
         assert kept[0].start == pytest.approx(10.4)
         assert kept[0].end == pytest.approx(20.4)
         assert kept[0].score == 0.8
 
     def test_vote_over_identical_intervals_keeps_interval(self):
         dets = [det(5, 9, 0.6), det(5, 9, 0.3), det(5, 9, 0.1)]
-        kept = soft_nms(dets, VERB_ACTION_NMS, vote=True)
+        kept = soft_nms_objects(dets, VERB_ACTION_NMS, vote=True)
         assert kept[0].start == pytest.approx(5.0)
         assert kept[0].end == pytest.approx(9.0)
 
@@ -202,14 +247,15 @@ class TestSoftNmsMatchesOracle:
             dets = random_pool(rng)
             for cfg in self.CONFIGS:
                 for vote in (False, True):
-                    assert soft_nms(dets, cfg, vote=vote) == oracle_soft_nms(dets, cfg, vote)
+                    kept = soft_nms_objects(dets, cfg, vote=vote)
+                    assert kept == oracle_soft_nms(dets, cfg, vote)
 
     def test_empty_pool(self):
-        assert soft_nms([], VERB_ACTION_NMS, vote=True) == []
+        assert suppression.soft_nms([], VERB_ACTION_NMS, vote=True) == []
 
     def test_nan_overlap_of_two_infinite_starts_does_not_decay(self):
         dets = [det(-math.inf, 1.0, 0.9), det(-math.inf, 2.0, 0.5)]
-        kept = soft_nms(dets, VERB_ACTION_NMS)
+        kept = soft_nms_objects(dets, VERB_ACTION_NMS)
         assert kept == oracle_soft_nms(dets, VERB_ACTION_NMS)
         assert [d.score for d in kept] == [0.9, 0.5]
 
@@ -220,7 +266,7 @@ class TestSuppressVideoMatchesOracle:
         # small caps cut pools and the merged output
         rng = random.Random(12)
         for _ in range(1800):
-            dets = [replace(d, verb_index=rng.randrange(3), noun_index=rng.randrange(2))
+            dets = [d._replace(verb_index=rng.randrange(3), noun_index=rng.randrange(2))
                     for _ in range(rng.randrange(1, 4)) for d in random_pool(rng)]
             cfg = replace(rng.choice(TestSoftNmsMatchesOracle.CONFIGS),
                           pre_nms_cap=rng.choice([1, 4, 5000]),
@@ -249,12 +295,12 @@ def random_video(rng):
         score = rng.choice(SCORES) if rng.random() < 0.7 else rng.random()
         dets.append(det(start, start + length, score, action_id=rng.randrange(3),
                         verb=rng.randrange(3), noun=rng.randrange(2)))
-    dets += [replace(d, verb_index=rng.randrange(3), noun_index=rng.randrange(2))
+    dets += [d._replace(verb_index=rng.randrange(3), noun_index=rng.randrange(2))
              for d in rng.sample(dets, rng.randrange(min(4, len(dets)) + 1))]
     best = max(dets, key=lambda d: (d.score, -d.start))
     for _ in range(rng.randrange(3)):
         shift = rng.choice([-0.5, 0.0, 0.5, best.end - best.start])
-        dets.append(replace(best, start=best.start + shift, end=best.end + shift,
+        dets.append(best._replace(start=best.start + shift, end=best.end + shift,
                             action_id=rng.randrange(3), score=rng.choice([0.0005, 0.01, 0.2])))
     rng.shuffle(dets)
     return dets
@@ -300,9 +346,9 @@ class TestClassPoolContract:
         sizes = []
         original = suppression.soft_nms
 
-        def counting(dets, *args, **kwargs):
-            sizes.append(len(dets))
-            return original(dets, *args, **kwargs)
+        def counting(rows, *args, **kwargs):
+            sizes.append(len(rows))
+            return original(rows, *args, **kwargs)
 
         monkeypatch.setattr(suppression, "soft_nms", counting)
         # 4 classes, each 10 clusters of 30 overlapping rows
