@@ -8,6 +8,7 @@ untouched.
 
 import numpy as np
 
+from tadfusion.composition import ENTRY
 from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
 
 noun_boundary = (10.0, 20.0)
@@ -25,13 +26,11 @@ for c_noun in np.linspace(0.1, 0.9, 5):
         f"     ({fused[0]:6.3f}, {fused[1]:6.3f})"
     )
 
-# Confidences come from the score vectors' maxima, so a full proposal
-# pair drives fusion without any extra inputs.
-noun_scores = np.zeros(300)
-noun_scores[42] = 0.92  # clearly visible object
-verb_scores = np.zeros(97)
-verb_scores[7] = 0.31  # ambiguous motion
-c_noun, c_verb = stream_confidences(noun_scores, verb_scores)
+# Confidences come from each stream's largest class score, so a full
+# proposal pair drives fusion without any extra inputs.
+noun_entries = np.array([(0, 42, 0.92)], dtype=ENTRY)  # clearly visible object
+verb_entries = np.array([(0, 7, 0.31)], dtype=ENTRY)  # ambiguous motion
+(c_noun,), (c_verb,) = stream_confidences(noun_entries, verb_entries, 1)
 fused = fuse_boundaries(noun_boundary, verb_boundary, dwf_weights(c_noun, c_verb))
 print(
     f"\nconfident noun ({c_noun:.2f}) vs uncertain verb ({c_verb:.2f}):"

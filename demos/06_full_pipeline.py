@@ -35,12 +35,12 @@ with tempfile.TemporaryDirectory(prefix="tadfusion_demo_") as tmp:
     workdir = Path(tmp)
     proposal_path = workdir / "proposals.txt"
     write_proposal_file(proposal_path, scenario_to_records(scenario))
-    records = read_proposal_file(proposal_path)
-    print(f"wrote and re-read {len(records)} aligned proposal records: {proposal_path}")
+    proposals = read_proposal_file(proposal_path)
+    print(f"wrote and re-read {len(proposals)} aligned proposal records: {proposal_path}")
 
     for mode in ("mean", "dwf"):
         cfg = PipelineConfig(fusion_mode=mode)
-        submission = run_pipeline(records, cfg)
+        submission = run_pipeline(proposals, cfg)
         out_path = workdir / f"submission_{mode}.json"
         out_path.write_text(serialize_submission(submission), encoding="utf-8")
         count = sum(map(len, submission.results.values()))

@@ -28,7 +28,6 @@ from .pipeline import (
     format_metrics_keyvalues,
     format_metrics_table,
     run_pipeline,
-    stack_records,
     suppress_submission,
 )
 from .simulation import compare_fusion, generate_scenario
@@ -57,26 +56,25 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args)
-    records = read_proposal_file(args.proposals, cfg.vocab())
-    doc = run_pipeline(records, cfg)
+    proposals = read_proposal_file(args.proposals, cfg.vocab())
+    doc = run_pipeline(proposals, cfg)
     _emit(serialize_submission(doc), args.output)
     return 0
 
 
 def cmd_fuse(args) -> int:
     cfg = _load_config(args)
-    records = read_proposal_file(args.proposals, cfg.vocab())
+    proposals = read_proposal_file(args.proposals, cfg.vocab())
+    # fusion is row-wise, so all rows fuse at once, in file order
+    start, end = fuse_proposals(proposals, cfg.fusion_mode, cfg.epsilon)
+    if (i := first_empty(start, end)) is not None:
+        raise ParseError(
+            f"fused boundary ({start[i]}, {end[i]}) of video {proposals.video_ids[i]!r} "
+            f"at window start {proposals.window_starts[i]} is empty or inverted"
+        )
     lines = ["# video_id fused_start fused_end"]
-    # fusion is row-wise, so all records fuse at once, in file order
-    if records:
-        start, end = fuse_proposals(*stack_records(records), cfg.fusion_mode, cfg.epsilon)
-        if (i := first_empty(start, end)) is not None:
-            raise ParseError(
-                f"fused boundary ({start[i]}, {end[i]}) of video {records[i].video_id!r} "
-                f"at window start {records[i].window_start} is empty or inverted"
-            )
-        lines += [f"{record.video_id} {fused_start:.4f} {fused_end:.4f}"
-                  for record, fused_start, fused_end in zip(records, start.tolist(), end.tolist())]
+    lines += [f"{video_id} {fused_start:.4f} {fused_end:.4f}" for video_id, fused_start, fused_end
+              in zip(proposals.video_ids, start.tolist(), end.tolist())]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

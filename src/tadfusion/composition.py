@@ -17,8 +17,7 @@ from .errors import ActionIdOutOfRange, InvalidConfig
 
 DEFAULT_TOP_K_NOUNS = 10
 DEFAULT_TOP_K_VERBS = 10
-# Largest vocabulary size accepted: dense score rows of this many classes
-# stay small, and every action id fits an int64.
+# Largest vocabulary size accepted: every action id fits an int64.
 MAX_VOCABULARY_SIZE = 1 << 16
 
 
@@ -61,42 +60,55 @@ def decode_action_id(action_id: int, vocab: VocabSpec = VocabSpec()) -> tuple[in
     return action_id % vocab.noun_count, action_id // vocab.noun_count
 
 
-# Composed action hypotheses are a record array of this dtype: noun and
-# verb class index, flat action id and score.
-CANDIDATE = np.dtype([("noun", np.int64), ("verb", np.int64), ("action", np.int64),
-                      ("score", float)])
+# A stream's class scores are sparse entries of this dtype: the proposal
+# row (a line of the proposal file), the class index and its score.
+ENTRY = np.dtype([("row", np.int64), ("class", np.int64), ("score", float)])
+
+# Composed action hypotheses are a record array of this dtype: proposal
+# row, noun and verb class index, flat action id and score.
+CANDIDATE = np.dtype([("row", np.int64), ("noun", np.int64), ("verb", np.int64),
+                      ("action", np.int64), ("score", float)])
+
+
+def _top(entries: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` best ``ENTRY`` rows of each proposal row: by row,
+    then score descending, then class index."""
+    order = np.lexsort((entries["class"], -entries["score"], entries["row"]))
+    row = entries["row"][order]
+    return order[np.arange(len(order)) - np.searchsorted(row, row) < k]
 
 
 def compose_actions(
-    noun_scores: np.ndarray,
-    verb_scores: np.ndarray,
+    noun_entries: np.ndarray,
+    verb_entries: np.ndarray,
     k_n: int = DEFAULT_TOP_K_NOUNS,
     k_v: int = DEFAULT_TOP_K_VERBS,
     vocab: VocabSpec = VocabSpec(),
 ) -> np.recarray:
     """Cross the top noun and verb classes of aligned proposal pairs.
 
-    ``noun_scores`` and ``verb_scores`` are ``(R, nouns)`` and ``(R, verbs)``
-    matrices, one row per pair, or one pair's two vectors. Each pair gives
-    ``min(k_n, nouns) * min(k_v, verbs)`` candidates from its top classes
-    (ties go to the lower index), scored as ``sqrt(P_noun * P_verb)``.
-    The result holds them pair after pair; within a pair, noun by noun in
-    top-K order and, for each noun, verb by verb. Nothing here ranks
-    them: ``suppression.rank_order`` is the one ranking of detections.
+    ``noun_entries`` and ``verb_entries`` are each stream's ``ENTRY`` rows.
+    Each row crosses its ``k_n`` best noun entries with its ``k_v`` best
+    verb entries (by score descending, then class index) into candidates
+    scored ``sqrt(P_noun * P_verb)``, row after row; within a row, noun by
+    noun in top-K order, then verb by verb. Nothing here ranks them:
+    ``suppression.rank_order`` is the one ranking of detections.
+
+    A dense top-K over the vocabulary would also pick absent classes, at
+    score 0. It gives the same candidates of positive score in the same
+    order, and both NMS presets have ``min_score > 0``: a candidate of
+    score 0 never survives, so the submission is the same.
     """
-    nouns = np.atleast_2d(np.asarray(noun_scores, dtype=float))
-    verbs = np.atleast_2d(np.asarray(verb_scores, dtype=float))
-    if (nouns.shape[1], verbs.shape[1]) != (vocab.noun_count, vocab.verb_count):
-        raise InvalidConfig(
-            f"score vectors have {nouns.shape[1]} noun and {verbs.shape[1]} verb entries, "
-            f"vocabulary expects {vocab.noun_count} and {vocab.verb_count}")
     if k_n < 1 or k_v < 1:
         raise InvalidConfig("k must be >= 1")
-    # a stable sort of the negated scores breaks ties by the lower index
-    p = np.argsort(-nouns, axis=1, kind="stable")[:, :k_n]
-    q = np.argsort(-verbs, axis=1, kind="stable")[:, :k_v]
-    product = (np.take_along_axis(nouns, p, 1)[:, :, None]
-               * np.take_along_axis(verbs, q, 1)[:, None, :])
-    noun, verb = np.repeat(p, q.shape[1]), np.tile(q, p.shape[1]).reshape(-1)
-    return np.rec.fromarrays([noun, verb, vocab.action_id(noun, verb),
-                              np.sqrt(product).reshape(-1)], dtype=CANDIDATE)
+    p, q = _top(noun_entries, k_n), _top(verb_entries, k_v)
+    noun_row = noun_entries["row"][p]
+    count = np.bincount(verb_entries["row"][q], minlength=1 + noun_row.max(initial=-1))
+    repeats = count[noun_row]  # each noun crosses the run of its row's verbs
+    q = q[np.arange(repeats.sum()) + np.repeat(
+        (np.cumsum(count) - count)[noun_row] - (np.cumsum(repeats) - repeats), repeats)]
+    p = np.repeat(p, repeats)
+    noun, verb = noun_entries["class"][p], verb_entries["class"][q]
+    return np.rec.fromarrays(
+        [noun_entries["row"][p], noun, verb, vocab.action_id(noun, verb),
+         np.sqrt(noun_entries["score"][p] * verb_entries["score"][q])], dtype=CANDIDATE)

@@ -21,12 +21,15 @@ FUSION_MODES = ("dwf", "mean")
 MEAN_WEIGHTS = (0.5, 0.5)  # the equal-weight baseline's
 
 
-def stream_confidences(
-    noun_scores: np.ndarray, verb_scores: np.ndarray
-) -> tuple[float, float]:
-    """Per-stream confidences: the maximum class probability, per vector or matrix row."""
-    return (np.asarray(noun_scores, dtype=float).max(axis=-1),
-            np.asarray(verb_scores, dtype=float).max(axis=-1))
+def stream_confidences(noun_entries, verb_entries, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stream confidences of ``rows`` proposals from their ``ENTRY``
+    arrays: a row's largest score, and +0.0 where none is positive. The one
+    confidence rule."""
+    confidences = np.zeros((2, rows))
+    for confidence, entries in zip(confidences, (noun_entries, verb_entries)):
+        positive = entries[entries["score"] > 0.0]
+        np.maximum.at(confidence, positive["row"], positive["score"])
+    return confidences[0], confidences[1]
 
 
 def dwf_weights(
@@ -41,7 +44,7 @@ def dwf_weights(
     slightly under 1; the epsilon keeps the normalization total even when
     both confidences vanish.
     """
-    if np.min((noun_confidence, verb_confidence)) < 0.0:
+    if np.min((noun_confidence, verb_confidence), initial=0.0) < 0.0:  # 0 proposals too
         raise InvalidConfig("confidences must be non-negative")
     if epsilon <= 0.0:
         raise InvalidConfig("epsilon must be positive")
@@ -88,16 +91,15 @@ def fuse_boundaries(
     return (fused_start, fused_end)
 
 
-def fuse_proposals(noun_boundary, verb_boundary, noun_scores, verb_scores, mode: str,
+def fuse_proposals(proposals, mode: str,
                    epsilon: float = DEFAULT_FUSION_EPSILON) -> tuple[np.ndarray, np.ndarray]:
-    """Fused ``(start, end)`` arrays of R aligned proposals under ``mode``:
-    boundaries are ``(starts, ends)`` arrays, scores ``(R, classes)``
-    matrices. An empty or inverted interval is returned as it is."""
+    """Fused ``(start, end)`` arrays of proposal columns (``io.Proposals``)
+    under ``mode``. An empty or inverted interval is returned as it is."""
     if mode not in FUSION_MODES:
         raise InvalidConfig(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
-    weights = MEAN_WEIGHTS if mode == "mean" else dwf_weights(
-        *stream_confidences(noun_scores, verb_scores), epsilon)
-    return _weighted(noun_boundary, verb_boundary, weights)
+    weights = MEAN_WEIGHTS if mode == "mean" else dwf_weights(*stream_confidences(
+        proposals.noun_entries, proposals.verb_entries, len(proposals)), epsilon)
+    return _weighted(proposals.noun_boundary, proposals.verb_boundary, weights)
 
 
 def hard_mean_fusion(

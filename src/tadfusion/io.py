@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composition import VocabSpec
-from .errors import InvalidConfig, ParseError, SchemaMismatch, VocabularyMismatch
+from .composition import ENTRY, VocabSpec
+from .errors import ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GROUND_TRUTH
 from .fusion import empty
 from .suppression import DETECTION, rank_order
@@ -103,33 +103,30 @@ def require_segment(value) -> tuple[float, float]:
 
 
 @dataclass(eq=False)
-class ProposalRecord:
-    """One aligned proposal pair as stored in the proposal file.
+class Proposals:
+    """Aligned proposal pairs as columns, a row per pair in file order: window
+    origins are exact ints in feature units, boundaries window-local, and each
+    stream's scores a sparse ``composition.ENTRY`` array in row order."""
 
-    Boundaries are window-local feature coordinates; ``window_start``
-    is the window origin in feature units. Score vectors are dense
-    (reconstructed from the sparse file form with zeros).
-    """
+    video_ids: list[str]
+    window_starts: list[int]
+    noun_boundary: tuple[np.ndarray, np.ndarray]
+    verb_boundary: tuple[np.ndarray, np.ndarray]
+    noun_entries: np.ndarray
+    verb_entries: np.ndarray
 
-    video_id: str
-    window_start: int
-    noun_boundary: tuple[float, float]
-    noun_scores: np.ndarray
-    verb_boundary: tuple[float, float]
-    verb_scores: np.ndarray
-
-    def __post_init__(self):
-        for stream, (start, end) in (("noun", self.noun_boundary), ("verb", self.verb_boundary)):
-            if not start < end:  # also rejects a nan boundary
-                raise InvalidConfig(f"{stream} boundary start must precede end")
+    def __len__(self) -> int:
+        return len(self.video_ids)
 
 
-def _parse_sparse_scores(token: str, size: int, lineno: int, stream: str) -> np.ndarray:
-    scores = np.zeros(size)
+def _parse_entries(token: str, size: int, lineno: int, stream: str, row: int,
+                   entries: tuple) -> None:
+    """Append a sparse score token's rows, classes and scores to ``entries``."""
     if token == "-":
-        return scores
+        return
     if not _plain(token):  # one check for the whole token, not one per entry
         raise ParseError(f"malformed {stream} scores {token!r}", line=lineno)
+    rows, classes, scores = entries
     seen = set()
     for pair in token.split(","):
         index_str, _, score_str = pair.partition(":")
@@ -152,52 +149,62 @@ def _parse_sparse_scores(token: str, size: int, lineno: int, stream: str) -> np.
         if index in seen:
             raise ParseError(f"repeated {stream} class index {index}", line=lineno)
         seen.add(index)
-        scores[index] = score
-    return scores
+        rows.append(row)
+        classes.append(index)
+        scores.append(score)
 
 
-def _format_sparse_scores(scores: np.ndarray) -> str:
-    # repr round-trips exactly, so write -> read -> write is stable
-    entries = [f"{i}:{float(scores[i])!r}" for i in np.flatnonzero(scores)]
-    return ",".join(entries) if entries else "-"
+def parse_proposals(lines, vocab: VocabSpec = VocabSpec()) -> Proposals:
+    """Proposal columns of ``(lineno, text)`` data lines, in their order."""
+    video_ids, window_starts, boundaries = [], [], []
+    noun_entries, verb_entries = ([], [], []), ([], [], [])
+    for row, (lineno, line) in enumerate(lines):
+        tokens = line.split()
+        if len(tokens) != 8:
+            raise ParseError(f"expected 8 whitespace-separated fields, got {len(tokens)}",
+                             line=lineno)
+        window_start = parse_number("int", tokens[1], line=lineno)
+        boundary = [parse_number("float", tokens[i], line=lineno) for i in (2, 3, 5, 6)]
+        if window_start < 0:
+            raise ParseError("window start must be >= 0", line=lineno)
+        _parse_entries(tokens[4], vocab.noun_count, lineno, "noun", row, noun_entries)
+        _parse_entries(tokens[7], vocab.verb_count, lineno, "verb", row, verb_entries)
+        for stream, start, end in (("noun", *boundary[:2]), ("verb", *boundary[2:])):
+            if not start < end:
+                raise ParseError(f"{stream} boundary start must precede end", line=lineno)
+        video_ids.append(tokens[0])
+        window_starts.append(window_start)
+        boundaries.append(boundary)
+    noun_start, noun_end, verb_start, verb_end = np.array(boundaries, float).reshape(-1, 4).T
+    return Proposals(video_ids, window_starts, (noun_start, noun_end), (verb_start, verb_end),
+                     np.rec.fromarrays(noun_entries, dtype=ENTRY),
+                     np.rec.fromarrays(verb_entries, dtype=ENTRY))
 
 
-def parse_proposal_line(line: str, lineno: int, vocab: VocabSpec) -> ProposalRecord:
-    tokens = line.split()
-    if len(tokens) != 8:
-        raise ParseError(f"expected 8 whitespace-separated fields, got {len(tokens)}",
-                         line=lineno)
-    window_start = parse_number("int", tokens[1], line=lineno)
-    noun_start, noun_end, verb_start, verb_end = [
-        parse_number("float", tokens[i], line=lineno) for i in (2, 3, 5, 6)]
-    if window_start < 0:
-        raise ParseError("window start must be >= 0", line=lineno)
-    noun_scores = _parse_sparse_scores(tokens[4], vocab.noun_count, lineno, "noun")
-    verb_scores = _parse_sparse_scores(tokens[7], vocab.verb_count, lineno, "verb")
-    try:
-        return ProposalRecord(tokens[0], window_start, (noun_start, noun_end), noun_scores,
-                              (verb_start, verb_end), verb_scores)
-    except InvalidConfig as exc:
-        raise ParseError(str(exc), line=lineno) from None
-
-
-def read_proposal_file(path, vocab: VocabSpec = VocabSpec()) -> list[ProposalRecord]:
+def read_proposal_file(path, vocab: VocabSpec = VocabSpec()) -> Proposals:
     """Parse a proposal file; ``#`` comments and blank lines are skipped."""
     with open_text(path) as handle:
-        return [parse_proposal_line(text, lineno, vocab) for lineno, text in data_lines(handle)]
+        return parse_proposals(data_lines(handle), vocab)
 
 
-def write_proposal_file(path, records: list[ProposalRecord]) -> None:
+def _format_entries(entries: np.ndarray, rows: int) -> list[str]:
+    """Each row's ``index:score`` entries as the file writes them, or ``-``."""
+    # repr round-trips exactly, so write -> read -> write is stable
+    pairs = [f"{i}:{score!r}" for i, score in zip(entries["class"].tolist(),
+                                                  entries["score"].tolist())]
+    bounds = np.searchsorted(entries["row"], np.arange(rows + 1)).tolist()
+    return [",".join(pairs[lo:hi]) or "-" for lo, hi in zip(bounds, bounds[1:])]
+
+
+def write_proposal_file(path, proposals: Proposals) -> None:
+    columns = [proposals.video_ids, map(str, proposals.window_starts),
+               *(map(repr, coord.tolist()) for coord in proposals.noun_boundary),
+               _format_entries(proposals.noun_entries, len(proposals)),
+               *(map(repr, coord.tolist()) for coord in proposals.verb_boundary),
+               _format_entries(proposals.verb_entries, len(proposals))]
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# video_id window_start ns ne noun_scores vs ve verb_scores\n")
-        for r in records:
-            handle.write(" ".join([
-                r.video_id, str(r.window_start),
-                repr(float(r.noun_boundary[0])), repr(float(r.noun_boundary[1])),
-                _format_sparse_scores(r.noun_scores),
-                repr(float(r.verb_boundary[0])), repr(float(r.verb_boundary[1])),
-                _format_sparse_scores(r.verb_scores),
-            ]) + "\n")
+        handle.writelines(" ".join(fields) + "\n" for fields in zip(*columns))
 
 
 @dataclass

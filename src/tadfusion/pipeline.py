@@ -1,11 +1,11 @@
 """End-to-end post-processing: compose, fuse, convert, suppress, emit.
 
 Input is a set of aligned noun-verb proposal pairs in window-local
-feature coordinates. For each pair the top noun and verb classes are
-crossed into scored action candidates, weak candidates are dropped,
-boundaries are fused (confidence-weighted or hard mean), converted to
-seconds with the window's frame origin, pooled per video, and suppressed
-class-wise before serialization.
+feature coordinates, as columns. For each pair the top noun and verb
+classes are crossed into scored action candidates, weak candidates are
+dropped, boundaries are fused (confidence-weighted or hard mean),
+converted to seconds with the window's frame origin, pooled per video,
+and suppressed class-wise before serialization.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import logging
 
 import numpy as np
 
-from .composition import VocabSpec, compose_actions
+from .composition import compose_actions
 from .config import PipelineConfig
 from .errors import ParseError
 from .evaluation import (
@@ -26,42 +26,11 @@ from .evaluation import (
     eval_columns,
 )
 from .fusion import fuse_proposals
-from .io import ProposalRecord, SubmissionDocument, build_submission
+from .io import Proposals, SubmissionDocument, build_submission
 from .suppression import DETECTION, NmsConfig, suppress_video
 from .timeline import intervals_to_seconds
 
 logger = logging.getLogger(__name__)
-
-
-def stack_records(records: list[ProposalRecord]):
-    """Noun and verb boundaries (``(starts, ends)`` arrays) and score matrices of records."""
-    noun_boundary = np.array([r.noun_boundary for r in records], dtype=float).T
-    verb_boundary = np.array([r.verb_boundary for r in records], dtype=float).T
-    noun_scores = np.stack([r.noun_scores for r in records])
-    verb_scores = np.stack([r.verb_scores for r in records])
-    return noun_boundary, verb_boundary, noun_scores, verb_scores
-
-
-def _video_detections(
-    records: list[ProposalRecord], cfg: PipelineConfig, vocab: VocabSpec, min_score: float
-) -> tuple[np.recarray, np.ndarray]:
-    """One video's candidates, each with its record's fused interval in
-    seconds (records whose interval is empty are dropped), and a mask of
-    the records whose interval is not finite but has a surviving candidate."""
-    noun_boundary, verb_boundary, noun_scores, verb_scores = stack_records(records)
-    composed = compose_actions(
-        noun_scores, verb_scores, cfg.top_k_nouns, cfg.top_k_verbs, vocab
-    ).reshape(len(records), -1)
-    start, end = fuse_proposals(noun_boundary, verb_boundary, noun_scores, verb_scores,
-                                cfg.fusion_mode, cfg.epsilon)
-    frames = [r.window_start * cfg.stride_frames for r in records]
-    start_s, end_s, kept = intervals_to_seconds(start, end, frames, cfg.grid())
-    passing = composed.score >= min_score
-    unconvertible = passing.any(axis=1) & kept & ~(np.isfinite(start_s) & np.isfinite(end_s))
-    passing &= kept[:, None]
-    record, cand = np.nonzero(passing)[0], composed[passing]
-    return np.rec.fromarrays([start_s[record], end_s[record], cand.verb, cand.noun,
-                              cand.action, cand.score], dtype=DETECTION), unconvertible
 
 
 def suppress_submission(
@@ -72,34 +41,45 @@ def suppress_submission(
     return build_submission(suppressed, version=version)
 
 
-def run_pipeline(records: list[ProposalRecord], cfg: PipelineConfig) -> SubmissionDocument:
-    """Run the full post-processing chain over parsed proposal records.
-
-    Each video's records are composed, fused and converted together.
-    Empty input is not an error: it produces a valid empty submission
-    (with a warning), so a video with no surviving proposals still
-    yields well-formed output.
-    """
-    if not records:
-        logger.warning("no proposal records; emitting an empty submission")
-    vocab = cfg.vocab()
-    nms_cfg = cfg.nms_config()
-    positions: dict[str, list[int]] = {}
-    for i, record in enumerate(records):
-        positions.setdefault(record.video_id, []).append(i)
-    by_video: dict[str, np.recarray] = {}
-    unconvertible = []
-    for video_id, rows in positions.items():
-        by_video[video_id], bad = _video_detections(
-            [records[i] for i in rows], cfg, vocab, nms_cfg.min_score
-        )
-        unconvertible.extend(np.asarray(rows)[bad].tolist())
-    if unconvertible:  # name the first such record in the file
-        record = records[min(unconvertible)]
+def _video_detections(proposals: Proposals, cfg: PipelineConfig,
+                      min_score: float) -> dict[str, np.recarray]:
+    """Each video's candidates of at least ``min_score``, in row order, as
+    ``DETECTION`` rows. All rows are composed, fused and converted to
+    seconds in one pass before they are pooled by video; a row whose
+    interval is empty is dropped."""
+    composed = compose_actions(proposals.noun_entries, proposals.verb_entries,
+                               cfg.top_k_nouns, cfg.top_k_verbs, cfg.vocab())
+    start, end = fuse_proposals(proposals, cfg.fusion_mode, cfg.epsilon)
+    frames = [window_start * cfg.stride_frames for window_start in proposals.window_starts]
+    start_s, end_s, kept = intervals_to_seconds(start, end, frames, cfg.grid())
+    passing = composed.score >= min_score
+    surviving = np.bincount(composed.row[passing], minlength=len(proposals)) > 0
+    unconvertible = surviving & kept & ~(np.isfinite(start_s) & np.isfinite(end_s))
+    if unconvertible.any():  # name the first such row in the file
+        row = int(np.argmax(unconvertible))
         raise ParseError(
-            f"boundary of video {record.video_id!r} at window start {record.window_start} "
-            "is too large to convert to finite seconds"
+            f"boundary of video {proposals.video_ids[row]!r} at window start "
+            f"{proposals.window_starts[row]} is too large to convert to finite seconds"
         )
+    keep = np.flatnonzero(passing & kept[composed.row])
+    videos: dict[str, int] = {}  # video id -> its index, in first-appearance order
+    video = np.array([videos.setdefault(v, len(videos)) for v in proposals.video_ids], int)
+    keep = keep[np.argsort(video[composed.row[keep]], kind="stable")]  # by video, in row order
+    row = composed.row[keep]  # gathered field by field: whole structured records are slower
+    dets = np.rec.fromarrays([start_s[row], end_s[row], composed.verb[keep], composed.noun[keep],
+                              composed.action[keep], composed.score[keep]], dtype=DETECTION)
+    ends = np.cumsum(np.bincount(video[row], minlength=len(videos)))
+    return dict(zip(videos, np.split(dets, ends[:-1])))
+
+
+def run_pipeline(proposals: Proposals, cfg: PipelineConfig) -> SubmissionDocument:
+    """Run the full post-processing chain over proposal columns. Empty input
+    is not an error: it produces a valid empty submission (with a warning),
+    and a video whose proposals all drop still yields an empty list."""
+    if not len(proposals):
+        logger.warning("no proposal records; emitting an empty submission")
+    nms_cfg = cfg.nms_config()
+    by_video = _video_detections(proposals, cfg, nms_cfg.min_score)
     return suppress_submission(by_video, nms_cfg, cfg.submission_version)
 
 

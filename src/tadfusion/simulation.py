@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composition import VocabSpec
+from .composition import ENTRY, VocabSpec
 from .errors import InvalidConfig
 from .evaluation import GROUND_TRUTH
 from .fusion import DEFAULT_FUSION_EPSILON, dwf_weights, fuse_boundaries, hard_mean_fusion
-from .io import ProposalRecord
+from .io import Proposals
 from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
@@ -100,8 +100,8 @@ class Scenario:
     ``truth`` holds the ``GROUND_TRUTH`` rows of the one video ``VIDEO_ID``.
     ``noun_confidence`` and ``verb_confidence`` have shape ``(n,)``;
     ``noun_boundary`` and ``verb_boundary`` have shape ``(n, 2)`` and hold
-    each stream's noisy (start, end) in seconds. Score vectors are built
-    only when a scenario is exported as proposal records.
+    each stream's noisy (start, end) in seconds. Class scores are built
+    only when a scenario is exported as proposal columns.
     """
 
     config: ScenarioConfig
@@ -146,15 +146,16 @@ class FusionReport:
         ]
 
 
-def _score_vector(size: int, true_class: int, confidence: float) -> np.ndarray:
-    # the vector maximum must equal the drawn confidence, so the uniform
-    # filler is capped at half of it (this binds in tiny vocabularies and
-    # at confidence 0, where the filler is 0 too)
-    if size == 1:
-        return np.array([confidence])
-    vec = np.full(size, min((1.0 - confidence) / (size - 1), 0.5 * confidence))
-    vec[true_class] = confidence
-    return vec
+def _score_entries(size: int, true_class: np.ndarray, confidence: np.ndarray) -> np.ndarray:
+    """``ENTRY`` rows of one stream, every class of every row in order: the
+    drawn confidence on the true class and a uniform filler elsewhere."""
+    # the row maximum must equal the drawn confidence, so the filler is
+    # capped at half of it (this binds in tiny vocabularies and at
+    # confidence 0, where the filler is 0 too)
+    scores = np.repeat(np.minimum((1.0 - confidence) / max(size - 1, 1), 0.5 * confidence), size)
+    scores[np.arange(len(confidence)) * size + true_class] = confidence
+    kept = np.flatnonzero(scores)  # the file form omits zeros
+    return np.rec.fromarrays([kept // size, kept % size, scores[kept]], dtype=ENTRY)
 
 
 def _noisy_boundary(
@@ -377,40 +378,25 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
-def scenario_to_records(
-    scenario: Scenario, grid: FeatureGrid = FeatureGrid()
-) -> list[ProposalRecord]:
-    """Export a scenario as aligned proposal records for the pipeline.
+def scenario_to_records(scenario: Scenario, grid: FeatureGrid = FeatureGrid()) -> Proposals:
+    """Export a scenario as proposal columns for the pipeline.
 
     Noisy boundaries (in seconds) are mapped to feature coordinates of a
     single window starting at feature 0. Coordinates before the grid's
     first center come out negative; the pipeline clamps them on the way
-    back to seconds. Each stream's score vector puts the drawn confidence
-    on the ground-truth class.
+    back to seconds. Each stream's scores put the drawn confidence on the
+    ground-truth class.
     """
-    vocab = scenario.config.vocab
+    vocab, n = scenario.config.vocab, len(scenario.truth)
 
     def to_feature(boundary):
-        return tuple(seconds_to_feature_coord(t, grid) for t in boundary)
+        return tuple(seconds_to_feature_coord(boundary[:, i], grid) for i in (0, 1))
 
-    return [
-        ProposalRecord(
-            video_id=VIDEO_ID,
-            window_start=0,
-            noun_boundary=to_feature(noun_boundary),
-            noun_scores=_score_vector(vocab.noun_count, noun, c_noun),
-            verb_boundary=to_feature(verb_boundary),
-            verb_scores=_score_vector(vocab.verb_count, verb, c_verb),
-        )
-        for noun, verb, c_noun, c_verb, noun_boundary, verb_boundary in zip(
-            scenario.truth.noun.tolist(),
-            scenario.truth.verb.tolist(),
-            scenario.noun_confidence.tolist(),
-            scenario.verb_confidence.tolist(),
-            scenario.noun_boundary.tolist(),
-            scenario.verb_boundary.tolist(),
-        )
-    ]
+    return Proposals(
+        [VIDEO_ID] * n, [0] * n, to_feature(scenario.noun_boundary),
+        to_feature(scenario.verb_boundary),
+        _score_entries(vocab.noun_count, scenario.truth.noun, scenario.noun_confidence),
+        _score_entries(vocab.verb_count, scenario.truth.verb, scenario.verb_confidence))
 
 
 def compare_fusion(

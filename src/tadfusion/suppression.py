@@ -79,6 +79,17 @@ def rank_order(score, start, action) -> np.ndarray:
     return np.lexsort((action, start, -score))
 
 
+def _scaled_vote(voters: list, field: int, weight: float) -> float:
+    """The vote of ``voters``' coordinate ``field`` whose weighted sum
+    overflows, from coordinates scaled by 2**-k (2**k > 2 * ``weight``) and
+    scaled back: power-of-two scaling is exact, and the scaled sum finite."""
+    k = math.frexp(weight)[1] + 1
+    total = 0.0
+    for row in voters:
+        total += row[4] * math.ldexp(row[field], -k)
+    return math.ldexp(total / weight, k)
+
+
 def soft_nms(rows: list, cfg: NmsConfig, *, vote: bool = False) -> list:
     """Soft-NMS over the rows of one class pool on one video.
 
@@ -87,9 +98,10 @@ def soft_nms(rows: list, cfg: NmsConfig, *, vote: bool = False) -> list:
     ``cfg.min_score`` are dropped. Stops once ``max_per_video`` rows are
     kept. With ``vote=True`` each kept interval becomes the mean of its
     own and of the round's neighbors with tIoU >= ``cfg.vote_threshold``,
-    weighted by original scores; the kept score is not voted. One pass per
-    round computes each neighbor's tIoU once and uses it for both the vote
-    and the decay.
+    weighted by original scores; the kept score is not voted (a weighted
+    sum past the float maximum is taken from scaled boundaries, see
+    ``_scaled_vote``). One pass per round computes each neighbor's tIoU
+    once and uses it for both the vote and the decay.
 
     ``rows`` are ``[-score, start, tie, end, score, component]``, grouped
     by component and in rank order within each, where rows of different
@@ -110,6 +122,7 @@ def soft_nms(rows: list, cfg: NmsConfig, *, vote: bool = False) -> list:
             pool.remove(best)
             neg_score, start, tie, end, weight = best[:5]
             start_sum, end_sum = weight * start, weight * end
+            voters = [best]
             survivors = []
             for entry in pool:
                 # the tIoU of (start, end) and (lo, hi), with min() and max()
@@ -121,6 +134,7 @@ def soft_nms(rows: list, cfg: NmsConfig, *, vote: bool = False) -> list:
                     iou = (inter / union if union < inf
                            else float(temporal_iou((start, end), (lo, hi))))
                     if vote and iou >= vote_threshold:
+                        voters.append(entry)
                         score = entry[4]
                         weight += score
                         start_sum += score * lo
@@ -131,7 +145,9 @@ def soft_nms(rows: list, cfg: NmsConfig, *, vote: bool = False) -> list:
                     survivors.append(entry)
             pool = survivors
             if vote and weight > 0.0:
-                start, end = start_sum / weight, end_sum / weight
+                start = (start_sum / weight if -inf < start_sum < inf
+                         else _scaled_vote(voters, 1, weight))
+                end = end_sum / weight if -inf < end_sum < inf else _scaled_vote(voters, 3, weight)
             kept.append((neg_score, start, tie, end))
     return kept
 

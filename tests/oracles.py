@@ -5,7 +5,8 @@ and ground-truth objects and no imports from the package's evaluation or
 suppression internals, so agreement between module output and these
 references is a meaningful check. The objects and the adapters between
 them and the package's record arrays and Soft-NMS rows come first; they
-are the only object forms of detections and ground truth.
+are the only object forms of detections and ground truth, and
+``ProposalRecord`` the only dense form of proposals.
 """
 
 import json
@@ -14,9 +15,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from tadfusion.composition import ENTRY
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
 from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, eval_columns, score_columns
-from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion, stream_confidences
+from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion
+from tadfusion.io import Proposals
 from tadfusion.simulation import (
     _MAX_NOISE_RESAMPLES,
     FusionReport,
@@ -54,6 +57,54 @@ class GroundTruthInstance(NamedTuple):
     @property
     def interval(self) -> tuple:
         return (self.start, self.end)
+
+
+class ProposalRecord(NamedTuple):
+    """One aligned proposal pair with dense score vectors, a class without
+    an entry scoring 0."""
+
+    video_id: str
+    window_start: int
+    noun_boundary: tuple
+    noun_scores: np.ndarray
+    verb_boundary: tuple
+    verb_scores: np.ndarray
+
+
+def score_entries(scores, every_class: bool = True) -> np.ndarray:
+    """Dense score vectors (one, or a matrix of one row per proposal) as
+    ``ENTRY`` rows: of every class, or of the nonzero ones only, as the
+    proposal file holds them."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    row, cls = np.indices(scores.shape).reshape(2, -1) if every_class else np.nonzero(scores)
+    entries = np.empty(len(row), ENTRY)
+    entries["row"], entries["class"], entries["score"] = row, cls, scores[row, cls]
+    return entries
+
+
+def proposal_columns(records: list) -> Proposals:
+    """Proposal records as the columns the file reader gives for them."""
+    boundaries = np.array([(*r.noun_boundary, *r.verb_boundary) for r in records],
+                          dtype=float).reshape(-1, 4).T
+    nouns, verbs = (score_entries([getattr(r, stream) for r in records], every_class=False)
+                    for stream in ("noun_scores", "verb_scores"))
+    return Proposals([r.video_id for r in records], [r.window_start for r in records],
+                     (boundaries[0], boundaries[1]), (boundaries[2], boundaries[3]), nouns, verbs)
+
+
+def proposal_records(proposals: Proposals, vocab) -> list:
+    """Proposal columns as dense records, one per row."""
+    def dense(entries, size):
+        scores = np.zeros((len(proposals), size))
+        scores[entries["row"], entries["class"]] = entries["score"]
+        return scores
+
+    noun_start, noun_end = (coord.tolist() for coord in proposals.noun_boundary)
+    verb_start, verb_end = (coord.tolist() for coord in proposals.verb_boundary)
+    return [ProposalRecord(*fields) for fields in zip(
+        proposals.video_ids, proposals.window_starts, zip(noun_start, noun_end),
+        dense(proposals.noun_entries, vocab.noun_count), zip(verb_start, verb_end),
+        dense(proposals.verb_entries, vocab.verb_count))]
 
 
 def detection_columns(dets: list) -> np.recarray:
@@ -333,12 +384,12 @@ def oracle_compare_fusion(scenario, epsilon):
     err_mean = np.empty(n)
     confidences = np.empty(2 * n)
     stream_errors = np.empty(2 * n)
-    records = scenario_to_records(scenario)
+    records = proposal_records(scenario_to_records(scenario), scenario.config.vocab)
     noun_boundaries = scenario.noun_boundary.tolist()
     verb_boundaries = scenario.verb_boundary.tolist()
     for i, (start, end, _, _) in enumerate(scenario.truth.tolist()):
         noun, verb = tuple(noun_boundaries[i]), tuple(verb_boundaries[i])
-        c_noun, c_verb = stream_confidences(records[i].noun_scores, records[i].verb_scores)
+        c_noun, c_verb = np.max(records[i].noun_scores), np.max(records[i].verb_scores)
         fused = fuse_boundaries(noun, verb, dwf_weights(c_noun, c_verb, epsilon))
         err_dwf[i] = _boundary_error(fused, (start, end))
         err_mean[i] = _boundary_error(hard_mean_fusion(noun, verb), (start, end))
@@ -598,6 +649,26 @@ def _legacy_serialize_submission(version, results):
             lines.append(f"    {json.dumps(video_id)}: []{suffix}")
     lines.append("  }")
     lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_fuse(records, cfg):
+    """The text ``fuse`` writes for ``records``, fused one at a time from
+    their dense score vectors. A stream's confidence is its vector's
+    maximum, and +0.0 where that is a zero of either sign."""
+    lines = ["# video_id fused_start fused_end"]
+    for r in records:
+        if cfg.fusion_mode == "mean":
+            start, end = hard_mean_fusion(r.noun_boundary, r.verb_boundary)
+        else:
+            w_noun, w_verb = dwf_weights(float(np.max(r.noun_scores)) or 0.0,
+                                         float(np.max(r.verb_scores)) or 0.0, cfg.epsilon)
+            start, end = (w_noun * r.noun_boundary[i] + w_verb * r.verb_boundary[i]
+                          for i in (0, 1))
+        if start >= end:
+            raise ParseError(f"fused boundary ({start}, {end}) of video {r.video_id!r} "
+                             f"at window start {r.window_start} is empty or inverted")
+        lines.append(f"{r.video_id} {start:.4f} {end:.4f}")
     return "\n".join(lines) + "\n"
 
 

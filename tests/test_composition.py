@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import score_entries
 from tadfusion.composition import (
     VocabSpec,
     compose_actions,
@@ -15,7 +16,12 @@ from tadfusion.errors import ActionIdOutOfRange, InvalidConfig
 
 def candidates(composed):
     """``(noun, verb, action id, score)`` of each candidate, in order."""
-    return [tuple(c) for c in composed.tolist()]
+    return composed[["noun", "verb", "action", "score"]].tolist()
+
+
+def compose_dense(noun_scores, verb_scores, **kwargs):
+    """``compose_actions`` of dense score vectors or matrices, every class an entry."""
+    return compose_actions(score_entries(noun_scores), score_entries(verb_scores), **kwargs)
 
 
 class TestTopK:
@@ -25,7 +31,7 @@ class TestTopK:
     @staticmethod
     def nouns(scores, k):
         vocab = VocabSpec(noun_count=len(scores), verb_count=1)
-        composed = compose_actions(np.array(scores), np.array([1.0]), k_n=k, k_v=1, vocab=vocab)
+        composed = compose_dense(np.array(scores), np.array([1.0]), k_n=k, k_v=1, vocab=vocab)
         return [(p, score) for p, _, _, score in candidates(composed)]
 
     def test_two_highest(self):
@@ -35,7 +41,7 @@ class TestTopK:
         assert self.nouns([0.5, 0.5], 1) == [(0, math.sqrt(0.5))]
         # and for verbs: the lower of two tied verb indices is kept
         vocab = VocabSpec(noun_count=1, verb_count=3)
-        composed = compose_actions(np.array([1.0]), np.array([0.2, 0.6, 0.6]), k_n=1, k_v=1,
+        composed = compose_dense(np.array([1.0]), np.array([0.2, 0.6, 0.6]), k_n=1, k_v=1,
                                    vocab=vocab)
         assert candidates(composed) == [(0, 1, 1, math.sqrt(0.6))]
 
@@ -70,11 +76,11 @@ class TestActionIds:
 
 class TestComposeActions:
     def small_pair(self, noun_scores, verb_scores, vocab):
-        return candidates(compose_actions(noun_scores, verb_scores, k_n=2, k_v=2, vocab=vocab))
+        return candidates(compose_dense(noun_scores, verb_scores, k_n=2, k_v=2, vocab=vocab))
 
     def test_geometric_mean_score(self):
         vocab = VocabSpec(noun_count=1, verb_count=1)
-        composed = compose_actions(np.array([0.9]), np.array([0.4]), k_n=1, k_v=1, vocab=vocab)
+        composed = compose_dense(np.array([0.9]), np.array([0.4]), k_n=1, k_v=1, vocab=vocab)
         ((_, _, _, score),) = candidates(composed)
         assert score == pytest.approx(0.6)
 
@@ -91,9 +97,9 @@ class TestComposeActions:
         rng = np.random.default_rng(2)
         noun_scores = rng.uniform(size=300)
         verb_scores = rng.uniform(size=97)
-        composed = compose_actions(noun_scores, verb_scores, k_n=10, k_v=10, vocab=VocabSpec())
+        composed = compose_dense(noun_scores, verb_scores, k_n=10, k_v=10, vocab=VocabSpec())
         assert len(composed) == 100
-        stacked = compose_actions(np.stack([noun_scores] * 3), np.stack([verb_scores] * 3),
+        stacked = compose_dense(np.stack([noun_scores] * 3), np.stack([verb_scores] * 3),
                                   k_n=10, k_v=10, vocab=VocabSpec())
         assert len(stacked) == 300
 
@@ -101,7 +107,7 @@ class TestComposeActions:
         vocab = VocabSpec(noun_count=7, verb_count=5)
         noun_scores = np.linspace(0.1, 0.8, 7)
         verb_scores = np.linspace(0.2, 0.9, 5)
-        composed = compose_actions(noun_scores, verb_scores, k_n=3, k_v=3, vocab=vocab)
+        composed = compose_dense(noun_scores, verb_scores, k_n=3, k_v=3, vocab=vocab)
         for p, q, action_id, _ in candidates(composed):
             assert action_id == vocab.noun_count * q + p
 
@@ -119,7 +125,7 @@ class TestComposeActions:
         verbs = np.array(data.draw(st.lists(st.lists(score, min_size=v, max_size=v),
                                             min_size=rows, max_size=rows)))
         vocab = VocabSpec(noun_count=n, verb_count=v)
-        composed = compose_actions(nouns, verbs, k_n=k_n, k_v=k_v, vocab=vocab)
+        composed = compose_dense(nouns, verbs, k_n=k_n, k_v=k_v, vocab=vocab)
         per_pair = composed.reshape(rows, -1)
 
         def topk(scores, k):
@@ -137,7 +143,32 @@ class TestComposeActions:
         vocab = VocabSpec(noun_count=6, verb_count=4)
         nouns = rng.choice([0.0, 0.25, 0.5, 1.0], size=(5, 6))
         verbs = rng.choice([0.0, 0.25, 0.5, 1.0], size=(5, 4))
-        stacked = compose_actions(nouns, verbs, k_n=3, k_v=2, vocab=vocab)
+        stacked = compose_dense(nouns, verbs, k_n=3, k_v=2, vocab=vocab)
         for row in range(5):
-            alone = compose_actions(nouns[row], verbs[row], k_n=3, k_v=2, vocab=vocab)
+            alone = compose_dense(nouns[row], verbs[row], k_n=3, k_v=2, vocab=vocab)
             assert candidates(stacked[6 * row: 6 * row + 6]) == candidates(alone)
+
+    @given(st.data())
+    def test_sparse_entries_give_the_dense_candidates_of_positive_score(self, data):
+        # the nonzero entries of each row, in any order within the row, as a
+        # proposal file may list them: the candidates of positive score are
+        # those of the dense every-class composition, in the same order
+        n, v = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        rows = data.draw(st.integers(1, 4))
+        k_n, k_v = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        score = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+        nouns = np.array(data.draw(st.lists(st.lists(score, min_size=n, max_size=n),
+                                            min_size=rows, max_size=rows)))
+        verbs = np.array(data.draw(st.lists(st.lists(score, min_size=v, max_size=v),
+                                            min_size=rows, max_size=rows)))
+        vocab = VocabSpec(noun_count=n, verb_count=v)
+
+        def file_order(entries):
+            keys = data.draw(st.permutations(range(len(entries))))
+            return entries[np.lexsort((keys, entries["row"]))]
+
+        sparse = compose_actions(file_order(score_entries(nouns, every_class=False)),
+                                 file_order(score_entries(verbs, every_class=False)),
+                                 k_n=k_n, k_v=k_v, vocab=vocab)
+        dense = compose_dense(nouns, verbs, k_n=k_n, k_v=k_v, vocab=vocab)
+        assert sparse[sparse.score > 0.0].tolist() == dense[dense.score > 0.0].tolist()

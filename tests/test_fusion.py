@@ -1,8 +1,11 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import ProposalRecord, proposal_columns, score_entries
 from tadfusion.errors import DegenerateInterval, InvalidConfig
 from tadfusion.fusion import (
     dwf_weights,
@@ -14,15 +17,35 @@ from tadfusion.fusion import (
 )
 
 
+def confidences(noun_scores, verb_scores):
+    """``stream_confidences`` of one pair's dense score vectors, as floats."""
+    (c_noun,), (c_verb,) = stream_confidences(score_entries(noun_scores),
+                                              score_entries(verb_scores), 1)
+    return c_noun, c_verb
+
+
 class TestStreamConfidences:
     def test_maxima(self):
-        assert stream_confidences([0.1, 0.8, 0.3], [0.4, 0.2]) == (0.8, 0.4)
+        assert confidences([0.1, 0.8, 0.3], [0.4, 0.2]) == (0.8, 0.4)
 
     def test_all_zero(self):
-        assert stream_confidences(np.zeros(5), np.zeros(3)) == (0.0, 0.0)
+        assert confidences(np.zeros(5), np.zeros(3)) == (0.0, 0.0)
 
     def test_singletons(self):
-        assert stream_confidences([0.5], [0.5]) == (0.5, 0.5)
+        assert confidences([0.5], [0.5]) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("scores", [[-0.0], [0.0, -0.0], [-0.0, 0.0], [], [-0.0, -0.0]])
+    def test_no_positive_entry_is_positive_zero(self, scores):
+        # whatever mix of signed zeros a row's entries hold, or none at all
+        entries = score_entries(scores) if scores else score_entries(np.zeros(1), False)
+        (noun,), (verb,) = stream_confidences(entries, entries, 1)
+        assert math.copysign(1.0, noun) == math.copysign(1.0, verb) == 1.0
+
+    def test_rows_without_entries_and_entries_in_any_order(self):
+        nouns = score_entries([[0.0, 0.3, 0.7], [0.0, 0.0, 0.0], [0.2, 0.0, 0.9]], False)
+        noun, verb = stream_confidences(nouns[::-1], nouns[:0], 4)
+        assert noun.tolist() == [0.7, 0.0, 0.9, 0.0]
+        assert verb.tolist() == [0.0] * 4
 
 
 class TestDwfWeights:
@@ -158,10 +181,10 @@ class TestHardMeanFusion:
 
 
 class TestFuseProposals:
-    BOUNDARIES = ((np.array([0.0]), np.array([10.0])), (np.array([2.0]), np.array([12.0])))
-    SCORES = (np.array([[0.9]]), np.array([[0.2]]))
+    PROPOSALS = proposal_columns([ProposalRecord("P01", 0, (0.0, 10.0), np.array([0.9]),
+                                                 (2.0, 12.0), np.array([0.2]))])
 
     @pytest.mark.parametrize("mode", ["Mean", "DWF", ""])
     def test_unknown_mode_is_rejected(self, mode):
         with pytest.raises(InvalidConfig, match=repr(mode)):
-            fuse_proposals(*self.BOUNDARIES, *self.SCORES, mode)
+            fuse_proposals(self.PROPOSALS, mode)

@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import oracle_run_pipeline, proposal_records
 from tadfusion.cli import build_parser, main
+from tadfusion.config import PipelineConfig
+from tadfusion.io import read_proposal_file
 
 GOOD_PROPOSAL = "P01 0 10.0 20.0 5:0.9 14.0 24.0 3:0.8"
 GOOD_ENTRY = {"verb": 3, "noun": 5, "action": "3,5", "segment": [1.0, 2.0], "score": 0.5}
@@ -753,3 +756,34 @@ class TestThresholdCount:
             assert result.stderr.startswith("error: ") and "eval_thresholds" in result.stderr
         else:
             assert f"mAP@{1 / count}" in result.stdout
+
+
+class TestProposalMemory:
+    """A proposal's scores stay sparse from file to fusion: 3,000 lines of one
+    entry per stream at the largest vocabulary took two dense 512 KiB score
+    vectors each and ran out of memory (exit 2)."""
+
+    def test_under_one_gib_of_address_space(self, tmp_path):
+        lines = [f"P01 {i // 1000 * 2304} {i % 1000}.5 {i % 1000 + 3}.25 {i % 300}:0.9 "
+                 f"{i % 1000 + 1}.0 {i % 1000 + 4}.0 {i % 97}:0.{i % 7 + 2}" for i in range(3000)]
+        proposals, cfg = tmp_path / "p.txt", tmp_path / "c.cfg"
+        proposals.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg.write_text("noun_count = 65536\nverb_count = 65536\n", encoding="utf-8")
+        assert proposals.stat().st_size < 150_000
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "tadfusion", "pipeline", "--proposals", str(proposals),
+             "--config", str(cfg)],
+            capture_output=True, text=True, preexec_fn=limit,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 0, result.stderr
+        # class indices below 300 and 97: the submission does not depend on
+        # the vocabulary size, so the dense reference runs at the default
+        default = PipelineConfig()
+        records = proposal_records(read_proposal_file(proposals, default.vocab()), default.vocab())
+        assert result.stdout == oracle_run_pipeline(records, default)
+        assert result.stdout.count('"segment"') == 3000

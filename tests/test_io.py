@@ -1,13 +1,19 @@
 import json
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import ActionDetection, detection_columns
+from oracles import (
+    ActionDetection,
+    ProposalRecord,
+    detection_columns,
+    proposal_columns,
+    proposal_records,
+)
 from tadfusion.cli import main
 from tadfusion.composition import VocabSpec
 from tadfusion.config import PipelineConfig, parse_config, parse_config_text
@@ -20,10 +26,9 @@ from tadfusion.errors import (
 )
 from tadfusion.evaluation import GROUND_TRUTH, EvalConfig
 from tadfusion.io import (
-    ProposalRecord,
     _round4,
     build_submission,
-    parse_proposal_line,
+    parse_proposals,
     parse_submission,
     read_ground_truth,
     read_proposal_file,
@@ -57,20 +62,16 @@ def sample_record():
     )
 
 
-class TestProposalRecord:
-    def test_inverted_boundary_rejected(self):
-        with pytest.raises(InvalidConfig, match="noun boundary"):
-            replace(sample_record(), noun_boundary=(20.0, 10.0))
-
-    def test_nan_boundary_rejected(self):
-        with pytest.raises(InvalidConfig, match="verb boundary"):
-            replace(sample_record(), verb_boundary=(14.0, float("nan")))
+def parse_proposal_line(line, lineno, vocab):
+    """One proposal line as a dense record, read as the file reader reads it."""
+    (record,) = proposal_records(parse_proposals([(lineno, line)], vocab), vocab)
+    return record
 
 
 class TestProposalFile:
     def test_line_round_trip(self, tmp_path):
         path = tmp_path / "proposals.txt"
-        write_proposal_file(path, [sample_record()])
+        write_proposal_file(path, proposal_columns([sample_record()]))
         line = path.read_text().splitlines()[1]
         parsed = parse_proposal_line(line, 2, VOCAB)
         assert parsed.video_id == "P01_101"
@@ -82,16 +83,16 @@ class TestProposalFile:
 
     def test_file_round_trip_with_comments(self, tmp_path):
         path = tmp_path / "proposals.txt"
-        write_proposal_file(path, [sample_record()])
+        write_proposal_file(path, proposal_columns([sample_record()]))
         content = path.read_text()
         assert content.startswith("#")
-        records = read_proposal_file(path, VOCAB)
+        records = proposal_records(read_proposal_file(path, VOCAB), VOCAB)
         assert len(records) == 1
         assert records[0].noun_boundary == (10.0, 20.0)
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "proposals.txt"
-        write_proposal_file(path, [sample_record()])
+        write_proposal_file(path, proposal_columns([sample_record()]))
         line = path.read_text().splitlines()[1]
         path.write_text(f"# header\n\n{line}  # trailing comment\n")
         assert len(read_proposal_file(path, VOCAB)) == 1
@@ -125,6 +126,16 @@ class TestProposalFile:
         line = "P01 0 1.0 2.0 - 3.0 4.0 0:0.5"
         record = parse_proposal_line(line, 1, VOCAB)
         assert record.noun_scores.sum() == 0.0
+
+    def test_entries_in_file_order_with_explicit_zeros_write_back_as_read(self, tmp_path):
+        text = "# video_id window_start ns ne noun_scores vs ve verb_scores\n"
+        line = "P01 3 1.0 2.0 7:0.25,3:0.0,5:-0.0 3.0 4.0 -"
+        proposals = parse_proposals([(2, line)], VOCAB)
+        assert proposals.noun_entries.tolist() == [(0, 7, 0.25), (0, 3, 0.0), (0, 5, -0.0)]
+        assert str(proposals.noun_entries["score"][2]) == "-0.0"
+        assert len(proposals.verb_entries) == 0
+        write_proposal_file(tmp_path / "p.txt", proposals)
+        assert (tmp_path / "p.txt").read_text() == text + line + "\n"
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

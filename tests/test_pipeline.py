@@ -7,14 +7,25 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import oracle_run_pipeline
+from oracles import (
+    ProposalRecord,
+    oracle_fuse,
+    oracle_run_pipeline,
+    proposal_columns,
+    proposal_records,
+)
 import tadfusion.pipeline
 from tadfusion.cli import main
 from tadfusion.composition import VocabSpec, compose_actions
 from tadfusion.config import PipelineConfig
 from tadfusion.errors import ParseError
 from tadfusion.evaluation import GROUND_TRUTH, MeanApResult
-from tadfusion.io import ProposalRecord, read_submission, serialize_submission, write_proposal_file
+from tadfusion.io import (
+    read_proposal_file,
+    read_submission,
+    serialize_submission,
+    write_proposal_file,
+)
 from tadfusion.pipeline import (
     evaluate_files,
     format_metrics_keyvalues,
@@ -43,7 +54,7 @@ def record(video="P01_101", window_start=0, noun_b=(10.0, 20.0), verb_b=(14.0, 2
 
 class TestRunPipeline:
     def test_single_confident_pair(self):
-        doc = run_pipeline([record()], PipelineConfig())
+        doc = run_pipeline(proposal_columns([record()]), PipelineConfig())
         dets = doc.results["P01_101"]
         assert len(dets) == 1
         d = dets[0]
@@ -58,26 +69,27 @@ class TestRunPipeline:
 
     def test_mean_mode_uses_plain_average(self):
         cfg = PipelineConfig(fusion_mode="mean")
-        doc = run_pipeline([record()], cfg)
+        doc = run_pipeline(proposal_columns([record()]), cfg)
         d = doc.results["P01_101"][0]
         assert d.start == pytest.approx((12.0 * 8 + 4) / 30, abs=1e-4)
         assert d.end == pytest.approx((22.0 * 8 + 4) / 30, abs=1e-4)
 
     def test_window_start_shifts_seconds(self):
-        doc = run_pipeline([record(window_start=2304)], PipelineConfig(fusion_mode="mean"))
+        doc = run_pipeline(proposal_columns([record(window_start=2304)]),
+                           PipelineConfig(fusion_mode="mean"))
         d = doc.results["P01_101"][0]
         # W0 = 2304 features * 8 frames, shifting everything by 614.4 s
         assert d.start == pytest.approx((12.0 * 8 + 2304 * 8 + 4) / 30, abs=1e-4)
 
     def test_deterministic_output(self):
         records = [record(), record(video="P01_102", noun_idx=7)]
-        a = serialize_submission(run_pipeline(records, PipelineConfig()))
-        b = serialize_submission(run_pipeline(records, PipelineConfig()))
+        a = serialize_submission(run_pipeline(proposal_columns(records), PipelineConfig()))
+        b = serialize_submission(run_pipeline(proposal_columns(records), PipelineConfig()))
         assert a == b
 
     def test_empty_input_warns_and_emits_empty(self, caplog):
         with caplog.at_level("WARNING"):
-            doc = run_pipeline([], PipelineConfig())
+            doc = run_pipeline(proposal_columns([]), PipelineConfig())
         assert doc.results == {}
         assert any("empty submission" in r.message for r in caplog.records)
 
@@ -89,24 +101,25 @@ class TestRunPipeline:
             record(window_start=0, noun_p=0.01, verb_p=0.01),
             record(window_start=0, noun_p=0.01, verb_p=0.01),
         ]
-        doc = run_pipeline(weak, PipelineConfig())
+        doc = run_pipeline(proposal_columns(weak), PipelineConfig())
         assert len(doc.results["P01_101"]) == 1
         # with stronger scores the duplicate survives with a decayed score
         strong = [record(), record()]
-        doc = run_pipeline(strong, PipelineConfig())
+        doc = run_pipeline(proposal_columns(strong), PipelineConfig())
         dets = doc.results["P01_101"]
         assert len(dets) == 2
         expected = math.sqrt(0.72) * math.exp(-1.0 / 0.4)
         assert dets[1].score == pytest.approx(expected, abs=1e-4)
 
     def test_below_min_score_candidates_dropped(self):
-        doc = run_pipeline([record(noun_p=0.001, verb_p=0.0005)], PipelineConfig())
+        doc = run_pipeline(proposal_columns([record(noun_p=0.001, verb_p=0.0005)]),
+                           PipelineConfig())
         # S = sqrt(5e-7) ~ 7e-4 < 0.001 under the verb_action preset
         assert len(doc.results["P01_101"]) == 0
 
     def test_noun_preset_keeps_weaker_candidates_out(self):
         cfg = PipelineConfig(nms_preset="noun")
-        doc = run_pipeline([record(noun_p=0.003, verb_p=0.003)], cfg)
+        doc = run_pipeline(proposal_columns([record(noun_p=0.003, verb_p=0.003)]), cfg)
         # S = 0.003 < noun preset minimum 0.005
         assert len(doc.results["P01_101"]) == 0
 
@@ -124,15 +137,15 @@ class TestRunPipeline:
         records = [ProposalRecord(video, 0, (10.0 + shift, 20.0), nouns.copy(),
                                   (14.0 + shift, 24.0), verbs.copy())
                    for shift in (0.0, 0.0, 3.0, 0.0) for video in ("b", "a")]
-        doc = run_pipeline(records, cfg)
+        doc = run_pipeline(proposal_columns(records), cfg)
         assert [len(dets) for dets in doc.results.values()] == [10, 10]
 
-        def permuted(noun_scores, *rest):
-            per_pair = compose_actions(noun_scores, *rest).reshape(len(noun_scores), -1)
+        def permuted(*args):
+            per_pair = compose_actions(*args).reshape(len(records), -1)
             return np.take_along_axis(per_pair, order(per_pair.shape), 1).reshape(-1)
 
         monkeypatch.setattr(tadfusion.pipeline, "compose_actions", permuted)
-        assert serialize_submission(run_pipeline(records, cfg)) == serialize_submission(doc)
+        assert written(records, cfg) == serialize_submission(doc)
 
 # scores that tie, sit exactly at or next to the 0.001 and 0.005 minimum
 # scores (0.001 * 0.001 and 0.005 * 0.005 have square roots of exactly
@@ -181,13 +194,14 @@ def random_proposal_set(rng):
         for _ in range(rng.randint(1, 12))
     ]
     if rng.random() < 0.3:
-        rng.choice(records).window_start = 10**400
+        i = rng.randrange(len(records))  # draws as rng.choice(records) does
+        records[i] = records[i]._replace(window_start=10**400)
     return records, cfg
 
 
 def written(records, cfg):
     """The submission text ``pipeline`` writes for ``records``."""
-    return serialize_submission(run_pipeline(records, cfg))
+    return serialize_submission(run_pipeline(proposal_columns(records), cfg))
 
 
 def pipeline_outcome(write, records, cfg):
@@ -227,17 +241,66 @@ class TestRunPipelineMatchesOracle:
         records = [record(video="b"), record(video="a", window_start=10**400),
                    record(video="b", window_start=10**401)]
         with pytest.raises(ParseError, match=r"video 'a' at window start 10{400} "):
-            run_pipeline(records, PipelineConfig())
+            run_pipeline(proposal_columns(records), PipelineConfig())
 
     def test_candidate_exactly_at_min_score_is_kept(self):
         assert math.sqrt(0.001 * 0.001) == 0.001
-        doc = run_pipeline([record(noun_p=0.001, verb_p=0.001)], PipelineConfig())
+        doc = run_pipeline(proposal_columns([record(noun_p=0.001, verb_p=0.001)]),
+                           PipelineConfig())
         assert [d.score for d in doc.results["P01_101"]] == [0.001]
+
+
+# score tokens of rows with no positive score, or with one beside zeros of
+# both signs, by vocabulary size (None: 8 classes or more): explicit zeros,
+# "-", and entries that cover the whole vocabulary
+ZERO_TOKENS = {
+    1: ["-", "0:0.0", "0:-0.0", "0:0.5"],
+    2: ["-", "0:0.0", "1:-0.0", "0:-0.0,1:0.0", "1:0.0,0:-0.0", "1:-0.0,0:-0.0",
+        "0:0.5,1:-0.0", "1:0.25"],
+    None: ["-", "3:-0.0,4:0.0", "4:0.0,3:-0.0", "7:-0.0", "5:0.9,6:-0.0"],
+}
+
+
+class TestZeroScoreRows:
+    """Rows whose streams hold only zero scores, explicit or not, against
+    the dense references, through the file reader. ``fuse`` takes a row's
+    confidence as +0.0 when it has no positive score; ``pipeline`` keeps
+    no candidate of such a row, so its output does not depend on that."""
+
+    @staticmethod
+    def outcome(command, path, cfg_path, mode, capsys):
+        """What ``command`` writes for the file at ``path``, or its error."""
+        out = path.with_suffix(f".{command}.{mode}")
+        code = main([command, "--proposals", str(path), "--config", str(cfg_path),
+                     "--fusion-mode", mode, "--output", str(out)])
+        if code:
+            return "ParseError: " + capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+        return out.read_text()
+
+    @pytest.mark.parametrize("nouns, verbs", [(1, 2), (2, 1), (2, 2), (300, 97)])
+    def test_pipeline_and_fuse_match_the_dense_references(self, tmp_path, capsys, nouns, verbs):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"noun_count = {nouns}\nverb_count = {verbs}\n")
+        vocab = VocabSpec(nouns, verbs)
+        lines = [f"b 0 {ns} {ne} {noun} {vs} {ve} {verb}"
+                 for noun in ZERO_TOKENS.get(nouns, ZERO_TOKENS[None])
+                 for verb in ZERO_TOKENS.get(verbs, ZERO_TOKENS[None])
+                 for ns, ne, vs, ve in ((-2.0, 5.0, -3.0, 6.0), (1.0, 5.0, 2.0, 6.0))]
+        for i, line in enumerate(lines):
+            path = tmp_path / f"{i}.txt"
+            path.write_text(line + "\n")
+            records = proposal_records(read_proposal_file(path, vocab), vocab)
+            for mode in ("dwf", "mean"):
+                cfg = PipelineConfig(noun_count=nouns, verb_count=verbs, fusion_mode=mode)
+                for command, reference in (("pipeline", oracle_run_pipeline),
+                                           ("fuse", oracle_fuse)):
+                    assert (self.outcome(command, path, cfg_path, mode, capsys)
+                            == pipeline_outcome(reference, records, cfg)), (command, mode, line)
 
 
 class TestEvaluateFiles:
     def test_submission_equal_to_ground_truth_scores_one(self):
-        doc = run_pipeline([record()], PipelineConfig(fusion_mode="mean"))
+        doc = run_pipeline(proposal_columns([record()]), PipelineConfig(fusion_mode="mean"))
         d = doc.results["P01_101"][0]
         truth = {"P01_101": np.rec.fromrecords([(d.start, d.end, 3, 5)], dtype=GROUND_TRUTH)}
         results = evaluate_files(doc, truth)
@@ -245,14 +308,14 @@ class TestEvaluateFiles:
             assert results[task].average == pytest.approx(1.0)
 
     def test_empty_results_score_zero(self):
-        doc = run_pipeline([], PipelineConfig())
+        doc = run_pipeline(proposal_columns([]), PipelineConfig())
         truth = {"P01_101": np.rec.fromrecords([(0.0, 1.0, 0, 0)], dtype=GROUND_TRUTH)}
         results = evaluate_files(doc, truth)
         for task in ("verb", "noun", "action"):
             assert results[task].average == 0.0
 
     def test_table_and_keyvalue_formats(self):
-        doc = run_pipeline([record()], PipelineConfig())
+        doc = run_pipeline(proposal_columns([record()]), PipelineConfig())
         truth = {"P01_101": np.rec.fromrecords([(3.0, 6.0, 3, 5)], dtype=GROUND_TRUTH)}
         results = evaluate_files(doc, truth)
         table = format_metrics_table(results)
@@ -314,7 +377,7 @@ def run_cli(*args):
 class TestCli:
     def test_pipeline_roundtrip_and_determinism(self, tmp_path):
         proposals = tmp_path / "proposals.txt"
-        write_proposal_file(proposals, [record()])
+        write_proposal_file(proposals, proposal_columns([record()]))
         out1 = tmp_path / "sub1.json"
         out2 = tmp_path / "sub2.json"
         r1 = run_cli("pipeline", "--proposals", str(proposals), "--output", str(out1))
@@ -327,14 +390,14 @@ class TestCli:
 
     def test_fuse_subcommand(self, tmp_path):
         proposals = tmp_path / "proposals.txt"
-        write_proposal_file(proposals, [record()])
+        write_proposal_file(proposals, proposal_columns([record()]))
         result = run_cli("fuse", "--proposals", str(proposals), "--fusion-mode", "mean")
         assert result.returncode == 0
         assert "P01_101 12.0000 22.0000" in result.stdout
 
     def test_fuse_interleaved_videos_fuse_row_by_row(self, tmp_path):
         def fused(records, name):
-            write_proposal_file(tmp_path / name, records)
+            write_proposal_file(tmp_path / name, proposal_columns(records))
             out = tmp_path / f"{name}.out"
             assert main(["fuse", "--proposals", str(tmp_path / name), "--output", str(out)]) == 0
             return out.read_text().splitlines()
@@ -356,7 +419,7 @@ class TestCli:
 
     def test_nms_subcommand(self, tmp_path):
         proposals = tmp_path / "proposals.txt"
-        write_proposal_file(proposals, [record(), record()])
+        write_proposal_file(proposals, proposal_columns([record(), record()]))
         submission = tmp_path / "sub.json"
         run_cli("pipeline", "--proposals", str(proposals), "--output", str(submission))
         result = run_cli("nms", "--input", str(submission))
@@ -365,7 +428,7 @@ class TestCli:
 
     def test_eval_subcommand(self, tmp_path):
         proposals = tmp_path / "proposals.txt"
-        write_proposal_file(proposals, [record()])
+        write_proposal_file(proposals, proposal_columns([record()]))
         submission = tmp_path / "sub.json"
         run_cli("pipeline", "--proposals", str(proposals), "--output", str(submission))
         doc = read_submission(submission)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import oracle_compare_fusion, oracle_generate_scenario
+from oracles import oracle_compare_fusion, oracle_generate_scenario, proposal_records
 from tadfusion import simulation
 from tadfusion.composition import VocabSpec
 from tadfusion.errors import InvalidConfig
@@ -20,13 +20,21 @@ from tadfusion.simulation import (
     _bounded_index,
     _child_states,
     _pcg64_words,
-    _score_vector,
+    _score_entries,
     compare_fusion,
     generate_scenario,
     scenario_to_records,
 )
 
 SMALL_VOCAB = VocabSpec(noun_count=30, verb_count=12)
+
+
+def score_vector(size, true_class, confidence):
+    """The dense score vector of one row that ``_score_entries`` exports."""
+    entries = _score_entries(size, np.array([true_class]), np.array([confidence]))
+    vector = np.zeros(size)
+    vector[entries["class"]] = entries["score"]
+    return vector
 
 
 def config(**kwargs):
@@ -52,7 +60,8 @@ class TestGenerateScenario:
         for field in ("truth", "noun_boundary", "verb_boundary", "noun_confidence",
                       "verb_confidence"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-        for ra, rb in zip(scenario_to_records(a), scenario_to_records(b)):
+        for ra, rb in zip(proposal_records(scenario_to_records(a), SMALL_VOCAB),
+                          proposal_records(scenario_to_records(b), SMALL_VOCAB)):
             np.testing.assert_array_equal(ra.noun_scores, rb.noun_scores)
 
     def test_different_seeds_differ(self):
@@ -62,7 +71,7 @@ class TestGenerateScenario:
 
     def test_score_maximum_equals_drawn_confidence(self):
         scenario = generate_scenario(config())
-        records = scenario_to_records(scenario)
+        records = proposal_records(scenario_to_records(scenario), SMALL_VOCAB)
         for record, noun, drawn in zip(records, scenario.truth.noun, scenario.noun_confidence):
             top = int(np.argmax(record.noun_scores))
             assert top == noun
@@ -110,7 +119,7 @@ class TestGenerateScenario:
         with pytest.raises(InvalidConfig, match="confidence_hi"):
             ScenarioConfig(confidence_lo=0.0, confidence_hi=0.0)
         # a zero draw (possible when confidence_lo = 0) scores nothing
-        assert _score_vector(300, 5, 0.0).max() == 0.0
+        assert score_vector(300, 5, 0.0).max() == 0.0
 
 
 # seeds of one to six 32-bit words; those past four words are mixed into
@@ -445,7 +454,7 @@ class TestScenarioToRecords:
         from tadfusion.timeline import FeatureGrid, intervals_to_seconds
 
         scenario = generate_scenario(config(num_segments=20))
-        records = scenario_to_records(scenario)
+        records = proposal_records(scenario_to_records(scenario), SMALL_VOCAB)
         assert len(records) == 20
         grid = FeatureGrid()
         for record, noun in zip(records, scenario.noun_boundary):

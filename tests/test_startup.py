@@ -151,9 +151,11 @@ def test_every_public_name_is_used_by_the_package_or_the_acceptance_suite():
 
 
 def test_ground_truth_reaches_the_score_as_record_arrays():
-    # detections and ground truth are record arrays throughout the package:
-    # no module defines or takes an object form of either
+    # proposals are columns and detections and ground truth record arrays
+    # throughout the package: no module defines or takes an object form of
+    # any of them, nor stacks proposals into dense score matrices
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8")
-        for name in ("GroundTruthInstance", "ActionDetection"):
+        for name in ("GroundTruthInstance", "ActionDetection", "ProposalRecord",
+                     "stack_records"):
             assert name not in text, (path.name, name)

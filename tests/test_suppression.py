@@ -117,6 +117,46 @@ class TestOverflowingUnion:
         assert [d["segment"] for d in big] == [[x * 2.0**8 for x in d["segment"]] for d in small]
 
 
+class TestOverflowingVote:
+    """A voted boundary whose weighted sum passes the float maximum is the
+    vote of a copy scaled by a power of two, scaled back: finite, and bit
+    for bit that of any other scaled copy."""
+
+    @pytest.mark.parametrize("segment, scores", [
+        ((-0.1e308, 0.85e308), (0.9, 0.8, 0.7)),  # a sum that halving brings back
+        ((0.5e308, 1.7e308), (1.0, 1.0, 1.0, 1.0, 1.0)),  # one that needs 2**-4
+    ])
+    def test_soft_nms_votes_as_on_a_scaled_copy(self, segment, scores):
+        def kept(scale):
+            dets = [det(segment[0] * scale, segment[1] * scale, score) for score in scores]
+            return soft_nms_objects(dets, VERB_ACTION_NMS, vote=True)
+
+        big, small = kept(1.0), kept(2.0**-8)
+        assert all(math.isfinite(x) for d in big for x in d.interval)
+        assert [d.interval for d in big] == [(d.start * 2.0**8, d.end * 2.0**8) for d in small]
+        assert [d.score for d in big] == [d.score for d in small]
+
+    def test_nms_writes_json_that_nms_and_eval_read_back(self, tmp_path, capsys):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        submission, out = tmp_path / "submission.json", tmp_path / "nms.json"
+        submission.write_text(json.dumps({"version": "0.1", "challenge": "action_detection",
+                                          "results": {"v": [
+            {"verb": 3, "noun": 5, "action": "3,5", "segment": [-0.1e308, 0.85e308],
+             "score": score} for score in (0.9, 0.8, 0.7)]}}))
+        assert main(["nms", "--input", str(submission), "--output", str(out)]) == 0
+        results = json.loads(out.read_text(), parse_constant=reject)["results"]["v"]
+        assert [d["score"] for d in results][0] == 0.9
+        assert all(math.isfinite(x) for d in results for x in d["segment"])
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"annotations": {"v": [
+            {"verb": 3, "noun": 5, "segment": [-0.1e308, 0.85e308]}]}}))
+        assert main(["nms", "--input", str(out), "--output", str(tmp_path / "again.json")]) == 0
+        assert main(["eval", "--submission", str(out), "--ground-truth", str(truth)]) == 0
+        assert "action_map_avg = 1.0000" in capsys.readouterr().out
+
+
 class TestPresets:
     def test_preset_constants(self):
         assert (NOUN_NMS.sigma, NOUN_NMS.min_score, NOUN_NMS.vote_threshold) == (
