@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .composition import DEFAULT_TOP_K_NOUNS, DEFAULT_TOP_K_VERBS, VocabSpec
+from .composition import DEFAULT_TOP_K_NOUNS, DEFAULT_TOP_K_VERBS, VocabSpec, compose_actions
 from .errors import InvalidConfig, ParseError, UnknownKey
 from .evaluation import DEFAULT_TIOU_THRESHOLDS, EvalConfig
-from .fusion import DEFAULT_FUSION_EPSILON, FUSION_MODES
-from .io import SUBMISSION_VERSION, data_lines, open_text, parse_number
+from .fusion import DEFAULT_FUSION_EPSILON, dwf_weights, fuse_proposals
+from .io import SUBMISSION_VERSION, data_lines, open_text, parse_number, parse_proposals
 from .simulation import ScenarioConfig
 from .suppression import NMS_PRESETS, NmsConfig
 from .timeline import DEFAULT_WINDOW_LENGTH, DEFAULT_WINDOW_OVERLAP, FeatureGrid, generate_windows
@@ -78,8 +78,17 @@ class PipelineConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
+_NO_PROPOSALS = parse_proposals(())
+
 # The objects a config builds, each validating itself, and the keys it reads.
+# A stage that takes no object checks its values on empty input; epsilon has
+# an entry of its own, since simulate reads it under either fusion mode.
 _CHECKED_OBJECTS = (
+    (lambda cfg: compose_actions(_NO_PROPOSALS.noun_entries, _NO_PROPOSALS.verb_entries,
+                                 cfg.top_k_nouns, cfg.top_k_verbs),
+     ("top_k_nouns", "top_k_verbs")),
+    (lambda cfg: dwf_weights(0.0, 0.0, cfg.epsilon), ("epsilon",)),
+    (lambda cfg: fuse_proposals(_NO_PROPOSALS, cfg.fusion_mode), ("fusion_mode",)),
     (PipelineConfig.grid, ("stride_frames", "offset_frames", "fps")),
     (lambda cfg: generate_windows(1, cfg.window_length, cfg.window_overlap),
      ("window_length", "window_overlap")),
@@ -111,11 +120,6 @@ def _failure(build, cfg: PipelineConfig) -> InvalidConfig | None:
 def _validate(cfg: PipelineConfig, given) -> PipelineConfig:
     """Check ``cfg``; a ParseError names the offending keys among ``given``:
     those whose default alone lets the object build, else all it reads."""
-    for key in ("top_k_nouns", "top_k_verbs", "epsilon"):
-        if getattr(cfg, key) <= 0:
-            raise ParseError("value must be positive", key=key)
-    if cfg.fusion_mode not in FUSION_MODES:
-        raise ParseError(f"fusion_mode must be one of {FUSION_MODES}", key="fusion_mode")
     for build, keys in _CHECKED_OBJECTS:
         if exc := _failure(build, cfg):
             keys = [k for k in keys if k in given]

@@ -28,6 +28,9 @@ DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 # times hits; the protocol scores 5
 MAX_EVAL_THRESHOLDS = 100
 
+# candidate (detection, ground truth) pairs the join builds at once
+_JOIN_CHUNK = 1 << 20
+
 # One video's annotated action segments: the ``DETECTION`` columns up to noun.
 GROUND_TRUTH = np.dtype(DETECTION.descr[:4])
 
@@ -164,15 +167,15 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     The detections come in ``rank_order`` (score descending, then start
     and action id), as ``eval_columns`` returns them, so a full tie keeps
     video id order. One stable sort by class keeps that rank within each
-    class. One join finds every same-video, same-class (detection, ground
-    truth) pair with tIoU at or above the lowest threshold; no other pair
-    can match. The pairs run by detection in rank order, then tIoU
-    descending, then ground-truth order. Greedy matching at a threshold
-    walks them once and takes a pair whose tIoU passes and whose detection
-    and ground truth are both unmatched: since a detection's later pairs
-    overlap no more, that is its first pair with unmatched ground truth if
-    that one passes, and none otherwise. A detection without a match is a
-    false positive. The hits of every threshold and class are scored by
+    class. One join, built a run of detections at a time, finds every
+    same-video, same-class (detection, ground truth) pair with tIoU at or
+    above the lowest threshold; no other pair can match. The pairs run by
+    detection in rank order, then tIoU descending, then ground-truth order.
+    Greedy matching at a threshold walks them once and takes a pair whose
+    tIoU passes and whose detection and ground truth are both unmatched:
+    since a detection's later pairs overlap no more, that is its first
+    pair with unmatched ground truth if that one passes, and none
+    otherwise. A detection without a match is a false positive. The hits of every threshold and class are scored by
     one ``average_precisions`` call.
     """
     det_class, gt_class = _task_classes(dets, gts, cfg.task)
@@ -196,14 +199,24 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     det_key = class_id * videos + dets.video[ranked]
     lo = np.searchsorted(gt_key, det_key, "left")
     count = np.searchsorted(gt_key, det_key, "right") - lo
-    pair_det = np.repeat(np.arange(len(ranked)), count)
-    # a detection's pairs are its block: positions lo, lo + 1, ... of gt_key
-    offset = np.arange(len(pair_det)) - np.repeat(np.cumsum(count) - count, count)
-    pair_gt = gt_index[np.repeat(lo, count) + offset]
-    det = ranked[pair_det]
-    iou = temporal_iou((dets.start[det], dets.end[det]), (gts.start[pair_gt], gts.end[pair_gt]))
-    matchable = iou >= cfg.thresholds[0]  # a pair below the lowest threshold never matches
-    pair_det, pair_gt, iou = pair_det[matchable], pair_gt[matchable], iou[matchable]
+    # a run of detections at a time, of at most _JOIN_CHUNK candidate pairs or
+    # one detection with more; only matchable pairs are kept, so memory follows them
+    begin = np.append(0, np.cumsum(count))  # the pairs before each detection, then all
+    runs, a = [], 0
+    while not runs or a < len(ranked):
+        b = np.searchsorted(begin, begin[a] + _JOIN_CHUNK, "right") - 1
+        b = min(len(ranked), max(a + 1, int(b)))
+        pair_det = np.repeat(np.arange(a, b), count[a:b])
+        # a detection's pairs are its block: positions lo, lo + 1, ... of gt_key
+        offset = np.arange(begin[a], begin[b]) - np.repeat(begin[a:b], count[a:b])
+        pair_gt = gt_index[np.repeat(lo[a:b], count[a:b]) + offset]
+        det = ranked[pair_det]
+        iou = temporal_iou((dets.start[det], dets.end[det]),
+                           (gts.start[pair_gt], gts.end[pair_gt]))
+        matchable = iou >= cfg.thresholds[0]  # no pair below it can match
+        runs.append((pair_det[matchable], pair_gt[matchable], iou[matchable]))
+        a = b
+    pair_det, pair_gt, iou = map(np.concatenate, zip(*runs))
     order = np.lexsort((pair_gt, -iou, pair_det))
     pairs = list(zip(pair_det[order].tolist(), iou[order].tolist(), pair_gt[order].tolist()))
 

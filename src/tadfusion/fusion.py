@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInterval, InvalidConfig
+from .errors import InvalidConfig
 
 DEFAULT_FUSION_EPSILON = 1e-6
 
@@ -52,7 +52,16 @@ def dwf_weights(
     return noun_confidence / total, verb_confidence / total
 
 
-def _weighted(noun_boundary, verb_boundary, weights: tuple[float, float]):
+def fuse(noun_boundary, verb_boundary, weights: tuple[float, float]):
+    """Linearly combine the two stream boundaries, coordinate-wise: the one
+    boundary combiner. Each coordinate may be an array of proposals, with
+    weights to match. An empty or inverted interval is returned as it is.
+
+    At ``MEAN_WEIGHTS`` this is the equal-weight baseline. Halving before
+    adding keeps boundaries near the float maximum finite. Wherever
+    ``a + b`` does not overflow and neither the halves nor the mean are
+    subnormal, it gives the bits of ``0.5 * (a + b)``.
+    """
     noun_weight, verb_weight = weights
     return (noun_weight * noun_boundary[0] + verb_weight * verb_boundary[0],
             noun_weight * noun_boundary[1] + verb_weight * verb_boundary[1])
@@ -70,27 +79,6 @@ def first_empty(start, end) -> int | None:
     return int(found[0]) if len(found) else None
 
 
-def fuse_boundaries(
-    noun_boundary: tuple[float, float],
-    verb_boundary: tuple[float, float],
-    weights: tuple[float, float],
-) -> tuple[float, float]:
-    """Linearly combine the two stream boundaries, coordinate-wise.
-
-    Applied to both start and end; each coordinate may be an array of
-    proposals, with weights to match. The candidate's action score is not
-    read or modified. Candidates whose confidences both vanish collapse
-    to a point interval, which raises ``DegenerateInterval`` naming the
-    first such index.
-    """
-    fused_start, fused_end = _weighted(noun_boundary, verb_boundary, weights)
-    if (i := first_empty(fused_start, fused_end)) is not None:
-        start, end = np.ravel(fused_start)[i].item(), np.ravel(fused_end)[i].item()
-        raise DegenerateInterval(
-            f"fused boundary at index {i} ({start!r}, {end!r}) is empty or inverted")
-    return (fused_start, fused_end)
-
-
 def fuse_proposals(proposals, mode: str,
                    epsilon: float = DEFAULT_FUSION_EPSILON) -> tuple[np.ndarray, np.ndarray]:
     """Fused ``(start, end)`` arrays of proposal columns (``io.Proposals``)
@@ -99,17 +87,4 @@ def fuse_proposals(proposals, mode: str,
         raise InvalidConfig(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
     weights = MEAN_WEIGHTS if mode == "mean" else dwf_weights(*stream_confidences(
         proposals.noun_entries, proposals.verb_entries, len(proposals)), epsilon)
-    return _weighted(proposals.noun_boundary, proposals.verb_boundary, weights)
-
-
-def hard_mean_fusion(
-    noun_boundary: tuple[float, float], verb_boundary: tuple[float, float]
-) -> tuple[float, float]:
-    """Equal-weight baseline: coordinate-wise arithmetic mean, the
-    weighted sum at ``MEAN_WEIGHTS``.
-
-    Halving before adding keeps boundaries near the float maximum
-    finite. Wherever ``a + b`` does not overflow and neither the halves
-    nor the mean are subnormal, it gives the bits of ``0.5 * (a + b)``.
-    """
-    return _weighted(noun_boundary, verb_boundary, MEAN_WEIGHTS)
+    return fuse(proposals.noun_boundary, proposals.verb_boundary, weights)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import ENTRY, VocabSpec
-from .errors import InvalidConfig
+from .errors import DegenerateInterval, InvalidConfig
 from .evaluation import GROUND_TRUTH
-from .fusion import DEFAULT_FUSION_EPSILON, dwf_weights, fuse_boundaries, hard_mean_fusion
+from .fusion import DEFAULT_FUSION_EPSILON, MEAN_WEIGHTS, dwf_weights, first_empty, fuse
 from .io import Proposals
 from .timeline import FeatureGrid, seconds_to_feature_coord
 
@@ -413,9 +413,13 @@ def compare_fusion(
     def error(boundary):
         return np.abs(boundary[0] - truth[0]) + np.abs(boundary[1] - truth[1])
 
-    weights = dwf_weights(scenario.noun_confidence, scenario.verb_confidence, epsilon)
-    err_dwf = error(fuse_boundaries(noun, verb, weights))
-    err_mean = error(hard_mean_fusion(noun, verb))
+    fused = fuse(noun, verb, dwf_weights(scenario.noun_confidence, scenario.verb_confidence,
+                                          epsilon))
+    if (i := first_empty(*fused)) is not None:
+        raise DegenerateInterval(f"fused boundary at index {i} ({fused[0][i].item()!r}, "
+                                 f"{fused[1][i].item()!r}) is empty or inverted")
+    err_dwf = error(fused)
+    err_mean = error(fuse(noun, verb, MEAN_WEIGHTS))
     # noun, verb interleaved per segment: np.std and np.corrcoef sum in this order
     confidences = np.column_stack((scenario.noun_confidence, scenario.verb_confidence)).ravel()
     stream_errors = np.column_stack((error(noun), error(verb))).ravel()

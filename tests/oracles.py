@@ -18,7 +18,7 @@ import numpy as np
 from tadfusion.composition import ENTRY
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
 from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, eval_columns, score_columns
-from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion
+from tadfusion.fusion import dwf_weights
 from tadfusion.io import Proposals
 from tadfusion.simulation import (
     _MAX_NOISE_RESAMPLES,
@@ -390,9 +390,14 @@ def oracle_compare_fusion(scenario, epsilon):
     for i, (start, end, _, _) in enumerate(scenario.truth.tolist()):
         noun, verb = tuple(noun_boundaries[i]), tuple(verb_boundaries[i])
         c_noun, c_verb = np.max(records[i].noun_scores), np.max(records[i].verb_scores)
-        fused = fuse_boundaries(noun, verb, dwf_weights(c_noun, c_verb, epsilon))
+        w_noun, w_verb = dwf_weights(c_noun, c_verb, epsilon)
+        fused = tuple(w_noun * noun[k] + w_verb * verb[k] for k in (0, 1))
+        if fused[0] >= fused[1]:
+            raise DegenerateInterval(f"fused boundary at index {i} ({fused[0].item()!r}, "
+                                     f"{fused[1].item()!r}) is empty or inverted")
         err_dwf[i] = _boundary_error(fused, (start, end))
-        err_mean[i] = _boundary_error(hard_mean_fusion(noun, verb), (start, end))
+        mean = tuple(0.5 * noun[k] + 0.5 * verb[k] for k in (0, 1))
+        err_mean[i] = _boundary_error(mean, (start, end))
         confidences[2 * i] = c_noun
         confidences[2 * i + 1] = c_verb
         stream_errors[2 * i] = _boundary_error(noun, (start, end))
@@ -510,10 +515,12 @@ def _legacy_compose_actions(noun_scores, verb_scores, k_n, k_v, vocab):
 
 def _legacy_fuse_candidate_boundary(record, cfg):
     if cfg.fusion_mode == "mean":
-        return hard_mean_fusion(record.noun_boundary, record.verb_boundary)
-    c_noun, c_verb = float(np.max(record.noun_scores)), float(np.max(record.verb_scores))
-    weights = dwf_weights(c_noun, c_verb, cfg.epsilon)
-    return fuse_boundaries(record.noun_boundary, record.verb_boundary, weights)
+        w_noun = w_verb = 0.5
+    else:
+        c_noun, c_verb = float(np.max(record.noun_scores)), float(np.max(record.verb_scores))
+        w_noun, w_verb = dwf_weights(c_noun, c_verb, cfg.epsilon)
+    return tuple(w_noun * record.noun_boundary[k] + w_verb * record.verb_boundary[k]
+                 for k in (0, 1))
 
 
 def _legacy_boundary_to_seconds(boundary, grid, window_start_frame):
@@ -659,12 +666,12 @@ def oracle_fuse(records, cfg):
     lines = ["# video_id fused_start fused_end"]
     for r in records:
         if cfg.fusion_mode == "mean":
-            start, end = hard_mean_fusion(r.noun_boundary, r.verb_boundary)
+            w_noun = w_verb = 0.5
         else:
             w_noun, w_verb = dwf_weights(float(np.max(r.noun_scores)) or 0.0,
                                          float(np.max(r.verb_scores)) or 0.0, cfg.epsilon)
-            start, end = (w_noun * r.noun_boundary[i] + w_verb * r.verb_boundary[i]
-                          for i in (0, 1))
+        start, end = (w_noun * r.noun_boundary[i] + w_verb * r.verb_boundary[i]
+                      for i in (0, 1))
         if start >= end:
             raise ParseError(f"fused boundary ({start}, {end}) of video {r.video_id!r} "
                              f"at window start {r.window_start} is empty or inverted")

@@ -24,7 +24,7 @@ from oracles import (
 from tadfusion.composition import VocabSpec, decode_action_id, encode_action_id
 from tadfusion.config import PipelineConfig
 from tadfusion.evaluation import EvalConfig, eval_columns, score_columns
-from tadfusion.fusion import dwf_weights, fuse_boundaries, hard_mean_fusion
+from tadfusion.fusion import MEAN_WEIGHTS, dwf_weights, fuse
 from tadfusion.io import write_proposal_file
 from tadfusion.pipeline import run_pipeline
 from tadfusion.simulation import (
@@ -87,8 +87,8 @@ class TestDwfReductionToMean:
             c = float(rng.uniform(0.05, 1.0))
             noun_b = tuple(np.sort(rng.uniform(0.0, 9.0, size=2) + [0.0, 0.5]))
             verb_b = tuple(np.sort(rng.uniform(0.0, 9.0, size=2) + [0.0, 0.5]))
-            fused = fuse_boundaries(noun_b, verb_b, dwf_weights(c, c, epsilon=1e-6))
-            mean = hard_mean_fusion(noun_b, verb_b)
+            fused = fuse(noun_b, verb_b, dwf_weights(c, c, epsilon=1e-6))
+            mean = fuse(noun_b, verb_b, MEAN_WEIGHTS)
             assert abs(fused[0] - mean[0]) < 1e-4
             assert abs(fused[1] - mean[1]) < 1e-4
         elapsed = time.monotonic() - start

@@ -22,6 +22,7 @@ from oracles import (
     score_objects,
     sort_detections,
 )
+from tadfusion import evaluation
 from tadfusion.cli import main
 from tadfusion.errors import InvalidConfig
 from tadfusion.evaluation import EvalConfig, average_precisions, eval_columns
@@ -436,3 +437,24 @@ class TestMeanApExact:
         # positive and recall stays 1/2; listed the other way round, both hit
         assert map_at(0.5, dets, gts) == 0.5
         assert map_at(0.5, dets, gts[::-1]) == 1.0
+
+
+class TestJoinChunks:
+    """The join is built a run of detections at a time. Wherever the runs
+    are cut, inside one (class, video) block of ground truth too, every
+    metric keeps its bits."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 17])
+    def test_metrics_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        rng = np.random.default_rng(29)
+        instances = [grid_instance(rng) for _ in range(125)]
+        configs = [EvalConfig(thresholds=EXACT_THRESHOLDS, task=task)
+                   for task in ("verb", "noun", "action")]
+
+        def metrics():
+            return [repr(score_objects(dets, gts, cfg))
+                    for dets, gts in instances for cfg in configs]
+
+        want = metrics()
+        monkeypatch.setattr(evaluation, "_JOIN_CHUNK", chunk)
+        assert metrics() == want

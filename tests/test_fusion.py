@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import ProposalRecord, proposal_columns, score_entries
-from tadfusion.errors import DegenerateInterval, InvalidConfig
+from tadfusion.errors import InvalidConfig
 from tadfusion.fusion import (
+    MEAN_WEIGHTS,
     dwf_weights,
     first_empty,
-    fuse_boundaries,
+    fuse,
     fuse_proposals,
-    hard_mean_fusion,
     stream_confidences,
 )
 
@@ -93,13 +93,13 @@ class TestFirstEmpty:
         assert first_empty(np.array([]), np.array([])) is None
 
 
-class TestFuseBoundaries:
+class TestFuse:
     def test_asymmetric_confidence_example(self):
         # oracle: high-precision evaluation of the weight equation at eps=1e-6;
         # the deviation from the eps->0 limit (10.8, 20.8) is coord * eps / (1 + eps)
         mpmath.mp.dps = 50
         w = dwf_weights(0.8, 0.2, epsilon=1e-6)
-        fused = fuse_boundaries((10.0, 20.0), (14.0, 24.0), w)
+        fused = fuse((10.0, 20.0), (14.0, 24.0), w)
         total = mpmath.mpf(0.8) + mpmath.mpf(0.2) + mpmath.mpf(1e-6)
         exact = (
             float((mpmath.mpf(0.8) * 10 + mpmath.mpf(0.2) * 14) / total),
@@ -113,7 +113,7 @@ class TestFuseBoundaries:
     def test_equal_confidences_reduce_to_mean(self):
         for c in (0.05, 0.3, 1.0):
             w = dwf_weights(c, c)
-            fused = fuse_boundaries((10.0, 20.0), (14.0, 24.0), w)
+            fused = fuse((10.0, 20.0), (14.0, 24.0), w)
             # exact identity: the fused pair is the mean scaled by 2c/(2c+eps)
             scale = 2 * c / (2 * c + 1e-6)
             assert fused[0] == pytest.approx(12.0 * scale, abs=1e-9)
@@ -123,20 +123,13 @@ class TestFuseBoundaries:
             assert abs(fused[1] - 22.0) <= 22.0 * 1e-6 / (2 * c)
 
     def test_manual_full_authority(self):
-        assert fuse_boundaries((10.0, 20.0), (14.0, 24.0), (1.0, 0.0)) == (10.0, 20.0)
+        assert fuse((10.0, 20.0), (14.0, 24.0), (1.0, 0.0)) == (10.0, 20.0)
 
-    def test_degenerate_fusion_rejected(self):
-        w = dwf_weights(0.0, 0.0)
-        with pytest.raises(DegenerateInterval):
-            fuse_boundaries((10.0, 20.0), (14.0, 24.0), w)
-
-    def test_degenerate_fusion_names_the_first_index_in_one_line(self):
-        noun = (np.array([10.0, 10.0, 10.0]), np.array([20.0, 20.0, 20.0]))
-        verb = (np.array([14.0, 14.0, 14.0]), np.array([24.0, 24.0, 24.0]))
-        weights = (np.array([0.5, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
-        with pytest.raises(DegenerateInterval) as info:
-            fuse_boundaries(noun, verb, weights)
-        assert str(info.value) == "fused boundary at index 1 (0.0, 0.0) is empty or inverted"
+    def test_vanishing_confidences_fuse_to_an_empty_interval_returned_as_is(self):
+        # the caller decides what an empty interval means: see first_empty
+        fused = fuse((10.0, 20.0), (14.0, 24.0), dwf_weights(0.0, 0.0))
+        assert fused == (0.0, 0.0)
+        assert first_empty(*fused) == 0
 
     @given(
         st.floats(0.0, 50.0), st.floats(0.1, 20.0),
@@ -146,8 +139,8 @@ class TestFuseBoundaries:
     def test_convex_hull_and_symmetry(self, ns, nl, vs, vl, c_noun, c_verb):
         noun_b = (ns, ns + nl)
         verb_b = (vs, vs + vl)
-        fused = fuse_boundaries(noun_b, verb_b, dwf_weights(c_noun, c_verb))
-        swapped = fuse_boundaries(verb_b, noun_b, dwf_weights(c_verb, c_noun))
+        fused = fuse(noun_b, verb_b, dwf_weights(c_noun, c_verb))
+        swapped = fuse(verb_b, noun_b, dwf_weights(c_verb, c_noun))
         assert fused[0] == pytest.approx(swapped[0], abs=1e-12)
         assert fused[1] == pytest.approx(swapped[1], abs=1e-12)
         # epsilon shrinks the hull by at most the weight-sum deficit
@@ -161,7 +154,7 @@ class TestFuseBoundaries:
         noun_b, verb_b = (10.0, 20.0), (14.0, 24.0)
         previous = None
         for c_noun in np.linspace(0.1, 0.9, 9):
-            fused = fuse_boundaries(noun_b, verb_b, dwf_weights(float(c_noun), 0.5))
+            fused = fuse(noun_b, verb_b, dwf_weights(float(c_noun), 0.5))
             if previous is not None:
                 # larger noun confidence pulls strictly toward the noun boundary
                 assert fused[0] < previous[0]
@@ -169,15 +162,15 @@ class TestFuseBoundaries:
             previous = fused
 
 
-class TestHardMeanFusion:
+class TestFuseAtMeanWeights:
     def test_average(self):
-        assert hard_mean_fusion((10.0, 20.0), (14.0, 24.0)) == (12.0, 22.0)
+        assert fuse((10.0, 20.0), (14.0, 24.0), MEAN_WEIGHTS) == (12.0, 22.0)
 
     def test_idempotent_on_equal_inputs(self):
-        assert hard_mean_fusion((3.0, 7.0), (3.0, 7.0)) == (3.0, 7.0)
+        assert fuse((3.0, 7.0), (3.0, 7.0), MEAN_WEIGHTS) == (3.0, 7.0)
 
     def test_plain_case(self):
-        assert hard_mean_fusion((0.0, 10.0), (10.0, 20.0)) == (5.0, 15.0)
+        assert fuse((0.0, 10.0), (10.0, 20.0), MEAN_WEIGHTS) == (5.0, 15.0)
 
 
 class TestFuseProposals:

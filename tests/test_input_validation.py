@@ -38,6 +38,17 @@ def run(tmp, command, **files):
     return main([arg.format(**paths) for arg in command])
 
 
+def run_under_one_gib(*argv):
+    """Run ``tadfusion argv`` in a fresh interpreter limited to 1 GiB of
+    address space."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "tadfusion", *argv], capture_output=True,
+                          text=True, preexec_fn=limit,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+
+
 class TestNonFiniteValues:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_proposal_boundary(self, tmp_path, capsys, value):
@@ -145,8 +156,13 @@ class TestConfigObjectsNameTheKey:
         ("max_per_video = 0", "max_per_video"),
         ("sim_seed = -1", "sim_seed"),
         ("top_k_nouns = 0", "top_k_nouns"),
+        ("top_k_verbs = 0", "top_k_verbs"),
         ("epsilon = 0", "epsilon"),
+        ("epsilon = -1", "epsilon"),
+        # simulate reads epsilon under either fusion mode
+        ("fusion_mode = mean\nepsilon = 0", "epsilon"),
         ("fusion_mode = median", "fusion_mode"),
+        ("fusion_mode = DWF", "fusion_mode"),
         ("fps = 0", "fps"),
         ("eval_thresholds = ,", "eval_thresholds"),
         ("nms_preset = bogus", "nms_preset"),
@@ -741,21 +757,36 @@ class TestThresholdCount:
                           + ",".join(repr((i + 1) / count) for i in range(count)) + "\n"}
         for name, text in files.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        result = subprocess.run(
-            [sys.executable, "-m", "tadfusion", "eval", "--submission", str(tmp_path / "s.json"),
-             "--ground-truth", str(tmp_path / "g.json"), "--config", str(tmp_path / "c.cfg")],
-            capture_output=True, text=True, preexec_fn=limit,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        result = run_under_one_gib("eval", "--submission", str(tmp_path / "s.json"),
+                                   "--ground-truth", str(tmp_path / "g.json"),
+                                   "--config", str(tmp_path / "c.cfg"))
         assert result.returncode == code, result.stderr
         if code:
             assert result.stderr.startswith("error: ") and "eval_thresholds" in result.stderr
         else:
             assert f"mAP@{1 / count}" in result.stdout
+
+
+class TestEvalJoinMemory:
+    """The eval join holds a bounded number of candidate pairs at once: 5,000
+    detections on 5,000 ground-truth segments of one class and one video
+    made 25 million pairs in one go and ran out of memory (exit 2)."""
+
+    def test_under_one_gib_of_address_space(self, tmp_path):
+        segments = [{"verb": 3, "noun": 5, "segment": [i, i + 1]} for i in range(5000)]
+        entries = [dict(s, action="3,5", score=0.5) for s in segments]
+        files = {"s.json": submission_text(entries),
+                 "g.json": json.dumps({"annotations": {"P01": segments}})}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        result = run_under_one_gib("eval", "--submission", str(tmp_path / "s.json"),
+                                   "--ground-truth", str(tmp_path / "g.json"))
+        assert result.returncode == 0, result.stderr
+        # each detection is an exact copy of its segment and touches only
+        # its neighbours: every metric of every task is 1
+        metrics = [line for line in result.stdout.splitlines() if "_map_" in line]
+        assert len(metrics) == 18
+        assert all(line.endswith(" = 1.0000") for line in metrics)
 
 
 class TestProposalMemory:
@@ -770,16 +801,7 @@ class TestProposalMemory:
         proposals.write_text("\n".join(lines) + "\n", encoding="utf-8")
         cfg.write_text("noun_count = 65536\nverb_count = 65536\n", encoding="utf-8")
         assert proposals.stat().st_size < 150_000
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        result = subprocess.run(
-            [sys.executable, "-m", "tadfusion", "pipeline", "--proposals", str(proposals),
-             "--config", str(cfg)],
-            capture_output=True, text=True, preexec_fn=limit,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-        )
+        result = run_under_one_gib("pipeline", "--proposals", str(proposals), "--config", str(cfg))
         assert result.returncode == 0, result.stderr
         # class indices below 300 and 97: the submission does not depend on
         # the vocabulary size, so the dense reference runs at the default

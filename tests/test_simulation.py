@@ -9,7 +9,7 @@ from scipy import stats
 from oracles import oracle_compare_fusion, oracle_generate_scenario, proposal_records
 from tadfusion import simulation
 from tadfusion.composition import VocabSpec
-from tadfusion.errors import InvalidConfig
+from tadfusion.errors import DegenerateInterval, InvalidConfig
 from tadfusion.evaluation import GROUND_TRUTH
 from tadfusion.simulation import (
     _PCG_MULT,
@@ -413,6 +413,19 @@ class TestCompareFusion:
             report.per_segment_dwf, report.per_segment_mean, alternative="less"
         )
         assert report.p_value == pytest.approx(float(check.pvalue))
+
+    @pytest.mark.parametrize("compare", [compare_fusion, oracle_compare_fusion])
+    def test_empty_fused_boundary_names_the_first_index_in_one_line(self, compare):
+        # both confidences of segments 1 and 2 vanish: DWF fuses them to (0.0, 0.0)
+        truth = np.rec.array(np.zeros(3, GROUND_TRUTH))
+        truth.start, truth.end = 10.0, 20.0
+        confidence = np.array([0.5, 0.0, 0.0])
+        noun_boundary = np.array([[10.0, 20.0]] * 3)
+        scenario = simulation.Scenario(config(num_segments=3), truth, confidence, confidence,
+                                       noun_boundary, noun_boundary + 4.0)
+        with pytest.raises(DegenerateInterval) as info:
+            compare(scenario, 1e-6)
+        assert str(info.value) == "fused boundary at index 1 (0.0, 0.0) is empty or inverted"
 
     def test_report_determinism(self):
         a = compare_fusion(generate_scenario(config()))

@@ -2,7 +2,8 @@
 or ``numpy.random`` at all, and ``simulate`` loads only
 ``scipy.special``, not ``scipy.stats``; every module of the package is
 one the CLI imports; every public name is used by the package or the
-acceptance suite; and ground truth reaches the score without objects.
+acceptance suite; ground truth reaches the score without objects; and
+fusion has one boundary combiner.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -159,3 +160,11 @@ def test_ground_truth_reaches_the_score_as_record_arrays():
         for name in ("GroundTruthInstance", "ActionDetection", "ProposalRecord",
                      "stack_records"):
             assert name not in text, (path.name, name)
+
+
+def test_fusion_has_one_boundary_combiner():
+    # fusion.fuse is the one linear combination of the two stream boundaries
+    defined = {node.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert sorted(defined & {"fuse_boundaries", "hard_mean_fusion", "_weighted"}) == []
