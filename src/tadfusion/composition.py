@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActionIdOutOfRange, InvalidConfig
+from .suppression import lex_order
 
 DEFAULT_TOP_K_NOUNS = 10
 DEFAULT_TOP_K_VERBS = 10
@@ -73,7 +74,7 @@ CANDIDATE = np.dtype([("row", np.int64), ("noun", np.int64), ("verb", np.int64),
 def _top(entries: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` best ``ENTRY`` rows of each proposal row: by row,
     then score descending, then class index."""
-    order = np.lexsort((entries["class"], -entries["score"], entries["row"]))
+    order = lex_order(entries["class"], -entries["score"], entries["row"])
     row = entries["row"][order]
     return order[np.arange(len(order)) - np.searchsorted(row, row) < k]
 
@@ -101,6 +102,8 @@ def compose_actions(
     """
     if k_n < 1 or k_v < 1:
         raise InvalidConfig("k must be >= 1")
+    if not (len(noun_entries) and len(verb_entries)):  # no pairs to cross
+        return np.recarray(0, CANDIDATE)
     p, q = _top(noun_entries, k_n), _top(verb_entries, k_v)
     noun_row = noun_entries["row"][p]
     count = np.bincount(verb_entries["row"][q], minlength=1 + noun_row.max(initial=-1))

@@ -85,6 +85,7 @@ def fuse_proposals(proposals, mode: str,
     under ``mode``. An empty or inverted interval is returned as it is."""
     if mode not in FUSION_MODES:
         raise InvalidConfig(f"fusion mode must be one of {FUSION_MODES}, got {mode!r}")
-    weights = MEAN_WEIGHTS if mode == "mean" else dwf_weights(*stream_confidences(
-        proposals.noun_entries, proposals.verb_entries, len(proposals)), epsilon)
+    weights = (MEAN_WEIGHTS if mode == "mean" or not len(proposals)  # nothing to weigh
+               else dwf_weights(*stream_confidences(
+                   proposals.noun_entries, proposals.verb_entries, len(proposals)), epsilon))
     return fuse(proposals.noun_boundary, proposals.verb_boundary, weights)

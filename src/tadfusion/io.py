@@ -261,7 +261,6 @@ def build_submission(
         dets = detections_by_video[video_id]
         start, end, score = _round4(np.array([dets.start, dets.end, dets.score]))
         kept = np.flatnonzero(~empty(start, end))  # quantization collapses sub-0.1ms intervals
-        # a stable sort: equal ranks keep their input order
         kept = kept[rank_order(score[kept], start[kept], dets.action[kept])]
         quantized = dets.take(kept)
         quantized.start, quantized.end, quantized.score = start[kept], end[kept], score[kept]

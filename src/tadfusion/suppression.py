@@ -72,11 +72,44 @@ def temporal_iou(a: tuple, b: tuple):
         return np.maximum(0.0, intersection) / union
 
 
+def lex_order(*keys) -> np.ndarray:
+    """Indices that sort columns by ``keys``, the last key first and input
+    order on full ties: exactly ``np.lexsort(keys)``, from NumPy's default
+    argsort, which is unstable and several times faster than its stable
+    sorts. The one way rows are ordered.
+
+    An integer last key is a group, sorted as the unique int64 key
+    ``group * n + i`` over rows in the order of the other keys, which needs
+    ``|group| < 2**32`` and ``n < 2**31``. A float last key (no NaN) is
+    sorted first, and only its runs of equal values (``-0.0 == 0.0``) are
+    then ordered by the other keys and input order.
+    """
+    *rest, last = keys
+    n = len(last)
+    if last.dtype.kind in "iu":
+        order = lex_order(*rest) if rest else np.arange(n)
+        return order[np.argsort(last[order].astype(np.int64) * n + np.arange(n))]
+    order = np.argsort(last)
+    value = last[order]
+    opens = np.concatenate(([True], value[1:] != value[:-1]))
+    if opens.all():
+        return order
+    # the rows of runs of more than one value, in input order, by their run
+    tied = ~opens
+    tied[:-1] |= tied[1:]
+    slots = np.flatnonzero(tied)
+    run = np.empty(n, np.int64)
+    run[order] = np.cumsum(opens)
+    rows = np.sort(order[slots])
+    order[slots] = rows[lex_order(*(key[rows] for key in rest), run[rows])]
+    return order
+
+
 def rank_order(score, start, action) -> np.ndarray:
     """Indices of columns in rank order: score descending, then earlier
     start, then smaller action id; input order breaks full ties. The one
     ranking of detections."""
-    return np.lexsort((action, start, -score))
+    return lex_order(action, start, -score)
 
 
 def _scaled_vote(voters: list, field: int, weight: float) -> float:
@@ -195,7 +228,7 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     if not len(dets):
         return dets
     order = rank_order(dets.score, dets.start, dets.action)[: cfg.pre_nms_cap]
-    order = order[np.argsort(dets.action[order], kind="stable")]  # rank order within an action
+    order = order[lex_order(dets.action[order])]  # rank order within an action
     start, end, score, action = (dets[name][order] for name in ("start", "end", "score", "action"))
     opens_pool = np.concatenate(([True], action[1:] != action[:-1]))
     pool = np.cumsum(opens_pool) - 1
@@ -205,14 +238,14 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     live[heads] = True
     live = np.flatnonzero(live)
     # live rows by pool, then start, then position
-    by_start = live[np.lexsort((start[live], pool[live]))]
+    by_start = live[lex_order(start[live], pool[live])]
     component = _overlap_components(start[by_start], end[by_start], pool[by_start],
                                     cfg.max_per_video)
     single = (np.bincount(component) == 1)[component]
     # a row's tie is its index in by_start; rows of larger components go
     # by component and then position, which is rank order in the pool
     tie = np.flatnonzero(~single)
-    tie = tie[np.lexsort((by_start[tie], component[tie]))]
+    tie = tie[lex_order(by_start[tie], component[tie])]
     at = by_start[tie]
     rows = list(map(list, zip((-score[at]).tolist(), start[at].tolist(), tie.tolist(),
                               end[at].tolist(), score[at].tolist(), component[tie].tolist())))
@@ -235,7 +268,7 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     kept_end = np.concatenate((kept_end, np.divide(weight * end[at], weight,
                                                    out=end[at], where=voted)))
     # equal ranks in pool (so action) order, then by original start and position
-    ranked = np.lexsort((kept_tie, kept_start, neg_score))[: cfg.max_per_video]
+    ranked = lex_order(kept_tie, kept_start, neg_score)[: cfg.max_per_video]
     kept = dets.take(order[by_start[kept_tie[ranked]]])
     kept.start, kept.end, kept.score = kept_start[ranked], kept_end[ranked], -neg_score[ranked]
     return kept

@@ -2,8 +2,8 @@
 or ``numpy.random`` at all, and ``simulate`` loads only
 ``scipy.special``, not ``scipy.stats``; every module of the package is
 one the CLI imports; every public name is used by the package or the
-acceptance suite; ground truth reaches the score without objects; and
-fusion has one boundary combiner.
+acceptance suite; ground truth reaches the score without objects;
+fusion has one boundary combiner; and rows are ordered by one helper.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -168,3 +168,17 @@ def test_fusion_has_one_boundary_combiner():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
     assert sorted(defined & {"fuse_boundaries", "hard_mean_fusion", "_weighted"}) == []
+
+
+def test_rows_are_ordered_by_one_helper():
+    # suppression.lex_order is the one exact ordering: no slow stable sort
+    # or lexsort outside it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            if isinstance(node, ast.FunctionDef) and node.name == "lex_order":
+                lines[node.lineno - 1:node.end_lineno] = []
+        found += [(path.name, text) for line in lines
+                  for text in ("np.lexsort(", 'kind="stable"', "kind='stable'") if text in line]
+    assert found == []

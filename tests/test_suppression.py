@@ -22,6 +22,7 @@ from tadfusion.suppression import (
     NmsConfig,
     NOUN_NMS,
     VERB_ACTION_NMS,
+    lex_order,
     suppress_video,
     temporal_iou,
 )
@@ -67,6 +68,36 @@ class TestTemporalIou:
         iou = temporal_iou(a, b)
         assert 0.0 <= iou <= 1.0
         assert iou == pytest.approx(temporal_iou(b, a))
+
+
+# grid-snapped floats with heavy ties, -0.0 beside 0.0, and integer groups
+# up to the largest the helper accepts
+GRID_FLOATS = st.sampled_from([-1.5, -0.25, -0.0, 0.0, 0.25, 1.5])
+GROUPS = st.sampled_from([0, 1, 2, 2**32 - 2, 2**32 - 1])
+
+
+class TestLexOrder:
+    """``lex_order`` is ``np.lexsort``, index for index."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_lexsort(self, data):
+        n = data.draw(st.integers(0, 150))
+        kinds = data.draw(st.lists(st.sampled_from([GRID_FLOATS, GROUPS]), min_size=1,
+                                   max_size=3))
+        keys = [np.array(data.draw(st.lists(kind, min_size=n, max_size=n)),
+                         float if kind is GRID_FLOATS else np.int64) for kind in kinds]
+        assert lex_order(*keys).tolist() == np.lexsort(keys).tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("value", [-0.0, 0.0, 2.5, 2**32 - 1])
+    def test_all_keys_equal_keep_input_order(self, n, value):
+        keys = [np.full(n, value), np.full(n, int(value))]
+        assert lex_order(*keys).tolist() == np.lexsort(keys).tolist() == list(range(n))
+
+    def test_signed_zeros_tie(self):
+        keys = [np.array([2, 1, 0, 1]), np.array([0.0, -0.0, 0.0, -0.0])]
+        assert lex_order(*keys).tolist() == np.lexsort(keys).tolist() == [2, 1, 3, 0]
 
 
 # at scale 1e308, two overlapping intervals whose union, but not either
