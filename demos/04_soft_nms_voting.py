@@ -20,13 +20,13 @@ from tadfusion.suppression import (
     temporal_iou,
 )
 
-# A video's detections travel as one record array: start, end, verb, noun,
-# action id and score per row.
+# Detections travel as one record array: video code, start, end, verb,
+# noun, action id and score per row. All of these are of video 0.
 dets = np.rec.fromrecords([
-    (10.0, 20.0, 0, 0, 0, 0.90),   # the strongest hypothesis
-    (11.0, 21.0, 0, 0, 0, 0.60),   # near-duplicate from the next window
-    (14.0, 22.0, 0, 0, 0, 0.40),   # partial overlap
-    (40.0, 50.0, 0, 0, 0, 0.80),   # unrelated instance of the same class
+    (0, 10.0, 20.0, 0, 0, 0, 0.90),   # the strongest hypothesis
+    (0, 11.0, 21.0, 0, 0, 0, 0.60),   # near-duplicate from the next window
+    (0, 14.0, 22.0, 0, 0, 0, 0.40),   # partial overlap
+    (0, 40.0, 50.0, 0, 0, 0, 0.80),   # unrelated instance of the same class
 ], dtype=DETECTION)
 best = (dets.start[0], dets.end[0])
 
@@ -52,7 +52,7 @@ for neg_score, start, _, end in kept:
 decay = math.exp(-temporal_iou(best, (dets.start[1], dets.end[1])) ** 2 / 0.4)
 print(f"  (duplicate decayed by exp(-tIoU^2/sigma) = {decay:.4f})")
 
-# suppress_video runs Soft-NMS with voting over a video's columns
+# suppress_video runs Soft-NMS with voting over each video's pools
 voted = suppress_video(dets, VERB_ACTION_NMS)
 print("\nwith boundary voting (neighbors above tIoU 0.75 vote, original scores):")
 for start, end, score in zip(voted.start, voted.end, voted.score):
@@ -60,7 +60,7 @@ for start, end, score in zip(voted.start, voted.end, voted.score):
 
 # Suppression is class-wise: identical intervals under different action
 # ids never touch each other.
-mixed = np.rec.fromrecords([(10.0, 20.0, 1, 0, 1, 0.9), (10.0, 20.0, 2, 0, 2, 0.9)],
+mixed = np.rec.fromrecords([(0, 10.0, 20.0, 1, 0, 1, 0.9), (0, 10.0, 20.0, 2, 0, 2, 0.9)],
                            dtype=DETECTION)
 survivors = suppress_video(mixed, VERB_ACTION_NMS)
 print(f"\nsame interval, two action ids -> {len(survivors)} survivors (class isolation)")

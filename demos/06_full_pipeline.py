@@ -11,7 +11,12 @@ import tempfile
 from pathlib import Path
 
 from tadfusion.config import PipelineConfig
-from tadfusion.io import read_proposal_file, serialize_submission, write_proposal_file
+from tadfusion.io import (
+    VideoTable,
+    read_proposal_file,
+    serialize_submission,
+    write_proposal_file,
+)
 from tadfusion.pipeline import evaluate_files, format_metrics_table, run_pipeline
 from tadfusion.simulation import (
     VIDEO_ID,
@@ -43,8 +48,8 @@ with tempfile.TemporaryDirectory(prefix="tadfusion_demo_") as tmp:
         submission = run_pipeline(proposals, cfg)
         out_path = workdir / f"submission_{mode}.json"
         out_path.write_text(serialize_submission(submission), encoding="utf-8")
-        count = sum(map(len, submission.results.values()))
+        count = len(submission)
         print(f"\n=== fusion mode: {mode} ({count} detections) -> {out_path}")
-        # ground truth goes in as record arrays by video id, as the reader returns it
-        results = evaluate_files(submission, {VIDEO_ID: scenario.truth})
+        # ground truth goes in as one table of its video ids, as the reader returns it
+        results = evaluate_files(submission, VideoTable([VIDEO_ID], scenario.truth))
         print(format_metrics_table(results))

@@ -18,6 +18,7 @@ from .config import PipelineConfig, parse_config
 from .errors import ParseError, PipelineError
 from .fusion import FUSION_MODES, first_empty, fuse_proposals
 from .io import (
+    build_submission,
     read_ground_truth,
     read_proposal_file,
     read_submission,
@@ -28,10 +29,9 @@ from .pipeline import (
     format_metrics_keyvalues,
     format_metrics_table,
     run_pipeline,
-    suppress_submission,
 )
 from .simulation import compare_fusion, generate_scenario
-from .suppression import NMS_PRESETS
+from .suppression import NMS_PRESETS, suppress_video
 from .timeline import generate_windows
 
 
@@ -82,7 +82,7 @@ def cmd_fuse(args) -> int:
 def cmd_nms(args) -> int:
     cfg = _load_config(args)
     doc = read_submission(args.input, cfg.vocab())
-    doc = suppress_submission(doc.results, cfg.nms_config(), doc.version)
+    doc = build_submission(doc.video_ids, suppress_video(doc.rows, cfg.nms_config()), doc.version)
     _emit(serialize_submission(doc), args.output)
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import DETECTION, lex_order, rank_order, temporal_iou
+from .suppression import DETECTION, lex_order, temporal_iou
 
 # the three mAP tasks, each scored on its own class key
 CLASS_KEYS = ("verb", "noun", "action")
@@ -32,13 +32,8 @@ MAX_EVAL_THRESHOLDS = 100
 # 2**14 to 2**20, 2**16 joined 25 million candidates fastest
 _JOIN_CHUNK = 1 << 16
 
-# One video's annotated action segments: the ``DETECTION`` columns up to noun.
-GROUND_TRUTH = np.dtype(DETECTION.descr[:4])
-
-# The columns scored: detections and ground truth of all videos, each
-# row with its video as a code, the index of its id among the sorted ids.
-EVAL_DETECTION = np.dtype([("video", np.int64), *DETECTION.descr])
-EVAL_GROUND_TRUTH = np.dtype([("video", np.int64), *GROUND_TRUTH.descr])
+# Annotated action segments: the ``DETECTION`` columns up to noun.
+GROUND_TRUTH = np.dtype(DETECTION.descr[:5])
 
 
 @dataclass(frozen=True)
@@ -67,32 +62,6 @@ class MeanApResult:
     task: str
     per_threshold: dict[float, float]
     average: float
-
-
-def eval_columns(
-    dets_by_video: dict[str, np.recarray], truth_by_video: dict[str, np.recarray]
-) -> tuple[np.recarray, np.recarray]:
-    """Detections (``DETECTION`` record arrays by video id) and ground
-    truth (``GROUND_TRUTH`` record arrays by video id) as the columns
-    ``score_columns`` takes. Ground truth runs video after video in sorted
-    id order, each video's rows in their order. Detections come in
-    ``rank_order`` over that same layout, so a full tie keeps video id
-    order, then the video's own order: ranked once here for every task."""
-    videos = sorted(dets_by_video.keys() | truth_by_video.keys())
-    columns = []
-    for by_video, dtype in ((dets_by_video, EVAL_DETECTION),
-                            (truth_by_video, EVAL_GROUND_TRUTH)):
-        codes = [code for code, video_id in enumerate(videos) if video_id in by_video]
-        blocks = [by_video[videos[code]] for code in codes]
-        stacked = np.empty(sum(map(len, blocks)), dtype)
-        stacked["video"] = np.repeat(codes, [len(block) for block in blocks])
-        if blocks:  # np.concatenate needs at least one array
-            rows = np.concatenate(blocks)
-            for name in dtype.names[1:]:
-                stacked[name] = rows[name]
-        columns.append(stacked.view(np.recarray))
-    dets, truth = columns
-    return dets.take(rank_order(dets.score, dets.start, dets.action)), truth
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,16 +128,17 @@ def _task_classes(dets: np.recarray, gts: np.recarray, task: str):
 
 
 def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanApResult:
-    """Mean AP of evaluation columns (see ``eval_columns``) on one task.
+    """Mean AP on one task of detections and ground truth whose video codes
+    index one list of ids.
 
     Classes are keyed by the task's factor (verb index, noun index, or
     the verb-noun pair for the action task). Classes without any ground
     truth are excluded from the mean rather than scored 0.
 
     The detections come in ``rank_order`` (score descending, then start
-    and action id), as ``eval_columns`` returns them, so a full tie keeps
-    video id order. One sort by class, ties in input order, keeps that
-    rank within each class. One join, built a run of detections at a time,
+    and action id), as ``pipeline.evaluate_files`` ranks them, so a full
+    tie keeps video id order. One sort by class, ties in input order,
+    keeps that rank within each class. One join, built a run of detections at a time,
     finds every same-video, same-class (detection, ground truth) pair with
     tIoU at or above the lowest threshold; no other pair can match. The pairs
     run by detection in rank order, then tIoU descending, then ground-truth order.

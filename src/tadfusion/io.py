@@ -5,7 +5,8 @@ per line, with sparse score vectors (``index:score`` pairs) because
 dense 300- and 97-way rows would be mostly zeros. The submission is the
 challenge-style JSON dictionary; it is serialized with a fixed key order
 and fixed 4-decimal formatting so identical runs produce byte-identical
-files.
+files. Detections and ground truth are each read into one table of all
+videos, with a video code column into the sorted video ids.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .composition import ENTRY, VocabSpec
 from .errors import ParseError, SchemaMismatch, VocabularyMismatch
 from .evaluation import GROUND_TRUTH
 from .fusion import empty
-from .suppression import DETECTION, rank_order
+from .suppression import DETECTION, lex_order, rank_order, video_codes
 
 SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
@@ -207,13 +208,25 @@ def write_proposal_file(path, proposals: Proposals) -> None:
         handle.writelines(" ".join(fields) + "\n" for fields in zip(*columns))
 
 
-@dataclass
-class SubmissionDocument:
-    """Challenge-style JSON dictionary: each video's detections as a
-    ``suppression.DETECTION`` record array, in rank order."""
+@dataclass(eq=False)
+class VideoTable:
+    """Rows of every video as one record array, grouped by their ``video``
+    code, ascending: the index of the row's video id in ``video_ids``.
+    The ids are sorted and may hold videos without rows."""
+
+    video_ids: list[str]
+    rows: np.recarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+@dataclass(eq=False)
+class SubmissionDocument(VideoTable):
+    """Challenge-style JSON dictionary: ``suppression.DETECTION`` rows,
+    each video's in rank order."""
 
     version: str = SUBMISSION_VERSION
-    results: dict[str, np.recarray] = field(default_factory=dict)
 
 
 # From 2**39 on, floats are spaced more than 1e-4 apart, so round(v, 4) == v.
@@ -244,10 +257,10 @@ def _round4(x: np.ndarray) -> np.ndarray:
     return np.where(small, k / 1e4, x)
 
 
-def build_submission(
-    detections_by_video: dict[str, np.recarray], version: str = SUBMISSION_VERSION
-) -> SubmissionDocument:
-    """Assemble a submission of quantized detections, in rank order.
+def build_submission(video_ids: list[str], dets: np.recarray,
+                     version: str = SUBMISSION_VERSION) -> SubmissionDocument:
+    """Assemble a submission of quantized detections of the sorted
+    ``video_ids``, by video and in rank order within each.
 
     Times and scores are rounded to 4 decimals (well below any matching
     tolerance that matters) so that serialization round-trips exactly.
@@ -256,49 +269,43 @@ def build_submission(
     becomes 510.3745. ``np.round(x, 4)`` is not the same: it rounds
     ``x * 1e4`` after that product is itself rounded, and gives 510.3746.
     """
-    results = {}
-    for video_id in sorted(detections_by_video):
-        dets = detections_by_video[video_id]
-        start, end, score = _round4(np.array([dets.start, dets.end, dets.score]))
-        kept = np.flatnonzero(~empty(start, end))  # quantization collapses sub-0.1ms intervals
-        kept = kept[rank_order(score[kept], start[kept], dets.action[kept])]
-        quantized = dets.take(kept)
-        quantized.start, quantized.end, quantized.score = start[kept], end[kept], score[kept]
-        results[video_id] = quantized
-    return SubmissionDocument(version=version, results=results)
+    start, end, score = _round4(np.array([dets.start, dets.end, dets.score]))
+    kept = np.flatnonzero(~empty(start, end))  # quantization collapses sub-0.1ms intervals
+    kept = kept[rank_order(score[kept], start[kept], dets.action[kept], dets.video[kept])]
+    quantized = dets.take(kept)
+    quantized.start, quantized.end, quantized.score = start[kept], end[kept], score[kept]
+    return SubmissionDocument(video_ids, quantized, version)
 
 
 def serialize_submission(doc: SubmissionDocument) -> str:
     """Deterministic JSON text: fixed key order, fixed 4-decimal floats."""
-    lines = ["{"]
-    lines.append(f'  "version": {json.dumps(doc.version)},')
-    lines.append(f'  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},')
-    lines.append('  "results": {')
-    video_ids = sorted(doc.results)
-    for vi, video_id in enumerate(video_ids):
-        dets = doc.results[video_id]
-        entries = [
-            f'      {{"verb": {verb}, "noun": {noun}, "action": "{verb},{noun}", '
-            f'"segment": [{start:.4f}, {end:.4f}], "score": {score:.4f}}}'
-            for verb, noun, start, end, score in zip(
-                dets.verb.tolist(), dets.noun.tolist(), dets.start.tolist(),
-                dets.end.tolist(), dets.score.tolist())
-        ]
-        suffix = "," if vi < len(video_ids) - 1 else ""
-        if entries:
-            lines.append(f"    {json.dumps(video_id)}: [")
-            lines.append(",\n".join(entries))
-            lines.append(f"    ]{suffix}")
+    dets = doc.rows
+    entries = [
+        f'      {{"verb": {verb}, "noun": {noun}, "action": "{verb},{noun}", '
+        f'"segment": [{start:.4f}, {end:.4f}], "score": {score:.4f}}}'
+        for verb, noun, start, end, score in zip(
+            dets.verb.tolist(), dets.noun.tolist(), dets.start.tolist(),
+            dets.end.tolist(), dets.score.tolist())
+    ]
+    lines = ["{", f'  "version": {json.dumps(doc.version)},',
+             f'  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},', '  "results": {']
+    # each video's run of rows: entries[bounds[code]:bounds[code + 1]]
+    bounds = np.searchsorted(dets.video, np.arange(len(doc.video_ids) + 1)).tolist()
+    for code, (video_id, lo, hi) in enumerate(zip(doc.video_ids, bounds, bounds[1:])):
+        suffix = "," if code < len(doc.video_ids) - 1 else ""
+        if lo < hi:  # the rows as one line: joined once, not copied again
+            lines += [f"    {json.dumps(video_id)}: [", ",\n".join(entries[lo:hi]),
+                      f"    ]{suffix}"]
         else:
             lines.append(f"    {json.dumps(video_id)}: []{suffix}")
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ["  }", "}", ""]  # "" for the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def _checked_entry(entry, vocab: VocabSpec) -> tuple:
-    """One submission entry as a ``DETECTION`` row with action id 0, each
-    field checked in turn; the first at fault raises, naming its key."""
+    """One submission entry as the fields of a ``DETECTION`` row after its
+    video, with action id 0, each field checked in turn; the first at
+    fault raises, naming its key."""
     try:
         verb = require_class_index(entry["verb"], vocab.verb_count, key="verb")
         noun = require_class_index(entry["noun"], vocab.noun_count, key="noun")
@@ -374,12 +381,12 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
         raise SchemaMismatch("results must map video ids to detection lists")
 
     verb_count, noun_count = vocab.verb_count, vocab.noun_count
-    results = {}
+    video_ids, codes = video_codes(payload["results"])
+    rows = []
     keys = len(payload) + len(payload["results"])  # for _reject_repeated_keys
-    for video_id, entries in payload["results"].items():
+    for code, (video_id, entries) in zip(codes.tolist(), payload["results"].items()):
         if not isinstance(entries, list):
             raise SchemaMismatch(f"detections of video {video_id!r} must be a list")
-        rows = []
         for entry in entries:
             if (type(entry) is dict
                     and type(verb := entry.get("verb")) is int and 0 <= verb < verb_count
@@ -389,16 +396,16 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
                     and 0.0 < end - start < math.inf  # false if either is not finite
                     and type(score := entry.get("score")) is float and 0.0 <= score <= 1.0
                     and entry.get("action") == f"{verb},{noun}"):
-                rows.append((start, end, verb, noun, 0, score))
+                rows.append((code, start, end, verb, noun, 0, score))
             else:
-                rows.append(_checked_entry(entry, vocab))
+                rows.append((code, *_checked_entry(entry, vocab)))
         keys += sum(map(len, entries))  # all dicts: any other entry raised
-        # fields by index: a recarray's attribute access costs more
-        dets = np.array(rows, dtype=DETECTION)
-        dets["action"] = vocab.action_id(dets["noun"], dets["verb"])
-        results[video_id] = dets.view(np.recarray)
     _reject_repeated_keys(text, keys)
-    return SubmissionDocument(version=payload["version"], results=results)
+    # fields by index: a recarray's attribute access costs more
+    dets = np.array(rows, dtype=DETECTION)
+    dets = dets[lex_order(dets["video"])]  # by video, each in file order
+    dets["action"] = vocab.action_id(dets["noun"], dets["verb"])
+    return SubmissionDocument(video_ids, dets.view(np.recarray), payload["version"])
 
 
 def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
@@ -406,28 +413,28 @@ def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
         return parse_submission(handle.read(), vocab)
 
 
-def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> dict[str, np.recarray]:
-    """Ground truth as ``GROUND_TRUTH`` record arrays by video id, in file
-    order. A key repeated within one JSON object is a ParseError."""
+def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
+    """Ground truth as one table of ``GROUND_TRUTH`` rows, each video's in
+    file order. A key repeated within one JSON object is a ParseError."""
     with open_text(path) as handle:
         text = handle.read()
     payload = _load_json(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("annotations"), dict):
         raise SchemaMismatch("ground truth must contain an 'annotations' map")
-    truth = {}
+    video_ids, codes = video_codes(payload["annotations"])
+    rows = []
     keys = len(payload) + len(payload["annotations"])  # for _reject_repeated_keys
-    for video_id, entries in payload["annotations"].items():
+    for code, (video_id, entries) in zip(codes.tolist(), payload["annotations"].items()):
         if not isinstance(entries, list):
             raise SchemaMismatch(f"annotations of video {video_id!r} must be a list")
-        rows = []
         for entry in entries:
             try:
-                rows.append((*require_segment(entry["segment"]),
+                rows.append((code, *require_segment(entry["segment"]),
                              require_class_index(entry["verb"], vocab.verb_count, key="verb"),
                              require_class_index(entry["noun"], vocab.noun_count, key="noun")))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed annotation: {exc}") from None
         keys += sum(map(len, entries))  # all dicts: any other entry raised
-        truth[video_id] = np.array(rows, dtype=GROUND_TRUTH).view(np.recarray)
     _reject_repeated_keys(text, keys)
-    return truth
+    truth = np.array(rows, dtype=GROUND_TRUTH)
+    return VideoTable(video_ids, truth[lex_order(truth["video"])].view(np.recarray))

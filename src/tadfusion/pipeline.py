@@ -4,8 +4,9 @@ Input is a set of aligned noun-verb proposal pairs in window-local
 feature coordinates, as columns. For each pair the top noun and verb
 classes are crossed into scored action candidates, weak candidates are
 dropped, boundaries are fused (confidence-weighted or hard mean),
-converted to seconds with the window's frame origin, pooled per video,
-and suppressed class-wise before serialization.
+converted to seconds with the window's frame origin, and suppressed
+class-wise per video before serialization. From there on the detections
+of every video are one table with a video code column.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import logging
 import numpy as np
 
 # perfbench's tracer takes each function imported here by name from another
-# module as an entry into that layer; the sort helper is none, so it is
-# called through its module
+# module as an entry into that layer; the ordering and video code helpers
+# are none, so they are called through their module
 from . import suppression
 from .composition import compose_actions
 from .config import PipelineConfig
@@ -27,30 +28,21 @@ from .evaluation import (
     EvalConfig,
     MeanApResult,
     score_columns,
-    eval_columns,
 )
 from .fusion import fuse_proposals
-from .io import Proposals, SubmissionDocument, build_submission
-from .suppression import DETECTION, NmsConfig, suppress_video
+from .io import Proposals, SubmissionDocument, VideoTable, build_submission
+from .suppression import DETECTION, suppress_video
 from .timeline import intervals_to_seconds
 
 logger = logging.getLogger(__name__)
 
 
-def suppress_submission(
-    by_video: dict[str, np.recarray], nms_cfg: NmsConfig, version: str
-) -> SubmissionDocument:
-    """Suppress each video's detections into a submission."""
-    suppressed = {video_id: suppress_video(dets, nms_cfg) for video_id, dets in by_video.items()}
-    return build_submission(suppressed, version=version)
-
-
 def _video_detections(proposals: Proposals, cfg: PipelineConfig,
-                      min_score: float) -> dict[str, np.recarray]:
-    """Each video's candidates of at least ``min_score``, in row order, as
-    ``DETECTION`` rows. All rows are composed, fused and converted to
-    seconds in one pass before they are pooled by video; a row whose
-    interval is empty is dropped."""
+                      min_score: float) -> tuple[list[str], np.recarray]:
+    """The sorted video ids of ``proposals`` and, in row order, the
+    ``DETECTION`` rows of their candidates of at least ``min_score``. All
+    rows are composed, fused and converted to seconds in one pass; a row
+    whose interval is empty is dropped."""
     composed = compose_actions(proposals.noun_entries, proposals.verb_entries,
                                cfg.top_k_nouns, cfg.top_k_verbs, cfg.vocab())
     start, end = fuse_proposals(proposals, cfg.fusion_mode, cfg.epsilon)
@@ -66,14 +58,12 @@ def _video_detections(proposals: Proposals, cfg: PipelineConfig,
             f"{proposals.window_starts[row]} is too large to convert to finite seconds"
         )
     keep = np.flatnonzero(passing & kept[composed.row])
-    videos: dict[str, int] = {}  # video id -> its index, in first-appearance order
-    video = np.array([videos.setdefault(v, len(videos)) for v in proposals.video_ids], int)
-    keep = keep[suppression.lex_order(video[composed.row[keep]])]  # by video, in row order
+    video_ids, video = suppression.video_codes(proposals.video_ids)
     row = composed.row[keep]  # gathered field by field: whole structured records are slower
-    dets = np.rec.fromarrays([start_s[row], end_s[row], composed.verb[keep], composed.noun[keep],
-                              composed.action[keep], composed.score[keep]], dtype=DETECTION)
-    ends = np.cumsum(np.bincount(video[row], minlength=len(videos)))
-    return dict(zip(videos, np.split(dets, ends[:-1])))
+    dets = np.rec.fromarrays([video[row], start_s[row], end_s[row], composed.verb[keep],
+                              composed.noun[keep], composed.action[keep], composed.score[keep]],
+                             dtype=DETECTION)
+    return video_ids, dets
 
 
 def run_pipeline(proposals: Proposals, cfg: PipelineConfig) -> SubmissionDocument:
@@ -83,20 +73,27 @@ def run_pipeline(proposals: Proposals, cfg: PipelineConfig) -> SubmissionDocumen
     if not len(proposals):
         logger.warning("no proposal records; emitting an empty submission")
     nms_cfg = cfg.nms_config()
-    by_video = _video_detections(proposals, cfg, nms_cfg.min_score)
-    return suppress_submission(by_video, nms_cfg, cfg.submission_version)
+    video_ids, dets = _video_detections(proposals, cfg, nms_cfg.min_score)
+    return build_submission(video_ids, suppress_video(dets, nms_cfg), cfg.submission_version)
 
 
 def evaluate_files(
     submission: SubmissionDocument,
-    truth_by_video: dict[str, np.recarray],
+    truth: VideoTable,
     thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
 ) -> dict[str, MeanApResult]:
     """Score a parsed submission against ground truth (``GROUND_TRUTH``
-    record arrays by video id) on all three tasks, from columns built once."""
-    dets, truth = eval_columns(submission.results, truth_by_video)
+    rows) on all three tasks, from columns built once. Both tables' video
+    codes are mapped onto the sorted union of their ids, and the
+    detections ranked once: a full tie keeps video id order, then the
+    video's own order."""
+    _, codes = suppression.video_codes([*submission.video_ids, *truth.video_ids])
+    dets, gts = submission.rows.copy(), truth.rows.copy()
+    dets.video = codes[:len(submission.video_ids)][dets.video]
+    gts.video = codes[len(submission.video_ids):][gts.video]
+    dets = dets.take(suppression.rank_order(dets.score, dets.start, dets.action))
     return {
-        task: score_columns(dets, truth, EvalConfig(thresholds=thresholds, task=task))
+        task: score_columns(dets, gts, EvalConfig(thresholds=thresholds, task=task))
         for task in CLASS_KEYS
     }
 

@@ -97,7 +97,8 @@ class ScenarioConfig:
 class Scenario:
     """Ground truth plus the aligned noun and verb draws, one row per segment.
 
-    ``truth`` holds the ``GROUND_TRUTH`` rows of the one video ``VIDEO_ID``.
+    ``truth`` holds the ``GROUND_TRUTH`` rows of the one video ``VIDEO_ID``,
+    whose code is 0.
     ``noun_confidence`` and ``verb_confidence`` have shape ``(n,)``;
     ``noun_boundary`` and ``verb_boundary`` have shape ``(n, 2)`` and hold
     each stream's noisy (start, end) in seconds. Class scores are built
@@ -180,8 +181,8 @@ def _noisy_boundary(
 def _draw_segment(rng: np.random.Generator, cfg: ScenarioConfig):
     """One segment's draws, one scalar call each, from its own stream.
 
-    Returns its truth row (start, end, verb, noun), its noun and verb
-    confidences and its noun and verb boundaries. ``generate_scenario``
+    Returns its truth row (video code 0, start, end, verb, noun), its noun
+    and verb confidences and its noun and verb boundaries. ``generate_scenario``
     replays through it the segments its array pass cannot finish.
     """
     # Generator.uniform(lo, hi) returns lo + (hi - lo) * random(), bit for bit;
@@ -194,7 +195,7 @@ def _draw_segment(rng: np.random.Generator, cfg: ScenarioConfig):
     conf_range = cfg.confidence_hi - cfg.confidence_lo
     c_noun = cfg.confidence_lo + conf_range * rng.random()
     c_verb = cfg.confidence_lo + conf_range * rng.random()
-    return ((*true_boundary, verb, noun), c_noun, c_verb,
+    return ((0, *true_boundary, verb, noun), c_noun, c_verb,
             _noisy_boundary(rng, true_boundary, c_noun, cfg),
             _noisy_boundary(rng, true_boundary, c_verb, cfg))
 
@@ -336,7 +337,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     uniform = (raw[:, [0, 1, 3, 4]] >> 11) * 2.0**-53
     length = cfg.min_segment_s + (cfg.max_segment_s - cfg.min_segment_s) * uniform[:, 0]
     start = (cfg.video_length_s - length) * uniform[:, 1]
-    truth = np.empty(n, GROUND_TRUTH).view(np.recarray)
+    truth = np.zeros(n, GROUND_TRUTH).view(np.recarray)  # all of video code 0
     truth.start, truth.end = start, start + length
     truth.verb, verb_rejected = _bounded_index(raw[:, 2] & _MASK32, vocab.verb_count)
     truth.noun, noun_rejected = _bounded_index(raw[:, 2] >> 32, vocab.noun_count)

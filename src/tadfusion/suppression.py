@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from operator import itemgetter
 
 import numpy as np
@@ -53,10 +53,21 @@ VERB_ACTION_NMS = NmsConfig(sigma=0.4, min_score=0.001, vote_threshold=0.75)
 NMS_PRESETS = {"noun": NOUN_NMS, "verb_action": VERB_ACTION_NMS}
 
 
-# One video's detections pass from composition to the submission as a
-# record array of this dtype; a task's class column is named after it.
-DETECTION = np.dtype([("start", float), ("end", float), ("verb", np.int64), ("noun", np.int64),
-                      ("action", np.int64), ("score", float)])
+# Detections pass from composition to the submission as one record array
+# of this dtype, of every video; a task's class column is named after it.
+# A row's video is a code: the index of its video's id in a sorted list.
+DETECTION = np.dtype([("video", np.int64), ("start", float), ("end", float),
+                      ("verb", np.int64), ("noun", np.int64), ("action", np.int64),
+                      ("score", float)])
+
+
+def video_codes(video_ids) -> tuple[list[str], np.ndarray]:
+    """The distinct ids of ``video_ids``, sorted, and the code of each
+    item: the index of its id among them. (``np.unique`` would load
+    ``numpy.ma``.)"""
+    ids = sorted(set(video_ids))
+    code = {video_id: i for i, video_id in enumerate(ids)}
+    return ids, np.array([code[video_id] for video_id in video_ids], np.int64)
 
 
 def temporal_iou(a: tuple, b: tuple):
@@ -105,11 +116,18 @@ def lex_order(*keys) -> np.ndarray:
     return order
 
 
-def rank_order(score, start, action) -> np.ndarray:
+def rank_order(score, start, action, *video) -> np.ndarray:
     """Indices of columns in rank order: score descending, then earlier
-    start, then smaller action id; input order breaks full ties. The one
-    ranking of detections."""
-    return lex_order(action, start, -score)
+    start, then smaller action id; input order breaks full ties. Given a
+    video code column, rows are grouped by it first, ascending, and ranked
+    within their video. The one ranking of detections."""
+    return lex_order(action, start, -score, *video)
+
+
+def _heads(video: np.ndarray, cap: int) -> np.ndarray:
+    """Mask of the first ``cap`` rows of each video of ascending codes."""
+    first = np.searchsorted(video, np.arange(video.max(initial=0) + 1))
+    return np.arange(len(video)) - first[video] < cap
 
 
 def _scaled_vote(voters: list, field: int, weight: float) -> float:
@@ -204,11 +222,13 @@ def _overlap_components(start, end, pool, cap: int) -> np.ndarray:
 
 
 def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
-    """Suppress one video's pooled detections, action class by action class.
+    """Suppress the pooled detections of every video of ``dets``, video by
+    video and action class by action class.
 
-    Applies the global pre-NMS cap by rank, runs Soft-NMS with boundary
-    voting within each pool of one action id, then merges the pools in
-    rank order and truncates to ``max_per_video``.
+    Applies each video's pre-NMS cap by rank, runs Soft-NMS with boundary
+    voting within each pool of one video and action id, then merges each
+    video's pools in rank order and truncates them to ``max_per_video``.
+    The kept rows come grouped by video code, ascending.
 
     Two rows interact only when their intervals overlap, so each pool is
     split into overlap components. Rows below ``min_score`` are dropped
@@ -221,16 +241,19 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     such rows stays one component, because the cap inside the rounds
     depends on the pick order across components. Boundaries must be
     finite, as every reader ensures. A row's tie is its index in the
-    order by pool (so action), original start and position; the rounds
-    and the merge both break rank ties by it, which is the order in
-    which the rounds over a whole pool keep tied rows.
+    order by pool (so action, within a video), original start and
+    position; the rounds and the merge both break rank ties by it, which
+    is the order in which the rounds over a whole pool keep tied rows.
     """
     if not len(dets):
         return dets
-    order = rank_order(dets.score, dets.start, dets.action)[: cfg.pre_nms_cap]
-    order = order[lex_order(dets.action[order])]  # rank order within an action
-    start, end, score, action = (dets[name][order] for name in ("start", "end", "score", "action"))
-    opens_pool = np.concatenate(([True], action[1:] != action[:-1]))
+    order = rank_order(dets.score, dets.start, dets.action, dets.video)
+    order = order[_heads(dets.video[order], cfg.pre_nms_cap)]
+    order = order[lex_order(dets.action[order])]  # pools: (action, video) runs, ranked
+    start, end, score, action, video = (dets[name][order] for name in
+                                        ("start", "end", "score", "action", "video"))
+    opens_pool = np.concatenate(([True], (action[1:] != action[:-1])
+                                 | (video[1:] != video[:-1])))
     pool = np.cumsum(opens_pool) - 1
     heads = np.flatnonzero(opens_pool)  # a pool's first row is its best
     best = heads[pool]
@@ -247,12 +270,13 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     tie = np.flatnonzero(~single)
     tie = tie[lex_order(by_start[tie], component[tie])]
     at = by_start[tie]
-    rows = list(map(list, zip((-score[at]).tolist(), start[at].tolist(), tie.tolist(),
-                              end[at].tolist(), score[at].tolist(), component[tie].tolist())))
-    bounds = [*np.flatnonzero(np.diff(pool[at], prepend=-1)).tolist(), len(rows)]
+    # made as each pool runs and freed with it, which spares the collector
+    rows = map(list, zip((-score[at]).tolist(), start[at].tolist(), tie.tolist(),
+                         end[at].tolist(), score[at].tolist(), component[tie].tolist()))
+    opens = np.flatnonzero(np.diff(pool[at], prepend=-1))  # each pool's first row
     merged = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        merged.extend(soft_nms(rows[lo:hi], cfg, vote=True))
+    for size in np.diff(opens, append=len(at)).tolist():
+        merged.extend(soft_nms(list(islice(rows, size)), cfg, vote=True))
     # one float array of the kept rows: ties are exact below 2**53
     neg_score, kept_start, kept_tie, kept_end = np.fromiter(
         chain.from_iterable(merged), float, count=4 * len(merged)).reshape(-1, 4).T
@@ -267,8 +291,10 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
                                                        out=start[at], where=voted)))
     kept_end = np.concatenate((kept_end, np.divide(weight * end[at], weight,
                                                    out=end[at], where=voted)))
-    # equal ranks in pool (so action) order, then by original start and position
-    ranked = lex_order(kept_tie, kept_start, neg_score)[: cfg.max_per_video]
+    # by video; equal ranks by pool (so action), original start and position
+    kept_video = video[by_start[kept_tie]]
+    ranked = lex_order(kept_tie, kept_start, neg_score, kept_video)
+    ranked = ranked[_heads(kept_video[ranked], cfg.max_per_video)]
     kept = dets.take(order[by_start[kept_tie[ranked]]])
     kept.start, kept.end, kept.score = kept_start[ranked], kept_end[ranked], -neg_score[ranked]
     return kept

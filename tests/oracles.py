@@ -4,29 +4,30 @@ The references are deliberately written with plain loops over detection
 and ground-truth objects and no imports from the package's evaluation or
 suppression internals, so agreement between module output and these
 references is a meaningful check. The objects and the adapters between
-them and the package's record arrays and Soft-NMS rows come first; they
-are the only object forms of detections and ground truth, and
+them and the package's tables and Soft-NMS rows come first; they are the
+only object and per-video forms of detections and ground truth, and
 ``ProposalRecord`` the only dense form of proposals.
 """
 
 import json
 import math
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from tadfusion.composition import ENTRY
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
-from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, eval_columns, score_columns
+from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, score_columns
 from tadfusion.fusion import dwf_weights
-from tadfusion.io import Proposals
+from tadfusion.io import Proposals, SubmissionDocument, VideoTable
 from tadfusion.simulation import (
     _MAX_NOISE_RESAMPLES,
     FusionReport,
     Scenario,
     scenario_to_records,
 )
-from tadfusion.suppression import DETECTION, soft_nms
+from tadfusion.suppression import DETECTION, rank_order, soft_nms
 
 
 class ActionDetection(NamedTuple):
@@ -107,34 +108,60 @@ def proposal_records(proposals: Proposals, vocab) -> list:
         dense(proposals.verb_entries, vocab.verb_count))]
 
 
-def detection_columns(dets: list) -> np.recarray:
-    """Detection objects as one ``DETECTION`` record array, in their order."""
-    return np.rec.fromrecords([d[1:] for d in dets], dtype=DETECTION)
+def video_table(items: list, dtype=DETECTION, video_ids=None) -> VideoTable:
+    """Detection or ground-truth objects as a table of ``dtype`` rows in
+    their order, each coded among ``video_ids`` (by default the sorted ids
+    of their videos). Sort the objects by video id for the grouped table
+    the readers give."""
+    if video_ids is None:
+        video_ids = sorted({item.video_id for item in items})
+    code = {video_id: i for i, video_id in enumerate(video_ids)}
+    rows = [(code[item.video_id], *item[1:]) for item in items]
+    return VideoTable(video_ids, np.rec.fromrecords(rows, dtype=dtype))
 
 
-def detection_objects(by_video: dict) -> list:
-    """``DETECTION`` record arrays by video id as objects, video after
-    video in sorted order, each video's in their order."""
-    return [ActionDetection(video_id, *row) for video_id in sorted(by_video)
-            for row in by_video[video_id].tolist()]
+def detection_objects(table: VideoTable) -> list:
+    """A table's ``DETECTION`` rows as objects, in its order."""
+    return [ActionDetection(table.video_ids[video], *fields)
+            for video, *fields in table.rows.tolist()]
 
 
-def columns_by_video(dets: list, gts: list) -> tuple:
-    """Detection and ground-truth objects as ``DETECTION`` and
-    ``GROUND_TRUTH`` record arrays by video id, each video's in their order."""
-    det_rows, gt_rows = {}, {}
-    for det in dets:
-        det_rows.setdefault(det.video_id, []).append(det)
-    for gt in gts:
-        gt_rows.setdefault(gt.video_id, []).append(gt[1:])
-    return ({video_id: detection_columns(rows) for video_id, rows in det_rows.items()},
-            {video_id: np.rec.fromrecords(rows, dtype=GROUND_TRUTH)
-             for video_id, rows in gt_rows.items()})
+def by_video(table: VideoTable) -> dict:
+    """A table in its per-video form: each video id, in sorted order, to
+    its rows in the table's order, without the video column."""
+    fields = list(table.rows.dtype.names[1:])
+    return {video_id: table.rows[table.rows.video == code][fields]
+            for code, video_id in enumerate(table.video_ids)}
+
+
+def from_video(rows_by_video: dict, dtype=DETECTION) -> VideoTable:
+    """The per-video form, each video's rows as tuples of the fields after
+    the video column, as one table."""
+    video_ids = sorted(rows_by_video)
+    rows = [(code, *row) for code, video_id in enumerate(video_ids)
+            for row in rows_by_video[video_id]]
+    return VideoTable(video_ids, np.rec.fromrecords(rows, dtype=dtype))
+
+
+def tables(dets: list, gts: list) -> tuple:
+    """Detection and ground-truth objects as a submission and a ground-truth
+    table as the readers give them: each on the sorted ids of its own
+    videos, grouped by video and in the objects' order within."""
+    submission = video_table(sorted(dets, key=attrgetter("video_id")))
+    return (SubmissionDocument(submission.video_ids, submission.rows),
+            video_table(sorted(gts, key=attrgetter("video_id")), GROUND_TRUTH))
 
 
 def score_objects(dets: list, gts: list, cfg: EvalConfig = EvalConfig()):
-    """``score_columns`` of detection and ground-truth objects."""
-    return score_columns(*eval_columns(*columns_by_video(dets, gts)), cfg)
+    """``score_columns`` of detection and ground-truth objects: both grouped
+    by video on one list of ids, the detections ranked as
+    ``evaluate_files`` ranks them."""
+    video_ids = sorted({item.video_id for item in (*dets, *gts)})
+    det_rows, gt_rows = (
+        video_table(sorted(items, key=attrgetter("video_id")), dtype, video_ids).rows
+        for items, dtype in ((dets, DETECTION), (gts, GROUND_TRUTH)))
+    ranked = det_rows.take(rank_order(det_rows.score, det_rows.start, det_rows.action))
+    return score_columns(ranked, gt_rows, cfg)
 
 
 def soft_nms_objects(dets: list, cfg, vote: bool = False) -> list:
@@ -387,7 +414,7 @@ def oracle_compare_fusion(scenario, epsilon):
     records = proposal_records(scenario_to_records(scenario), scenario.config.vocab)
     noun_boundaries = scenario.noun_boundary.tolist()
     verb_boundaries = scenario.verb_boundary.tolist()
-    for i, (start, end, _, _) in enumerate(scenario.truth.tolist()):
+    for i, (_, start, end, _, _) in enumerate(scenario.truth.tolist()):
         noun, verb = tuple(noun_boundaries[i]), tuple(verb_boundaries[i])
         c_noun, c_verb = np.max(records[i].noun_scores), np.max(records[i].verb_scores)
         w_noun, w_verb = dwf_weights(c_noun, c_verb, epsilon)
@@ -461,7 +488,7 @@ def oracle_generate_scenario(cfg):
         c_verb = verb_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
         noun_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_noun, cfg)
         verb_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_verb, cfg)
-        truth[i] = (*true_boundary, verb, noun)
+        truth[i] = (0, *true_boundary, verb, noun)
     return Scenario(
         config=cfg,
         truth=truth.view(np.recarray),

@@ -23,7 +23,7 @@ from oracles import (
 )
 from tadfusion.composition import VocabSpec, decode_action_id, encode_action_id
 from tadfusion.config import PipelineConfig
-from tadfusion.evaluation import EvalConfig, eval_columns, score_columns
+from tadfusion.evaluation import EvalConfig, score_columns
 from tadfusion.fusion import MEAN_WEIGHTS, dwf_weights, fuse
 from tadfusion.io import write_proposal_file
 from tadfusion.pipeline import run_pipeline
@@ -70,8 +70,9 @@ def end_to_end_results():
         per_mode = {}
         for mode in ("dwf", "mean"):
             doc = run_pipeline(records, PipelineConfig(fusion_mode=mode))
-            per_mode[mode] = score_columns(*eval_columns(doc.results, {VIDEO_ID: scenario.truth}),
-                                           EvalConfig(task="action"))
+            # one video, code 0 in both: the submission's rows are in rank order
+            assert doc.video_ids == [VIDEO_ID]
+            per_mode[mode] = score_columns(doc.rows, scenario.truth, EvalConfig(task="action"))
         results.append(per_mode)
     return results, time.monotonic() - start
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     ActionDetection,
     GroundTruthInstance,
-    columns_by_video,
     detection_objects,
     legacy_average_precision,
     oracle_ap,
@@ -21,14 +20,13 @@ from oracles import (
     oracle_mean_ap_legacy,
     score_objects,
     sort_detections,
+    tables,
 )
-from tadfusion import evaluation
+from tadfusion import evaluation, pipeline
 from tadfusion.cli import main
 from tadfusion.errors import InvalidConfig
-from tadfusion.evaluation import EvalConfig, average_precisions, eval_columns
-from tadfusion.io import SubmissionDocument
+from tadfusion.evaluation import EvalConfig, average_precisions
 from tadfusion.pipeline import evaluate_files
-from tadfusion.suppression import rank_order
 
 
 def det(start, end, score, verb=0, noun=0, video="v"):
@@ -220,7 +218,7 @@ class TestBatchedApIsTheScalarAp:
 
 
 class TestRankOrderContract:
-    """``eval_columns`` ranks the detections once for every task."""
+    """``evaluate_files`` ranks the detections once for every task."""
 
     def tied_videos(self):
         # videos listed out of id order; each holds the same (score, start,
@@ -232,30 +230,56 @@ class TestRankOrderContract:
                gt(0, 9, video="c")]
         return dets, gts
 
-    def test_eval_columns_returns_rank_order_with_ties_in_video_id_order(self):
+    def files(self, tmp_path, dets, gts, videos):
+        """A submission and a ground-truth file of ``dets`` and ``gts``,
+        their ``results`` and ``annotations`` listing ``videos`` in order."""
+        def entry(x):
+            fields = {"verb": x.verb_index, "noun": x.noun_index, "segment": [x.start, x.end]}
+            if isinstance(x, ActionDetection):
+                fields.update(action=f"{x.verb_index},{x.noun_index}", score=x.score)
+            return fields
+
+        paths = tmp_path / f"s-{videos}.json", tmp_path / f"g-{videos}.json"
+        paths[0].write_text(json.dumps({"version": "0.1", "challenge": "action_detection",
+                                        "results": {v: [entry(d) for d in dets
+                                                        if d.video_id == v] for v in videos}}))
+        paths[1].write_text(json.dumps({"annotations": {
+            v: [entry(g) for g in gts if g.video_id == v] for v in videos}}))
+        return paths
+
+    def test_evaluate_files_ranks_ties_in_video_id_order(self, monkeypatch):
+        # the detections reach the score in rank order, a full tie in video
+        # id order and then in each video's own order
         dets, gts = self.tied_videos()
-        dets_by_video, truth_by_video = columns_by_video(dets, gts)
-        assert list(dets_by_video) == ["c", "a", "b"]
-        ranked, _ = eval_columns(dets_by_video, truth_by_video)
-        assert (rank_order(ranked.score, ranked.start, ranked.action)
-                == np.arange(len(ranked))).all()
-        # in video id order, each video's rows in their own order
+        seen, score_columns = [], pipeline.score_columns
+
+        def recording(ranked, truth, cfg):
+            seen.append(ranked)
+            return score_columns(ranked, truth, cfg)
+
+        monkeypatch.setattr(pipeline, "score_columns", recording)
+        evaluate_files(*tables(dets, gts), EXACT_THRESHOLDS)
+        assert len(seen) == 3
         expected = sorted(
             ((-d.score, d.start, d.action_id, d.video_id, i, d.end)
              for i, d in enumerate(dets)), key=lambda key: key[:5])
-        assert ranked.video.tolist() == ["abc".index(key[3]) for key in expected]
-        assert ranked.end.tolist() == [key[5] for key in expected]
+        for ranked in seen:
+            assert ranked.video.tolist() == ["abc".index(key[3]) for key in expected]
+            assert ranked.end.tolist() == [key[5] for key in expected]
 
-    def test_evaluate_files_ignores_the_insertion_order_of_videos(self):
+    def test_files_ignore_the_order_in_which_they_list_videos(self, tmp_path, capsys):
+        # "c", "a", "b" and the sorted "a", "b", "c" give the same eval text
+        # and nms bytes; a video's own rows keep their order
         dets, gts = self.tied_videos()
-        dets_by_video, truth_by_video = columns_by_video(dets, gts)
-        results = evaluate_files(SubmissionDocument(results=dets_by_video), truth_by_video,
-                                 EXACT_THRESHOLDS)
-        reordered = dict(reversed(list(dets_by_video.items())))
-        again = evaluate_files(SubmissionDocument(results=reordered),
-                               dict(reversed(list(truth_by_video.items()))), EXACT_THRESHOLDS)
-        for task in ("verb", "noun", "action"):
-            assert repr(again[task]) == repr(results[task])
+        out = []
+        for videos in ("cab", "abc"):
+            submission, truth = self.files(tmp_path, dets, gts, list(videos))
+            assert main(["eval", "--submission", str(submission),
+                         "--ground-truth", str(truth)]) == 0
+            assert main(["nms", "--input", str(submission)]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1]
+        assert '"results": {\n    "a": [' in out[0]
 
     @pytest.mark.parametrize("task", ["verb", "noun", "action"])
     def test_identical_rows_on_two_videos_score_as_the_legacy_evaluator(self, task):
@@ -419,12 +443,11 @@ class TestMeanApExact:
             gts.append(gt(3.0, 4.5, verb=1, video="gt_only"))
             if i % 10 == 0:
                 dets = []
-            dets_by_video, truth_by_video = columns_by_video(dets, gts)
-            doc = SubmissionDocument(results=dets_by_video)
-            results = evaluate_files(doc, truth_by_video, EXACT_THRESHOLDS)
+            doc, truth = tables(dets, gts)
+            results = evaluate_files(doc, truth, EXACT_THRESHOLDS)
             for task in ("verb", "noun", "action"):
                 per_threshold, average = oracle_mean_ap_legacy(
-                    detection_objects(doc.results), gts, EXACT_THRESHOLDS, task)
+                    detection_objects(doc), gts, EXACT_THRESHOLDS, task)
                 got = results[task]
                 assert [repr(got.per_threshold[t]) for t in EXACT_THRESHOLDS] == [
                     repr(per_threshold[t]) for t in EXACT_THRESHOLDS]

@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from oracles import (
     ActionDetection,
     ProposalRecord,
-    detection_columns,
+    by_video,
+    from_video,
     proposal_columns,
     proposal_records,
 )
@@ -42,9 +43,11 @@ from tadfusion.timeline import FeatureGrid
 VOCAB = VocabSpec(noun_count=300, verb_count=97)
 
 
-def submission(by_video):
-    """``build_submission`` over the columns of lists of detection objects."""
-    return build_submission({video: detection_columns(dets) for video, dets in by_video.items()})
+def submission(dets_by_video):
+    """``build_submission`` over the table of lists of detection objects by
+    video id."""
+    table = from_video({video: [d[1:] for d in dets] for video, dets in dets_by_video.items()})
+    return build_submission(table.video_ids, table.rows)
 
 
 def sample_record():
@@ -188,9 +191,9 @@ class TestSubmission:
         doc = submission({"P01_101": [detection()], "P01_102": []})
         text = serialize_submission(doc)
         parsed = parse_submission(text, VOCAB)
-        assert (parsed.version, list(parsed.results)) == (doc.version, list(doc.results))
-        for video_id, dets in doc.results.items():
-            assert parsed.results[video_id].tolist() == dets.tolist()
+        assert (parsed.version, list(by_video(parsed))) == (doc.version, list(by_video(doc)))
+        for video_id, dets in by_video(doc).items():
+            assert by_video(parsed)[video_id].tolist() == dets.tolist()
 
     def test_fixed_decimal_formatting(self):
         doc = submission({"v": [detection(start=0.5, end=2.0, score=0.25)]})
@@ -206,7 +209,7 @@ class TestSubmission:
         doc = submission(
             {"v": [detection(score=0.2, start=1.0, end=2.0), detection(score=0.9)]}
         )
-        scores = [d.score for d in doc.results["v"]]
+        scores = [d.score for d in by_video(doc)["v"]]
         assert scores == sorted(scores, reverse=True)
 
     def test_serialization_deterministic(self):
@@ -233,12 +236,12 @@ class TestSubmission:
         # both round to start 1.0 and score 0.5 under the same action
         dets = [detection(start=1.0, end=5.0, score=0.5),
                 detection(start=1.00001, end=2.0, score=0.50001)]
-        assert [d.end for d in submission({"v": dets}).results["v"]] == [5.0, 2.0]
-        assert [d.end for d in submission({"v": dets[::-1]}).results["v"]] == [2.0, 5.0]
+        assert [d.end for d in by_video(submission({"v": dets}))["v"]] == [5.0, 2.0]
+        assert [d.end for d in by_video(submission({"v": dets[::-1]}))["v"]] == [2.0, 5.0]
 
     def test_quantization_drops_collapsed_intervals(self):
         doc = submission({"v": [detection(start=1.00001, end=1.00004)]})
-        assert len(doc.results["v"]) == 0
+        assert len(by_video(doc)["v"]) == 0
 
 
 def round_bits(values: np.ndarray) -> np.ndarray:
@@ -303,10 +306,10 @@ class TestGroundTruthFile:
             "c": [],
         }}))
         loaded = read_ground_truth(path)
-        # one record array per video, videos and rows in file order
-        assert list(loaded) == ["b", "a", "c"]
-        assert all(rows.dtype == GROUND_TRUTH for rows in loaded.values())
-        assert {video_id: rows.tolist() for video_id, rows in loaded.items()} == {
+        # one table of sorted video ids, each video's rows in file order
+        assert loaded.video_ids == ["a", "b", "c"]
+        assert loaded.rows.dtype == GROUND_TRUTH
+        assert {video_id: rows.tolist() for video_id, rows in by_video(loaded).items()} == {
             "b": [(4.0, 6.0, 2, 1), (1.0, 2.0, 0, 0)], "a": [(0.0, 10.0, 3, 5)], "c": []}
 
     def test_schema_mismatch(self, tmp_path):

@@ -9,6 +9,8 @@ import pytest
 
 from oracles import (
     ProposalRecord,
+    by_video,
+    from_video,
     oracle_fuse,
     oracle_run_pipeline,
     proposal_columns,
@@ -21,6 +23,7 @@ from tadfusion.config import PipelineConfig
 from tadfusion.errors import ParseError
 from tadfusion.evaluation import GROUND_TRUTH, MeanApResult
 from tadfusion.io import (
+    parse_submission,
     read_proposal_file,
     read_submission,
     serialize_submission,
@@ -55,7 +58,7 @@ def record(video="P01_101", window_start=0, noun_b=(10.0, 20.0), verb_b=(14.0, 2
 class TestRunPipeline:
     def test_single_confident_pair(self):
         doc = run_pipeline(proposal_columns([record()]), PipelineConfig())
-        dets = doc.results["P01_101"]
+        dets = by_video(doc)["P01_101"]
         assert len(dets) == 1
         d = dets[0]
         assert d.score == pytest.approx(math.sqrt(0.9 * 0.8), abs=1e-4)
@@ -70,14 +73,14 @@ class TestRunPipeline:
     def test_mean_mode_uses_plain_average(self):
         cfg = PipelineConfig(fusion_mode="mean")
         doc = run_pipeline(proposal_columns([record()]), cfg)
-        d = doc.results["P01_101"][0]
+        d = by_video(doc)["P01_101"][0]
         assert d.start == pytest.approx((12.0 * 8 + 4) / 30, abs=1e-4)
         assert d.end == pytest.approx((22.0 * 8 + 4) / 30, abs=1e-4)
 
     def test_window_start_shifts_seconds(self):
         doc = run_pipeline(proposal_columns([record(window_start=2304)]),
                            PipelineConfig(fusion_mode="mean"))
-        d = doc.results["P01_101"][0]
+        d = by_video(doc)["P01_101"][0]
         # W0 = 2304 features * 8 frames, shifting everything by 614.4 s
         assert d.start == pytest.approx((12.0 * 8 + 2304 * 8 + 4) / 30, abs=1e-4)
 
@@ -90,7 +93,7 @@ class TestRunPipeline:
     def test_empty_input_warns_and_emits_empty(self, caplog):
         with caplog.at_level("WARNING"):
             doc = run_pipeline(proposal_columns([]), PipelineConfig())
-        assert doc.results == {}
+        assert by_video(doc) == {}
         assert any("empty submission" in r.message for r in caplog.records)
 
     def test_duplicate_windows_suppressed_by_decay(self):
@@ -102,11 +105,11 @@ class TestRunPipeline:
             record(window_start=0, noun_p=0.01, verb_p=0.01),
         ]
         doc = run_pipeline(proposal_columns(weak), PipelineConfig())
-        assert len(doc.results["P01_101"]) == 1
+        assert len(by_video(doc)["P01_101"]) == 1
         # with stronger scores the duplicate survives with a decayed score
         strong = [record(), record()]
         doc = run_pipeline(proposal_columns(strong), PipelineConfig())
-        dets = doc.results["P01_101"]
+        dets = by_video(doc)["P01_101"]
         assert len(dets) == 2
         expected = math.sqrt(0.72) * math.exp(-1.0 / 0.4)
         assert dets[1].score == pytest.approx(expected, abs=1e-4)
@@ -115,13 +118,13 @@ class TestRunPipeline:
         doc = run_pipeline(proposal_columns([record(noun_p=0.001, verb_p=0.0005)]),
                            PipelineConfig())
         # S = sqrt(5e-7) ~ 7e-4 < 0.001 under the verb_action preset
-        assert len(doc.results["P01_101"]) == 0
+        assert len(by_video(doc)["P01_101"]) == 0
 
     def test_noun_preset_keeps_weaker_candidates_out(self):
         cfg = PipelineConfig(nms_preset="noun")
         doc = run_pipeline(proposal_columns([record(noun_p=0.003, verb_p=0.003)]), cfg)
         # S = 0.003 < noun preset minimum 0.005
-        assert len(doc.results["P01_101"]) == 0
+        assert len(by_video(doc)["P01_101"]) == 0
 
     @pytest.mark.parametrize("order", [
         lambda shape: np.broadcast_to(np.arange(shape[1])[::-1], shape),
@@ -138,7 +141,7 @@ class TestRunPipeline:
                                   (14.0 + shift, 24.0), verbs.copy())
                    for shift in (0.0, 0.0, 3.0, 0.0) for video in ("b", "a")]
         doc = run_pipeline(proposal_columns(records), cfg)
-        assert [len(dets) for dets in doc.results.values()] == [10, 10]
+        assert [len(dets) for dets in by_video(doc).values()] == [10, 10]
 
         def permuted(*args):
             per_pair = compose_actions(*args).reshape(len(records), -1)
@@ -247,7 +250,7 @@ class TestRunPipelineMatchesOracle:
         assert math.sqrt(0.001 * 0.001) == 0.001
         doc = run_pipeline(proposal_columns([record(noun_p=0.001, verb_p=0.001)]),
                            PipelineConfig())
-        assert [d.score for d in doc.results["P01_101"]] == [0.001]
+        assert [d.score for d in by_video(doc)["P01_101"]] == [0.001]
 
 
 # score tokens of rows with no positive score, or with one beside zeros of
@@ -301,22 +304,22 @@ class TestZeroScoreRows:
 class TestEvaluateFiles:
     def test_submission_equal_to_ground_truth_scores_one(self):
         doc = run_pipeline(proposal_columns([record()]), PipelineConfig(fusion_mode="mean"))
-        d = doc.results["P01_101"][0]
-        truth = {"P01_101": np.rec.fromrecords([(d.start, d.end, 3, 5)], dtype=GROUND_TRUTH)}
+        d = by_video(doc)["P01_101"][0]
+        truth = from_video({"P01_101": [(d.start, d.end, 3, 5)]}, GROUND_TRUTH)
         results = evaluate_files(doc, truth)
         for task in ("verb", "noun", "action"):
             assert results[task].average == pytest.approx(1.0)
 
     def test_empty_results_score_zero(self):
         doc = run_pipeline(proposal_columns([]), PipelineConfig())
-        truth = {"P01_101": np.rec.fromrecords([(0.0, 1.0, 0, 0)], dtype=GROUND_TRUTH)}
+        truth = from_video({"P01_101": [(0.0, 1.0, 0, 0)]}, GROUND_TRUTH)
         results = evaluate_files(doc, truth)
         for task in ("verb", "noun", "action"):
             assert results[task].average == 0.0
 
     def test_table_and_keyvalue_formats(self):
         doc = run_pipeline(proposal_columns([record()]), PipelineConfig())
-        truth = {"P01_101": np.rec.fromrecords([(3.0, 6.0, 3, 5)], dtype=GROUND_TRUTH)}
+        truth = from_video({"P01_101": [(3.0, 6.0, 3, 5)]}, GROUND_TRUTH)
         results = evaluate_files(doc, truth)
         table = format_metrics_table(results)
         assert "mAP@0.1" in table and "action" in table
@@ -426,13 +429,28 @@ class TestCli:
         assert result.returncode == 0
         assert json.loads(result.stdout)["challenge"] == "action_detection"
 
+    def test_a_video_whose_proposals_all_drop_prints_an_empty_list(self, tmp_path):
+        # P01_102's one candidate is below the minimum score; "P01_103" has none
+        proposals, first, second = (tmp_path / name for name in ("p.txt", "a.json", "b.json"))
+        write_proposal_file(proposals, proposal_columns([
+            record(video="P01_102", noun_p=0.001, verb_p=0.0005), record(),
+            record(video="P01_103", noun_p=0.0, verb_p=0.0)]))
+        assert main(["pipeline", "--proposals", str(proposals), "--output", str(first)]) == 0
+        assert main(["nms", "--input", str(first), "--output", str(second)]) == 0
+        text = second.read_text()
+        assert serialize_submission(parse_submission(text)) == text
+        results = json.loads(text)["results"]
+        assert list(results) == ["P01_101", "P01_102", "P01_103"]
+        assert [len(dets) for dets in results.values()] == [1, 0, 0]
+        assert '    "P01_102": [],\n    "P01_103": []\n' in text
+
     def test_eval_subcommand(self, tmp_path):
         proposals = tmp_path / "proposals.txt"
         write_proposal_file(proposals, proposal_columns([record()]))
         submission = tmp_path / "sub.json"
         run_cli("pipeline", "--proposals", str(proposals), "--output", str(submission))
         doc = read_submission(submission)
-        d = doc.results["P01_101"][0]
+        d = by_video(doc)["P01_101"][0]
         gt_path = tmp_path / "gt.json"
         gt_path.write_text(json.dumps({"annotations": {
             "P01_101": [{"verb": 3, "noun": 5, "segment": [d.start, d.end]}]}}))

@@ -3,7 +3,8 @@ or ``numpy.random`` at all, and ``simulate`` loads only
 ``scipy.special``, not ``scipy.stats``; every module of the package is
 one the CLI imports; every public name is used by the package or the
 acceptance suite; ground truth reaches the score without objects;
-fusion has one boundary combiner; and rows are ordered by one helper.
+fusion has one boundary combiner; detections are one table, not split by
+video; and rows are ordered by one helper.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -162,12 +163,31 @@ def test_ground_truth_reaches_the_score_as_record_arrays():
             assert name not in text, (path.name, name)
 
 
+def defined_names():
+    """Every name the package defines, at any depth: functions, classes and
+    assigned names."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(target.id for target in targets if isinstance(target, ast.Name))
+    return found
+
+
 def test_fusion_has_one_boundary_combiner():
     # fusion.fuse is the one linear combination of the two stream boundaries
-    defined = {node.name for path in sorted(PACKAGE.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
-    assert sorted(defined & {"fuse_boundaries", "hard_mean_fusion", "_weighted"}) == []
+    assert sorted(defined_names() & {"fuse_boundaries", "hard_mean_fusion", "_weighted"}) == []
+
+
+def test_detections_are_one_table_from_fusion_to_file():
+    # a video is a column of one table: no per-video suppression wrapper,
+    # no re-stacking of per-video arrays for eval, no dtypes that add the
+    # video code back
+    assert sorted(defined_names() & {"eval_columns", "suppress_submission", "EVAL_DETECTION",
+                                     "EVAL_GROUND_TRUTH"}) == []
 
 
 def test_rows_are_ordered_by_one_helper():

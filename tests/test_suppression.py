@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     ActionDetection,
-    detection_columns,
     detection_objects,
     oracle_soft_nms,
     oracle_suppress_video,
     soft_nms_objects,
+    video_table,
 )
 from tadfusion import suppression
 from tadfusion.cli import main
 from tadfusion.errors import InvalidConfig
+from tadfusion.io import VideoTable
 from tadfusion.suppression import (
     NmsConfig,
     NOUN_NMS,
@@ -41,9 +42,10 @@ def det(start, end, score, action_id=0, verb=0, noun=0, video="v"):
 
 
 def suppress(dets, cfg):
-    """``suppress_video`` over the columns of detection objects, with the
-    kept columns back as objects."""
-    return detection_objects({"v": suppress_video(detection_columns(dets), cfg)})
+    """``suppress_video`` over the table of detection objects, with the
+    kept rows back as objects."""
+    table = video_table(dets)
+    return detection_objects(VideoTable(table.video_ids, suppress_video(table.rows, cfg)))
 
 
 VOTE_065 = NmsConfig(sigma=0.6, min_score=0.005, vote_threshold=0.65)
@@ -343,6 +345,22 @@ class TestSuppressVideoMatchesOracle:
                           pre_nms_cap=rng.choice([1, 4, 5000]),
                           max_per_video=rng.choice([1, 3, 3000]))
             assert suppress(dets, cfg) == oracle_suppress_video(dets, cfg, "action")
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, None], ids=["1", "2", "3", "defaults"])
+    def test_one_call_on_interleaved_videos_is_the_oracle_per_video(self, cap):
+        # rows of 3 videos, interleaved in input order: one call cuts each
+        # video's pre-NMS cap and max_per_video, and pools by video and action
+        rng = random.Random(31 if cap is None else cap)
+        for _ in range(200):
+            dets = [d._replace(video_id=rng.choice("cab"))
+                    for _ in range(3) for d in random_video(rng)]
+            cfg = rng.choice([NOUN_NMS, VERB_ACTION_NMS])
+            if cap is not None:
+                cfg = replace(cfg, pre_nms_cap=cap, max_per_video=cap)
+            per_video = [d for video in sorted({d.video_id for d in dets})
+                         for d in oracle_suppress_video(
+                             [d for d in dets if d.video_id == video], cfg, "action")]
+            assert suppress(dets, cfg) == per_video
 
 
 SCORES = [1.0, 0.9, 0.5, 0.5, 0.31, 0.3, 0.2, 0.06, 0.05, 0.01, 0.001, 0.0005, 0.0]
