@@ -24,12 +24,12 @@ CLASS_KEYS = ("verb", "noun", "action")
 
 DEFAULT_TIOU_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
-# scoring holds a hit list per threshold, so memory grows with thresholds
-# times hits; the protocol scores 5
+# scoring holds ground-truth flags and a hit list per threshold, so memory
+# grows with thresholds times ground truths; the protocol scores 5
 MAX_EVAL_THRESHOLDS = 100
 
-# candidate (detection, ground truth) pairs the join builds at once; of
-# 2**14 to 2**20, 2**16 joined 25 million candidates fastest
+# candidate (detection, ground truth) pairs the join builds and matches at
+# once; of 2**14 to 2**20, 2**16 joined 25 million candidates fastest
 _JOIN_CHUNK = 1 << 16
 
 # Annotated action segments: the ``DETECTION`` columns up to noun.
@@ -94,11 +94,10 @@ def average_precisions(row, rank, num_gt) -> np.ndarray:
     aps = np.zeros(len(num_gt))
     if not len(row):
         return aps
-    row, rank = np.asarray(row), np.asarray(rank)
     # the rows with true positives, each with its count k of them
     first, k = _runs(row)
     scored = row[first]
-    n = np.asarray(num_gt)[scored]
+    n = num_gt[scored]
     # one line per such row, its hit with tp true positives at column
     # tp - 1 and room for its closing term at column k; -0.0 pads the line
     width = int(k.max()) + 1
@@ -138,16 +137,17 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     The detections come in ``rank_order`` (score descending, then start
     and action id), as ``pipeline.evaluate_files`` ranks them, so a full
     tie keeps video id order. One sort by class, ties in input order,
-    keeps that rank within each class. One join, built a run of detections at a time,
-    finds every same-video, same-class (detection, ground truth) pair with
-    tIoU at or above the lowest threshold; no other pair can match. The pairs
-    run by detection in rank order, then tIoU descending, then ground-truth order.
-    Greedy matching at a threshold walks them once and takes a pair whose
-    tIoU passes and whose detection and ground truth are both unmatched:
-    since a detection's later pairs overlap no more, that is its first
-    pair with unmatched ground truth if that one passes, and none
-    otherwise. A detection without a match is a false positive. The hits of every threshold and class are scored by
-    one ``average_precisions`` call.
+    keeps that rank within each class. The join pairs each detection with
+    the ground truth of its class and video a run of detections at a time,
+    and orders and matches each run before it builds the next. Runs are
+    ranges of detections, and a run's pairs go by detection, then tIoU
+    descending, then ground-truth order. Greedy matching at a threshold
+    walks the pairs whose tIoU passes and takes one whose detection and
+    ground truth are both unmatched; the ground-truth flags carry from run
+    to run, and a detection, whose pairs lie in one run, is matched once it
+    is the threshold's last hit. A detection without a match is a false
+    positive. The hits of every threshold and class are scored by one
+    ``average_precisions`` call.
     """
     det_class, gt_class = _task_classes(dets, gts, cfg.task)
     videos = 1 + max(dets.video.max(initial=0), gts.video.max(initial=0))
@@ -170,11 +170,13 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     det_key = class_id * videos + dets.video[ranked]
     lo = np.searchsorted(gt_key, det_key, "left")
     count = np.searchsorted(gt_key, det_key, "right") - lo
-    # a run of detections at a time, of at most _JOIN_CHUNK candidate pairs or
-    # one detection with more; only matchable pairs are kept, so memory follows them
     begin = np.append(0, np.cumsum(count))  # the pairs before each detection, then all
-    runs, a = [], 0
-    while not runs or a < len(ranked):
+    # per threshold, the matched ground truth and the matched detections' positions
+    gt_matched = [bytearray(len(gts)) for _ in cfg.thresholds]
+    hits = [[] for _ in cfg.thresholds]
+    a = 0
+    while a < len(ranked):
+        # a run of at most _JOIN_CHUNK candidate pairs, or one detection with more
         b = np.searchsorted(begin, begin[a] + _JOIN_CHUNK, "right") - 1
         b = min(len(ranked), max(a + 1, int(b)))
         pair_det = np.repeat(np.arange(a, b), count[a:b])
@@ -184,26 +186,23 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
         det = ranked[pair_det]
         iou = temporal_iou((dets.start[det], dets.end[det]),
                            (gts.start[pair_gt], gts.end[pair_gt]))
-        matchable = iou >= cfg.thresholds[0]  # no pair below it can match
-        runs.append((pair_det[matchable], pair_gt[matchable], iou[matchable]))
+        order = lex_order(pair_gt, -iou, pair_det)
+        pair_det, pair_gt, iou = pair_det[order], pair_gt[order], iou[order]
+        for tau, matched, hit in zip(cfg.thresholds, gt_matched, hits):
+            passes = iou >= tau
+            last = -1
+            for i, g in zip(pair_det[passes].tolist(), pair_gt[passes].tolist()):
+                if i != last and not matched[g]:
+                    matched[g] = 1
+                    hit.append(i)
+                    last = i
         a = b
-    pair_det, pair_gt, iou = map(np.concatenate, zip(*runs))
-    order = lex_order(pair_gt, -iou, pair_det)
-    pairs = list(zip(pair_det[order].tolist(), iou[order].tolist(), pair_gt[order].tolist()))
 
     # hits grouped by row t * classes + class, each row's in rank order,
-    # because the pairs run class by class in rank order
-    hit_row, hit_rank = [], []
-    class_of, rank_of = class_id.tolist(), rank.tolist()
-    for t, tau in enumerate(cfg.thresholds):
-        det_matched, gt_matched = bytearray(len(ranked)), bytearray(len(gts))
-        base = t * len(classes)
-        for i, pair_iou, g in pairs:
-            if pair_iou >= tau and not det_matched[i] and not gt_matched[g]:
-                det_matched[i] = gt_matched[g] = 1
-                hit_row.append(base + class_of[i])
-                hit_rank.append(rank_of[i])
-    aps = average_precisions(hit_row, hit_rank, np.tile(num_gt, len(cfg.thresholds)))
+    # because the detections run class by class in rank order
+    at = np.array([i for hit in hits for i in hit], dtype=np.intp)
+    row = np.repeat(np.arange(len(hits)) * len(classes), [len(hit) for hit in hits])
+    aps = average_precisions(row + class_id[at], rank[at], np.tile(num_gt, len(hits)))
     aps = aps.reshape(len(cfg.thresholds), len(classes))
     per_threshold = {tau: float(np.mean(aps[t])) if len(classes) else 0.0
                      for t, tau in enumerate(cfg.thresholds)}

@@ -88,10 +88,10 @@ def evaluate_files(
     detections ranked once: a full tie keeps video id order, then the
     video's own order."""
     _, codes = suppression.video_codes([*submission.video_ids, *truth.video_ids])
-    dets, gts = submission.rows.copy(), truth.rows.copy()
+    rows, gts = submission.rows, truth.rows.copy()
+    dets = rows.take(suppression.rank_order(rows.score, rows.start, rows.action))
     dets.video = codes[:len(submission.video_ids)][dets.video]
     gts.video = codes[len(submission.video_ids):][gts.video]
-    dets = dets.take(suppression.rank_order(dets.score, dets.start, dets.action))
     return {
         task: score_columns(dets, gts, EvalConfig(thresholds=thresholds, task=task))
         for task in CLASS_KEYS

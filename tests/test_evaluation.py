@@ -60,9 +60,10 @@ def batched(rows):
     """``average_precisions`` of ``rows`` in one call, as floats: each row
     the 1-based ranks of its true positives in score order and its
     ground-truth count."""
-    row = [r for r, (hits, _) in enumerate(rows) for _ in hits]
-    rank = [h for hits, _ in rows for h in hits]
-    return [float(ap) for ap in average_precisions(row, rank, [n for _, n in rows])]
+    row = np.array([r for r, (hits, _) in enumerate(rows) for _ in hits], dtype=np.intp)
+    rank = np.array([h for hits, _ in rows for h in hits], dtype=np.intp)
+    num_gt = np.array([n for _, n in rows], dtype=np.intp)
+    return [float(ap) for ap in average_precisions(row, rank, num_gt)]
 
 
 def average_precision(hits, num_gt):

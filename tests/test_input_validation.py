@@ -45,7 +45,7 @@ def run_under_one_gib(*argv):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run([sys.executable, "-m", "tadfusion", *argv], capture_output=True,
-                          text=True, preexec_fn=limit,
+                          text=True, preexec_fn=limit, timeout=120,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
 
 
@@ -768,12 +768,14 @@ class TestThresholdCount:
 
 
 class TestEvalJoinMemory:
-    """The eval join holds a bounded number of candidate pairs at once: 5,000
-    detections on 5,000 ground-truth segments of one class and one video
-    made 25 million pairs in one go and ran out of memory (exit 2)."""
+    """The eval join holds a bounded number of candidate pairs at once, and
+    matches each run of them before it builds the next: 5,000 detections on
+    5,000 ground-truth segments of one class and one video made 25 million
+    pairs in one go, and 2,000 copies of one segment on 2,000 copies of it
+    kept all 4 million matchable pairs until the last run; both ran out of
+    memory (exit 2)."""
 
-    def test_under_one_gib_of_address_space(self, tmp_path):
-        segments = [{"verb": 3, "noun": 5, "segment": [i, i + 1]} for i in range(5000)]
+    def run_eval(self, tmp_path, segments):
         entries = [dict(s, action="3,5", score=0.5) for s in segments]
         files = {"s.json": submission_text(entries),
                  "g.json": json.dumps({"annotations": {"P01": segments}})}
@@ -782,9 +784,20 @@ class TestEvalJoinMemory:
         result = run_under_one_gib("eval", "--submission", str(tmp_path / "s.json"),
                                    "--ground-truth", str(tmp_path / "g.json"))
         assert result.returncode == 0, result.stderr
+        return [line for line in result.stdout.splitlines() if "_map_" in line]
+
+    def test_under_one_gib_of_address_space(self, tmp_path):
+        segments = [{"verb": 3, "noun": 5, "segment": [i, i + 1]} for i in range(5000)]
+        metrics = self.run_eval(tmp_path, segments)
         # each detection is an exact copy of its segment and touches only
         # its neighbours: every metric of every task is 1
-        metrics = [line for line in result.stdout.splitlines() if "_map_" in line]
+        assert len(metrics) == 18
+        assert all(line.endswith(" = 1.0000") for line in metrics)
+
+    def test_every_pair_matchable_under_one_gib(self, tmp_path):
+        segments = [{"verb": 3, "noun": 5, "segment": [0.0, 1.0]} for _ in range(2000)]
+        metrics = self.run_eval(tmp_path, segments)
+        # every detection overlaps every segment fully: each takes its own
         assert len(metrics) == 18
         assert all(line.endswith(" = 1.0000") for line in metrics)
 
