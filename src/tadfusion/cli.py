@@ -4,8 +4,9 @@ Subcommands mirror the pipeline stages: ``pipeline`` runs proposals
 through to a submission JSON, ``fuse`` and ``nms`` expose the fusion and
 suppression stages on their own, ``eval`` scores a submission, ``simulate``
 runs the seeded fusion comparison, and ``windows`` prints sliding-window
-placements. Exit codes: 0 success, 1 usage, parse or validation error, 2
-internal invariant violation.
+placements. Each ``cmd_*`` takes the parsed flags and configuration and
+returns its whole output, which ``main`` writes. Exit codes: 0 success,
+1 usage, parse or validation error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -40,30 +41,12 @@ _FLAG_KEYS = {"fusion_mode": "fusion_mode", "nms_preset": "nms_preset", "seed": 
               "max_len": "window_length", "overlap": "window_overlap"}
 
 
-def _load_config(args) -> PipelineConfig:
-    overrides = {key: value for dest, key in _FLAG_KEYS.items()
-                 if (value := getattr(args, dest, None)) is not None}
-    return parse_config(args.config, overrides)
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_pipeline(args) -> int:
-    cfg = _load_config(args)
+def cmd_pipeline(args, cfg: PipelineConfig) -> str:
     proposals = read_proposal_file(args.proposals, cfg.vocab())
-    doc = run_pipeline(proposals, cfg)
-    _emit(serialize_submission(doc), args.output)
-    return 0
+    return serialize_submission(run_pipeline(proposals, cfg))
 
 
-def cmd_fuse(args) -> int:
-    cfg = _load_config(args)
+def cmd_fuse(args, cfg: PipelineConfig) -> str:
     proposals = read_proposal_file(args.proposals, cfg.vocab())
     # fusion is row-wise, so all rows fuse at once, in file order
     start, end = fuse_proposals(proposals, cfg.fusion_mode, cfg.epsilon)
@@ -75,50 +58,40 @@ def cmd_fuse(args) -> int:
     lines = ["# video_id fused_start fused_end"]
     lines += [f"{video_id} {fused_start:.4f} {fused_end:.4f}" for video_id, fused_start, fused_end
               in zip(proposals.video_ids, start.tolist(), end.tolist())]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_nms(args) -> int:
-    cfg = _load_config(args)
+def cmd_nms(args, cfg: PipelineConfig) -> str:
     doc = read_submission(args.input, cfg.vocab())
     doc = build_submission(doc.video_ids, suppress_video(doc.rows, cfg.nms_config()), doc.version)
-    _emit(serialize_submission(doc), args.output)
-    return 0
+    return serialize_submission(doc)
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(args, cfg: PipelineConfig) -> str:
     doc = read_submission(args.submission, cfg.vocab())
     truth = read_ground_truth(args.ground_truth, cfg.vocab())
     results = evaluate_files(doc, truth, cfg.eval_thresholds)
-    text = format_metrics_table(results) + "\n\n" + format_metrics_keyvalues(results) + "\n"
-    _emit(text, args.output)
-    return 0
+    return format_metrics_table(results) + "\n\n" + format_metrics_keyvalues(results) + "\n"
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_simulate(args, cfg: PipelineConfig) -> str:
     scenario = generate_scenario(cfg.scenario())
     report = compare_fusion(scenario, cfg.epsilon)
-    pairs = [("seed", cfg.sim_seed)] + report.key_values()
-    lines = [f"{key} = {value:.6g}" if isinstance(value, float) else f"{key} = {value}"
-             for key, value in pairs]
-    _emit("\n".join(lines) + "\n", args.output)
-    if args.table:
+    if args.table:  # written before the report, which main writes
         rows = enumerate(zip(report.per_segment_dwf.tolist(), report.per_segment_mean.tolist()))
         with open(args.table, "w", encoding="utf-8") as handle:
             handle.write("# segment err_dwf err_mean\n"
                          + "".join(f"{i} {dwf:.6f} {mean:.6f}\n" for i, (dwf, mean) in rows))
-    return 0
+    pairs = [("seed", cfg.sim_seed)] + report.key_values()
+    lines = [f"{key} = {value:.6g}" if isinstance(value, float) else f"{key} = {value}"
+             for key, value in pairs]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_windows(args) -> int:
-    cfg = _load_config(args)
+def cmd_windows(args, cfg: PipelineConfig) -> str:
     windows = generate_windows(args.total_features, cfg.window_length, cfg.window_overlap)
     lines = [f"{w.start_feature} {w.length_features}" for w in windows]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,8 +152,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # a usage error exits 1, not argparse's 2
         return 1 if exc.code else 0
+    overrides = {key: value for dest, key in _FLAG_KEYS.items()
+                 if (value := getattr(args, dest, None)) is not None}
     try:
-        return args.func(args)
+        # a command returns its whole output, written only once it succeeded
+        text = args.func(args, parse_config(args.config, overrides))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except (OSError, PipelineError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

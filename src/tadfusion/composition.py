@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ActionIdOutOfRange, InvalidConfig
-from .suppression import lex_order
+from .suppression import lex_order, run_index
 
 DEFAULT_TOP_K_NOUNS = 10
 DEFAULT_TOP_K_VERBS = 10
@@ -75,8 +75,7 @@ def _top(entries: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` best ``ENTRY`` rows of each proposal row: by row,
     then score descending, then class index."""
     order = lex_order(entries["class"], -entries["score"], entries["row"])
-    row = entries["row"][order]
-    return order[np.arange(len(order)) - np.searchsorted(row, row) < k]
+    return order[run_index(entries["row"][order]) < k]
 
 
 def compose_actions(

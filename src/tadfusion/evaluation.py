@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import DETECTION, lex_order, temporal_iou
+from .suppression import DETECTION, lex_order, run_index, runs, temporal_iou
 
 # the three mAP tasks, each scored on its own class key
 CLASS_KEYS = ("verb", "noun", "action")
@@ -64,14 +64,6 @@ class MeanApResult:
     average: float
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of every run of equal values in ``keys``."""
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    first = np.flatnonzero(first)
-    return first, np.diff(np.append(first, len(keys)))
-
-
 def average_precisions(row, rank, num_gt) -> np.ndarray:
     """Area under the interpolated precision-recall curve of every row.
 
@@ -95,7 +87,7 @@ def average_precisions(row, rank, num_gt) -> np.ndarray:
     if not len(row):
         return aps
     # the rows with true positives, each with its count k of them
-    first, k = _runs(row)
+    first, k = runs(row)
     scored = row[first]
     n = num_gt[scored]
     # one line per such row, its hit with tp true positives at column
@@ -137,7 +129,9 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     The detections come in ``rank_order`` (score descending, then start
     and action id), as ``pipeline.evaluate_files`` ranks them, so a full
     tie keeps video id order. One sort by class, ties in input order,
-    keeps that rank within each class. The join pairs each detection with
+    keeps that rank within each class: a detection's rank is its
+    ``run_index`` in its class plus 1, and the scored classes are the
+    ``runs`` of the ground truth sorted by class. The join pairs each detection with
     the ground truth of its class and video a run of detections at a time,
     and orders and matches each run before it builds the next. Runs are
     ranges of detections, and a run's pairs go by detection, then tIoU
@@ -154,7 +148,7 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     # ground truth by class, then video, in input order within
     gt_index = lex_order(gts.video, gt_class)
     sorted_class = gt_class[gt_index]
-    first, num_gt = _runs(sorted_class)
+    first, num_gt = runs(sorted_class)
     classes = sorted_class[first]
     gt_key = np.repeat(np.arange(len(classes)), num_gt) * videos + gts.video[gt_index]
 
@@ -164,7 +158,7 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     has_gt = class_id < len(classes)
     has_gt[has_gt] = classes[class_id[has_gt]] == det_class[ranked][has_gt]
     ranked, class_id = ranked[has_gt], class_id[has_gt]
-    rank = np.arange(1, len(ranked) + 1) - np.searchsorted(class_id, class_id)
+    rank = run_index(class_id) + 1
 
     # the join: each detection against its (class, video) block of ground truth
     det_key = class_id * videos + dets.video[ranked]

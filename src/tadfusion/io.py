@@ -341,17 +341,30 @@ def _load_json(text: str, **hooks):
         raise ParseError(f"invalid JSON: {exc}", line=getattr(exc, "lineno", None)) from None
 
 
-def _reject_repeated_keys(text: str, keys: int) -> None:
-    """Raise a ParseError naming a key repeated within one JSON object of
-    ``text``, whose parsed objects were counted to hold ``keys`` keys or
-    more; ``json`` would let the last value of such a key win.
-
-    Every object member takes one ``:`` outside strings, so once ``keys``
-    reaches the number of colons, no key repeats. Only otherwise is the
-    text parsed again, checking every object.
-    """
+def _video_table(text: str, payload: dict, key: str, what: str, add_rows,
+                 dtype: np.dtype) -> VideoTable:
+    """The JSON map ``payload[key]`` of video ids to entry lists, parsed
+    from ``text``, as one table of ``dtype`` rows grouped by the code of the
+    sorted ids, each video's in file order; the one walk of a video map.
+    ``add_rows(code, entries, rows)`` appends the rows of one video's
+    entries, led by its code, and raises on any entry that is not a JSON
+    object. A value that is not a list is a SchemaMismatch naming ``what``,
+    and a key repeated within one JSON object (``json`` lets its last value
+    win) a ParseError naming it: every object member takes one ``:``
+    outside strings, so once the counted keys reach the number of colons,
+    no key repeats, and only otherwise is ``text`` parsed again."""
+    video_ids, codes = video_codes(payload[key])
+    rows = []
+    keys = len(payload) + len(payload[key])
+    for code, (video_id, entries) in zip(codes.tolist(), payload[key].items()):
+        if not isinstance(entries, list):
+            raise SchemaMismatch(f"{what} of video {video_id!r} must be a list")
+        add_rows(code, entries, rows)
+        keys += sum(map(len, entries))  # all dicts: any other entry raised
     if keys < text.count(":"):
         _load_json(text, object_pairs_hook=_unique_keys)
+    table = np.array(rows, dtype=dtype)
+    return VideoTable(video_ids, table[lex_order(table["video"])].view(np.recarray))
 
 
 def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
@@ -381,12 +394,8 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
         raise SchemaMismatch("results must map video ids to detection lists")
 
     verb_count, noun_count = vocab.verb_count, vocab.noun_count
-    video_ids, codes = video_codes(payload["results"])
-    rows = []
-    keys = len(payload) + len(payload["results"])  # for _reject_repeated_keys
-    for code, (video_id, entries) in zip(codes.tolist(), payload["results"].items()):
-        if not isinstance(entries, list):
-            raise SchemaMismatch(f"detections of video {video_id!r} must be a list")
+
+    def add_rows(code, entries, rows):
         for entry in entries:
             if (type(entry) is dict
                     and type(verb := entry.get("verb")) is int and 0 <= verb < verb_count
@@ -399,13 +408,11 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
                 rows.append((code, start, end, verb, noun, 0, score))
             else:
                 rows.append((code, *_checked_entry(entry, vocab)))
-        keys += sum(map(len, entries))  # all dicts: any other entry raised
-    _reject_repeated_keys(text, keys)
-    # fields by index: a recarray's attribute access costs more
-    dets = np.array(rows, dtype=DETECTION)
-    dets = dets[lex_order(dets["video"])]  # by video, each in file order
+
+    table = _video_table(text, payload, "results", "detections", add_rows, DETECTION)
+    dets = table.rows  # fields by index: a recarray's attribute access costs more
     dets["action"] = vocab.action_id(dets["noun"], dets["verb"])
-    return SubmissionDocument(video_ids, dets.view(np.recarray), payload["version"])
+    return SubmissionDocument(table.video_ids, dets, payload["version"])
 
 
 def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
@@ -421,12 +428,8 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
     payload = _load_json(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("annotations"), dict):
         raise SchemaMismatch("ground truth must contain an 'annotations' map")
-    video_ids, codes = video_codes(payload["annotations"])
-    rows = []
-    keys = len(payload) + len(payload["annotations"])  # for _reject_repeated_keys
-    for code, (video_id, entries) in zip(codes.tolist(), payload["annotations"].items()):
-        if not isinstance(entries, list):
-            raise SchemaMismatch(f"annotations of video {video_id!r} must be a list")
+
+    def add_rows(code, entries, rows):
         for entry in entries:
             try:
                 rows.append((code, *require_segment(entry["segment"]),
@@ -434,7 +437,5 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
                              require_class_index(entry["noun"], vocab.noun_count, key="noun")))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed annotation: {exc}") from None
-        keys += sum(map(len, entries))  # all dicts: any other entry raised
-    _reject_repeated_keys(text, keys)
-    truth = np.array(rows, dtype=GROUND_TRUTH)
-    return VideoTable(video_ids, truth[lex_order(truth["video"])].view(np.recarray))
+
+    return _video_table(text, payload, "annotations", "annotations", add_rows, GROUND_TRUTH)

@@ -112,7 +112,9 @@ class Scenario:
     noun_boundary: np.ndarray
     verb_boundary: np.ndarray
 
-    @property  # perfbench/tracing.py's simulation.segments hook reads it; goes with ROADMAP item 1
+    # perfbench/tracing.py's simulation.segments hook reads this alias; it
+    # goes once the benchmark reads the run report (ROADMAP item 2)
+    @property
     def ground_truth(self) -> np.recarray:
         return self.truth
 

@@ -83,6 +83,25 @@ def temporal_iou(a: tuple, b: tuple):
         return np.maximum(0.0, intersection) / union
 
 
+def runs(*keys) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of every run of equal rows of the columns ``keys``:
+    a row opens a run when it is the first row or when any key differs
+    from the row before (``-0.0 == 0.0``). The one grouping of rows."""
+    n = len(keys[0])
+    opens = np.zeros(n, bool)
+    opens[:1] = True
+    for key in keys:
+        opens[1:] |= key[1:] != key[:-1]
+    first = np.flatnonzero(opens)
+    return first, np.diff(first, append=n)
+
+
+def run_index(*keys) -> np.ndarray:
+    """Index of every row within its run of ``runs(*keys)``, from 0."""
+    first, length = runs(*keys)
+    return np.arange(len(keys[0])) - np.repeat(first, length)
+
+
 def lex_order(*keys) -> np.ndarray:
     """Indices that sort columns by ``keys``, the last key first and input
     order on full ties: exactly ``np.lexsort(keys)``, from NumPy's default
@@ -101,16 +120,13 @@ def lex_order(*keys) -> np.ndarray:
         order = lex_order(*rest) if rest else np.arange(n)
         return order[np.argsort(last[order].astype(np.int64) * n + np.arange(n))]
     order = np.argsort(last)
-    value = last[order]
-    opens = np.concatenate(([True], value[1:] != value[:-1]))
-    if opens.all():
+    first, length = runs(last[order])
+    if len(first) == n:
         return order
     # the rows of runs of more than one value, in input order, by their run
-    tied = ~opens
-    tied[:-1] |= tied[1:]
-    slots = np.flatnonzero(tied)
+    slots = np.flatnonzero(np.repeat(length > 1, length))
     run = np.empty(n, np.int64)
-    run[order] = np.cumsum(opens)
+    run[order] = np.repeat(np.arange(len(first)), length)
     rows = np.sort(order[slots])
     order[slots] = rows[lex_order(*(key[rows] for key in rest), run[rows])]
     return order
@@ -122,12 +138,6 @@ def rank_order(score, start, action, *video) -> np.ndarray:
     video code column, rows are grouped by it first, ascending, and ranked
     within their video. The one ranking of detections."""
     return lex_order(action, start, -score, *video)
-
-
-def _heads(video: np.ndarray, cap: int) -> np.ndarray:
-    """Mask of the first ``cap`` rows of each video of ascending codes."""
-    first = np.searchsorted(video, np.arange(video.max(initial=0) + 1))
-    return np.arange(len(video)) - first[video] < cap
 
 
 def _scaled_vote(voters: list, field: int, weight: float) -> float:
@@ -228,7 +238,9 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     Applies each video's pre-NMS cap by rank, runs Soft-NMS with boundary
     voting within each pool of one video and action id, then merges each
     video's pools in rank order and truncates them to ``max_per_video``.
-    The kept rows come grouped by video code, ascending.
+    The kept rows come grouped by video code, ascending. A pool is a run of
+    equal ``(action, video)`` of ranked rows, and a cap keeps the rows of
+    ``run_index`` below it in a run of one video: ``runs`` finds both.
 
     Two rows interact only when their intervals overlap, so each pool is
     split into overlap components. Rows below ``min_score`` are dropped
@@ -248,15 +260,13 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     if not len(dets):
         return dets
     order = rank_order(dets.score, dets.start, dets.action, dets.video)
-    order = order[_heads(dets.video[order], cfg.pre_nms_cap)]
+    order = order[run_index(dets.video[order]) < cfg.pre_nms_cap]
     order = order[lex_order(dets.action[order])]  # pools: (action, video) runs, ranked
     start, end, score, action, video = (dets[name][order] for name in
                                         ("start", "end", "score", "action", "video"))
-    opens_pool = np.concatenate(([True], (action[1:] != action[:-1])
-                                 | (video[1:] != video[:-1])))
-    pool = np.cumsum(opens_pool) - 1
-    heads = np.flatnonzero(opens_pool)  # a pool's first row is its best
-    best = heads[pool]
+    heads, length = runs(action, video)  # a pool's first row is its best
+    pool = np.repeat(np.arange(len(heads)), length)
+    best = np.repeat(heads, length)
     live = (score >= cfg.min_score) | (np.minimum(end, end[best]) > np.maximum(start, start[best]))
     live[heads] = True
     live = np.flatnonzero(live)
@@ -273,9 +283,8 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     # made as each pool runs and freed with it, which spares the collector
     rows = map(list, zip((-score[at]).tolist(), start[at].tolist(), tie.tolist(),
                          end[at].tolist(), score[at].tolist(), component[tie].tolist()))
-    opens = np.flatnonzero(np.diff(pool[at], prepend=-1))  # each pool's first row
     merged = []
-    for size in np.diff(opens, append=len(at)).tolist():
+    for size in runs(pool[at])[1].tolist():
         merged.extend(soft_nms(list(islice(rows, size)), cfg, vote=True))
     # one float array of the kept rows: ties are exact below 2**53
     neg_score, kept_start, kept_tie, kept_end = np.fromiter(
@@ -294,7 +303,7 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     # by video; equal ranks by pool (so action), original start and position
     kept_video = video[by_start[kept_tie]]
     ranked = lex_order(kept_tie, kept_start, neg_score, kept_video)
-    ranked = ranked[_heads(kept_video[ranked], cfg.max_per_video)]
+    ranked = ranked[run_index(kept_video[ranked]) < cfg.max_per_video]
     kept = dets.take(order[by_start[kept_tie[ranked]]])
     kept.start, kept.end, kept.score = kept_start[ranked], kept_end[ranked], -neg_score[ranked]
     return kept

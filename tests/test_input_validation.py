@@ -734,7 +734,7 @@ class TestMeanFusionOverflow:
 
 class TestInternalError:
     def test_message_names_the_exception_type(self, monkeypatch, capsys):
-        def broken(args):
+        def broken(args, cfg):
             raise KeyError("x")
 
         monkeypatch.setattr("tadfusion.cli.cmd_windows", broken)

@@ -519,3 +519,66 @@ class TestCli:
     def test_missing_file_exit_code(self):
         result = run_cli("pipeline", "--proposals", "/nonexistent/path.txt")
         assert result.returncode == 1
+
+
+# the table ``simulate --config <sim_segments = 6> --seed 5 --table`` writes
+SIMULATE_TABLE_SEED_5 = (
+    b"# segment err_dwf err_mean\n"
+    b"0 1.098343 1.084430\n"
+    b"1 0.479412 0.452391\n"
+    b"2 0.360858 0.739594\n"
+    b"3 0.805735 0.799369\n"
+    b"4 0.644186 0.748134\n"
+    b"5 0.878023 1.264236\n"
+)
+
+
+class TestMainIsTheOneWriter:
+    """``main`` writes a command's text once, after the command succeeded,
+    to ``--output`` or to stdout."""
+
+    @staticmethod
+    def commands(tmp_path):
+        proposals, submission, truth, cfg = (tmp_path / name for name in
+                                             ("p.txt", "s.json", "gt.json", "sim.cfg"))
+        write_proposal_file(proposals, proposal_columns(
+            [record(), record(window_start=2), record(video="P02", noun_idx=7, verb_idx=1)]))
+        assert main(["pipeline", "--proposals", str(proposals), "--output", str(submission)]) == 0
+        truth.write_text(json.dumps({"annotations": {
+            "P01_101": [{"verb": 3, "noun": 5, "segment": [0.5, 1.5]}], "P02": []}}))
+        cfg.write_text("sim_segments = 6\n")
+        return {"pipeline": ["--proposals", str(proposals)],
+                "fuse": ["--proposals", str(proposals)],
+                "nms": ["--input", str(submission)],
+                "eval": ["--submission", str(submission), "--ground-truth", str(truth)],
+                "simulate": ["--config", str(cfg), "--seed", "5"],
+                "windows": ["--total-features", "6000"]}
+
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capfdbinary):
+        for command, args in self.commands(tmp_path).items():
+            capfdbinary.readouterr()
+            assert main([command, *args]) == 0
+            stdout = capfdbinary.readouterr().out
+            out = tmp_path / f"{command}.out"
+            assert main([command, *args, "--output", str(out)]) == 0
+            assert capfdbinary.readouterr().out == b""
+            assert stdout and out.read_bytes() == stdout, command
+
+    def test_a_failing_command_writes_nothing(self, tmp_path, capfdbinary):
+        bad, out = tmp_path / "bad.txt", tmp_path / "out.json"
+        bad.write_text(
+            "P01 0 10.0 20.0 5:0.9 14.0 24.0 3:0.8\nP01 0 10.0 20.0 5:0.9 14.0 24.0\n")
+        assert main(["pipeline", "--proposals", str(bad)]) == 1
+        assert main(["pipeline", "--proposals", str(bad), "--output", str(out)]) == 1
+        captured = capfdbinary.readouterr()
+        assert captured.out == b"" and b"line 2" in captured.err
+        assert not out.exists()
+
+    def test_simulate_writes_the_table_and_the_report(self, tmp_path, capfdbinary):
+        args = self.commands(tmp_path)["simulate"]
+        assert main(["simulate", *args]) == 0
+        report = capfdbinary.readouterr().out
+        table, out = tmp_path / "table.txt", tmp_path / "report.txt"
+        assert main(["simulate", *args, "--table", str(table), "--output", str(out)]) == 0
+        assert table.read_bytes() == SIMULATE_TABLE_SEED_5
+        assert out.read_bytes() == report

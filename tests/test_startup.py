@@ -190,6 +190,13 @@ def test_detections_are_one_table_from_fusion_to_file():
                                      "EVAL_GROUND_TRUTH"}) == []
 
 
+def test_command_io_runs_and_the_video_map_have_one_home():
+    # cli.main loads the configuration and writes the output, suppression.runs
+    # finds runs of equal keys, and io._video_table reads a JSON video map
+    assert sorted(defined_names() & {"_runs", "_heads", "_reject_repeated_keys",
+                                     "_load_config", "_emit"}) == []
+
+
 def test_rows_are_ordered_by_one_helper():
     # suppression.lex_order is the one exact ordering: no slow stable sort
     # or lexsort outside it

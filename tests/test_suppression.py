@@ -2,6 +2,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from tadfusion.suppression import (
     NOUN_NMS,
     VERB_ACTION_NMS,
     lex_order,
+    run_index,
+    runs,
     suppress_video,
     temporal_iou,
 )
@@ -100,6 +103,51 @@ class TestLexOrder:
     def test_signed_zeros_tie(self):
         keys = [np.array([2, 1, 0, 1]), np.array([0.0, -0.0, 0.0, -0.0])]
         assert lex_order(*keys).tolist() == np.lexsort(keys).tolist() == [2, 1, 3, 0]
+
+
+def oracle_runs(keys):
+    """Start and length of each run of equal rows, by ``itertools.groupby``
+    over the rows as tuples of Python numbers (``-0.0 == 0.0``)."""
+    rows = list(zip(*(key.tolist() for key in keys)))
+    first, length = [], []
+    for _, run in groupby(range(len(rows)), key=rows.__getitem__):
+        run = list(run)
+        first.append(run[0])
+        length.append(len(run))
+    return first, length
+
+
+class TestRuns:
+    """``runs`` and ``run_index`` group rows as ``itertools.groupby`` does."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_groupby(self, data):
+        n = data.draw(st.integers(0, 60))
+        kinds = data.draw(st.lists(st.sampled_from([GRID_FLOATS, GROUPS]), min_size=1,
+                                   max_size=3))
+        keys = [np.array(data.draw(st.lists(kind, min_size=n, max_size=n)),
+                         float if kind is GRID_FLOATS else np.int64) for kind in kinds]
+        first, length = oracle_runs(keys)
+        got_first, got_length = runs(*keys)
+        assert (got_first.tolist(), got_length.tolist()) == (first, length)
+        assert run_index(*keys).tolist() == [i for size in length for i in range(size)]
+
+    def test_signed_zeros_are_one_run(self):
+        keys = [np.array([-0.0, 0.0, -0.0, 1.0]), np.array([3, 3, 3, 3])]
+        assert [a.tolist() for a in runs(*keys)] == [[0, 3], [3, 1]]
+        assert run_index(*keys).tolist() == [0, 1, 2, 0]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_all_keys_equal_are_one_run(self, n):
+        keys = [np.full(n, 2.5), np.full(n, 7)]
+        assert [a.tolist() for a in runs(*keys)] == [[0], [n]]
+        assert run_index(*keys).tolist() == list(range(n))
+
+    def test_empty_input_has_no_runs(self):
+        keys = [np.array([], float), np.array([], np.int64)]
+        assert [a.tolist() for a in runs(*keys)] == [[], []]
+        assert run_index(*keys).tolist() == []
 
 
 # at scale 1e308, two overlapping intervals whose union, but not either
