@@ -131,16 +131,17 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     tie keeps video id order. One sort by class, ties in input order,
     keeps that rank within each class: a detection's rank is its
     ``run_index`` in its class plus 1, and the scored classes are the
-    ``runs`` of the ground truth sorted by class. The join pairs each detection with
-    the ground truth of its class and video a run of detections at a time,
-    and orders and matches each run before it builds the next. Runs are
-    ranges of detections, and a run's pairs go by detection, then tIoU
-    descending, then ground-truth order. Greedy matching at a threshold
-    walks the pairs whose tIoU passes and takes one whose detection and
-    ground truth are both unmatched; the ground-truth flags carry from run
-    to run, and a detection, whose pairs lie in one run, is matched once it
-    is the threshold's last hit. A detection without a match is a false
-    positive. The hits of every threshold and class are scored by one
+    ``runs`` of equal class in the ground truth sorted by class. The join
+    pairs each detection with the ground truth of its class and video a
+    run of detections at a time, and orders and matches each run before
+    it builds the next. Runs of the join are ranges of detections, and a
+    run's pairs go by detection, then tIoU descending, then ground-truth
+    order. Greedy matching at a threshold walks the pairs whose tIoU
+    passes and takes one whose detection and ground truth are both
+    unmatched; the ground-truth flags carry from run to run, and a
+    detection, whose pairs lie in one run, is matched once it is the
+    threshold's last hit. A detection without a match is a false positive.
+    The hits of every threshold and class are scored by one
     ``average_precisions`` call.
     """
     det_class, gt_class = _task_classes(dets, gts, cfg.task)
