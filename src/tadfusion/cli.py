@@ -5,16 +5,22 @@ through to a submission JSON, ``fuse`` and ``nms`` expose the fusion and
 suppression stages on their own, ``eval`` scores a submission, ``simulate``
 runs the seeded fusion comparison, and ``windows`` prints sliding-window
 placements. Each ``cmd_*`` takes the parsed flags and configuration and
-returns its whole output, which ``main`` writes. Exit codes: 0 success,
-1 usage, parse or validation error, 2 internal invariant violation.
+returns its whole output, which ``main`` writes. A number flag is text
+read by the configuration's number grammar, so its errors name the key it
+sets. ``main`` may be called repeatedly in one process: it builds the
+parser on its first call and only parses on later ones. Exit codes: 0
+success, 1 usage, parse or validation error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from . import __version__
+# io.parse_number is called through the module: perfbench's tracer counts a
+# function imported by name as an entry into its layer
+from . import __version__, io
 from .config import PipelineConfig, parse_config
 from .errors import ParseError, PipelineError
 from .fusion import FUSION_MODES, first_empty, fuse_proposals
@@ -36,9 +42,11 @@ from .suppression import NMS_PRESETS, suppress_video
 from .timeline import generate_windows
 
 
-# each value-setting flag's dest, and the configuration key it overrides
-_FLAG_KEYS = {"fusion_mode": "fusion_mode", "nms_preset": "nms_preset", "seed": "sim_seed",
-              "max_len": "window_length", "overlap": "window_overlap"}
+# each value-setting flag's dest, the configuration key it overrides, and
+# the kind of number its text is read as (None: a choice, taken as given)
+_FLAG_KEYS = {"fusion_mode": ("fusion_mode", None), "nms_preset": ("nms_preset", None),
+              "seed": ("sim_seed", "int"), "max_len": ("window_length", "int"),
+              "overlap": ("window_overlap", "float")}
 
 
 def cmd_pipeline(args, cfg: PipelineConfig) -> str:
@@ -89,11 +97,13 @@ def cmd_simulate(args, cfg: PipelineConfig) -> str:
 
 
 def cmd_windows(args, cfg: PipelineConfig) -> str:
-    windows = generate_windows(args.total_features, cfg.window_length, cfg.window_overlap)
+    total = io.parse_number("int", args.total_features, key="total_features")
+    windows = generate_windows(total, cfg.window_length, cfg.window_overlap)
     lines = [f"{w.start_feature} {w.length_features}" for w in windows]
     return "\n".join(lines) + "\n"
 
 
+@functools.cache  # built on the first call; each later main only parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tadfusion",
@@ -113,36 +123,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="proposals -> submission JSON")
     p.add_argument("--proposals", required=True)
     add_common(p, fusion_mode=True, nms_preset=True)
-    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("fuse", help="fuse aligned boundaries only")
     p.add_argument("--proposals", required=True)
     add_common(p, fusion_mode=True)
-    p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("nms", help="re-suppress an existing submission")
     p.add_argument("--input", required=True, help="submission JSON to suppress")
     add_common(p, nms_preset=True)
-    p.set_defaults(func=cmd_nms)
 
     p = sub.add_parser("eval", help="score a submission against ground truth")
     p.add_argument("--submission", required=True)
     p.add_argument("--ground-truth", required=True, dest="ground_truth")
     add_common(p)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("simulate", help="seeded fusion error comparison")
     add_common(p)
-    p.add_argument("--seed", type=int, help="override the simulation seed")
+    p.add_argument("--seed", help="override the simulation seed")
     p.add_argument("--table", help="write per-segment errors to this file")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("windows", help="print sliding-window placements")
-    p.add_argument("--total-features", type=int, required=True, dest="total_features")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--overlap", type=float)
+    p.add_argument("--total-features", required=True, dest="total_features")
+    p.add_argument("--max-len", dest="max_len")
+    p.add_argument("--overlap")
     add_common(p)
-    p.set_defaults(func=cmd_windows)
 
     return parser
 
@@ -152,11 +156,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # a usage error exits 1, not argparse's 2
         return 1 if exc.code else 0
-    overrides = {key: value for dest, key in _FLAG_KEYS.items()
-                 if (value := getattr(args, dest, None)) is not None}
+    command = {"pipeline": cmd_pipeline, "fuse": cmd_fuse, "nms": cmd_nms, "eval": cmd_eval,
+               "simulate": cmd_simulate, "windows": cmd_windows}[args.command]
     try:
+        overrides = {key: io.parse_number(kind, raw, key=key) if kind else raw
+                     for dest, (key, kind) in _FLAG_KEYS.items()
+                     if (raw := getattr(args, dest, None)) is not None}
         # a command returns its whole output, written only once it succeeded
-        text = args.func(args, parse_config(args.config, overrides))
+        text = command(args, parse_config(args.config, overrides))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -248,6 +248,43 @@ class TestFlagsAreConfigValues:
         assert by_flag != capsys.readouterr().out
 
 
+class TestNumberFlagGrammar:
+    """A number flag is read by the configuration's number grammar: ASCII
+    digits and no ``_`` digit groups, which ``int`` and ``float`` accept."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate", "--seed", "1_0"], "sim_seed"),
+        (["simulate", "--seed", "\u0663"], "sim_seed"),
+        (["windows", "--total-features", "10", "--max-len", "1_000"], "window_length"),
+        (["windows", "--total-features", "10", "--overlap", "0.5_0"], "window_overlap"),
+        (["windows", "--total-features", "\u0664\u0666\u0660\u0668"], "total_features"),
+    ], ids=["seed-digit-group", "seed-arabic-indic", "max-len", "overlap", "total-features"])
+    def test_exits_1_naming_its_key(self, capsys, argv, key):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and err.endswith(f"(key {key!r})\n")
+
+    def test_flag_and_config_line_give_one_message(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "1_0"]) == 1
+        by_flag = capsys.readouterr().err
+        assert run(tmp_path, ["simulate", "--config", "{c}"], c="sim_seed = 1_0\n") == 1
+        assert by_flag == capsys.readouterr().err == "error: malformed int '1_0' (key 'sim_seed')\n"
+
+    @pytest.mark.parametrize("argv, out", [
+        (["windows", "--total-features", "10", "--max-len", "4", "--overlap", "0.5"],
+         "0 4\n2 4\n4 4\n6 4\n"),
+        (["windows", "--total-features", "+10", "--max-len", "04", "--overlap", "5e-1"],
+         "0 4\n2 4\n4 4\n6 4\n"),
+        (["simulate", "--seed", "10", "--config", "{c}"],
+         "seed = 10\nnum_segments = 5\nmean_abs_err_dwf = 0.756622\n"
+         "mean_abs_err_mean = 0.864136\nerror_gap = 0.107514\n"
+         "confidence_error_correlation = -0.560323\np_value_dwf_less = 0.252192\n"),
+    ], ids=["windows", "windows-signed-padded-exponent", "simulate"])
+    def test_plain_values_keep_their_output(self, tmp_path, capsys, argv, out):
+        assert run(tmp_path, argv, c="sim_segments = 5\n") == 0
+        assert capsys.readouterr().out == out
+
+
 class TestRepeatedConfigKey:
     def test_exits_1_naming_line_and_key(self, tmp_path, capsys):
         # a last-wins reading would silently run at fps 25
@@ -454,6 +491,80 @@ class TestUsageErrors:
                                 capture_output=True, text=True)
         assert result.returncode == 1
         assert "--proposals" in result.stderr
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process, and a call leaves
+    nothing behind for the next."""
+
+    PROPOSALS = ("P01 0 10.0 20.0 5:0.9,6:0.3 14.0 24.0 3:0.8,4:0.4\n"
+                 "P01 0 12.0 22.0 5:0.7 11.0 25.0 3:0.6,4:0.5\n"
+                 "P02 0 1.0 9.0 2:0.6 3.0 8.0 1:0.9\n")
+    # overlapping detections, which the noun and verb_action presets decay apart
+    ENTRIES = [dict(GOOD_ENTRY, segment=[1.0, 2.0], score=0.9),
+               dict(GOOD_ENTRY, noun=6, action="3,6", segment=[1.1, 2.1], score=0.8),
+               dict(GOOD_ENTRY, verb=4, action="4,5", segment=[1.2, 2.0], score=0.7),
+               dict(GOOD_ENTRY, segment=[1.05, 2.05], score=0.6)]
+
+    def commands(self, tmp_path):
+        files = {"p.txt": self.PROPOSALS, "s.json": submission_text(self.ENTRIES),
+                 "g.json": json.dumps({"annotations": {"P01": [
+                     {"verb": 3, "noun": 5, "segment": [1.0, 2.0]}]}})}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        p, s, g = (str(tmp_path / name) for name in files)
+        return {"pipeline": ["pipeline", "--proposals", p],
+                "pipeline-mean": ["pipeline", "--proposals", p, "--fusion-mode", "mean"],
+                "fuse": ["fuse", "--proposals", p],
+                "nms": ["nms", "--input", s],
+                "nms-noun": ["nms", "--input", s, "--nms-preset", "noun"],
+                "eval": ["eval", "--submission", s, "--ground-truth", g],
+                "simulate": ["simulate"],
+                "simulate-seed": ["simulate", "--seed", "3"],
+                "windows": ["windows", "--total-features", "10", "--max-len", "4"],
+                "usage-error": ["pipeline", "--proposals", p, "--fusion-mode", "median"]}
+
+    @staticmethod
+    def call(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_alternating_calls_match_lone_calls(self, tmp_path, capsys):
+        commands = self.commands(tmp_path)
+        names = ["pipeline-mean", "pipeline", "nms-noun", "nms", "simulate-seed", "simulate",
+                 "usage-error"]
+        alone = {}
+        for name in names:
+            build_parser.cache_clear()  # as in a fresh process
+            alone[name] = self.call(capsys, commands[name])
+        assert alone["usage-error"][0] == 1 and "error:" in alone["usage-error"][2]
+        for flagged, plain in zip(names[0::2], names[1::2]):
+            assert alone[flagged][0] == alone[plain][0] == 0
+            assert alone[flagged][1] != alone[plain][1]
+        for name in ["pipeline-mean", "pipeline", "usage-error", "pipeline-mean",
+                     "nms-noun", "usage-error", "nms", "nms-noun",
+                     "simulate-seed", "simulate", "usage-error", "simulate-seed",
+                     "pipeline", "nms", "simulate"]:
+            assert self.call(capsys, commands[name]) == alone[name], name
+
+    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        commands = self.commands(tmp_path)
+        build_parser.cache_clear()
+        assert main(commands["windows"]) == 0
+        assert len(built) == 7  # the parser and its six subcommands
+        built.clear()
+        for name in ["pipeline", "fuse", "nms", "eval", "simulate", "windows", "usage-error"]:
+            main(commands[name])
+        assert built == []
 
 
 class TestOptionSurface:
