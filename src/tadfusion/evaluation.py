@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .suppression import DETECTION, lex_order, run_index, runs, temporal_iou
+from .suppression import lex_order, run_index, runs, temporal_iou
 
 # the three mAP tasks, each scored on its own class key
 CLASS_KEYS = ("verb", "noun", "action")
@@ -31,9 +31,6 @@ MAX_EVAL_THRESHOLDS = 100
 # candidate (detection, ground truth) pairs the join builds and matches at
 # once; of 2**14 to 2**20, 2**16 joined 25 million candidates fastest
 _JOIN_CHUNK = 1 << 16
-
-# Annotated action segments: the ``DETECTION`` columns up to noun.
-GROUND_TRUTH = np.dtype(DETECTION.descr[:5])
 
 
 @dataclass(frozen=True)
@@ -109,22 +106,14 @@ def average_precisions(row, rank, num_gt) -> np.ndarray:
     return aps
 
 
-def _task_classes(dets: np.recarray, gts: np.recarray, task: str):
-    """Class of every detection and ground truth under ``task``; an action
-    class orders as its ``(verb, noun)`` pair."""
-    if task != "action":
-        return dets[task], gts[task]
-    span = 1 + max(dets.noun.max(initial=0), gts.noun.max(initial=0))
-    return dets.verb * span + dets.noun, gts.verb * span + gts.noun
-
-
 def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanApResult:
     """Mean AP on one task of detections and ground truth whose video codes
     index one list of ids.
 
-    Classes are keyed by the task's factor (verb index, noun index, or
-    the verb-noun pair for the action task). Classes without any ground
-    truth are excluded from the mean rather than scored 0.
+    A task's class is its column in either table: the verb index, the
+    noun index or the action id ``VocabSpec.action_id(noun, verb)``.
+    Classes without any ground truth are excluded from the mean rather
+    than scored 0.
 
     The detections come in ``rank_order`` (score descending, then start
     and action id), as ``pipeline.evaluate_files`` ranks them, so a full
@@ -136,15 +125,17 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
     run of detections at a time, and orders and matches each run before
     it builds the next. Runs of the join are ranges of detections, and a
     run's pairs go by detection, then tIoU descending, then ground-truth
-    order. Greedy matching at a threshold walks the pairs whose tIoU
-    passes and takes one whose detection and ground truth are both
-    unmatched; the ground-truth flags carry from run to run, and a
+    order; sorting by the first two keys keeps the third, because each
+    detection's pairs are built in ascending ground-truth order and full
+    ties keep input order. Greedy matching at a threshold walks the pairs
+    whose tIoU passes and takes one whose detection and ground truth are
+    both unmatched; the ground-truth flags carry from run to run, and a
     detection, whose pairs lie in one run, is matched once it is the
     threshold's last hit. A detection without a match is a false positive.
     The hits of every threshold and class are scored by one
     ``average_precisions`` call.
     """
-    det_class, gt_class = _task_classes(dets, gts, cfg.task)
+    det_class, gt_class = dets[cfg.task], gts[cfg.task]
     videos = 1 + max(dets.video.max(initial=0), gts.video.max(initial=0))
     # ground truth by class, then video, in input order within
     gt_index = lex_order(gts.video, gt_class)
@@ -181,7 +172,7 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
         det = ranked[pair_det]
         iou = temporal_iou((dets.start[det], dets.end[det]),
                            (gts.start[pair_gt], gts.end[pair_gt]))
-        order = lex_order(pair_gt, -iou, pair_det)
+        order = lex_order(-iou, pair_det)
         pair_det, pair_gt, iou = pair_det[order], pair_gt[order], iou[order]
         for tau, matched, hit in zip(cfg.thresholds, gt_matched, hits):
             passes = iou >= tau

@@ -20,9 +20,8 @@ import numpy as np
 
 from .composition import ENTRY, VocabSpec
 from .errors import ParseError, SchemaMismatch, VocabularyMismatch
-from .evaluation import GROUND_TRUTH
 from .fusion import empty
-from .suppression import DETECTION, lex_order, rank_order, video_codes
+from .suppression import DETECTION, GROUND_TRUTH, lex_order, rank_order, video_codes
 
 SUBMISSION_VERSION = "0.1"
 SUBMISSION_CHALLENGE = "action_detection"
@@ -342,17 +341,18 @@ def _load_json(text: str, **hooks):
 
 
 def _video_table(text: str, payload: dict, key: str, what: str, add_rows,
-                 dtype: np.dtype) -> VideoTable:
+                 dtype: np.dtype, vocab: VocabSpec) -> VideoTable:
     """The JSON map ``payload[key]`` of video ids to entry lists, parsed
     from ``text``, as one table of ``dtype`` rows grouped by the code of the
     sorted ids, each video's in file order; the one walk of a video map.
     ``add_rows(code, entries, rows)`` appends the rows of one video's
-    entries, led by its code, and raises on any entry that is not a JSON
-    object. A value that is not a list is a SchemaMismatch naming ``what``,
-    and a key repeated within one JSON object (``json`` lets its last value
-    win) a ParseError naming it: every object member takes one ``:``
-    outside strings, so once the counted keys reach the number of colons,
-    no key repeats, and only otherwise is ``text`` parsed again."""
+    entries, led by its code, with action id 0 for ``vocab.action_id`` to
+    fill, and raises on any entry that is not a JSON object. A value that
+    is not a list is a SchemaMismatch naming ``what``, and a key repeated
+    within one JSON object (``json`` lets its last value win) a ParseError
+    naming it: every object member takes one ``:`` outside strings, so once
+    the counted keys reach the number of colons, no key repeats, and only
+    otherwise is ``text`` parsed again."""
     video_ids, codes = video_codes(payload[key])
     rows = []
     keys = len(payload) + len(payload[key])
@@ -364,6 +364,7 @@ def _video_table(text: str, payload: dict, key: str, what: str, add_rows,
     if keys < text.count(":"):
         _load_json(text, object_pairs_hook=_unique_keys)
     table = np.array(rows, dtype=dtype)
+    table["action"] = vocab.action_id(table["noun"], table["verb"])
     return VideoTable(video_ids, table[lex_order(table["video"])].view(np.recarray))
 
 
@@ -409,10 +410,8 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
             else:
                 rows.append((code, *_checked_entry(entry, vocab)))
 
-    table = _video_table(text, payload, "results", "detections", add_rows, DETECTION)
-    dets = table.rows  # fields by index: a recarray's attribute access costs more
-    dets["action"] = vocab.action_id(dets["noun"], dets["verb"])
-    return SubmissionDocument(table.video_ids, dets, payload["version"])
+    table = _video_table(text, payload, "results", "detections", add_rows, DETECTION, vocab)
+    return SubmissionDocument(table.video_ids, table.rows, payload["version"])
 
 
 def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
@@ -421,8 +420,9 @@ def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
 
 
 def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
-    """Ground truth as one table of ``GROUND_TRUTH`` rows, each video's in
-    file order. A key repeated within one JSON object is a ParseError."""
+    """Ground truth as one table of ``suppression.GROUND_TRUTH`` rows with
+    ``vocab``'s action ids, each video's in file order. A key repeated
+    within one JSON object is a ParseError."""
     with open_text(path) as handle:
         text = handle.read()
     payload = _load_json(text)
@@ -434,8 +434,9 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
             try:
                 rows.append((code, *require_segment(entry["segment"]),
                              require_class_index(entry["verb"], vocab.verb_count, key="verb"),
-                             require_class_index(entry["noun"], vocab.noun_count, key="noun")))
+                             require_class_index(entry["noun"], vocab.noun_count, key="noun"), 0))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise SchemaMismatch(f"malformed annotation: {exc}") from None
 
-    return _video_table(text, payload, "annotations", "annotations", add_rows, GROUND_TRUTH)
+    return _video_table(text, payload, "annotations", "annotations", add_rows, GROUND_TRUTH,
+                        vocab)

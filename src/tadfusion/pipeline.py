@@ -82,11 +82,11 @@ def evaluate_files(
     truth: VideoTable,
     thresholds: tuple[float, ...] = DEFAULT_TIOU_THRESHOLDS,
 ) -> dict[str, MeanApResult]:
-    """Score a parsed submission against ground truth (``GROUND_TRUTH``
-    rows) on all three tasks, from columns built once. Both tables' video
-    codes are mapped onto the sorted union of their ids, and the
-    detections ranked once: a full tie keeps video id order, then the
-    video's own order."""
+    """Score a parsed submission against ground truth, both with the
+    ``suppression.GROUND_TRUTH`` columns and one vocabulary's action ids,
+    on all three tasks, from columns built once. Both tables' video codes
+    are mapped onto the sorted union of their ids, and the detections
+    ranked once: a full tie keeps video id order, then the video's own order."""
     _, codes = suppression.video_codes([*submission.video_ids, *truth.video_ids])
     rows, gts = submission.rows, truth.rows.copy()
     dets = rows.take(suppression.rank_order(rows.score, rows.start, rows.action))

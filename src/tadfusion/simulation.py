@@ -18,9 +18,9 @@ import numpy as np
 
 from .composition import ENTRY, VocabSpec
 from .errors import DegenerateInterval, InvalidConfig
-from .evaluation import GROUND_TRUTH
 from .fusion import DEFAULT_FUSION_EPSILON, MEAN_WEIGHTS, dwf_weights, first_empty, fuse
 from .io import Proposals
+from .suppression import GROUND_TRUTH
 from .timeline import FeatureGrid, seconds_to_feature_coord
 
 _MAX_NOISE_RESAMPLES = 10_000
@@ -97,8 +97,8 @@ class ScenarioConfig:
 class Scenario:
     """Ground truth plus the aligned noun and verb draws, one row per segment.
 
-    ``truth`` holds the ``GROUND_TRUTH`` rows of the one video ``VIDEO_ID``,
-    whose code is 0.
+    ``truth`` holds the ``suppression.GROUND_TRUTH`` rows of the one video
+    ``VIDEO_ID``, whose code is 0, with the vocabulary's action ids.
     ``noun_confidence`` and ``verb_confidence`` have shape ``(n,)``;
     ``noun_boundary`` and ``verb_boundary`` have shape ``(n, 2)`` and hold
     each stream's noisy (start, end) in seconds. Class scores are built
@@ -183,9 +183,10 @@ def _noisy_boundary(
 def _draw_segment(rng: np.random.Generator, cfg: ScenarioConfig):
     """One segment's draws, one scalar call each, from its own stream.
 
-    Returns its truth row (video code 0, start, end, verb, noun), its noun
-    and verb confidences and its noun and verb boundaries. ``generate_scenario``
-    replays through it the segments its array pass cannot finish.
+    Returns its truth row (video code 0, start, end, verb, noun, action),
+    its noun and verb confidences and its noun and verb boundaries.
+    ``generate_scenario`` replays through it the segments its array pass
+    cannot finish.
     """
     # Generator.uniform(lo, hi) returns lo + (hi - lo) * random(), bit for bit;
     # at lo = 0 that is the product alone, which is never -0.0
@@ -197,7 +198,7 @@ def _draw_segment(rng: np.random.Generator, cfg: ScenarioConfig):
     conf_range = cfg.confidence_hi - cfg.confidence_lo
     c_noun = cfg.confidence_lo + conf_range * rng.random()
     c_verb = cfg.confidence_lo + conf_range * rng.random()
-    return ((0, *true_boundary, verb, noun), c_noun, c_verb,
+    return ((0, *true_boundary, verb, noun, cfg.vocab.action_id(noun, verb)), c_noun, c_verb,
             _noisy_boundary(rng, true_boundary, c_noun, cfg),
             _noisy_boundary(rng, true_boundary, c_verb, cfg))
 
@@ -343,6 +344,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     truth.start, truth.end = start, start + length
     truth.verb, verb_rejected = _bounded_index(raw[:, 2] & _MASK32, vocab.verb_count)
     truth.noun, noun_rejected = _bounded_index(raw[:, 2] >> 32, vocab.noun_count)
+    truth.action = vocab.action_id(truth.noun, truth.verb)
     conf_range = cfg.confidence_hi - cfg.confidence_lo
     noun_confidence = cfg.confidence_lo + conf_range * uniform[:, 2]
     verb_confidence = cfg.confidence_lo + conf_range * uniform[:, 3]

@@ -59,6 +59,8 @@ NMS_PRESETS = {"noun": NOUN_NMS, "verb_action": VERB_ACTION_NMS}
 DETECTION = np.dtype([("video", np.int64), ("start", float), ("end", float),
                       ("verb", np.int64), ("noun", np.int64), ("action", np.int64),
                       ("score", float)])
+# Annotated action segments: the ``DETECTION`` columns up to action.
+GROUND_TRUTH = np.dtype(DETECTION.descr[:6])
 
 
 def video_codes(video_ids) -> tuple[list[str], np.ndarray]:

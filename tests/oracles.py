@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from tadfusion.composition import ENTRY
+from tadfusion.composition import ENTRY, VocabSpec
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
-from tadfusion.evaluation import GROUND_TRUTH, EvalConfig, score_columns
+from tadfusion.evaluation import EvalConfig, score_columns
 from tadfusion.fusion import dwf_weights
 from tadfusion.io import Proposals, SubmissionDocument, VideoTable
 from tadfusion.simulation import (
@@ -27,7 +27,7 @@ from tadfusion.simulation import (
     Scenario,
     scenario_to_records,
 )
-from tadfusion.suppression import DETECTION, rank_order, soft_nms
+from tadfusion.suppression import DETECTION, GROUND_TRUTH, rank_order, soft_nms
 
 
 class ActionDetection(NamedTuple):
@@ -47,7 +47,9 @@ class ActionDetection(NamedTuple):
 
 
 class GroundTruthInstance(NamedTuple):
-    """An annotated segment: its video and the fields of a ``GROUND_TRUTH`` row."""
+    """An annotated segment: its video and the fields of a ``GROUND_TRUTH``
+    row up to its noun. The adapters add the action id, as
+    ``read_ground_truth`` does under the default vocabulary."""
 
     video_id: str
     start: float
@@ -108,6 +110,15 @@ def proposal_records(proposals: Proposals, vocab) -> list:
         dense(proposals.verb_entries, vocab.verb_count))]
 
 
+def record_array(rows: list, dtype) -> np.recarray:
+    """Rows as a record array of ``dtype``. Ground-truth rows end at the
+    noun and gain the action id ``read_ground_truth`` gives them under the
+    default vocabulary."""
+    if dtype == GROUND_TRUTH:
+        rows = [(*row, VocabSpec().action_id(row[4], row[3])) for row in rows]
+    return np.rec.fromrecords(rows, dtype=dtype)
+
+
 def video_table(items: list, dtype=DETECTION, video_ids=None) -> VideoTable:
     """Detection or ground-truth objects as a table of ``dtype`` rows in
     their order, each coded among ``video_ids`` (by default the sorted ids
@@ -117,7 +128,7 @@ def video_table(items: list, dtype=DETECTION, video_ids=None) -> VideoTable:
         video_ids = sorted({item.video_id for item in items})
     code = {video_id: i for i, video_id in enumerate(video_ids)}
     rows = [(code[item.video_id], *item[1:]) for item in items]
-    return VideoTable(video_ids, np.rec.fromrecords(rows, dtype=dtype))
+    return VideoTable(video_ids, record_array(rows, dtype))
 
 
 def detection_objects(table: VideoTable) -> list:
@@ -136,11 +147,11 @@ def by_video(table: VideoTable) -> dict:
 
 def from_video(rows_by_video: dict, dtype=DETECTION) -> VideoTable:
     """The per-video form, each video's rows as tuples of the fields after
-    the video column, as one table."""
+    the video column (up to the noun for ground truth), as one table."""
     video_ids = sorted(rows_by_video)
     rows = [(code, *row) for code, video_id in enumerate(video_ids)
             for row in rows_by_video[video_id]]
-    return VideoTable(video_ids, np.rec.fromrecords(rows, dtype=dtype))
+    return VideoTable(video_ids, record_array(rows, dtype))
 
 
 def tables(dets: list, gts: list) -> tuple:
@@ -414,7 +425,7 @@ def oracle_compare_fusion(scenario, epsilon):
     records = proposal_records(scenario_to_records(scenario), scenario.config.vocab)
     noun_boundaries = scenario.noun_boundary.tolist()
     verb_boundaries = scenario.verb_boundary.tolist()
-    for i, (_, start, end, _, _) in enumerate(scenario.truth.tolist()):
+    for i, (_, start, end, *_) in enumerate(scenario.truth.tolist()):
         noun, verb = tuple(noun_boundaries[i]), tuple(verb_boundaries[i])
         c_noun, c_verb = np.max(records[i].noun_scores), np.max(records[i].verb_scores)
         w_noun, w_verb = dwf_weights(c_noun, c_verb, epsilon)
@@ -488,7 +499,7 @@ def oracle_generate_scenario(cfg):
         c_verb = verb_confidence[i] = rng.uniform(cfg.confidence_lo, cfg.confidence_hi)
         noun_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_noun, cfg)
         verb_boundary[i] = _oracle_noisy_boundary(rng, true_boundary, c_verb, cfg)
-        truth[i] = (0, *true_boundary, verb, noun)
+        truth[i] = (0, *true_boundary, verb, noun, cfg.vocab.action_id(noun, verb))
     return Scenario(
         config=cfg,
         truth=truth.view(np.recarray),

@@ -282,6 +282,28 @@ class TestRankOrderContract:
         assert out[0] == out[1]
         assert '"results": {\n    "a": [' in out[0]
 
+    def test_eval_scores_the_action_ids_of_the_configured_vocabulary(self, tmp_path, capsys):
+        # under noun_count = 7 the action classes (1, 2), (1, 3), (2, 2) and
+        # (2, 3) share a verb or a noun with another; eval prints the
+        # oracle's action mAP, read from both files under that vocabulary
+        dets = [det(0, 10, 0.9, verb=1, noun=2), det(0, 10, 0.8, verb=1, noun=3),
+                det(0, 10, 0.7, verb=2, noun=2), det(20, 30, 0.6, verb=1, noun=2),
+                det(2, 10, 0.5, verb=2, noun=3), det(20, 27, 0.4, verb=1, noun=3)]
+        gts = [gt(0, 10, verb=1, noun=2), gt(1, 9, verb=2, noun=2),
+               gt(20, 28, verb=1, noun=3), gt(0, 10, verb=2, noun=3)]
+        submission, truth = self.files(tmp_path, dets, gts, ["v"])
+        cfg = tmp_path / "vocab.cfg"
+        cfg.write_text("noun_count = 7\n")
+        assert main(["eval", "--submission", str(submission), "--ground-truth", str(truth),
+                     "--config", str(cfg)]) == 0
+        keyvalues = capsys.readouterr().out.split("\n\n")[1].splitlines()
+        per_threshold, average = oracle_mean_ap_legacy(
+            dets, gts, evaluation.DEFAULT_TIOU_THRESHOLDS, "action")
+        want = [f"action_map_{t} = {v:.4f}" for t, v in per_threshold.items()]
+        assert [line for line in keyvalues if line.startswith("action_")] == [
+            *want, f"action_map_avg = {average:.4f}"]
+        assert 0.0 < average < 1.0
+
     @pytest.mark.parametrize("task", ["verb", "noun", "action"])
     def test_identical_rows_on_two_videos_score_as_the_legacy_evaluator(self, task):
         dets, gts = self.tied_videos()

@@ -25,7 +25,7 @@ from tadfusion.errors import (
     UnknownKey,
     VocabularyMismatch,
 )
-from tadfusion.evaluation import GROUND_TRUTH, EvalConfig
+from tadfusion.evaluation import EvalConfig
 from tadfusion.io import (
     _round4,
     build_submission,
@@ -37,7 +37,7 @@ from tadfusion.io import (
     write_proposal_file,
 )
 from tadfusion.simulation import ScenarioConfig
-from tadfusion.suppression import VERB_ACTION_NMS
+from tadfusion.suppression import GROUND_TRUTH, VERB_ACTION_NMS
 from tadfusion.timeline import FeatureGrid
 
 VOCAB = VocabSpec(noun_count=300, verb_count=97)
@@ -310,7 +310,16 @@ class TestGroundTruthFile:
         assert loaded.video_ids == ["a", "b", "c"]
         assert loaded.rows.dtype == GROUND_TRUTH
         assert {video_id: rows.tolist() for video_id, rows in by_video(loaded).items()} == {
-            "b": [(4.0, 6.0, 2, 1), (1.0, 2.0, 0, 0)], "a": [(0.0, 10.0, 3, 5)], "c": []}
+            "b": [(4.0, 6.0, 2, 1, 601), (1.0, 2.0, 0, 0, 0)], "a": [(0.0, 10.0, 3, 5, 905)],
+            "c": []}
+
+    def test_action_is_the_vocabulary_action_id(self, tmp_path):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"annotations": {"v": [
+            {"verb": verb, "noun": noun, "segment": [0.0, 1.0]}
+            for verb in range(5) for noun in range(7)]}}))
+        rows = read_ground_truth(path, VocabSpec(noun_count=7, verb_count=5)).rows
+        assert rows.action.tolist() == (7 * rows.verb + rows.noun).tolist() == list(range(35))
 
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "gt.json"

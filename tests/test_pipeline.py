@@ -21,7 +21,7 @@ from tadfusion.cli import main
 from tadfusion.composition import VocabSpec, compose_actions
 from tadfusion.config import PipelineConfig
 from tadfusion.errors import ParseError
-from tadfusion.evaluation import GROUND_TRUTH, MeanApResult
+from tadfusion.evaluation import MeanApResult
 from tadfusion.io import (
     parse_submission,
     read_proposal_file,
@@ -35,6 +35,7 @@ from tadfusion.pipeline import (
     format_metrics_table,
     run_pipeline,
 )
+from tadfusion.suppression import GROUND_TRUTH
 
 VOCAB = VocabSpec()
 

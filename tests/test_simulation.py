@@ -10,7 +10,6 @@ from oracles import oracle_compare_fusion, oracle_generate_scenario, proposal_re
 from tadfusion import simulation
 from tadfusion.composition import VocabSpec
 from tadfusion.errors import DegenerateInterval, InvalidConfig
-from tadfusion.evaluation import GROUND_TRUTH
 from tadfusion.simulation import (
     _PCG_MULT,
     _ZIGGURAT_KI,
@@ -25,6 +24,7 @@ from tadfusion.simulation import (
     generate_scenario,
     scenario_to_records,
 )
+from tadfusion.suppression import GROUND_TRUTH
 
 SMALL_VOCAB = VocabSpec(noun_count=30, verb_count=12)
 
@@ -53,6 +53,15 @@ class TestGenerateScenario:
     def test_truth_columns(self):
         scenario = generate_scenario(config())
         assert scenario.truth.dtype == GROUND_TRUTH
+
+    @pytest.mark.parametrize("vocab", [VocabSpec(), VocabSpec(noun_count=1, verb_count=7)],
+                             ids=["default", "one-noun"])
+    def test_truth_action_is_the_vocabulary_action_id(self, monkeypatch, vocab):
+        # with a one-entry vocabulary every segment is replayed
+        replayed = count_replays(monkeypatch)
+        truth = generate_scenario(ScenarioConfig(vocab=vocab)).truth
+        assert (truth.action == vocab.action_id(truth.noun, truth.verb)).all()
+        assert (len(replayed) == len(truth)) == (vocab.noun_count == 1)
 
     def test_determinism(self):
         a = generate_scenario(config())

@@ -209,3 +209,12 @@ def test_rows_are_ordered_by_one_helper():
         found += [(path.name, text) for line in lines
                   for text in ("np.lexsort(", 'kind="stable"', "kind='stable'") if text in line]
     assert found == []
+
+
+def test_ground_truth_carries_the_one_action_key():
+    # every table holds VocabSpec.action_id in its action column, so eval
+    # reads each task's class as a column and recomputes no action key; the
+    # readers and the simulator take GROUND_TRUTH from suppression
+    assert sorted(defined_names() & {"_task_classes"}) == []
+    assert "evaluation" not in relative_imports("io")
+    assert "evaluation" not in relative_imports("simulation")
