@@ -5,11 +5,12 @@ through to a submission JSON, ``fuse`` and ``nms`` expose the fusion and
 suppression stages on their own, ``eval`` scores a submission, ``simulate``
 runs the seeded fusion comparison, and ``windows`` prints sliding-window
 placements. Each ``cmd_*`` takes the parsed flags and configuration and
-returns its whole output, which ``main`` writes. A number flag is text
-read by the configuration's number grammar, so its errors name the key it
-sets. ``main`` may be called repeatedly in one process: it builds the
-parser on its first call and only parses on later ones. Exit codes: 0
-success, 1 usage, parse or validation error, 2 internal invariant violation.
+returns its whole output, which ``main`` writes. A flag that sets a
+configuration value is stored under that key, and its text is read as
+the file value of that key would be, so its errors name the key. ``main``
+may be called repeatedly in one process: it builds the parser on its
+first call and only parses on later ones. Exit codes: 0 success, 1 usage,
+parse or validation error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ from .pipeline import (
 from .simulation import compare_fusion, generate_scenario
 from .suppression import NMS_PRESETS, suppress_video
 from .timeline import generate_windows
-
-
-# each value-setting flag's dest, the configuration key it overrides, and
-# the kind of number its text is read as (None: a choice, taken as given)
-_FLAG_KEYS = {"fusion_mode": ("fusion_mode", None), "nms_preset": ("nms_preset", None),
-              "seed": ("sim_seed", "int"), "max_len": ("window_length", "int"),
-              "overlap": ("window_overlap", "float")}
 
 
 def cmd_pipeline(args, cfg: PipelineConfig) -> str:
@@ -139,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="seeded fusion error comparison")
     add_common(p)
-    p.add_argument("--seed", help="override the simulation seed")
+    p.add_argument("--seed", dest="sim_seed", help="override the simulation seed")
     p.add_argument("--table", help="write per-segment errors to this file")
 
     p = sub.add_parser("windows", help="print sliding-window placements")
     p.add_argument("--total-features", required=True, dest="total_features")
-    p.add_argument("--max-len", dest="max_len")
-    p.add_argument("--overlap")
+    p.add_argument("--max-len", dest="window_length")
+    p.add_argument("--overlap", dest="window_overlap")
     add_common(p)
 
     return parser
@@ -159,11 +153,8 @@ def main(argv=None) -> int:
     command = {"pipeline": cmd_pipeline, "fuse": cmd_fuse, "nms": cmd_nms, "eval": cmd_eval,
                "simulate": cmd_simulate, "windows": cmd_windows}[args.command]
     try:
-        overrides = {key: io.parse_number(kind, raw, key=key) if kind else raw
-                     for dest, (key, kind) in _FLAG_KEYS.items()
-                     if (raw := getattr(args, dest, None)) is not None}
         # a command returns its whole output, written only once it succeeded
-        text = command(args, parse_config(args.config, overrides))
+        text = command(args, parse_config(args.config, vars(args)))
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ActionIdOutOfRange, InvalidConfig
+from .errors import InvalidConfig, ParseError
 from .suppression import lex_order, run_index
 
 DEFAULT_TOP_K_NOUNS = 10
@@ -46,18 +46,16 @@ class VocabSpec:
 def encode_action_id(noun_index: int, verb_index: int, vocab: VocabSpec = VocabSpec()) -> int:
     """Flatten a (noun, verb) pair to a single action id."""
     if not 0 <= noun_index < vocab.noun_count:
-        raise ActionIdOutOfRange(f"noun index {noun_index} outside [0, {vocab.noun_count})")
+        raise ParseError(f"noun index {noun_index} outside [0, {vocab.noun_count})")
     if not 0 <= verb_index < vocab.verb_count:
-        raise ActionIdOutOfRange(f"verb index {verb_index} outside [0, {vocab.verb_count})")
+        raise ParseError(f"verb index {verb_index} outside [0, {vocab.verb_count})")
     return vocab.action_id(noun_index, verb_index)
 
 
 def decode_action_id(action_id: int, vocab: VocabSpec = VocabSpec()) -> tuple[int, int]:
     """Invert the flat action id back to (noun_index, verb_index)."""
     if not 0 <= action_id < vocab.action_count:
-        raise ActionIdOutOfRange(
-            f"action id {action_id} outside [0, {vocab.action_count})"
-        )
+        raise ParseError(f"action id {action_id} outside [0, {vocab.action_count})")
     return action_id % vocab.noun_count, action_id // vocab.noun_count
 
 

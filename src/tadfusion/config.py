@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .composition import DEFAULT_TOP_K_NOUNS, DEFAULT_TOP_K_VERBS, VocabSpec, compose_actions
-from .errors import InvalidConfig, ParseError, UnknownKey
+from .errors import InvalidConfig, ParseError
 from .evaluation import DEFAULT_TIOU_THRESHOLDS, EvalConfig
 from .fusion import DEFAULT_FUSION_EPSILON, dwf_weights, fuse_proposals
 from .io import SUBMISSION_VERSION, data_lines, open_text, parse_number, parse_proposals
@@ -138,19 +138,22 @@ def parse_config_text(text: str) -> PipelineConfig:
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in _FIELD_TYPES:
-            raise UnknownKey(f"unknown configuration key {key!r}", line=lineno)
+            raise ParseError(f"unknown configuration key {key!r}", line=lineno)
         if key in values:
             raise ParseError("repeated configuration key", line=lineno, key=key)
         values[key] = _parse_value(key, raw)
     return _validate(PipelineConfig(**values), values)
 
 
-def parse_config(path, overrides=None) -> PipelineConfig:
-    """The file at ``path`` (no path or an empty body means defaults), then
-    ``overrides``, typed values by key, checked like file values. The file
-    is checked first, so an override never hides an invalid file value."""
+def parse_config(path, flags=None) -> PipelineConfig:
+    """The file at ``path`` (``None`` or an empty body means defaults), then
+    each entry of ``flags`` named after a key and not ``None``: text, read
+    and checked like a file value. Other entries are ignored. The file is
+    checked first, so a flag never hides an invalid file value."""
     cfg = PipelineConfig()
-    if path:
+    if path is not None:
         with open_text(path) as handle:
             cfg = parse_config_text(handle.read())
-    return _validate(replace(cfg, **overrides), overrides) if overrides else cfg
+    given = {key: _parse_value(key, raw) for key, raw in (flags or {}).items()
+             if key in _FIELD_TYPES and raw is not None}
+    return _validate(replace(cfg, **given), given) if given else cfg

@@ -56,7 +56,6 @@ class EvalConfig:
 class MeanApResult:
     """mAP per threshold plus the unweighted average over thresholds."""
 
-    task: str
     per_threshold: dict[float, float]
     average: float
 
@@ -194,4 +193,4 @@ def score_columns(dets: np.recarray, gts: np.recarray, cfg: EvalConfig) -> MeanA
                      for t, tau in enumerate(cfg.thresholds)}
 
     average = float(np.mean(list(per_threshold.values())))
-    return MeanApResult(task=cfg.task, per_threshold=per_threshold, average=average)
+    return MeanApResult(per_threshold=per_threshold, average=average)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import ENTRY, VocabSpec
-from .errors import ParseError, SchemaMismatch, VocabularyMismatch
+from .errors import ParseError
 from .fusion import empty
 from .suppression import DETECTION, GROUND_TRUTH, lex_order, rank_order, video_codes
 
@@ -68,26 +68,24 @@ def parse_number(kind: str, token: str, *, line=None, key=None):
 def require_class_index(value, count: int, *, key: str) -> int:
     """``value`` itself if it is a JSON integer in ``[0, count)``.
 
-    A bool, float or string is a SchemaMismatch, not an index to coerce;
-    an integer outside the vocabulary is a VocabularyMismatch naming ``key``.
+    A bool, float or string is a ParseError, not an index to coerce, and
+    an integer outside the vocabulary is a ParseError naming ``key``.
     """
     if type(value) is not int:
-        raise SchemaMismatch(f"{key} must be an integer class index, got {value!r}")
+        raise ParseError(f"{key} must be an integer class index, got {value!r}")
     if not 0 <= value < count:
-        raise VocabularyMismatch(
-            f"{key} class index {value} outside vocabulary of {count}", key=key
-        )
+        raise ParseError(f"{key} class index {value} outside vocabulary of {count}", key=key)
     return value
 
 
 def require_number(value, *, key: str) -> float:
     """``value`` as a float if it is a finite JSON number (int or float).
 
-    A bool, string or any other JSON value is a SchemaMismatch naming
+    A bool, string or any other JSON value is a ParseError naming
     ``key``, not a number to coerce.
     """
     if type(value) not in (int, float):
-        raise SchemaMismatch(f"{key} must be a JSON number, got {value!r}")
+        raise ParseError(f"{key} must be a JSON number, got {value!r}")
     return require_finite(float(value), key=key)
 
 
@@ -95,10 +93,10 @@ def require_segment(value) -> tuple[float, float]:
     """A JSON ``segment``: a list of exactly two finite numbers, start before
     end, whose length ``end - start`` is finite too."""
     if type(value) is not list or len(value) != 2:
-        raise SchemaMismatch(f"segment must be a list of two numbers, got {value!r}")
+        raise ParseError(f"segment must be a list of two numbers, got {value!r}")
     start, end = require_number(value[0], key="segment"), require_number(value[1], key="segment")
     if not 0.0 < end - start < math.inf:
-        raise SchemaMismatch(f"segment {value!r} must have start < end and a finite length")
+        raise ParseError(f"segment {value!r} must have start < end and a finite length")
     return start, end
 
 
@@ -134,18 +132,12 @@ def _parse_entries(token: str, size: int, lineno: int, stream: str, row: int,
             index = int(index_str)
             score = float(score_str)
         except ValueError:
-            raise ParseError(
-                f"malformed {stream} score entry {pair!r}", line=lineno
-            ) from None
+            raise ParseError(f"malformed {stream} score entry {pair!r}", line=lineno) from None
         if not 0 <= index < size:
-            raise VocabularyMismatch(
-                f"{stream} class index {index} outside vocabulary of {size}",
-                line=lineno,
-            )
+            raise ParseError(f"{stream} class index {index} outside vocabulary of {size}",
+                             line=lineno)
         if not 0.0 <= score <= 1.0:
-            raise ParseError(
-                f"{stream} score {score} outside [0, 1]", line=lineno
-            )
+            raise ParseError(f"{stream} score {score} outside [0, 1]", line=lineno)
         if index in seen:
             raise ParseError(f"repeated {stream} class index {index}", line=lineno)
         seen.add(index)
@@ -314,11 +306,9 @@ def _checked_entry(entry, vocab: VocabSpec) -> tuple:
             raise ParseError(f"score {score} outside [0, 1]", key="score")
         action = entry["action"]
     except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"malformed detection entry: {exc}") from None
+        raise ParseError(f"malformed detection entry: {exc}") from None
     if action != f"{verb},{noun}":
-        raise SchemaMismatch(
-            f"action string {action!r} does not match verb={verb}, noun={noun}"
-        )
+        raise ParseError(f"action string {action!r} does not match verb={verb}, noun={noun}")
     return start, end, verb, noun, 0, score
 
 
@@ -348,7 +338,7 @@ def _video_table(text: str, payload: dict, key: str, what: str, add_rows,
     ``add_rows(code, entries, rows)`` appends the rows of one video's
     entries, led by its code, with action id 0 for ``vocab.action_id`` to
     fill, and raises on any entry that is not a JSON object. A value that
-    is not a list is a SchemaMismatch naming ``what``, and a key repeated
+    is not a list is a ParseError naming ``what``, and a key repeated
     within one JSON object (``json`` lets its last value win) a ParseError
     naming it: every object member takes one ``:`` outside strings, so once
     the counted keys reach the number of colons, no key repeats, and only
@@ -358,7 +348,7 @@ def _video_table(text: str, payload: dict, key: str, what: str, add_rows,
     keys = len(payload) + len(payload[key])
     for code, (video_id, entries) in zip(codes.tolist(), payload[key].items()):
         if not isinstance(entries, list):
-            raise SchemaMismatch(f"{what} of video {video_id!r} must be a list")
+            raise ParseError(f"{what} of video {video_id!r} must be a list")
         add_rows(code, entries, rows)
         keys += sum(map(len, entries))  # all dicts: any other entry raised
     if keys < text.count(":"):
@@ -377,22 +367,22 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
     field by field, and the first field at fault raises.
 
     Raises:
-        ParseError: on invalid JSON or a key repeated within one object.
-        SchemaMismatch: when required fields are missing or ill-typed,
-            or an action string disagrees with its verb/noun fields.
+        ParseError: on invalid JSON, a key repeated within one object,
+            required fields missing or ill-typed, or an action string
+            that disagrees with its verb/noun fields.
     """
     payload = _load_json(text)
     if not isinstance(payload, dict):
-        raise SchemaMismatch("submission must be a JSON object")
+        raise ParseError("submission must be a JSON object")
     for key in ("version", "challenge", "results"):
         if key not in payload:
-            raise SchemaMismatch(f"submission missing {key!r}")
+            raise ParseError(f"submission missing {key!r}")
     if type(payload["version"]) is not str:
-        raise SchemaMismatch(f"version must be a JSON string, got {payload['version']!r}")
+        raise ParseError(f"version must be a JSON string, got {payload['version']!r}")
     if payload["challenge"] != SUBMISSION_CHALLENGE:
-        raise SchemaMismatch(f"challenge must be {SUBMISSION_CHALLENGE!r}")
+        raise ParseError(f"challenge must be {SUBMISSION_CHALLENGE!r}")
     if not isinstance(payload["results"], dict):
-        raise SchemaMismatch("results must map video ids to detection lists")
+        raise ParseError("results must map video ids to detection lists")
 
     verb_count, noun_count = vocab.verb_count, vocab.noun_count
 
@@ -427,7 +417,7 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
         text = handle.read()
     payload = _load_json(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("annotations"), dict):
-        raise SchemaMismatch("ground truth must contain an 'annotations' map")
+        raise ParseError("ground truth must contain an 'annotations' map")
 
     def add_rows(code, entries, rows):
         for entry in entries:
@@ -436,7 +426,7 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
                              require_class_index(entry["verb"], vocab.verb_count, key="verb"),
                              require_class_index(entry["noun"], vocab.noun_count, key="noun"), 0))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
-                raise SchemaMismatch(f"malformed annotation: {exc}") from None
+                raise ParseError(f"malformed annotation: {exc}") from None
 
     return _video_table(text, payload, "annotations", "annotations", add_rows, GROUND_TRUTH,
                         vocab)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidOverlap
+from .errors import InvalidConfig
 from .fusion import empty
 
 DEFAULT_WINDOW_LENGTH = 4608
@@ -106,13 +106,12 @@ def generate_windows(
     shorter than ``max_len`` yield a single window of their full length.
 
     Raises:
-        InvalidOverlap: if overlap is outside [0, 1).
-        InvalidConfig: if ``total_features`` is below 1 or would give more
-            than ``MAX_WINDOWS`` windows, or ``max_len`` is below 1 or past
-            the float range.
+        InvalidConfig: if overlap is outside [0, 1), ``total_features`` is
+            below 1 or would give more than ``MAX_WINDOWS`` windows, or
+            ``max_len`` is below 1 or past the float range.
     """
     if not 0.0 <= overlap < 1.0:
-        raise InvalidOverlap(f"overlap must be in [0, 1), got {overlap}")
+        raise InvalidConfig(f"overlap must be in [0, 1), got {overlap}")
     if total_features < 1:
         raise InvalidConfig("total_features must be >= 1")
     # an int compares with the float maximum exactly, without converting

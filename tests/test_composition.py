@@ -11,7 +11,7 @@ from tadfusion.composition import (
     decode_action_id,
     encode_action_id,
 )
-from tadfusion.errors import ActionIdOutOfRange, InvalidConfig
+from tadfusion.errors import InvalidConfig, ParseError
 
 
 def candidates(composed):
@@ -64,9 +64,9 @@ class TestActionIds:
         assert decode_action_id(0) == (0, 0)
 
     def test_out_of_range(self):
-        with pytest.raises(ActionIdOutOfRange):
+        with pytest.raises(ParseError, match=r"action id 29100 outside \[0, 29100\)"):
             decode_action_id(29100)
-        with pytest.raises(ActionIdOutOfRange):
+        with pytest.raises(ParseError, match=r"action id -1 outside \[0, 29100\)"):
             decode_action_id(-1)
 
     @given(st.integers(0, 299), st.integers(0, 96))

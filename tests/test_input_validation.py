@@ -1,6 +1,7 @@
 """Every reader rejects malformed input with exit 1; none reaches exit 2."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -575,17 +576,27 @@ class TestOptionSurface:
         "fuse": {"proposals", "config", "fusion_mode", "output"},
         "nms": {"input", "config", "nms_preset", "output"},
         "eval": {"submission", "ground_truth", "config", "output"},
-        "simulate": {"config", "output", "seed", "table"},
-        "windows": {"total_features", "max_len", "overlap", "config", "output"},
+        "simulate": {"config", "output", "sim_seed", "table"},
+        "windows": {"total_features", "window_length", "window_overlap", "config", "output"},
     }
 
-    def test_option_dests_per_subcommand(self):
+    def option_dests(self):
         sub = next(action for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
-        got = {name: {action.dest for action in parser._actions
-                      if action.option_strings and action.dest != "help"}
-               for name, parser in sub.choices.items()}
-        assert got == self.OPTIONS
+        return {name: {action.dest for action in parser._actions
+                       if action.option_strings and action.dest != "help"}
+                for name, parser in sub.choices.items()}
+
+    def test_option_dests_per_subcommand(self):
+        assert self.option_dests() == self.OPTIONS
+
+    def test_only_the_value_flags_are_read_as_settings(self):
+        # main hands every parsed flag to parse_config, which reads those
+        # named after a configuration key: no path, output or table flag
+        keys = {f.name for f in dataclasses.fields(PipelineConfig)}
+        dests = set().union(*self.option_dests().values())
+        assert dests & keys == {"fusion_mode", "nms_preset", "sim_seed", "window_length",
+                                "window_overlap"}
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--submission", "s.json", "--ground-truth", "g.json", "--fusion-mode", "mean"],
@@ -684,6 +695,12 @@ class TestUnreadableFiles:
 
     def test_directory_as_input(self, tmp_path):
         assert main(["pipeline", "--proposals", str(tmp_path)]) == 1
+
+    def test_empty_config_path_is_a_path(self, capsys):
+        # only an absent --config means defaults; "" is a file that cannot open
+        assert main(["windows", "--total-features", "10", "--config", ""]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
 # -- fuzz: malformed input of every reader exits 0 or 1 -------------------------

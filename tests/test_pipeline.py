@@ -330,7 +330,7 @@ class TestEvaluateFiles:
 
 class TestMetricLabels:
     def results(self, thresholds):
-        return {task: MeanApResult(task, {t: i / 8 + t / 10 for t in thresholds}, 0.25 * i)
+        return {task: MeanApResult({t: i / 8 + t / 10 for t in thresholds}, 0.25 * i)
                 for i, task in enumerate(("verb", "noun", "action"))}
 
     def test_default_thresholds_print_as_before(self):

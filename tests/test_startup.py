@@ -4,7 +4,8 @@ or ``numpy.random`` at all, and ``simulate`` loads only
 one the CLI imports; every public name is used by the package or the
 acceptance suite; ground truth reaches the score without objects;
 fusion has one boundary combiner; detections are one table, not split by
-video; and rows are ordered by one helper.
+video; rows are ordered by one helper; and a flag's key and type, like
+each error type, are defined once.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -209,6 +210,15 @@ def test_rows_are_ordered_by_one_helper():
         found += [(path.name, text) for line in lines
                   for text in ("np.lexsort(", 'kind="stable"', "kind='stable'") if text in line]
     assert found == []
+
+
+def test_flags_and_errors_have_one_definition_each():
+    # a flag's dest is the configuration key it sets, so config._FIELD_TYPES
+    # is the one table of key types; errors.py keeps the four types that a
+    # caller tells apart, and the others are ParseError or InvalidConfig
+    assert sorted(defined_names() & {"_FLAG_KEYS", "SchemaMismatch", "VocabularyMismatch",
+                                     "UnknownKey", "ActionIdOutOfRange",
+                                     "InvalidOverlap"}) == []
 
 
 def test_ground_truth_carries_the_one_action_key():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tadfusion import timeline
-from tadfusion.errors import InvalidConfig, InvalidOverlap
+from tadfusion.errors import InvalidConfig
 from tadfusion.timeline import (
     FeatureGrid,
     Window,
@@ -128,9 +128,9 @@ class TestGenerateWindows:
         assert overlap / 4608 >= 0.5
 
     def test_invalid_overlap_rejected(self):
-        with pytest.raises(InvalidOverlap):
+        with pytest.raises(InvalidConfig, match=r"overlap must be in \[0, 1\), got 1.0"):
             generate_windows(100, overlap=1.0)
-        with pytest.raises(InvalidOverlap):
+        with pytest.raises(InvalidConfig, match=r"overlap must be in \[0, 1\), got -0.1"):
             generate_windows(100, overlap=-0.1)
 
     @given(
