@@ -21,13 +21,12 @@ for i, seconds in zip(indices.astype(int), centers):
     print(f"  index {i:>5} -> {seconds:9.4f} s")
 
 # A regressed boundary in window-local feature coordinates converts to
-# seconds using the window's first frame, so overlapping windows agree
+# seconds from the window's first feature, so overlapping windows agree
 # on one global clock.
 local_boundary = (0.0, 10.0)
 for window_start_feature in (0, 2304):
-    w0_frames = window_start_feature * grid.stride_frames
     start, end, _ = intervals_to_seconds(
-        np.array(local_boundary[:1]), np.array(local_boundary[1:]), [w0_frames], grid
+        np.array(local_boundary[:1]), np.array(local_boundary[1:]), [window_start_feature], grid
     )
     print(
         f"\nboundary {local_boundary} in window starting at feature "

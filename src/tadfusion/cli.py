@@ -76,18 +76,17 @@ def cmd_eval(args, cfg: PipelineConfig) -> str:
     return format_metrics_table(results) + "\n\n" + format_metrics_keyvalues(results) + "\n"
 
 
-def cmd_simulate(args, cfg: PipelineConfig) -> str:
+def cmd_simulate(args, cfg: PipelineConfig) -> tuple[str, str | None]:
+    """The report, and the per-segment table if ``--table`` asks for it."""
     scenario = generate_scenario(cfg.scenario())
     report = compare_fusion(scenario, cfg.epsilon)
-    if args.table:  # written before the report, which main writes
-        rows = enumerate(zip(report.per_segment_dwf.tolist(), report.per_segment_mean.tolist()))
-        with open(args.table, "w", encoding="utf-8") as handle:
-            handle.write("# segment err_dwf err_mean\n"
-                         + "".join(f"{i} {dwf:.6f} {mean:.6f}\n" for i, (dwf, mean) in rows))
+    rows = enumerate(zip(report.per_segment_dwf.tolist(), report.per_segment_mean.tolist()))
+    table = "# segment err_dwf err_mean\n" + "".join(
+        f"{i} {dwf:.6f} {mean:.6f}\n" for i, (dwf, mean) in rows) if args.table else None
     pairs = [("seed", cfg.sim_seed)] + report.key_values()
     lines = [f"{key} = {value:.6g}" if isinstance(value, float) else f"{key} = {value}"
              for key, value in pairs]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", table
 
 
 def cmd_windows(args, cfg: PipelineConfig) -> str:
@@ -153,13 +152,17 @@ def main(argv=None) -> int:
     command = {"pipeline": cmd_pipeline, "fuse": cmd_fuse, "nms": cmd_nms, "eval": cmd_eval,
                "simulate": cmd_simulate, "windows": cmd_windows}[args.command]
     try:
-        # a command returns its whole output, written only once it succeeded
-        text = command(args, parse_config(args.config, vars(args)))
+        # a command returns its whole output (simulate's --table too), written once it succeeded
+        output = command(args, parse_config(args.config, vars(args)))
+        text, table = (output, None) if isinstance(output, str) else output
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         else:
             sys.stdout.write(text)
+        if table is not None:
+            with open(args.table, "w", encoding="utf-8") as handle:
+                handle.write(table)
         return 0
     except (OSError, PipelineError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,41 +65,6 @@ def parse_number(kind: str, token: str, *, line=None, key=None):
     raise ParseError(f"malformed {kind} {token!r}", line=line, key=key)
 
 
-def require_class_index(value, count: int, *, key: str) -> int:
-    """``value`` itself if it is a JSON integer in ``[0, count)``.
-
-    A bool, float or string is a ParseError, not an index to coerce, and
-    an integer outside the vocabulary is a ParseError naming ``key``.
-    """
-    if type(value) is not int:
-        raise ParseError(f"{key} must be an integer class index, got {value!r}")
-    if not 0 <= value < count:
-        raise ParseError(f"{key} class index {value} outside vocabulary of {count}", key=key)
-    return value
-
-
-def require_number(value, *, key: str) -> float:
-    """``value`` as a float if it is a finite JSON number (int or float).
-
-    A bool, string or any other JSON value is a ParseError naming
-    ``key``, not a number to coerce.
-    """
-    if type(value) not in (int, float):
-        raise ParseError(f"{key} must be a JSON number, got {value!r}")
-    return require_finite(float(value), key=key)
-
-
-def require_segment(value) -> tuple[float, float]:
-    """A JSON ``segment``: a list of exactly two finite numbers, start before
-    end, whose length ``end - start`` is finite too."""
-    if type(value) is not list or len(value) != 2:
-        raise ParseError(f"segment must be a list of two numbers, got {value!r}")
-    start, end = require_number(value[0], key="segment"), require_number(value[1], key="segment")
-    if not 0.0 < end - start < math.inf:
-        raise ParseError(f"segment {value!r} must have start < end and a finite length")
-    return start, end
-
-
 @dataclass(eq=False)
 class Proposals:
     """Aligned proposal pairs as columns, a row per pair in file order: window
@@ -228,24 +193,18 @@ def _round4(x: np.ndarray) -> np.ndarray:
     """``round(v, 4)`` of every value of ``x``, bit for bit.
 
     ``k = rint(x * 1e4)`` is the exact product rounded half-even unless
-    the float product is a half-integer that the exact one is not; there
-    the product's exact error (Dekker's split of ``x``; 1e4 needs none)
-    picks the side. ``k / 1e4`` is correctly rounded, as ``round``'s
-    decimal-to-float step is. Values from 2**39 on, inf and nan come back
-    as they are; -0.0 stays -0.0.
+    the float product is a half-integer, which the exact one may not be:
+    those rare ties are left to ``round`` itself. ``k / 1e4`` is correctly
+    rounded, as ``round``'s decimal-to-float step is. Values from 2**39
+    on, inf and nan come back as they are; -0.0 stays -0.0.
     """
     small = np.abs(x) < _ROUND4_LIMIT  # False for inf and nan
-    v = np.where(small, x, 0.0)  # no overflow in the products below
-    p = v * 1e4
+    p = np.where(small, x, 0.0) * 1e4  # no overflow
     k = np.rint(p)
-    tie = np.nonzero(np.abs(p - k) == 0.5)
-    v, p = v[tie], p[tie]
-    c = v * 134217729.0  # 2**27 + 1
-    hi = c - (c - v)
-    err = (hi * 1e4 - p) + (v - hi) * 1e4  # v * 1e4 - p, exactly
-    # where the error is 0 rint's half-even choice stands, -0.0 included
-    k[tie] = np.where(err > 0.0, np.ceil(p), np.where(err < 0.0, np.floor(p), k[tie]))
-    return np.where(small, k / 1e4, x)
+    rounded = k / 1e4
+    tie = np.abs(p - k) == 0.5
+    rounded[tie] = [round(v, 4) for v in x[tie].tolist()]
+    return np.where(small, rounded, x)
 
 
 def build_submission(video_ids: list[str], dets: np.recarray,
@@ -293,15 +252,42 @@ def serialize_submission(doc: SubmissionDocument) -> str:
     return "\n".join(lines)
 
 
+def _json_number(value, key: str) -> float:
+    """``value`` as a float if it is a finite JSON number, not a bool or string to coerce."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{key} must be a JSON number, got {value!r}")
+    return require_finite(float(value), key=key)
+
+
+def _labelled_segment(entry, vocab: VocabSpec) -> tuple:
+    """``(start, end, verb, noun)`` of a submission or ground-truth entry,
+    checked as verb, noun, segment: classes JSON integers in ``vocab``, never
+    coerced, and two finite numbers, start < end, with a finite length. The
+    first at fault raises; a missing field raises its lookup's error."""
+    verb_count, noun_count = vocab.verb_count, vocab.noun_count
+    if type(verb := entry["verb"]) is not int:
+        raise ParseError(f"verb must be an integer class index, got {verb!r}")
+    if not 0 <= verb < verb_count:
+        raise ParseError(f"verb class index {verb} outside vocabulary of {verb_count}", key="verb")
+    if type(noun := entry["noun"]) is not int:
+        raise ParseError(f"noun must be an integer class index, got {noun!r}")
+    if not 0 <= noun < noun_count:
+        raise ParseError(f"noun class index {noun} outside vocabulary of {noun_count}", key="noun")
+    if type(segment := entry["segment"]) is not list or len(segment) != 2:
+        raise ParseError(f"segment must be a list of two numbers, got {segment!r}")
+    start, end = _json_number(segment[0], "segment"), _json_number(segment[1], "segment")
+    if not 0.0 < end - start < math.inf:
+        raise ParseError(f"segment {segment!r} must have start < end and a finite length")
+    return start, end, verb, noun
+
+
 def _checked_entry(entry, vocab: VocabSpec) -> tuple:
     """One submission entry as the fields of a ``DETECTION`` row after its
-    video, with action id 0, each field checked in turn; the first at
-    fault raises, naming its key."""
+    video, with action id 0: the fields it shares with ground truth, then
+    ``score`` and the action string; the first field at fault raises."""
     try:
-        verb = require_class_index(entry["verb"], vocab.verb_count, key="verb")
-        noun = require_class_index(entry["noun"], vocab.noun_count, key="noun")
-        start, end = require_segment(entry["segment"])
-        score = require_number(entry["score"], key="score")
+        start, end, verb, noun = _labelled_segment(entry, vocab)
+        score = _json_number(entry["score"], "score")
         if not 0.0 <= score <= 1.0:
             raise ParseError(f"score {score} outside [0, 1]", key="score")
         action = entry["action"]
@@ -337,7 +323,8 @@ def _video_table(text: str, payload: dict, key: str, what: str, add_rows,
     sorted ids, each video's in file order; the one walk of a video map.
     ``add_rows(code, entries, rows)`` appends the rows of one video's
     entries, led by its code, with action id 0 for ``vocab.action_id`` to
-    fill, and raises on any entry that is not a JSON object. A value that
+    fill, and raises on any entry that is not a JSON object (through
+    ``_labelled_segment``, in either reader). A value that
     is not a list is a ParseError naming ``what``, and a key repeated
     within one JSON object (``json`` lets its last value win) a ParseError
     naming it: every object member takes one ``:`` outside strings, so once
@@ -363,8 +350,9 @@ def parse_submission(text: str, vocab: VocabSpec = VocabSpec()) -> SubmissionDoc
 
     An entry of JSON integers in the vocabulary, a segment of two floats
     with start < end and a finite length, a float score in [0, 1] and the
-    matching action string is taken as it is; any other entry is checked
-    field by field, and the first field at fault raises.
+    matching action string is taken as it is. Any other entry is checked
+    field by field, verb, noun and segment as ground truth is, then score
+    and action string; the first field at fault raises.
 
     Raises:
         ParseError: on invalid JSON, a key repeated within one object,
@@ -411,8 +399,9 @@ def read_submission(path, vocab: VocabSpec = VocabSpec()) -> SubmissionDocument:
 
 def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
     """Ground truth as one table of ``suppression.GROUND_TRUTH`` rows with
-    ``vocab``'s action ids, each video's in file order. A key repeated
-    within one JSON object is a ParseError."""
+    ``vocab``'s action ids, each video's in file order. An entry's verb,
+    noun and segment are checked as a submission entry's are, and a key
+    repeated within one JSON object is a ParseError."""
     with open_text(path) as handle:
         text = handle.read()
     payload = _load_json(text)
@@ -422,9 +411,7 @@ def read_ground_truth(path, vocab: VocabSpec = VocabSpec()) -> VideoTable:
     def add_rows(code, entries, rows):
         for entry in entries:
             try:
-                rows.append((code, *require_segment(entry["segment"]),
-                             require_class_index(entry["verb"], vocab.verb_count, key="verb"),
-                             require_class_index(entry["noun"], vocab.noun_count, key="noun"), 0))
+                rows.append((code, *_labelled_segment(entry, vocab), 0))
             except (KeyError, IndexError, OverflowError, TypeError, ValueError) as exc:
                 raise ParseError(f"malformed annotation: {exc}") from None
 

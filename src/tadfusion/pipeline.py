@@ -46,8 +46,7 @@ def _video_detections(proposals: Proposals, cfg: PipelineConfig,
     composed = compose_actions(proposals.noun_entries, proposals.verb_entries,
                                cfg.top_k_nouns, cfg.top_k_verbs, cfg.vocab())
     start, end = fuse_proposals(proposals, cfg.fusion_mode, cfg.epsilon)
-    frames = [window_start * cfg.stride_frames for window_start in proposals.window_starts]
-    start_s, end_s, kept = intervals_to_seconds(start, end, frames, cfg.grid())
+    start_s, end_s, kept = intervals_to_seconds(start, end, proposals.window_starts, cfg.grid())
     passing = composed.score >= min_score
     surviving = np.bincount(composed.row[passing], minlength=len(proposals)) > 0
     unconvertible = surviving & kept & ~(np.isfinite(start_s) & np.isfinite(end_s))

@@ -113,7 +113,7 @@ class Scenario:
     verb_boundary: np.ndarray
 
     # perfbench/tracing.py's simulation.segments hook reads this alias; it
-    # goes once the benchmark reads the run report (ROADMAP item 2)
+    # goes once that hook reads ``truth`` (ROADMAP item 9)
     @property
     def ground_truth(self) -> np.recarray:
         return self.truth

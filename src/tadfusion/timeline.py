@@ -58,15 +58,16 @@ def _float_or_inf(n: int) -> float:
 
 
 def intervals_to_seconds(
-    start: np.ndarray, end: np.ndarray, window_start_frame, grid: FeatureGrid = FeatureGrid()
+    start: np.ndarray, end: np.ndarray, window_start, grid: FeatureGrid = FeatureGrid()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Convert arrays of (start, end) feature coordinates to seconds.
 
     Coordinates may be fractional (regressed) and may undershoot the
     window origin; negative values clamp to 0 before conversion. Row i is
-    local to the window starting at video frame ``window_start_frame[i]``
-    (an integer), so overlapping windows share one global clock. Feature
-    index i, at coordinate i, is the temporal center of its feature step.
+    local to the window starting at feature ``window_start[i]``, an integer
+    whose frame is formed exactly, so overlapping windows share one global
+    clock. Feature index i, at coordinate i, is the temporal center of its
+    feature step.
 
     Returns ``(start_s, end_s, kept)``; ``kept`` is False where the input
     is empty or inverted, or clamping collapses it to a point.
@@ -74,7 +75,7 @@ def intervals_to_seconds(
     start = np.where(0.0 > start, 0.0, start)  # max(start, 0.0), -0.0 and nan as is
     end = np.where(0.0 > end, 0.0, end)
     kept = ~empty(start, end)  # an empty or inverted pair stays so when clamped
-    frames = np.array([_float_or_inf(f) for f in window_start_frame], dtype=float)
+    frames = np.array([_float_or_inf(w * grid.stride_frames) for w in window_start], dtype=float)
     with np.errstate(over="ignore"):  # huge coordinates become inf seconds
         start_s = (start * grid.stride_frames + frames + grid.offset_frames) / grid.fps
         end_s = (end * grid.stride_frames + frames + grid.offset_frames) / grid.fps
@@ -82,15 +83,16 @@ def intervals_to_seconds(
 
 
 def seconds_to_feature_coord(
-    seconds: float, grid: FeatureGrid = FeatureGrid(), window_start_frame: int = 0
+    seconds: float, grid: FeatureGrid = FeatureGrid(), window_start: int = 0
 ) -> float:
     """Inverse of ``intervals_to_seconds``: seconds to feature coordinates
-    local to the window starting at ``window_start_frame``.
+    local to the window starting at feature ``window_start``.
 
     The result may be negative for times before the grid's first center;
     the forward conversion clamps those at 0.
     """
-    return (seconds * grid.fps - window_start_frame - grid.offset_frames) / grid.stride_frames
+    frame = window_start * grid.stride_frames
+    return (seconds * grid.fps - frame - grid.offset_frames) / grid.stride_frames
 
 
 def generate_windows(

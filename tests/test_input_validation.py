@@ -109,6 +109,22 @@ class TestClassIndices:
         assert run(tmp_path, ["nms", "--input", "{s}"], s=submission_text([entry])) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, noun, segment, message", [
+        (5000, 5, [3.0, 1.0], "verb class index 5000 outside vocabulary of 97 (key 'verb')"),
+        (3.9, -7, "12", "verb must be an integer class index, got 3.9"),
+        (3, -7, [1.0, math.inf], "noun class index -7 outside vocabulary of 300 (key 'noun')"),
+    ])
+    def test_both_readers_name_the_first_fault_of_verb_noun_segment(
+            self, tmp_path, capsys, verb, noun, segment, message):
+        # submission and ground-truth entries share one checked path
+        entry = {"verb": verb, "noun": noun, "segment": segment}
+        submission = submission_text([dict(entry, action=f"{verb},{noun}", score=0.5)])
+        assert run(tmp_path, ["nms", "--input", "{s}"], s=submission) == 1
+        assert run(tmp_path, ["eval", "--submission", "{s}", "--ground-truth", "{g}"],
+                   s=submission_text([GOOD_ENTRY]),
+                   g=json.dumps({"annotations": {"P01": [entry]}})) == 1
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
+
 
 class TestJsonNumbers:
     """Segments and scores must be JSON numbers, never coerced, cut or padded.

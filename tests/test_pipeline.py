@@ -575,6 +575,14 @@ class TestMainIsTheOneWriter:
         assert captured.out == b"" and b"line 2" in captured.err
         assert not out.exists()
 
+    def test_a_failing_simulate_writes_no_table(self, tmp_path, capfdbinary):
+        args = self.commands(tmp_path)["simulate"]
+        table, out = tmp_path / "table.txt", tmp_path / "missing" / "report.txt"
+        assert main(["simulate", *args, "--table", str(table), "--output", str(out)]) == 1
+        captured = capfdbinary.readouterr()
+        assert captured.out == b"" and b"No such file or directory" in captured.err
+        assert not table.exists()
+
     def test_simulate_writes_the_table_and_the_report(self, tmp_path, capfdbinary):
         args = self.commands(tmp_path)["simulate"]
         assert main(["simulate", *args]) == 0

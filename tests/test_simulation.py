@@ -482,7 +482,7 @@ class TestScenarioToRecords:
         for record, noun in zip(records, scenario.noun_boundary):
             if record.noun_boundary[0] >= 0:  # clamping region excluded
                 (start,), (end,), (kept,) = intervals_to_seconds(
-                    *np.array([record.noun_boundary]).T, [0], grid)
+                    *np.array([record.noun_boundary]).T, [record.window_start], grid)
                 assert kept
                 assert (start, end) == pytest.approx(tuple(noun), abs=1e-9)
 

@@ -4,8 +4,9 @@ or ``numpy.random`` at all, and ``simulate`` loads only
 one the CLI imports; every public name is used by the package or the
 acceptance suite; ground truth reaches the score without objects;
 fusion has one boundary combiner; detections are one table, not split by
-video; rows are ordered by one helper; and a flag's key and type, like
-each error type, are defined once.
+video; rows are ordered by one helper; a flag's key and type, like each
+error type, are defined once; and the fields that submission and
+ground-truth entries share are checked on one path.
 
 Each command runs in a fresh interpreter, because an import made by any
 earlier test in this process would hide a regression.
@@ -228,3 +229,12 @@ def test_ground_truth_carries_the_one_action_key():
     assert sorted(defined_names() & {"_task_classes"}) == []
     assert "evaluation" not in relative_imports("io")
     assert "evaluation" not in relative_imports("simulation")
+
+
+def test_json_entries_have_one_checked_path():
+    # io._labelled_segment checks the verb, noun and segment of submission and
+    # ground-truth entries alike, and io._round4 leaves its rare ties to round
+    # itself rather than splitting the product exactly
+    assert sorted(defined_names() & {"require_class_index", "require_number",
+                                     "require_segment"}) == []
+    assert "134217729" not in (PACKAGE / "io.py").read_text(encoding="utf-8")

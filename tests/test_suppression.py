@@ -75,10 +75,12 @@ class TestTemporalIou:
         assert iou == pytest.approx(temporal_iou(b, a))
 
 
-# grid-snapped floats with heavy ties, -0.0 beside 0.0, and integer groups
-# up to the largest the helper accepts
+# grid-snapped floats with heavy ties, -0.0 beside 0.0, and integer groups:
+# negative, about 2**16 (where a 16-bit radix key would end) and out to the
+# largest magnitude the helper accepts
 GRID_FLOATS = st.sampled_from([-1.5, -0.25, -0.0, 0.0, 0.25, 1.5])
-GROUPS = st.sampled_from([0, 1, 2, 2**32 - 2, 2**32 - 1])
+GROUPS = st.sampled_from([-(2**32 - 1), -2, -1, 0, 1, 2, 2**16 - 1, 2**16, 2**16 + 1,
+                          2**32 - 2, 2**32 - 1])
 
 
 class TestLexOrder:
@@ -143,6 +145,16 @@ class TestRuns:
         keys = [np.full(n, 2.5), np.full(n, 7)]
         assert [a.tolist() for a in runs(*keys)] == [[0], [n]]
         assert run_index(*keys).tolist() == list(range(n))
+
+    @pytest.mark.parametrize("keys", [
+        [np.array([2**16, -1, 0, 2**16 + 1, -(2**32 - 1), 2**16 - 1])],
+        [np.array([1.5, -0.0, -0.25, 2.5, 7.0, -1.5])],
+        [np.array([0.25, 0.25, -0.0, 0.0, 1.5, 1.5]), np.array([-1, 2**16, 3, 4, 5, 6])],
+    ], ids=["int", "float", "float-and-int"])
+    def test_all_distinct_rows_are_runs_of_one(self, keys):
+        n = len(keys[0])
+        assert [a.tolist() for a in runs(*keys)] == [list(range(n)), [1] * n]
+        assert run_index(*keys).tolist() == [0] * n
 
     def test_empty_input_has_no_runs(self):
         keys = [np.array([], float), np.array([], np.int64)]

@@ -15,11 +15,12 @@ from tadfusion.timeline import (
 )
 
 
-def to_seconds(boundary, grid=FeatureGrid(), window_start_frame=0):
-    """``(start_s, end_s)`` of one boundary, or None where it is dropped."""
+def to_seconds(boundary, grid=FeatureGrid(), window_start=0):
+    """``(start_s, end_s)`` of one boundary in the window starting at feature
+    ``window_start``, or None where it is dropped."""
     start, end, kept = intervals_to_seconds(
         np.array([boundary[0]], dtype=float), np.array([boundary[1]], dtype=float),
-        [window_start_frame], grid)
+        [window_start], grid)
     return (float(start[0]), float(end[0])) if kept[0] else None
 
 
@@ -51,7 +52,8 @@ class TestBoundaryToSeconds:
         assert end == pytest.approx(84 / 30)
 
     def test_window_offset_shifts_both_ends(self):
-        start, end = to_seconds((0.0, 10.0), window_start_frame=2304)
+        # feature 288 is frame 288 * 8 = 2304
+        start, end = to_seconds((0.0, 10.0), window_start=288)
         assert start == pytest.approx(2308 / 30)
         assert end == pytest.approx(2388 / 30)
 
@@ -84,17 +86,17 @@ class TestBoundaryToSeconds:
     def test_round_trip_with_inverse(self):
         grid = FeatureGrid()
         for u in [0.0, 3.5, 999.25]:
-            sec = (u * 8 + 800 + 4) / 30
-            assert seconds_to_feature_coord(sec, grid, 800) == pytest.approx(u)
+            sec = (u * 8 + 800 + 4) / 30  # window starting at feature 100, frame 800
+            assert seconds_to_feature_coord(sec, grid, 100) == pytest.approx(u)
 
     def test_rows_convert_independently(self):
         # one call converts many rows, each in its own window
         start, end, kept = intervals_to_seconds(
             np.array([0.0, 5.0, -5.0, 2.0]), np.array([10.0, 5.0, -1.0, 3.0]),
-            [0, 0, 0, 2304], FeatureGrid())
+            [0, 0, 0, 288], FeatureGrid())
         assert kept.tolist() == [True, False, False, True]
         assert start[[0, 3]].tolist() == [to_seconds((0.0, 10.0))[0],
-                                          to_seconds((2.0, 3.0), window_start_frame=2304)[0]]
+                                          to_seconds((2.0, 3.0), window_start=288)[0]]
 
     def test_window_past_the_float_range_gives_inf_seconds(self):
         start, end, kept = intervals_to_seconds(
