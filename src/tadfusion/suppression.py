@@ -122,9 +122,10 @@ def lex_order(*keys) -> np.ndarray:
         order = lex_order(*rest) if rest else np.arange(n)
         return order[np.argsort(last[order].astype(np.int64) * n + np.arange(n))]
     order = np.argsort(last)
-    first, length = runs(last[order])
-    if len(first) == n:
+    ranked = last[order]
+    if (ranked[1:] != ranked[:-1]).all():  # no equal neighbours: no ties to order
         return order
+    first, length = runs(ranked)
     # the rows of runs of more than one value, in input order, by their run
     slots = np.flatnonzero(np.repeat(length > 1, length))
     run = np.empty(n, np.int64)

@@ -20,7 +20,7 @@ from tadfusion.composition import ENTRY, VocabSpec
 from tadfusion.errors import DegenerateInterval, InvalidConfig, ParseError
 from tadfusion.evaluation import EvalConfig, score_columns
 from tadfusion.fusion import dwf_weights
-from tadfusion.io import Proposals, SubmissionDocument, VideoTable
+from tadfusion.io import SUBMISSION_CHALLENGE, Proposals, SubmissionDocument, VideoTable
 from tadfusion.simulation import (
     _MAX_NOISE_RESAMPLES,
     FusionReport,
@@ -695,6 +695,33 @@ def _legacy_serialize_submission(version, results):
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def oracle_serialize_submission(doc: SubmissionDocument) -> str:
+    """The submission text with every value of every row formatted in
+    place: the reference for ``io.serialize_submission``, which formats
+    each distinct piece once."""
+    dets = doc.rows
+    entries = [
+        f'      {{"verb": {verb}, "noun": {noun}, "action": "{verb},{noun}", '
+        f'"segment": [{start:.4f}, {end:.4f}], "score": {score:.4f}}}'
+        for verb, noun, start, end, score in zip(
+            dets.verb.tolist(), dets.noun.tolist(), dets.start.tolist(),
+            dets.end.tolist(), dets.score.tolist())
+    ]
+    lines = ["{", f'  "version": {json.dumps(doc.version)},',
+             f'  "challenge": {json.dumps(SUBMISSION_CHALLENGE)},', '  "results": {']
+    # each video's run of rows: entries[bounds[code]:bounds[code + 1]]
+    bounds = np.searchsorted(dets.video, np.arange(len(doc.video_ids) + 1)).tolist()
+    for code, (video_id, lo, hi) in enumerate(zip(doc.video_ids, bounds, bounds[1:])):
+        suffix = "," if code < len(doc.video_ids) - 1 else ""
+        if lo < hi:  # the rows as one line: joined once, not copied again
+            lines += [f"    {json.dumps(video_id)}: [", ",\n".join(entries[lo:hi]),
+                      f"    ]{suffix}"]
+        else:
+            lines.append(f"    {json.dumps(video_id)}: []{suffix}")
+    lines += ["  }", "}", ""]  # "" for the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def oracle_fuse(records, cfg):

@@ -2,16 +2,18 @@ import json
 import sys
 from dataclasses import FrozenInstanceError
 from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import (
     ActionDetection,
     ProposalRecord,
     by_video,
     from_video,
+    oracle_serialize_submission,
     proposal_columns,
     proposal_records,
 )
@@ -21,6 +23,7 @@ from tadfusion.config import PipelineConfig, parse_config, parse_config_text
 from tadfusion.errors import InvalidConfig, ParseError
 from tadfusion.evaluation import EvalConfig
 from tadfusion.io import (
+    SubmissionDocument,
     _round4,
     build_submission,
     parse_proposals,
@@ -31,7 +34,7 @@ from tadfusion.io import (
     write_proposal_file,
 )
 from tadfusion.simulation import ScenarioConfig
-from tadfusion.suppression import GROUND_TRUTH, VERB_ACTION_NMS
+from tadfusion.suppression import DETECTION, GROUND_TRUTH, VERB_ACTION_NMS
 from tadfusion.timeline import FeatureGrid
 
 VOCAB = VocabSpec(noun_count=300, verb_count=97)
@@ -237,6 +240,62 @@ class TestSubmission:
     def test_quantization_drops_collapsed_intervals(self):
         doc = submission({"v": [detection(start=1.00001, end=1.00004)]})
         assert len(by_video(doc)["v"]) == 0
+
+
+def document(video_ids, rows, version="0.1"):
+    """A submission document of ``DETECTION`` rows of the sorted ``video_ids``,
+    grouped by video code as the readers and ``build_submission`` give them."""
+    rows = sorted(rows, key=itemgetter(0))
+    return SubmissionDocument(video_ids, np.array(rows, DETECTION).view(np.recarray), version)
+
+
+@st.composite
+def documents(draw):
+    """Documents whose rows draw each column from a few values, so values
+    repeat within and across videos: zeros of both signs in every float
+    column, values from 2**39 on (which ``_round4`` leaves as they are), inf
+    and nan; action ids drawn apart from verb and noun; videos without rows."""
+    def few(values, size):
+        return st.sampled_from(draw(st.lists(values, min_size=1, max_size=size)))
+
+    floats = st.sampled_from([0.0, -0.0]) | few(
+        st.sampled_from([2.0**39, -2.0**39 - 0.5, 2.0**60 + 2048.0]) | st.floats(), 4)
+    classes = few(st.integers(0, 3) | st.integers(-2**63, 2**63 - 1), 4)
+    video_ids = sorted(draw(st.sets(st.text(max_size=3), max_size=4)))
+    rows = []
+    if video_ids:
+        rows = draw(st.lists(st.tuples(st.integers(0, len(video_ids) - 1), floats, floats,
+                                       classes, classes, few(st.integers(-2**63, 2**63 - 1), 2),
+                                       floats), max_size=16))
+    return document(video_ids, rows, draw(st.text(max_size=3)))
+
+
+class TestSerializedBytes:
+    """``serialize_submission`` formats each distinct prefix, interval and
+    score once and writes the bytes of the reference serializer, which
+    formats every value of every row."""
+
+    @given(documents())
+    @example(document([], []))
+    @example(document(["a"], [(0, 1.5, 2.0, 3, 5, 905, 0.25)]))
+    @example(document(["a", "b", "c"], [
+        (0, -0.0, 0.0, 1, 2, 7, -0.0), (0, 0.0, -0.0, 1, 2, 7, 0.0),
+        (2, 0.0, 2.0**39 + 0.5, 2, 1, 7, 0.0), (2, -0.0, 2.0**39 + 0.5, 1, 2, 0, -0.0)]))
+    def test_bytes_equal_the_reference(self, doc):
+        assert serialize_submission(doc) == oracle_serialize_submission(doc)
+
+    def test_nms_keeps_the_sign_of_zero(self, tmp_path, capsys):
+        # the two intervals differ only in the sign of their start, which
+        # compares equal; under different classes neither suppresses the other
+        entries = [{"verb": 3, "noun": 5, "action": "3,5", "segment": [-0.0, 2.0], "score": 0.5},
+                   {"verb": 4, "noun": 5, "action": "4,5", "segment": [0.0, 2.0], "score": 0.5}]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"version": "0.1", "challenge": "action_detection",
+                                    "results": {"P01": entries}}), encoding="utf-8")
+        assert main(["nms", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"action": "3,5", "segment": [-0.0000, 2.0000]' in out
+        assert '"action": "4,5", "segment": [0.0000, 2.0000]' in out
 
 
 def round_bits(values: np.ndarray) -> np.ndarray:
