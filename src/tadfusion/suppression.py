@@ -110,17 +110,22 @@ def lex_order(*keys) -> np.ndarray:
     argsort, which is unstable and several times faster than its stable
     sorts. The one way rows are ordered.
 
-    An integer last key is a group, sorted as the unique int64 key
-    ``group * n + i`` over rows in the order of the other keys, which needs
-    ``|group| < 2**32`` and ``n < 2**31``. A float last key (no NaN) is
-    sorted first, and only its runs of equal values (``-0.0 == 0.0``) are
-    then ordered by the other keys and input order.
+    An integer last key is a group, sorted over rows in the order of the
+    other keys: as ``uint16`` by NumPy's stable sort, a radix sort, when
+    every group lies in ``[0, 2**16)``, and otherwise as the unique int64
+    key ``group * n + i``, which needs ``|group| < 2**32`` and
+    ``n < 2**31``. A float last key (no NaN) is sorted first, and only its
+    runs of equal values (``-0.0 == 0.0``) are then ordered by the other
+    keys and input order.
     """
     *rest, last = keys
     n = len(last)
     if last.dtype.kind in "iu":
         order = lex_order(*rest) if rest else np.arange(n)
-        return order[np.argsort(last[order].astype(np.int64) * n + np.arange(n))]
+        group = last[order]
+        if n and 0 <= group.min() and group.max() < 2**16:
+            return order[np.argsort(group.astype(np.uint16), kind="stable")]
+        return order[np.argsort(group.astype(np.int64) * n + np.arange(n))]
     order = np.argsort(last)
     ranked = last[order]
     if (ranked[1:] != ranked[:-1]).all():  # no equal neighbours: no ties to order
@@ -249,16 +254,19 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     split into overlap components. Rows below ``min_score`` are dropped
     first, except the pool's best row and the rows that overlap it:
     round 1 keeps the best, lets the rows it overlaps vote, and drops
-    every other row below ``min_score`` before it acts. A row that then
-    overlaps nothing in its pool keeps its score and its vote with
-    itself, computed in arrays. The rows of larger components go to one
-    ``soft_nms`` call per pool. A pool of more than ``max_per_video``
-    such rows stays one component, because the cap inside the rounds
-    depends on the pick order across components. Boundaries must be
-    finite, as every reader ensures. A row's tie is its index in the
-    order by pool (so action, within a video), original start and
-    position; the rounds and the merge both break rank ties by it, which
-    is the order in which the rounds over a whole pool keep tied rows.
+    every other row below ``min_score`` before it acts. Components of one
+    or two rows run their rounds in arrays: a row alone keeps its score
+    and its vote with itself, and a pair's first round keeps its row
+    first in rank order. ``soft_nms`` receives each pool's components of
+    three or more rows, in one call per pool; a pool whose components all
+    have one or two rows makes no call. A pool of more than
+    ``max_per_video`` such rows stays one component, because the cap
+    inside the rounds depends on the pick order across components.
+    Boundaries must be finite, as every reader ensures. A row's tie is its
+    index in the order by pool (so action, within a video), original
+    start and position; the rounds and the merge both break rank ties by
+    it, which is the order in which the rounds over a whole pool keep
+    tied rows.
     """
     if not len(dets):
         return dets
@@ -277,32 +285,54 @@ def suppress_video(dets: np.recarray, cfg: NmsConfig) -> np.recarray:
     by_start = live[lex_order(start[live], pool[live])]
     component = _overlap_components(start[by_start], end[by_start], pool[by_start],
                                     cfg.max_per_video)
-    single = (np.bincount(component) == 1)[component]
+    size = np.bincount(component)[component]
+    small = size <= min(2, cfg.max_per_video)
     # a row's tie is its index in by_start; rows of larger components go
     # by component and then position, which is rank order in the pool
-    tie = np.flatnonzero(~single)
+    tie = np.flatnonzero(~small)
     tie = tie[lex_order(by_start[tie], component[tie])]
     at = by_start[tie]
     # made as each pool runs and freed with it, which spares the collector
     rows = map(list, zip((-score[at]).tolist(), start[at].tolist(), tie.tolist(),
                          end[at].tolist(), score[at].tolist(), component[tie].tolist()))
     merged = []
-    for size in runs(pool[at])[1].tolist():
-        merged.extend(soft_nms(list(islice(rows, size)), cfg, vote=True))
+    for count in runs(pool[at])[1].tolist():
+        merged.extend(soft_nms(list(islice(rows, count)), cfg, vote=True))
     # one float array of the kept rows: ties are exact below 2**53
     neg_score, kept_start, kept_tie, kept_end = np.fromiter(
         chain.from_iterable(merged), float, count=4 * len(merged)).reshape(-1, 4).T
-    # each singleton is kept with its own score and its vote with itself
-    alone = np.flatnonzero(single)
+    # a pair's round 1 keeps its lead, the row first in rank order, and
+    # decays the other by their tIoU, which votes if within vote_threshold
+    # (temporal_iou is the tIoU of the rounds wherever rows overlap)
+    pair = np.flatnonzero(small & (size == 2))[::2]
+    swap = by_start[pair] > by_start[pair + 1]
+    lead, other = pair + swap, pair + 1 - swap
+    a, b = by_start[lead], by_start[other]
+    iou = temporal_iou((start[a], end[a]), (start[b], end[b]))
+    neg = -score[by_start]  # each row's score when kept, negated
+    neg[other] *= np.fromiter(map(math.exp, (-(iou * iou) / cfg.sigma).tolist()), float,
+                              len(iou))
+    # leads, singletons and the other rows that stay: each is kept with its
+    # vote with itself and, for a lead, with its other row if that votes
+    alone = np.concatenate((lead, np.flatnonzero(size == 1),
+                            other[-neg[other] >= cfg.min_score]))
     at = by_start[alone]
     weight = score[at]
-    voted = weight > 0.0
+    bounds = np.array((start[at], end[at]))
+    sums = weight * bounds
+    voter = np.flatnonzero(iou >= cfg.vote_threshold)
+    votes = b[voter]
+    weight[voter] += score[votes]
+    with np.errstate(over="ignore"):
+        sums[:, voter] += score[votes] * np.array((start[votes], end[votes]))
+    np.divide(sums, weight, out=bounds, where=weight > 0.0)
+    for field, i in zip(*np.nonzero(np.isinf(sums))):  # a lead's sum past the float maximum
+        voters = [(0, start[j], 0, end[j], score[j]) for j in (at[i], b[i])]
+        bounds[field, i] = _scaled_vote(voters, 2 * field + 1, weight[i])
     kept_tie = np.concatenate((kept_tie.astype(np.int64), alone))
-    neg_score = np.concatenate((neg_score, -weight))
-    kept_start = np.concatenate((kept_start, np.divide(weight * start[at], weight,
-                                                       out=start[at], where=voted)))
-    kept_end = np.concatenate((kept_end, np.divide(weight * end[at], weight,
-                                                   out=end[at], where=voted)))
+    neg_score = np.concatenate((neg_score, neg[alone]))
+    kept_start = np.concatenate((kept_start, bounds[0]))
+    kept_end = np.concatenate((kept_end, bounds[1]))
     # by video; equal ranks by pool (so action), original start and position
     kept_video = video[by_start[kept_tie]]
     ranked = lex_order(kept_tie, kept_start, neg_score, kept_video)

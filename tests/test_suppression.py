@@ -76,11 +76,21 @@ class TestTemporalIou:
 
 
 # grid-snapped floats with heavy ties, -0.0 beside 0.0, and integer groups:
-# negative, about 2**16 (where a 16-bit radix key would end) and out to the
-# largest magnitude the helper accepts
+# negative, about 2**16 (where the 16-bit radix key ends) and out to the
+# largest magnitude the helper accepts; narrow groups all take the radix sort
 GRID_FLOATS = st.sampled_from([-1.5, -0.25, -0.0, 0.0, 0.25, 1.5])
 GROUPS = st.sampled_from([-(2**32 - 1), -2, -1, 0, 1, 2, 2**16 - 1, 2**16, 2**16 + 1,
                           2**32 - 2, 2**32 - 1])
+NARROW_GROUPS = st.sampled_from([0, 1, 2, 2**15, 2**16 - 2, 2**16 - 1])
+
+
+def draw_keys(data, max_size):
+    """1-3 key columns of one length: floats, groups or narrow groups."""
+    n = data.draw(st.integers(0, max_size))
+    kinds = data.draw(st.lists(st.sampled_from([GRID_FLOATS, GROUPS, NARROW_GROUPS]),
+                               min_size=1, max_size=3))
+    return [np.array(data.draw(st.lists(kind, min_size=n, max_size=n)),
+                     float if kind is GRID_FLOATS else np.int64) for kind in kinds]
 
 
 class TestLexOrder:
@@ -89,11 +99,7 @@ class TestLexOrder:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_equals_lexsort(self, data):
-        n = data.draw(st.integers(0, 150))
-        kinds = data.draw(st.lists(st.sampled_from([GRID_FLOATS, GROUPS]), min_size=1,
-                                   max_size=3))
-        keys = [np.array(data.draw(st.lists(kind, min_size=n, max_size=n)),
-                         float if kind is GRID_FLOATS else np.int64) for kind in kinds]
+        keys = draw_keys(data, 150)
         assert lex_order(*keys).tolist() == np.lexsort(keys).tolist()
 
     @pytest.mark.parametrize("n", [0, 1, 7])
@@ -105,6 +111,17 @@ class TestLexOrder:
     def test_signed_zeros_tie(self):
         keys = [np.array([2, 1, 0, 1]), np.array([0.0, -0.0, 0.0, -0.0])]
         assert lex_order(*keys).tolist() == np.lexsort(keys).tolist() == [2, 1, 3, 0]
+
+    @pytest.mark.parametrize("group", [
+        [2**16 - 1, 3, 0, 2**15, 7],  # the radix sort's range
+        [2**16, 3, 0, 2**15, 7],  # one past it
+        [3, -1, 0, 2**15, 7],  # one below it
+    ], ids=["narrow", "past-2**16", "negative"])
+    def test_distinct_and_equal_groups(self, group):
+        n = len(group)
+        for keys in ([np.array(group)], [np.full(n, 0.5), np.array(group)],
+                     [np.array(group[::-1]), np.full(n, group[0])]):
+            assert lex_order(*keys).tolist() == np.lexsort(keys).tolist()
 
 
 def oracle_runs(keys):
@@ -125,11 +142,7 @@ class TestRuns:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_equal_groupby(self, data):
-        n = data.draw(st.integers(0, 60))
-        kinds = data.draw(st.lists(st.sampled_from([GRID_FLOATS, GROUPS]), min_size=1,
-                                   max_size=3))
-        keys = [np.array(data.draw(st.lists(kind, min_size=n, max_size=n)),
-                         float if kind is GRID_FLOATS else np.int64) for kind in kinds]
+        keys = draw_keys(data, 60)
         first, length = oracle_runs(keys)
         got_first, got_length = runs(*keys)
         assert (got_first.tolist(), got_length.tolist()) == (first, length)
@@ -141,16 +154,18 @@ class TestRuns:
         assert run_index(*keys).tolist() == [0, 1, 2, 0]
 
     @pytest.mark.parametrize("n", [1, 5])
-    def test_all_keys_equal_are_one_run(self, n):
-        keys = [np.full(n, 2.5), np.full(n, 7)]
+    @pytest.mark.parametrize("group", [7, 2**16, -1], ids=["narrow", "past-2**16", "negative"])
+    def test_all_keys_equal_are_one_run(self, n, group):
+        keys = [np.full(n, 2.5), np.full(n, group)]
         assert [a.tolist() for a in runs(*keys)] == [[0], [n]]
         assert run_index(*keys).tolist() == list(range(n))
 
     @pytest.mark.parametrize("keys", [
         [np.array([2**16, -1, 0, 2**16 + 1, -(2**32 - 1), 2**16 - 1])],
+        [np.array([2**16 - 1, 0, 2**15, 1, 2**16 - 2, 2])],
         [np.array([1.5, -0.0, -0.25, 2.5, 7.0, -1.5])],
         [np.array([0.25, 0.25, -0.0, 0.0, 1.5, 1.5]), np.array([-1, 2**16, 3, 4, 5, 6])],
-    ], ids=["int", "float", "float-and-int"])
+    ], ids=["int", "narrow-int", "float", "float-and-int"])
     def test_all_distinct_rows_are_runs_of_one(self, keys):
         n = len(keys[0])
         assert [a.tolist() for a in runs(*keys)] == [list(range(n)), [1] * n]
@@ -486,10 +501,100 @@ class TestSuppressVideoOverlapComponents:
         assert [d.end for d in kept[1:]] == [(0.1 * 13.2) / 0.1, 4.2]
 
 
+def soft_nms_sizes(monkeypatch) -> list:
+    """The row counts of the ``soft_nms`` calls made from now on."""
+    sizes = []
+    original = suppression.soft_nms
+
+    def counting(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return original(rows, *args, **kwargs)
+
+    monkeypatch.setattr(suppression, "soft_nms", counting)
+    return sizes
+
+
+class TestPairRound:
+    """A component of two rows runs its rounds in arrays, bit for bit as
+    the rounds over the whole pool do. ``soft_nms`` sees only components
+    of three or more rows, and a two-row pool at ``max_per_video=1``,
+    which stays one component."""
+
+    def test_other_row_decayed_below_min_score_is_dropped(self, monkeypatch):
+        # the lead starts later, so it is the second row by start
+        sizes = soft_nms_sizes(monkeypatch)
+        cfg = replace(VERB_ACTION_NMS, min_score=0.03)
+        dets = [det(0.0, 10.0, 0.05), det(1.0, 10.0, 0.9), det(30.0, 35.0, 0.5)]
+        kept = suppress(dets, cfg)
+        assert kept == oracle_suppress_video(dets, cfg, "action")
+        assert [d.score for d in kept] == [0.9, 0.5]
+        weight = 0.9 + 0.05  # the decayed row votes with its original score
+        assert kept[0].interval == ((0.9 * 1.0 + 0.05 * 0.0) / weight,
+                                    (0.9 * 10.0 + 0.05 * 10.0) / weight)
+        assert sizes == []
+
+    def test_two_row_pool_at_max_per_video_1_is_one_call(self, monkeypatch):
+        sizes = soft_nms_sizes(monkeypatch)
+        cfg = replace(NOUN_NMS, max_per_video=1)
+        dets = [det(2.0, 9.0, 0.4), det(0.0, 8.0, 0.7)]
+        kept = suppress(dets, cfg)
+        assert kept == oracle_suppress_video(dets, cfg, "action")
+        assert [d.score for d in kept] == [0.7]
+        assert sizes == [2]
+
+    def test_zero_weights_keep_their_own_intervals(self, monkeypatch):
+        sizes = soft_nms_sizes(monkeypatch)
+        cfg = replace(VERB_ACTION_NMS, min_score=0.0)
+        dets = [det(1.0, 4.0, 0.0), det(0.0, 4.0, 0.0)]
+        kept = suppress(dets, cfg)
+        assert kept == oracle_suppress_video(dets, cfg, "action")
+        assert [(d.interval, d.score) for d in kept] == [((0.0, 4.0), 0.0), ((1.0, 4.0), 0.0)]
+        assert sizes == []
+
+    def test_overflowing_union_decays_as_on_a_scaled_copy(self, monkeypatch):
+        def dets(scale):
+            return [det(start, end, score)
+                    for (start, end), score in zip(scaled(WIDE, scale), (0.9, 0.8))]
+
+        sizes = soft_nms_sizes(monkeypatch)
+        big, small = (suppress(dets(scale), VERB_ACTION_NMS) for scale in (1e308, 1e308 * 2.0**-8))
+        assert small == oracle_suppress_video(dets(1e308 * 2.0**-8), VERB_ACTION_NMS, "action")
+        assert [d.score for d in big] == [d.score for d in small]
+        assert [d.interval for d in big] == [(d.start * 2.0**8, d.end * 2.0**8) for d in small]
+        assert small[1].score < 0.8
+        assert sizes == []
+
+    @pytest.mark.parametrize("segment, scores", [
+        ((-0.1e308, 1.0e308), (0.9, 0.95)),  # an end sum just past the float maximum
+        ((0.95e308, 1.7e308), (1.0, 1.0)),  # the start sum past it too
+    ])
+    def test_overflowing_vote_is_that_of_a_scaled_copy(self, monkeypatch, segment, scores):
+        def dets(scale):
+            return [det(segment[0] * scale, segment[1] * scale, score) for score in scores]
+
+        sizes = soft_nms_sizes(monkeypatch)
+        big, small = (suppress(dets(scale), VERB_ACTION_NMS) for scale in (1.0, 2.0**-8))
+        assert small == oracle_suppress_video(dets(2.0**-8), VERB_ACTION_NMS, "action")
+        assert all(math.isfinite(x) for d in big for x in d.interval)
+        assert [d.interval for d in big] == [(d.start * 2.0**8, d.end * 2.0**8) for d in small]
+        assert [d.score for d in big] == [d.score for d in small]
+        assert sizes == []
+
+    def test_pool_of_a_pair_and_three_rows_calls_with_the_three(self, monkeypatch):
+        sizes = soft_nms_sizes(monkeypatch)
+        dets = [det(0.0, 5.0, 0.6), det(1.0, 6.0, 0.8), det(20.0, 26.0, 0.7),
+                det(21.0, 25.0, 0.9), det(22.0, 30.0, 0.3)]
+        kept = suppress(dets, NOUN_NMS)
+        assert kept == oracle_suppress_video(dets, NOUN_NMS, "action")
+        assert sizes == [3]
+
+
 class TestClassPoolContract:
-    """``suppress_video`` calls ``soft_nms`` once per class pool with rows
-    that overlap, with the pool's overlapping rows: the benchmark reads the
-    class-pool size from these calls."""
+    """``suppress_video`` calls ``soft_nms`` once per class pool with a
+    component of three or more overlapping rows, with all of the pool's
+    rows in such components; a pool whose components all have one or two
+    rows makes no call. The benchmark reads the class-pool size from these
+    calls."""
 
     def test_one_call_per_crowded_pool_with_all_its_rows(self, monkeypatch):
         sizes = []
